@@ -105,9 +105,6 @@ def main(argv=None) -> int:
         return 1
 
 
-run = main
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="garside",

@@ -10,7 +10,7 @@ values can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .germ import Germ
 
@@ -90,13 +90,14 @@ def normal_form(g: Germ, word: Iterable[int]) -> NormalWord:
 
 def is_normal(g: Germ, w: NormalWord) -> bool:
     """Whether the stored word really is a left normal form."""
-    if w.deltas < 0:
+    return w.deltas >= 0 and g.delta not in w.factors and _is_normal_word(g, w.factors)
+
+
+def _is_normal_word(g: Germ, word: Sequence[int]) -> bool:
+    # Left weighted with no unit letter; Delta letters are allowed.
+    if any(s == g.unit for s in word):
         return False
-    for f in w.factors:
-        if f == g.unit or f == g.delta:
-            return False
-    return all(g.normal_pair(w.factors[i], w.factors[i + 1])
-               for i in range(len(w.factors) - 1))
+    return all(g.normal_pair(word[i], word[i + 1]) for i in range(len(word) - 1))
 
 
 def multiply(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:

@@ -4,10 +4,11 @@ germ: finite Garside structures presented by their simple-element tables.
 A germ is the complete combinatorial datum of a finite Garside structure:
 the set of divisors of the Garside element Delta ("simples"), the partial
 product on simples (defined exactly when the product of two simples is
-again a simple), the identity and Delta.  Everything else -- divisibility,
-atoms, complements, meets and joins in both the prefix and the suffix
-order -- is derived at construction time and stored in dense tables, so
-all lattice queries are O(1) dictionary or bitmask lookups.
+again a simple), the identity and Delta.  Divisibility, atoms and
+complements are derived at construction time.  Meets and joins in both
+the prefix and the suffix order live in one table per operation whose
+rows are filled from the divisibility bitmasks the first time they are
+used, so every lattice query is an O(1) list lookup.
 
 Simples are identified by small integers.  Index 0 is always the identity,
 which must be named "1".  Divisibility relations are kept as bitmasks over
@@ -18,15 +19,11 @@ thousand simples cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 # Characters that would collide with word syntax ('.'-words, '|'-normal
 # forms, "D^k" prefixes) or the file format ('#' comments).
 _FORBIDDEN_NAME_CHARS = set(".|#^")
-
-# Dense meet/join tables are built eagerly up to this many simples; larger
-# germs fall back to memoised on-demand computation from the bitmasks.
-_DENSE_LIMIT = 256
 
 
 class GermError(Exception):
@@ -78,6 +75,25 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
+class _LatticeRows(dict):
+    """
+    A meet or join table: row s lists, for every simple t, the simple whose
+    mask is masks[s] & masks[t], or -1 if there is none.  A row is built in
+    full on first access; building it twice gives an equal row, so a race
+    between threads is harmless.
+    """
+
+    def __init__(self, masks: list[int], by_mask: dict[int, int]):
+        super().__init__()
+        self.masks = masks
+        self.by_mask = by_mask
+
+    def __missing__(self, s: int) -> list[int]:
+        m = self.masks[s]
+        row = self[s] = [self.by_mask.get(m & x, -1) for x in self.masks]
+        return row
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of a mask, ascending."""
     while mask:
@@ -92,9 +108,10 @@ class Germ:
     module, or make_germ(); the raw constructor expects the unit at index 0
     and rows that already contain the implied unit products.
 
-    Immutable after construction (by convention); safe to share between
-    threads.  Equality is identity; compare `names`/`delta`/`product_rows`
-    directly when structural equality is needed.
+    Immutable after construction (by convention) apart from the lattice
+    tables, whose rows are filled lazily and idempotently; safe to share
+    between threads.  Equality is identity; compare `names`, `delta` and
+    `product_rows` directly when structural equality is needed.
     """
 
     def __init__(self, names: tuple[str, ...], delta: int,
@@ -163,27 +180,10 @@ class Germ:
         self._opposite: Germ | None = None
         self._memo: dict = {}  # cross-module caches (quasi-centre table etc.)
 
-        if n <= _DENSE_LIMIT:
-            self._meet_tab = [
-                [self._by_ldiv.get(ldiv[s] & ldiv[t], -1) for t in range(n)]
-                for s in range(n)
-            ]
-            self._join_tab = [
-                [self._by_lupper.get(lupper[s] & lupper[t], -1) for t in range(n)]
-                for s in range(n)
-            ]
-            self._rmeet_tab = [
-                [self._by_rdiv.get(rdiv[s] & rdiv[t], -1) for t in range(n)]
-                for s in range(n)
-            ]
-            self._rjoin_tab = [
-                [self._by_rupper.get(rupper[s] & rupper[t], -1) for t in range(n)]
-                for s in range(n)
-            ]
-        else:
-            self._meet_tab = self._join_tab = None
-            self._rmeet_tab = self._rjoin_tab = None
-            self._lat_memo: dict[tuple[str, int, int], int] = {}
+        self._meet = _LatticeRows(ldiv, self._by_ldiv)
+        self._join = _LatticeRows(lupper, self._by_lupper)
+        self._rmeet = _LatticeRows(rdiv, self._by_rdiv)
+        self._rjoin = _LatticeRows(rupper, self._by_rupper)
 
     def _compute_atom_lengths(self) -> list[int]:
         # Divisor-set size increases strictly along proper divisibility in
@@ -247,68 +247,30 @@ class Germ:
     def right_divisors(self, t: int) -> list[int]:
         return list(_bits(self.rdiv[t]))
 
-    def _lattice(self, kind: str, s: int, t: int) -> int:
-        if kind == "meet":
-            r = self._by_ldiv.get(self.ldiv[s] & self.ldiv[t], -1)
-        elif kind == "join":
-            r = self._by_lupper.get(self.lupper[s] & self.lupper[t], -1)
-        elif kind == "rmeet":
-            r = self._by_rdiv.get(self.rdiv[s] & self.rdiv[t], -1)
-        else:
-            r = self._by_rupper.get(self.rupper[s] & self.rupper[t], -1)
-        if r < 0:
-            raise GermError(
-                f"no {kind} of {self.names[s]!r} and {self.names[t]!r}: "
-                "germ is not a lattice")
-        return r
+    def _not_a_lattice(self, kind: str, s: int, t: int) -> NoReturn:
+        raise GermError(
+            f"no {kind} of {self.names[s]!r} and {self.names[t]!r}: "
+            "germ is not a lattice")
 
     def meet(self, s: int, t: int) -> int:
         """Greatest common prefix of two simples."""
-        if self._meet_tab is not None:
-            r = self._meet_tab[s][t]
-            if r >= 0:
-                return r
-            return self._lattice("meet", s, t)  # raises with context
-        key = ("meet", s, t)
-        if key not in self._lat_memo:
-            self._lat_memo[key] = self._lattice("meet", s, t)
-        return self._lat_memo[key]
+        r = self._meet[s][t]
+        return r if r >= 0 else self._not_a_lattice("meet", s, t)
 
     def join(self, s: int, t: int) -> int:
         """Least common upper bound of two simples in the prefix order."""
-        if self._join_tab is not None:
-            r = self._join_tab[s][t]
-            if r >= 0:
-                return r
-            return self._lattice("join", s, t)
-        key = ("join", s, t)
-        if key not in self._lat_memo:
-            self._lat_memo[key] = self._lattice("join", s, t)
-        return self._lat_memo[key]
+        r = self._join[s][t]
+        return r if r >= 0 else self._not_a_lattice("join", s, t)
 
     def rmeet(self, s: int, t: int) -> int:
         """Greatest common suffix of two simples."""
-        if self._rmeet_tab is not None:
-            r = self._rmeet_tab[s][t]
-            if r >= 0:
-                return r
-            return self._lattice("rmeet", s, t)
-        key = ("rmeet", s, t)
-        if key not in self._lat_memo:
-            self._lat_memo[key] = self._lattice("rmeet", s, t)
-        return self._lat_memo[key]
+        r = self._rmeet[s][t]
+        return r if r >= 0 else self._not_a_lattice("rmeet", s, t)
 
     def rjoin(self, s: int, t: int) -> int:
         """Least common upper bound of two simples in the suffix order."""
-        if self._rjoin_tab is not None:
-            r = self._rjoin_tab[s][t]
-            if r >= 0:
-                return r
-            return self._lattice("rjoin", s, t)
-        key = ("rjoin", s, t)
-        if key not in self._lat_memo:
-            self._lat_memo[key] = self._lattice("rjoin", s, t)
-        return self._lat_memo[key]
+        r = self._rjoin[s][t]
+        return r if r >= 0 else self._not_a_lattice("rjoin", s, t)
 
     def lcomp(self, s: int, t: int) -> int:
         """The left complement s\\t: the simple u with s.u = s v t."""

@@ -2,17 +2,18 @@
 normal_forms: translating between normal forms of the product monoid and
 pairs of normal forms of the two factors.
 
-split_nf peels the G-part off a normal word of K factor by factor;
-merge_nf pushes the G-factors of a pair back through the H-word.  Both
-loops produce only words that are already normal -- that invariant is the
-substance of their correctness, so it is asserted at every step rather
-than repaired.  phi/phi_inv package the two loops as mutually inverse
+split_nf peels the G-part off a normal word of K factor by factor (the
+GH-decomposition of zappa_szep); merge_nf pushes the G-factors of a pair
+back through the H-word.  Both loops produce only words that are already
+normal -- that invariant is the substance of their correctness, so it is
+asserted at every step rather than repaired.  phi/phi_inv package the two loops as mutually inverse
 bijections; psi is the lcm variant, reduced to phi by an inverse action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import element, zappa_szep
 from .element import NormalWord
@@ -38,18 +39,12 @@ def _h_letters(zs: ZSStructure, w: NormalWord) -> tuple[int, ...]:
     return (zs.delta_h,) * w.deltas + w.factors
 
 
-def _from_letters(zs: ZSStructure, word: list[int], delta: int) -> NormalWord:
+def _from_letters(zs: ZSStructure, word: Sequence[int], delta: int) -> NormalWord:
     # In a normal word all delta letters lead; fold them into the count.
     k = 0
     while k < len(word) and word[k] == delta:
         k += 1
     return NormalWord(k, tuple(word[k:]))
-
-
-def _word_is_normal(g, word: list[int]) -> bool:
-    if any(s == g.unit for s in word):
-        return False
-    return all(g.normal_pair(word[i], word[i + 1]) for i in range(len(word) - 1))
 
 
 # -- pairwise normality from factor data -------------------------------------
@@ -95,32 +90,12 @@ def is_normal_hg_hg(zs: ZSStructure, h1: int, g1: int, h2: int, g2: int) -> bool
 def split_nf(zs: ZSStructure, w: NormalWord) -> NFPair:
     """
     Given the normal form of k with GH-decomposition k = g.h, return the
-    normal forms of g and of h.  Repeatedly GH-decompose each factor, peel
-    the leading G-part, and re-associate the H-parts with the following
-    G-parts.  Every intermediate word is already normal.
+    normal forms of g and of h: the peel of gh_decompose, with the leading
+    delta_G and delta_H letters folded into the delta counts.
     """
-    g = zs.germ
-    assert element.is_normal(g, w), "split_nf expects a normal word"
-    word = list(element.letters(g, w))
-    word_g: list[int] = []
-    while word:
-        pairs = [zs.gh_pair[x] for x in word]
-        if pairs[0][0] == g.unit:
-            break
-        word_g.append(pairs[0][0])
-        new = []
-        for i in range(len(pairs) - 1):
-            k = g.product(pairs[i][1], pairs[i + 1][0])
-            assert k is not None, "re-associated factor left the simples"
-            new.append(k)
-        if pairs[-1][1] != g.unit:
-            new.append(pairs[-1][1])
-        word = new
-        assert _word_is_normal(g, word), "split_nf produced a non-normal word"
-    assert all(zs.member_h(x) for x in word), "residue is not an H-word"
-    assert _word_is_normal(g, word_g), "split_nf produced a non-normal G-word"
-    return NFPair(_from_letters(zs, word_g, zs.delta_g),
-                  _from_letters(zs, word, zs.delta_h))
+    gpart, hpart = zappa_szep.gh_decompose(zs, w)
+    return NFPair(_from_letters(zs, gpart.factors, zs.delta_g),
+                  _from_letters(zs, hpart.factors, zs.delta_h))
 
 
 def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
@@ -132,9 +107,9 @@ def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
     g = zs.germ
     gw = list(_g_letters(zs, p.nf_g))
     hw = list(_h_letters(zs, p.nf_h))
-    if not all(zs.member_g(x) for x in gw) or not _word_is_normal(g, gw):
+    if not all(zs.member_g(x) for x in gw) or not element._is_normal_word(g, gw):
         raise ValueError("nf_g is not a normal word over the G-simples")
-    if not all(zs.member_h(x) for x in hw) or not _word_is_normal(g, hw):
+    if not all(zs.member_h(x) for x in hw) or not element._is_normal_word(g, hw):
         raise ValueError("nf_h is not a normal word over the H-simples")
     word = hw
     while gw:
@@ -150,7 +125,7 @@ def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
                 new.append(pairs[-1][1])
             assert all(k is not None for k in new), "pushed factor left the simples"
             word = new
-        assert _word_is_normal(g, word), "merge_nf produced a non-normal word"
+        assert element._is_normal_word(g, word), "merge_nf produced a non-normal word"
     return _from_letters(zs, word, g.delta)
 
 
@@ -175,5 +150,5 @@ def psi(zs: ZSStructure, p: NFPair) -> NormalWord:
     gw = _g_letters(zs, p.nf_g)
     hw = _h_letters(zs, p.nf_h)
     acted = list(zappa_szep.act_lr_inv_word(zs, gw, hw))
-    assert _word_is_normal(g, acted), "inverse action broke normality of the H-word"
+    assert element._is_normal_word(g, acted), "inverse action broke normality of the H-word"
     return merge_nf(zs, NFPair(p.nf_g, _from_letters(zs, acted, zs.delta_h)))

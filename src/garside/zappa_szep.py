@@ -9,9 +9,18 @@ four actions on simples:
     h . g = (h |> g)(h <| g)        g . h = (g |>> h)(g <<| h)
 
 written here act_rr/act_rl (h acting on g from the left / the companion)
-and act_lr/act_ll.  The structure precomputes all four tables and their
-inverse permutations; actions of words fold through the tables using the
-product rules, so nothing beyond the simple-by-simple tables is stored.
+and act_lr/act_ll.  The structure stores only the two factorisation maps
+gh_pair and hg_pair.  Each action and each inverse action is one lookup
+in them, at a product or at a join (v for the prefix join, v~ for the
+suffix join):
+
+    (h |> g, h <| g) = gh_pair[h.g]     (g |>> h, g <<| h) = hg_pair[g.h]
+    h^-1 |> g = hg_pair[g v h][1]       g^-1 |>> h = gh_pair[g v h][1]
+    h <| g^-1 = hg_pair[g v~ h][0]      g <<| h^-1 = gh_pair[g v~ h][0]
+
+Actions of words carry one actor letter at a time through the acted word
+with the simple-level actions.  The GH- and HG-decompositions of elements
+peel a normal form apart through the same two maps.
 
 build() re-verifies every structural invariant (parabolicity, unique
 decompositions of all simples, bijectivity of the actions) instead of
@@ -50,16 +59,8 @@ class ZSStructure:
     h_simples: tuple[int, ...]            # simples lying in H
     delta_g: int                          # join of g_simples; product with delta_h is delta
     delta_h: int
-    gh_pair: dict[int, tuple[int, int]]   # simple k -> its unique (g, h) with g.h = k
-    hg_pair: dict[int, tuple[int, int]]   # simple k -> its unique (h, g) with h.g = k
-    _rr: dict[tuple[int, int], int]       # (h, g) -> h |> g
-    _rl: dict[tuple[int, int], int]       # (h, g) -> h <| g
-    _lr: dict[tuple[int, int], int]       # (g, h) -> g |>> h
-    _ll: dict[tuple[int, int], int]       # (g, h) -> g <<| h
-    _rr_inv: dict[tuple[int, int], int]
-    _rl_inv: dict[tuple[int, int], int]
-    _lr_inv: dict[tuple[int, int], int]
-    _ll_inv: dict[tuple[int, int], int]
+    gh_pair: list[tuple[int, int]]        # k -> the unique (g, h) with g.h = k; (1, k) iff k in H
+    hg_pair: list[tuple[int, int]]        # k -> the unique (h, g) with h.g = k; (1, k) iff k in G
 
     # -- membership ------------------------------------------------------
 
@@ -79,47 +80,58 @@ class ZSStructure:
 
     # -- the four actions and their inverses, on simples ------------------
 
-    def _lookup(self, table: dict[tuple[int, int], int], a: int, b: int,
-                dom_a: str, dom_b: str) -> int:
-        try:
-            return table[(a, b)]
-        except KeyError:
-            nm = self.germ.names
-            raise ValueError(
-                f"action argument outside its simple set: expected "
-                f"({dom_a}, {dom_b}), got ({nm[a]}, {nm[b]})") from None
+    def _domain(self, h: int, g: int, h_first: bool) -> None:
+        """Reject arguments unless h is an H-simple and g a G-simple."""
+        gh, unit = self.gh_pair, self.germ.unit
+        if gh[h][0] == unit == gh[g][1]:
+            return
+        nm = self.germ.names
+        if h_first:
+            want, got = "H-simple, G-simple", f"{nm[h]}, {nm[g]}"
+        else:
+            want, got = "G-simple, H-simple", f"{nm[g]}, {nm[h]}"
+        raise ValueError(
+            f"action argument outside its simple set: expected ({want}), got ({got})")
 
     def act_rr(self, h: int, g: int) -> int:
         """h |> g."""
-        return self._lookup(self._rr, h, g, "H-simple", "G-simple")
+        self._domain(h, g, True)
+        return self.gh_pair[self.germ.product_rows[h][g]][0]
 
     def act_rl(self, h: int, g: int) -> int:
         """h <| g."""
-        return self._lookup(self._rl, h, g, "H-simple", "G-simple")
+        self._domain(h, g, True)
+        return self.gh_pair[self.germ.product_rows[h][g]][1]
 
     def act_lr(self, g: int, h: int) -> int:
         """g |>> h."""
-        return self._lookup(self._lr, g, h, "G-simple", "H-simple")
+        self._domain(h, g, False)
+        return self.hg_pair[self.germ.product_rows[g][h]][0]
 
     def act_ll(self, g: int, h: int) -> int:
         """g <<| h."""
-        return self._lookup(self._ll, g, h, "G-simple", "H-simple")
+        self._domain(h, g, False)
+        return self.hg_pair[self.germ.product_rows[g][h]][1]
 
     def act_rr_inv(self, h: int, g: int) -> int:
         """h^-1 |> g: the inverse permutation of g -> h |> g."""
-        return self._lookup(self._rr_inv, h, g, "H-simple", "G-simple")
+        self._domain(h, g, True)
+        return self.hg_pair[self.germ.join(g, h)][1]
 
     def act_rl_inv(self, h: int, g: int) -> int:
         """h <| g^-1."""
-        return self._lookup(self._rl_inv, h, g, "H-simple", "G-simple")
+        self._domain(h, g, True)
+        return self.hg_pair[self.germ.rjoin(g, h)][0]
 
     def act_lr_inv(self, g: int, h: int) -> int:
         """g^-1 |>> h."""
-        return self._lookup(self._lr_inv, g, h, "G-simple", "H-simple")
+        self._domain(h, g, False)
+        return self.gh_pair[self.germ.join(g, h)][1]
 
     def act_ll_inv(self, g: int, h: int) -> int:
         """g <<| h^-1."""
-        return self._lookup(self._ll_inv, g, h, "G-simple", "H-simple")
+        self._domain(h, g, False)
+        return self.gh_pair[self.germ.rjoin(g, h)][0]
 
     def join_gh(self, g: int, h: int) -> int:
         """lcm(g, h) computed factor-side: g.(g^-1 |>> h)."""
@@ -155,35 +167,23 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
     in_g = _generated_simples(germ, left)
     in_h = _generated_simples(germ, right)
 
-    delta_g = germ.unit
-    for s in in_g:
-        delta_g = germ.join(delta_g, s)
-    delta_h = germ.unit
-    for s in in_h:
-        delta_h = germ.join(delta_h, s)
+    delta_g = _join_all(germ, in_g)
+    delta_h = _join_all(germ, in_h)
 
     # The class-wise construction must give the same Garside elements.
-    dg_from_classes = germ.unit
-    dh_from_classes = germ.unit
     table = quasicenter._delta_table(germ)
-    for a in left:
-        dg_from_classes = germ.join(dg_from_classes, table[a])
-    for a in right:
-        dh_from_classes = germ.join(dh_from_classes, table[a])
-    if dg_from_classes != delta_g or dh_from_classes != delta_h:
+    if _join_all(germ, (table[a] for a in left)) != delta_g or \
+            _join_all(germ, (table[a] for a in right)) != delta_h:
         raise DecompositionFailure(
             "join of generated simples disagrees with the join of the "
             "atom-class values")
 
     # Parabolicity: the divisors of delta_G are exactly the simples in G.
-    if set(germ.left_divisors(delta_g)) != set(in_g):
-        raise DecompositionFailure(
-            f"divisors of {germ.names[delta_g]} are not the simples "
-            "generated by the left atoms")
-    if set(germ.left_divisors(delta_h)) != set(in_h):
-        raise DecompositionFailure(
-            f"divisors of {germ.names[delta_h]} are not the simples "
-            "generated by the right atoms")
+    for delta, simples, side in ((delta_g, in_g, "left"), (delta_h, in_h, "right")):
+        if set(germ.left_divisors(delta)) != set(simples):
+            raise DecompositionFailure(
+                f"divisors of {germ.names[delta]} are not the simples "
+                f"generated by the {side} atoms")
 
     if germ.product(delta_g, delta_h) != germ.delta or \
             germ.product(delta_h, delta_g) != germ.delta:
@@ -193,89 +193,58 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
     g_simples = tuple(sorted(in_g))
     h_simples = tuple(sorted(in_h))
 
-    gh_pair: dict[int, tuple[int, int]] = {}
-    hg_pair: dict[int, tuple[int, int]] = {}
+    n = len(germ)
+    nm = germ.names
+    gh_pair: list = [None] * n
+    hg_pair: list = [None] * n
     for gs in g_simples:
         for hs in h_simples:
-            k = germ.product(gs, hs)
-            if k is None:
-                raise DecompositionFailure(
-                    f"{germ.names[gs]}.{germ.names[hs]} is not simple")
-            if k in gh_pair:
-                o = gh_pair[k]
-                raise DecompositionFailure(
-                    f"two GH-factorisations of {germ.names[k]}: "
-                    f"({germ.names[o[0]]},{germ.names[o[1]]}) and "
-                    f"({germ.names[gs]},{germ.names[hs]})")
-            gh_pair[k] = (gs, hs)
-            k2 = germ.product(hs, gs)
-            if k2 is None:
-                raise DecompositionFailure(
-                    f"{germ.names[hs]}.{germ.names[gs]} is not simple")
-            if k2 in hg_pair:
-                o2 = hg_pair[k2]
-                raise DecompositionFailure(
-                    f"two HG-factorisations of {germ.names[k2]}: "
-                    f"({germ.names[o2[0]]},{germ.names[o2[1]]}) and "
-                    f"({germ.names[hs]},{germ.names[gs]})")
-            hg_pair[k2] = (hs, gs)
-    if len(gh_pair) != len(germ) or len(hg_pair) != len(germ):
-        missing = next(s for s in range(len(germ)) if s not in gh_pair or s not in hg_pair)
+            for pair, kind, a, b in ((gh_pair, "GH", gs, hs), (hg_pair, "HG", hs, gs)):
+                k = germ.product(a, b)
+                if k is None:
+                    raise DecompositionFailure(f"{nm[a]}.{nm[b]} is not simple")
+                if pair[k] is not None:
+                    o = pair[k]
+                    raise DecompositionFailure(
+                        f"two {kind}-factorisations of {nm[k]}: "
+                        f"({nm[o[0]]},{nm[o[1]]}) and ({nm[a]},{nm[b]})")
+                pair[k] = (a, b)
+    missing = [s for s in range(n) if gh_pair[s] is None or hg_pair[s] is None]
+    if missing:
         raise DecompositionFailure(
-            f"{germ.names[missing]} has no factorisation over the bipartition")
+            f"{nm[missing[0]]} has no factorisation over the bipartition")
 
-    rr: dict[tuple[int, int], int] = {}
-    rl: dict[tuple[int, int], int] = {}
-    lr: dict[tuple[int, int], int] = {}
-    ll: dict[tuple[int, int], int] = {}
-    for hs in h_simples:
-        for gs in g_simples:
-            g1, h1 = gh_pair[germ.product(hs, gs)]
-            rr[(hs, gs)] = g1
-            rl[(hs, gs)] = h1
-    for gs in g_simples:
-        for hs in h_simples:
-            h1, g1 = hg_pair[germ.product(gs, hs)]
-            lr[(gs, hs)] = h1
-            ll[(gs, hs)] = g1
-
-    rr_inv: dict[tuple[int, int], int] = {}
-    rl_inv: dict[tuple[int, int], int] = {}
-    lr_inv: dict[tuple[int, int], int] = {}
-    ll_inv: dict[tuple[int, int], int] = {}
-    for hs in h_simples:
-        if {rr[(hs, gs)] for gs in g_simples} != set(g_simples):
-            raise DecompositionFailure(
-                f"{germ.names[hs]} |> . is not a bijection of the G-simples")
-        for gs in g_simples:
-            rr_inv[(hs, rr[(hs, gs)])] = gs
-    for gs in g_simples:
-        if {rl[(hs, gs)] for hs in h_simples} != set(h_simples):
-            raise DecompositionFailure(
-                f". <| {germ.names[gs]} is not a bijection of the H-simples")
-        for hs in h_simples:
-            rl_inv[(rl[(hs, gs)], gs)] = hs
-    for gs in g_simples:
-        if {lr[(gs, hs)] for hs in h_simples} != set(h_simples):
-            raise DecompositionFailure(
-                f"{germ.names[gs]} |>> . is not a bijection of the H-simples")
-        for hs in h_simples:
-            lr_inv[(gs, lr[(gs, hs)])] = hs
-    for hs in h_simples:
-        if {ll[(gs, hs)] for gs in g_simples} != set(g_simples):
-            raise DecompositionFailure(
-                f". <<| {germ.names[hs]} is not a bijection of the G-simples")
-        for gs in g_simples:
-            ll_inv[(ll[(gs, hs)], hs)] = gs
-
-    return ZSStructure(
+    zs = ZSStructure(
         germ=germ, left_atoms=left, right_atoms=right,
         g_simples=g_simples, h_simples=h_simples,
         delta_g=delta_g, delta_h=delta_h,
         gh_pair=gh_pair, hg_pair=hg_pair,
-        _rr=rr, _rl=rl, _lr=lr, _ll=ll,
-        _rr_inv=rr_inv, _rl_inv=rl_inv, _lr_inv=lr_inv, _ll_inv=ll_inv,
     )
+
+    # Each action composed with its inverse lookup is the identity, which
+    # makes every action a bijection of its simple set.
+    for hs in h_simples:
+        for gs in g_simples:
+            if zs.act_rr(hs, zs.act_rr_inv(hs, gs)) != gs:
+                raise DecompositionFailure(
+                    f"{nm[hs]} |> . is not a bijection of the G-simples")
+            if zs.act_rl(zs.act_rl_inv(hs, gs), gs) != hs:
+                raise DecompositionFailure(
+                    f". <| {nm[gs]} is not a bijection of the H-simples")
+            if zs.act_lr(gs, zs.act_lr_inv(gs, hs)) != hs:
+                raise DecompositionFailure(
+                    f"{nm[gs]} |>> . is not a bijection of the H-simples")
+            if zs.act_ll(zs.act_ll_inv(gs, hs), hs) != gs:
+                raise DecompositionFailure(
+                    f". <<| {nm[hs]} is not a bijection of the G-simples")
+    return zs
+
+
+def _join_all(g: Germ, simples: Iterable[int]) -> int:
+    j = g.unit
+    for s in simples:
+        j = g.join(j, s)
+    return j
 
 
 def _generated_simples(g: Germ, atoms: Sequence[int]) -> list[int]:
@@ -307,198 +276,125 @@ def element_in_h(zs: ZSStructure, w: NormalWord) -> bool:
 
 def gh_decompose(zs: ZSStructure, x: NormalWord) -> tuple[NormalWord, NormalWord]:
     """
-    The unique (g, h) with g.h = x.  The G-part is the gcd of x with a
-    high enough power of delta_G; the H-part is the remaining complement.
+    The unique (g, h) with g.h = x, both as normal words of K.  The G-part
+    is peeled off one letter at a time: GH-factor every letter of the
+    normal form, take the leading G-part, and re-associate each H-part
+    with the following G-part.  Every intermediate word is already normal.
     """
-    g = zs.germ
-    n = element.atom_length(g, x)
-    bound = element.normal_form(g, (zs.delta_g,) * max(n, 1))
-    gpart = element.gcd(g, x, bound)
-    hpart = element.left_complement(g, gpart, x)
-    if not element_in_h(zs, hpart) or element.multiply(g, gpart, hpart) != x:
-        raise DecompositionFailure(
-            f"GH-decomposition failed for {element.format_nf(g, x)}")
-    return gpart, hpart
+    return _peel(zs, x, zs.gh_pair, "GH")
 
 
 def hg_decompose(zs: ZSStructure, x: NormalWord) -> tuple[NormalWord, NormalWord]:
-    """The unique (h, g) with h.g = x."""
+    """The unique (h, g) with h.g = x: the same peel over HG-factorisations."""
+    return _peel(zs, x, zs.hg_pair, "HG")
+
+
+def _peel(zs: ZSStructure, x: NormalWord, pair: list[tuple[int, int]],
+          kind: str) -> tuple[NormalWord, NormalWord]:
     g = zs.germ
-    n = element.atom_length(g, x)
-    bound = element.normal_form(g, (zs.delta_h,) * max(n, 1))
-    hpart = element.gcd(g, x, bound)
-    gpart = element.left_complement(g, hpart, x)
-    if not element_in_g(zs, gpart) or element.multiply(g, hpart, gpart) != x:
+    assert element.is_normal(g, x), "decomposition expects a normal word"
+    word = list(element.letters(g, x))
+    first: list[int] = []
+    while word:
+        pairs = [pair[s] for s in word]
+        if pairs[0][0] == g.unit:
+            break
+        first.append(pairs[0][0])
+        new = []
+        for i in range(len(pairs) - 1):
+            k = g.product(pairs[i][1], pairs[i + 1][0])
+            assert k is not None, "re-associated factor left the simples"
+            new.append(k)
+        if pairs[-1][1] != g.unit:
+            new.append(pairs[-1][1])
+        word = new
+        assert element._is_normal_word(g, word), "peeling produced a non-normal word"
+    assert element._is_normal_word(g, first), "peeling produced a non-normal first factor"
+    # Neither factor contains delta, so both letter lists are normal words.
+    lead, rest = NormalWord(0, tuple(first)), NormalWord(0, tuple(word))
+    if any(pair[s][0] != g.unit for s in word) or element.multiply(g, lead, rest) != x:
         raise DecompositionFailure(
-            f"HG-decomposition failed for {element.format_nf(g, x)}")
-    return hpart, gpart
+            f"{kind}-decomposition failed for {element.format_nf(g, x)}")
+    return lead, rest
 
 
 # -- actions on words --------------------------------------------------------
 #
-# A single simple acts on a word through the product rules; a word acts by
-# folding its letters through the single-letter case in action order.  The
-# *_word functions take (actor word, acted word) in the same argument
-# order as the simple-level tables.
+# A word acts one letter at a time, and a letter acts on a word by being
+# carried through it: step(carry, letter) gives the output letter and the
+# next carry.  The *_word functions take (actor word, acted word) in the
+# same argument order as the simple-level actions.
 
-def _check_word(zs: ZSStructure, word: Sequence[int], side: str) -> None:
-    ok = zs.member_g if side == "G" else zs.member_h
-    for s in word:
-        if not ok(s):
-            raise ValueError(
-                f"{zs.germ.names[s]!r} is not a {side}-simple")
-
-
-def _rr_one(zs: ZSStructure, h: int, gw: Sequence[int]) -> list[int]:
-    out = []
-    cur = h
-    for gs in gw:
-        out.append(zs.act_rr(cur, gs))
-        cur = zs.act_rl(cur, gs)
-    return out
+def _check_words(zs: ZSStructure, sides: str, *words: Sequence[int]) -> None:
+    for side, word in zip(sides, words):
+        ok = zs.member_g if side == "G" else zs.member_h
+        for s in word:
+            if not ok(s):
+                raise ValueError(f"{zs.germ.names[s]!r} is not a {side}-simple")
 
 
-def _rl_one(zs: ZSStructure, hw: Sequence[int], g: int) -> list[int]:
-    out = []
-    cur = g
-    for hs in reversed(hw):
-        out.append(zs.act_rl(hs, cur))
-        cur = zs.act_rr(hs, cur)
-    return out[::-1]
-
-
-def _lr_one(zs: ZSStructure, g: int, hw: Sequence[int]) -> list[int]:
-    out = []
-    cur = g
-    for hs in hw:
-        out.append(zs.act_lr(cur, hs))
-        cur = zs.act_ll(cur, hs)
-    return out
-
-
-def _ll_one(zs: ZSStructure, gw: Sequence[int], h: int) -> list[int]:
-    out = []
-    cur = h
-    for gs in reversed(gw):
-        out.append(zs.act_ll(gs, cur))
-        cur = zs.act_lr(gs, cur)
-    return out[::-1]
+def _carry(step, actors: Iterable[int], word: Sequence[int],
+           rightward: bool) -> tuple[int, ...]:
+    """Carry each actor in turn through the word, from its left end if
+    rightward, else from its right end."""
+    out = list(word)
+    for c in actors:
+        new = []
+        for x in (out if rightward else reversed(out)):
+            y, c = step(c, x)
+            new.append(y)
+        out = new if rightward else new[::-1]
+    return tuple(out)
 
 
 def act_rr_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
     """(h-word) |> (g-word)."""
-    _check_word(zs, hw, "H")
-    _check_word(zs, gw, "G")
-    out = list(gw)
-    for h in reversed(hw):
-        out = _rr_one(zs, h, out)
-    return tuple(out)
+    _check_words(zs, "HG", hw, gw)
+    return _carry(lambda h, g: zs.gh_pair[zs.germ.product(h, g)], reversed(hw), gw, True)
 
 
 def act_rl_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
     """(h-word) <| (g-word)."""
-    _check_word(zs, hw, "H")
-    _check_word(zs, gw, "G")
-    out = list(hw)
-    for g in gw:
-        out = _rl_one(zs, out, g)
-    return tuple(out)
+    _check_words(zs, "HG", hw, gw)
+    return _carry(lambda g, h: zs.gh_pair[zs.germ.product(h, g)][::-1], gw, hw, False)
 
 
 def act_lr_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
     """(g-word) |>> (h-word)."""
-    _check_word(zs, gw, "G")
-    _check_word(zs, hw, "H")
-    out = list(hw)
-    for g in reversed(gw):
-        out = _lr_one(zs, g, out)
-    return tuple(out)
+    _check_words(zs, "GH", gw, hw)
+    return _carry(lambda g, h: zs.hg_pair[zs.germ.product(g, h)], reversed(gw), hw, True)
 
 
 def act_ll_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
     """(g-word) <<| (h-word)."""
-    _check_word(zs, gw, "G")
-    _check_word(zs, hw, "H")
-    out = list(gw)
-    for h in hw:
-        out = _ll_one(zs, out, h)
-    return tuple(out)
-
-
-def _rr_inv_one(zs: ZSStructure, h: int, gw: Sequence[int]) -> list[int]:
-    out = []
-    cur = h
-    for gs in gw:
-        out.append(zs.act_rr_inv(cur, gs))
-        cur = zs.act_lr_inv(gs, cur)
-    return out
-
-
-def _rl_inv_one(zs: ZSStructure, hw: Sequence[int], g: int) -> list[int]:
-    out = []
-    cur = g
-    for hs in reversed(hw):
-        out.append(zs.act_rl_inv(hs, cur))
-        cur = zs.act_ll_inv(cur, hs)
-    return out[::-1]
-
-
-def _lr_inv_one(zs: ZSStructure, g: int, hw: Sequence[int]) -> list[int]:
-    out = []
-    cur = g
-    for hs in hw:
-        out.append(zs.act_lr_inv(cur, hs))
-        cur = zs.act_rr_inv(hs, cur)
-    return out
-
-
-def _ll_inv_one(zs: ZSStructure, gw: Sequence[int], h: int) -> list[int]:
-    out = []
-    cur = h
-    for gs in reversed(gw):
-        out.append(zs.act_ll_inv(gs, cur))
-        cur = zs.act_rl_inv(cur, gs)
-    return out[::-1]
+    _check_words(zs, "GH", gw, hw)
+    return _carry(lambda h, g: zs.hg_pair[zs.germ.product(g, h)][::-1], hw, gw, False)
 
 
 def act_rr_inv_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
     """(h-word)^-1 |> (g-word)."""
-    _check_word(zs, hw, "H")
-    _check_word(zs, gw, "G")
-    out = list(gw)
-    for h in hw:
-        out = _rr_inv_one(zs, h, out)
-    return tuple(out)
+    _check_words(zs, "HG", hw, gw)
+    return _carry(lambda h, g: (zs.act_rr_inv(h, g), zs.act_lr_inv(g, h)), hw, gw, True)
 
 
 def act_rl_inv_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
     """(h-word) <| (g-word)^-1."""
-    _check_word(zs, hw, "H")
-    _check_word(zs, gw, "G")
-    out = list(hw)
-    for g in reversed(gw):
-        out = _rl_inv_one(zs, out, g)
-    return tuple(out)
+    _check_words(zs, "HG", hw, gw)
+    return _carry(lambda g, h: (zs.act_rl_inv(h, g), zs.act_ll_inv(g, h)), reversed(gw), hw,
+                  False)
 
 
 def act_lr_inv_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
     """(g-word)^-1 |>> (h-word)."""
-    _check_word(zs, gw, "G")
-    _check_word(zs, hw, "H")
-    out = list(hw)
-    for g in gw:
-        out = _lr_inv_one(zs, g, out)
-    return tuple(out)
+    _check_words(zs, "GH", gw, hw)
+    return _carry(lambda g, h: (zs.act_lr_inv(g, h), zs.act_rr_inv(h, g)), gw, hw, True)
 
 
 def act_ll_inv_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
     """(g-word) <<| (h-word)^-1."""
-    _check_word(zs, gw, "G")
-    _check_word(zs, hw, "H")
-    out = list(gw)
-    for h in reversed(hw):
-        out = _ll_inv_one(zs, out, h)
-    return tuple(out)
+    _check_words(zs, "GH", gw, hw)
+    return _carry(lambda h, g: (zs.act_ll_inv(g, h), zs.act_rl_inv(h, g)), reversed(hw), gw,
+                  False)
 
 
 WORD_ACTIONS = {

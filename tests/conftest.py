@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from garside import braid_germ, build, free_abelian_germ, wreath_example_germ
+from garside import (braid_germ, build, free_abelian_germ, germ_from_spec,
+                     wreath_example_germ)
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,9 @@ def ab2():
 @pytest.fixture(scope="session")
 def ab3():
     return free_abelian_germ(3)
+
+
+@pytest.fixture(scope="session")
+def prod_b4a4():
+    # 384 simples: above the size of any other germ in these tests
+    return germ_from_spec("prod:braid:4,abelian:4")

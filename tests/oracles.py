@@ -175,3 +175,103 @@ class BraidModel:
             p = self.gens[i]
             names.append("".join(str(v + 1) for v in p))
         return names
+
+
+class ProductModel:
+    """
+    The direct product of two models: atoms of the left factor are named
+    `x*1`, those of the right factor `1*y`, and the two letter families
+    commute, so a word's value is the pair of its two projections.
+    """
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self.n_atoms = left.n_atoms + right.n_atoms
+
+    def value(self, word):
+        k = self.left.n_atoms
+        return (self.left.value([a for a in word if a < k]),
+                self.right.value([a - k for a in word if a >= k]))
+
+    def atom_names(self):
+        return ([f"{nm}*1" for nm in self.left.atom_names()]
+                + [f"1*{nm}" for nm in self.right.atom_names()])
+
+
+class LatticeOracle:
+    """
+    Meets and joins of simples by brute force: divisor sets are read off
+    the product table as plain sets, and a meet (join) is the common lower
+    (upper) bound lying above (below) every other one.  None where no such
+    bound exists.
+    """
+
+    def __init__(self, g):
+        n = len(g)
+        self.prefixes = [set() for _ in range(n)]
+        self.suffixes = [set() for _ in range(n)]
+        for s, row in enumerate(g.product_rows):
+            for t, u in row.items():
+                self.prefixes[u].add(s)
+                self.suffixes[u].add(t)
+
+    @staticmethod
+    def _greatest(bounds, below):
+        top = [b for b in bounds if bounds <= below[b]]
+        return top[0] if len(top) == 1 else None
+
+    @staticmethod
+    def _least(bounds, below):
+        bottom = [b for b in bounds if all(b in below[c] for c in bounds)]
+        return bottom[0] if len(bottom) == 1 else None
+
+    def meet(self, s, t):
+        return self._greatest(self.prefixes[s] & self.prefixes[t], self.prefixes)
+
+    def rmeet(self, s, t):
+        return self._greatest(self.suffixes[s] & self.suffixes[t], self.suffixes)
+
+    def join(self, s, t):
+        ups = {u for u, d in enumerate(self.prefixes) if s in d and t in d}
+        return self._least(ups, self.prefixes)
+
+    def rjoin(self, s, t):
+        ups = {u for u, d in enumerate(self.suffixes) if s in d and t in d}
+        return self._least(ups, self.suffixes)
+
+
+def zs_actions(g, g_simples, h_simples):
+    """
+    The eight simple-level Zappa-Szep actions, solved from their defining
+    equations by search over G x H with the germ product alone:
+
+        h.g = (h |> g)(h <| g)             g.h = (g |>> h)(g <<| h)
+        h |> (h^-1 |> g) = g               (h <| g^-1) <| g = h
+        g |>> (g^-1 |>> h) = h             (g <<| h^-1) <<| h = g
+
+    Returns {name: {argument pair: value}}, with names and argument orders
+    as in ZSStructure.act_<name>.  Every solution is asserted unique.
+    """
+    G, H = tuple(g_simples), tuple(h_simples)
+
+    def only(solutions):
+        assert len(solutions) == 1, solutions
+        return solutions[0]
+
+    acts = {nm: {} for nm in ("rr", "rl", "lr", "ll", "rr_inv", "rl_inv", "lr_inv", "ll_inv")}
+    for h in H:
+        for x in G:
+            hx = g.product(h, x)
+            acts["rr"][h, x], acts["rl"][h, x] = only(
+                [(a, b) for a in G for b in H if g.product(a, b) == hx])
+            xh = g.product(x, h)
+            acts["lr"][x, h], acts["ll"][x, h] = only(
+                [(b, a) for b in H for a in G if g.product(b, a) == xh])
+    for h in H:
+        for x in G:
+            acts["rr_inv"][h, x] = only([y for y in G if acts["rr"][h, y] == x])
+            acts["rl_inv"][h, x] = only([k for k in H if acts["rl"][k, x] == h])
+            acts["lr_inv"][x, h] = only([k for k in H if acts["lr"][x, k] == h])
+            acts["ll_inv"][x, h] = only([y for y in G if acts["ll"][y, h] == x])
+    return acts

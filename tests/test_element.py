@@ -3,7 +3,8 @@ import random
 from garside import element as el
 from garside.element import NormalWord
 
-from oracles import AbelianModel, BraidModel, WreathModel, model_check
+from oracles import (AbelianModel, BraidModel, ProductModel, WreathModel,
+                     model_check)
 
 
 def nf_names(g, w):
@@ -135,6 +136,12 @@ def test_braid_matches_permutation_model(b3, b4):
 def test_abelian_matches_vector_model(ab2, ab3):
     model_check(ab2, AbelianModel(2), 4)
     model_check(ab3, AbelianModel(3), 4)
+
+
+def test_product_above_256_simples_matches_model(prod_b4a4):
+    words, elements = model_check(prod_b4a4, ProductModel(BraidModel(4), AbelianModel(4)), 4)
+    assert words == sum(7 ** n for n in range(5))
+    assert elements < words
 
 
 def test_wreath_matches_triple_model(wreath):

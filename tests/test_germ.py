@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from garside import (GermError, GermSyntaxError, GermValidationError,
                      format_germ, parse_germ, validate_germ)
 from garside.germ import make_germ
+
+from oracles import LatticeOracle
 
 WREATH_FILE = """\
 germ v1
@@ -208,3 +212,35 @@ def test_make_germ_rejects_bad_input():
         make_germ(["1", "a"], "b", [])  # unknown delta
     with pytest.raises(GermError):
         make_germ(["1", "a|b"], "1", [])  # reserved character
+
+
+def test_lattice_accessors_reject_non_lattice():
+    # Unvalidated: x = a.b = b.a and y = a.c = b.c both lie above a and b,
+    # so x, y have no meet and a, b no join.  In the opposite germ these
+    # become a missing suffix meet and suffix join.
+    g = make_germ(["1", "a", "b", "c", "x", "y"], "x",
+                  [("a", "b", "x"), ("b", "a", "x"), ("a", "c", "y"), ("b", "c", "y")])
+    op = g.opposite()
+    for germ, kind, s, t in ((g, "meet", "x", "y"), (g, "join", "a", "b"),
+                             (op, "rmeet", "x", "y"), (op, "rjoin", "a", "b")):
+        for _ in range(2):  # again once the row is in the table
+            with pytest.raises(GermError, match=f"^no {kind} of '{s}' and '{t}': "
+                                                "germ is not a lattice$"):
+                getattr(germ, kind)(germ.simple(s), germ.simple(t))
+    a, x, y = (g.simple(nm) for nm in ("a", "x", "y"))
+    assert g.meet(x, a) == a
+    assert g.join(a, y) == y
+    assert op.rjoin(a, x) == x
+
+
+def test_lattice_above_256_simples(prod_b4a4):
+    g = prod_b4a4
+    assert len(g) == 384
+    oracle = LatticeOracle(g)
+    rng = random.Random(11)
+    pairs = [(g.unit, g.delta), (g.delta, g.delta)]
+    pairs += [(rng.randrange(len(g)), rng.randrange(len(g))) for _ in range(150)]
+    for s, t in pairs:
+        for kind in ("meet", "join", "rmeet", "rjoin"):
+            assert getattr(g, kind)(s, t) == getattr(oracle, kind)(s, t), \
+                (kind, g.names[s], g.names[t])

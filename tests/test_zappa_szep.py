@@ -1,9 +1,30 @@
+import random
+
 import pytest
 
 from garside import (NotAUnionOfClasses, Options, ZS_SUITES, build,
                      germ_from_spec, run_suite)
 from garside import element as el
 from garside import zappa_szep as zsm
+from garside.suites import _split_by_gcd
+
+from oracles import zs_actions
+
+DECOMPOSITIONS = [
+    ("wreath", ("a", "b")),
+    ("wreath", ("c",)),
+    ("abelian:3", ("e1",)),
+    ("prod:braid:3,abelian:1", ("132*1", "213*1")),
+    ("prod:braid:4,braid:3", ("1243*1", "1324*1", "2134*1")),
+]
+
+
+@pytest.fixture(scope="module", params=DECOMPOSITIONS,
+                ids=[f"{spec}[{','.join(left)}]" for spec, left in DECOMPOSITIONS])
+def decomposition(request):
+    spec, left = request.param
+    g = germ_from_spec(spec)
+    return build(g, [g.simple(nm) for nm in left])
 
 
 def test_build_wreath(wreath, wreath_zs):
@@ -86,6 +107,31 @@ def test_inverse_actions(wreath, wreath_zs):
             assert zs.act_rl_inv(zs.act_rl(hs, gs), gs) == hs
             assert zs.act_lr_inv(gs, zs.act_lr(gs, hs)) == hs
             assert zs.act_ll(zs.act_ll_inv(gs, hs), hs) == gs
+
+
+def test_simple_actions_solve_defining_equations(decomposition):
+    zs = decomposition
+    nm = zs.germ.names
+    acts = zs_actions(zs.germ, zs.g_simples, zs.h_simples)
+    for name, table in acts.items():
+        assert len(table) == len(zs.g_simples) * len(zs.h_simples)
+        act = getattr(zs, f"act_{name}")
+        for (a, b), value in table.items():
+            assert act(a, b) == value, (name, nm[a], nm[b])
+
+
+def test_decompositions_match_gcd_route(decomposition):
+    zs = decomposition
+    g = zs.germ
+    mirror = build(g, zs.right_atoms)
+    rng = random.Random(5)
+    for k in range(3):
+        for _ in range(12):
+            x = el.normal_form(g, [g.delta] * k
+                               + [rng.randrange(len(g)) for _ in range(rng.randint(0, 4))])
+            assert zsm.gh_decompose(zs, x) == _split_by_gcd(zs, x, zs.delta_g)
+            assert zsm.hg_decompose(zs, x) == _split_by_gcd(zs, x, zs.delta_h)
+            assert zsm.hg_decompose(zs, x) == zsm.gh_decompose(mirror, x)
 
 
 def test_action_domain_errors(wreath, wreath_zs):
