@@ -17,6 +17,7 @@ product lattice; project_product_to_pair is the inverse restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .germ import Germ
 from .zappa_szep import ZSStructure
@@ -51,11 +52,15 @@ class NFAutomaton:
             return "dead"
         return self.letter_names[state - 1]
 
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Position of each letter (a SimpleId) in the alphabet."""
+        return {s: i for i, s in enumerate(self.letters)}
+
     def step(self, state: int, letter: int) -> int:
-        """Next state on reading a letter (a SimpleId)."""
-        try:
-            pos = self.letters.index(letter)
-        except ValueError:
+        """Next state on reading a letter (a SimpleId); dead off the alphabet."""
+        pos = self.position.get(letter)
+        if pos is None:
             return self.dead
         return self.transitions[state][pos]
 
@@ -75,7 +80,7 @@ def build_nf_automaton(g: Germ, variant: str = "proper") -> NFAutomaton:
     letters = _variant_alphabet(g, variant)
     return _build_from_liveness(
         letters, tuple(g.names[s] for s in letters),
-        lambda x, y: g.normal_pair(x, y))
+        g.normal_pair)
 
 
 def _variant_alphabet(g: Germ, variant: str) -> tuple[int, ...]:
@@ -87,12 +92,16 @@ def _variant_alphabet(g: Germ, variant: str) -> tuple[int, ...]:
 
 
 def _build_from_liveness(letters, names, live) -> NFAutomaton:
-    pos = {s: i for i, s in enumerate(letters)}
     dead = len(letters) + 1
-    rows = [tuple(1 + pos[y] for y in letters)]  # start: every letter is live
+    # One int object per state, and one tuple per distinct row: letters
+    # with the same live successors (few sets, for many letters) share it.
+    states = tuple(range(1, dead))
+    distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rows = [states]  # start: every letter is live
     for x in letters:
-        rows.append(tuple(1 + pos[y] if live(x, y) else dead for y in letters))
-    rows.append(tuple(dead for _ in letters))
+        row = tuple(t if live(x, y) else dead for y, t in zip(letters, states))
+        rows.append(distinct.setdefault(row, row))
+    rows.append((dead,) * len(letters))
     return NFAutomaton(tuple(letters), tuple(names), tuple(rows))
 
 
@@ -179,7 +188,7 @@ def project_product_to_pair(zs: ZSStructure,
 
     def restrict(members) -> NFAutomaton:
         letters = tuple(s for s in a_k.letters if members(s))
-        pos = {s: a_k.letters.index(s) for s in letters}
+        pos = a_k.position
         return _build_from_liveness(
             letters, tuple(g.names[s] for s in letters),
             lambda x, y: a_k.transitions[1 + pos[x]][pos[y]] != a_k.dead)

@@ -5,6 +5,16 @@ Elements are always stored in left normal form: a power of Delta followed
 by a sequence of proper simples, each pair left weighted.  All operations
 are pure functions of (germ, inputs) and return fresh NormalWords, so
 values can be shared freely.
+
+One algorithm makes every normal form: right multiplication of a normal
+word by one simple, a single backward sweep over the factors that stops
+at the first trivial meet (the domino rule: Dehornoy, Digne, Godelle,
+Krammer & Michel, Foundations of Garside Theory, ch. III; El-Rifai &
+Morton, Algorithms for positive braids, 1994).  normal_form folds it over
+a word, multiply sweeps in the factors of its right operand, and gcd and
+the complements finish with it.  Delta powers stay a counter: with
+tau = comp^2, s.Delta = Delta.tau(s), so a Delta moves to the front by
+twisting what it passes, and no Delta enters a sweep.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .germ import Germ
+from .germ import Germ, GermError
 
 
 @dataclass(frozen=True)
@@ -62,30 +72,11 @@ def letters(g: Germ, w: NormalWord) -> tuple[int, ...]:
 
 def normal_form(g: Germ, word: Iterable[int]) -> NormalWord:
     """
-    Left normal form of a product of simples.  Adjacent pairs (s, t) are
-    rewritten to (s.u, u\\t) with u = meet(comp s, t) until every pair is
-    left weighted; then Delta letters (all leading by then) become the
-    Delta power and unit letters (all trailing) are dropped.
+    Left normal form of a product of simples: a fold of right
+    multiplication by one simple over the word.  Unit letters are dropped
+    and Delta letters join the Delta power (see _fold).
     """
-    w = [s for s in word]
-    unit = g.unit
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(w) - 1):
-            s, t = w[i], w[i + 1]
-            u = g.meet(g.complement(s), t)
-            if u != unit:
-                w[i] = g.product(s, u)
-                w[i + 1] = g.lcomp(u, t)
-                changed = True
-    lo = 0
-    hi = len(w)
-    while lo < hi and w[lo] == g.delta:
-        lo += 1
-    while lo < hi and w[hi - 1] == unit:
-        hi -= 1
-    return NormalWord(lo, tuple(w[lo:hi]))
+    return _fold(g, 0, word)
 
 
 def is_normal(g: Germ, w: NormalWord) -> bool:
@@ -100,11 +91,122 @@ def _is_normal_word(g: Germ, word: Sequence[int]) -> bool:
     return all(g.normal_pair(word[i], word[i + 1]) for i in range(len(word) - 1))
 
 
+# -- the sweep -----------------------------------------------------------------
+
+def _sweep(g: Germ, f: list[int], b: int) -> int:
+    """
+    Right-multiply the normal word f of proper simples, in place, by the
+    proper simple b, and return the position where the sweep stopped.
+
+    The carry b starts after the last factor a.  Each step replaces the
+    pair (a, b) by (a.u, u\\b) with u = meet(comp a, b) and carries a.u one
+    position to the left.  Pairs already left weighted stay so (the domino
+    rule), hence the sweep stops at the first u = 1.  Only the last
+    position can end as the unit, which is dropped here, and only the first
+    can become Delta, which the caller moves into its Delta power.
+    """
+    meet, comp, prod, inv, unit = g._meet, g._comp, g.product_rows, g._row_inv, g.unit
+    j = len(f)
+    f.append(b)
+    while j:
+        a = f[j - 1]
+        c = comp[a]
+        if c < 0:
+            g.complement(a)  # raises: a has no complement
+        u = meet[c][b]
+        if u == unit:
+            break
+        if u < 0:
+            g.meet(c, b)  # raises: germ is not a lattice
+        f[j] = inv[u][b]
+        b = prod[a][u]
+        j -= 1
+    f[j] = b
+    if f[-1] == unit:
+        f.pop()
+    return j
+
+
+def _fold(g: Germ, deltas: int, word: Iterable[int]) -> NormalWord:
+    """
+    The normal form of Delta^deltas.word, by one sweep per letter.  Delta
+    letters never enter a sweep: s.Delta = Delta.tau(s), so they join the
+    Delta power and a letter with k of them after it becomes tau^k(s).
+    """
+    word = [s for s in word if s != g.unit]
+    if g.delta in word:
+        k = word.count(g.delta)
+        deltas += k
+        moved = []
+        for s in word:
+            if s == g.delta:
+                k -= 1
+            else:
+                moved += _twist(g, k, (s,))
+        word = moved
+    f: list[int] = []
+    for s in word:
+        if not _sweep(g, f, s) and f[0] == g.delta:
+            del f[0]
+            deltas += 1
+    return NormalWord(deltas, tuple(f))
+
+
+def _tau_orbits(g: Germ) -> list[tuple[list[int], int]]:
+    """
+    For each simple s, its orbit under tau = comp^2 and the position of s
+    in it, so that tau^k(s) is one lookup for any k.  Built once per germ,
+    on first use.
+    """
+    orbits = g._memo.get("tau_orbits")
+    if orbits is None:
+        tau = [g.complement(g.complement(s)) for s in range(len(g))]
+        if len(set(tau)) != len(tau):
+            raise GermError("Delta-conjugation is not a bijection: germ is not valid")
+        orbits = [None] * len(tau)
+        for s in range(len(tau)):
+            if orbits[s] is None:
+                orbit = [s]
+                while tau[orbit[-1]] != s:
+                    orbit.append(tau[orbit[-1]])
+                for i, t in enumerate(orbit):
+                    orbits[t] = (orbit, i)
+        g._memo["tau_orbits"] = orbits
+    return orbits
+
+
+def _twist(g: Germ, k: int, word: Iterable[int]) -> list[int]:
+    """tau^k of every letter: word.Delta^k = Delta^k.tau^k(word)."""
+    if not k:
+        return list(word)
+    orbits = _tau_orbits(g)
+    out = []
+    for s in word:
+        orbit, i = orbits[s]
+        out.append(orbit[(i + k) % len(orbit)])
+    return out
+
+
 def multiply(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
-    if not y.deltas and (not x.factors or not y.factors
-                         or g.normal_pair(x.factors[-1], y.factors[0])):
-        return NormalWord(x.deltas + y.deltas, x.factors + y.factors)
-    return normal_form(g, letters(g, x) + letters(g, y))
+    """
+    The product x.y.  x's factors are twisted past y's Delta power, then
+    y's factors are swept in one at a time.  Once one of them lands
+    unchanged so does every later one, since y is normal, and the rest of
+    y is appended as it is.
+    """
+    f = _twist(g, y.deltas, x.factors)
+    deltas = x.deltas + y.deltas
+    ys = y.factors
+    for i, s in enumerate(ys):
+        n = len(f)
+        j = _sweep(g, f, s)
+        if j == n:
+            f.extend(ys[i + 1:])
+            break
+        if not j and f[0] == g.delta:
+            del f[0]
+            deltas += 1
+    return NormalWord(deltas, tuple(f))
 
 
 def atom_length(g: Germ, w: NormalWord) -> int:
@@ -121,23 +223,56 @@ def head(g: Germ, w: NormalWord) -> int:
     return g.unit
 
 
-def _word_under_simple(g: Germ, s: int, ys: Iterable[int]) -> list[int]:
-    # s\(y1 y2 ...) one letter at a time; the running complement of s
-    # under the consumed prefix is carried along.
+def _under(g: Germ, s: int, word: list[int]) -> list[int]:
+    """
+    s\\w for a word w, one letter at a time: the complement of s under the
+    consumed prefix is carried along, and one join gives both complements
+    of a cell.  Unit letters are dropped; once the carry is the unit the
+    rest of w passes unchanged.
+    """
+    join, inv, unit = g._join, g._row_inv, g.unit
     out = []
-    cur = s
-    for y in ys:
-        out.append(g.lcomp(cur, y))
-        cur = g.lcomp(y, cur)
+    for i, y in enumerate(word):
+        if s == unit:
+            out.extend(word[i:])
+            break
+        v = join[s][y]
+        if v < 0:
+            g.join(s, y)  # raises: germ is not a lattice
+        t = inv[s][v]
+        if t != unit:
+            out.append(t)
+        s = inv[y][v]
     return out
 
 
 def left_complement(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
-    """The element x\\y with x.(x\\y) = lcm(x, y)."""
-    w = list(letters(g, y))
-    for s in letters(g, x):
-        w = _word_under_simple(g, s, w)
-    return normal_form(g, w)
+    """
+    The element x\\y with x.(x\\y) = lcm(x, y), on the grid of simple
+    complements: each letter s of x replaces a word w for the current y by
+    s\\w.  Delta powers stay symbolic:
+    - y below Delta^inf(x) gives the unit at once;
+    - a common Delta power cancels, Delta^a\\(Delta^b w) = Delta^(b-a) w;
+    - while y keeps a Delta power, a row is one lookup,
+      s\\(Delta^e w) = Delta^(e-1).tau^(e-1)(comp s).w;
+    - x keeps fewer Delta rows than y has factors.
+    The final word is normalised by the sweep.
+    """
+    if y.sup <= x.deltas:
+        return UNIT
+    e = y.deltas - x.deltas
+    rows = (g.delta,) * -e + x.factors
+    e = max(e, 0)
+    word = list(y.factors)
+    for s in rows:
+        if e:
+            e -= 1
+            word[:0] = _twist(g, e, (g.complement(s),))
+        else:
+            word = _under(g, s, word)
+            if not word:
+                return UNIT
+    return _fold(g, e, word)
 
 
 def lcm(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
@@ -146,44 +281,59 @@ def lcm(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
 
 def gcd(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
     """
-    Greatest common prefix, by repeatedly extracting the meet of the two
-    head factors; a trivial head meet means the remainders share nothing.
+    Greatest common prefix.  The head of gcd(x, y) is the meet of the two
+    heads, so dividing it out of both and repeating lists the normal form
+    of the gcd factor by factor.  A common Delta power comes out first;
+    once one remainder lies below Delta^inf of the other, it is the rest.
     """
+    c = min(x.deltas, y.deltas)
+    x = NormalWord(x.deltas - c, x.factors)
+    y = NormalWord(y.deltas - c, y.factors)
     acc: list[int] = []
-    while True:
-        a = g.meet(head(g, x), head(g, y))
+    while x.sup > y.deltas:
+        if y.sup <= x.deltas:
+            x = y
+            break
+        hx, hy = head(g, x), head(g, y)
+        a = g.meet(hx, hy)
         if a == g.unit:
+            x = UNIT
             break
         acc.append(a)
-        s = simple(g, a)
-        x = left_complement(g, s, x)
-        y = left_complement(g, s, y)
-    return normal_form(g, acc)
+        x = _divide_head(g, x, hx, a)
+        y = _divide_head(g, y, hy, a)
+    return multiply(g, NormalWord(c, tuple(acc)), x)
+
+
+def _divide_head(g: Germ, x: NormalWord, h: int, a: int) -> NormalWord:
+    """a^-1.x for a prefix a of the head h of x: (a\\h) times the rest of x."""
+    rest = NormalWord(x.deltas - 1, x.factors) if x.deltas else NormalWord(0, x.factors[1:])
+    return multiply(g, simple(g, g.lcomp(a, h)), rest)
 
 
 def divides(g: Germ, x: NormalWord, y: NormalWord) -> bool:
-    """Whether x is a prefix of y."""
-    return multiply(g, x, left_complement(g, x, y)) == y
+    """Whether x is a prefix of y: lcm(x, y) = y, that is y\\x = 1."""
+    return left_complement(g, y, x) == UNIT
 
 
 # -- suffix-order variants, through the opposite germ ----------------------
 
-def _reversed_in(g_from: Germ, g_to: Germ, w: NormalWord) -> NormalWord:
-    return normal_form(g_to, tuple(reversed(letters(g_from, w))))
+def _reversed_in(op: Germ, w: NormalWord) -> NormalWord:
+    # Delta^k.x1...xm read backwards in the opposite germ is
+    # xm...x1.Delta^k = Delta^k.tau^k(xm)...tau^k(x1) there.
+    return _fold(op, w.deltas, _twist(op, w.deltas, reversed(w.factors)))
 
 
 def rgcd(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
     """Greatest common suffix."""
     op = g.opposite()
-    r = gcd(op, _reversed_in(g, op, x), _reversed_in(g, op, y))
-    return _reversed_in(op, g, r)
+    return _reversed_in(g, gcd(op, _reversed_in(op, x), _reversed_in(op, y)))
 
 
 def right_complement(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
     """The element y/x with (y/x).x = right-lcm(x, y)."""
     op = g.opposite()
-    r = left_complement(op, _reversed_in(g, op, x), _reversed_in(g, op, y))
-    return _reversed_in(op, g, r)
+    return _reversed_in(g, left_complement(op, _reversed_in(op, x), _reversed_in(op, y)))
 
 
 def rlcm(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
@@ -191,8 +341,8 @@ def rlcm(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
 
 
 def rdivides(g: Germ, x: NormalWord, y: NormalWord) -> bool:
-    """Whether x is a suffix of y."""
-    return multiply(g, right_complement(g, x, y), x) == y
+    """Whether x is a suffix of y: x/y = 1."""
+    return right_complement(g, y, x) == UNIT
 
 
 # -- enumeration and balance ------------------------------------------------

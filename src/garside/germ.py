@@ -8,7 +8,7 @@ again a simple), the identity and Delta.  Divisibility, atoms and
 complements are derived at construction time.  Meets and joins in both
 the prefix and the suffix order live in one table per operation whose
 rows are filled from the divisibility bitmasks the first time they are
-used, so every lattice query is an O(1) list lookup.
+used, so every lattice query is an O(1) array lookup.
 
 Simples are identified by small integers.  Index 0 is always the identity,
 which must be named "1".  Divisibility relations are kept as bitmasks over
@@ -18,7 +18,9 @@ thousand simples cheap.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NoReturn
 
 # Characters that would collide with word syntax ('.'-words, '|'-normal
@@ -80,7 +82,8 @@ class _LatticeRows(dict):
     A meet or join table: row s lists, for every simple t, the simple whose
     mask is masks[s] & masks[t], or -1 if there is none.  A row is built in
     full on first access; building it twice gives an equal row, so a race
-    between threads is harmless.
+    between threads is harmless.  Rows are arrays of C ints, half the
+    memory of lists of Python ints.
     """
 
     def __init__(self, masks: list[int], by_mask: dict[int, int]):
@@ -88,9 +91,9 @@ class _LatticeRows(dict):
         self.masks = masks
         self.by_mask = by_mask
 
-    def __missing__(self, s: int) -> list[int]:
+    def __missing__(self, s: int) -> array:
         m = self.masks[s]
-        row = self[s] = [self.by_mask.get(m & x, -1) for x in self.masks]
+        row = self[s] = array("i", [self.by_mask.get(m & x, -1) for x in self.masks])
         return row
 
 
@@ -109,9 +112,10 @@ class Germ:
     and rows that already contain the implied unit products.
 
     Immutable after construction (by convention) apart from the lattice
-    tables, whose rows are filled lazily and idempotently; safe to share
-    between threads.  Equality is identity; compare `names`, `delta` and
-    `product_rows` directly when structural equality is needed.
+    tables and the column inverses, which are filled lazily and
+    idempotently; safe to share between threads.  Equality is identity;
+    compare `names`, `delta` and `product_rows` directly when structural
+    equality is needed.
     """
 
     def __init__(self, names: tuple[str, ...], delta: int,
@@ -153,20 +157,20 @@ class Germ:
             s for s in range(1, n) if ldiv[s] == unit_mask | (1 << s)
         )
 
-        # Inverted product maps: _row_inv[s][v] = t with s.t = v, and
-        # _col_inv[s][v] = t with t.s = v.  Cancellativity makes these
-        # well defined; validation flags germs where they are not.
+        # Inverted product map: _row_inv[s][v] = t with s.t = v (and
+        # _col_inv, built on first use, its mirror).  Cancellativity makes
+        # these well defined; validation flags germs where they are not.
         self._row_inv: list[dict[int, int]] = [
             {v: t for t, v in row.items()} for row in product_rows
         ]
-        col_inv: list[dict[int, int]] = [dict() for _ in range(n)]
-        for t, row in enumerate(product_rows):
-            for s, v in row.items():
-                col_inv[s][v] = t
-        self._col_inv = col_inv
 
         self._comp = [self._row_inv[s].get(delta, -1) for s in range(n)]
-        self._rcomp = [self._col_inv[s].get(delta, -1) for s in range(n)]
+        rcomp = [-1] * n
+        for t, row in enumerate(product_rows):
+            for s, v in row.items():
+                if v == delta:
+                    rcomp[s] = t
+        self._rcomp = rcomp
 
         # A simple is pinned down by its divisor set, so meets and joins
         # are mask-intersection lookups.
@@ -184,6 +188,15 @@ class Germ:
         self._join = _LatticeRows(lupper, self._by_lupper)
         self._rmeet = _LatticeRows(rdiv, self._by_rdiv)
         self._rjoin = _LatticeRows(rupper, self._by_rupper)
+
+    @cached_property
+    def _col_inv(self) -> list[dict[int, int]]:
+        """_col_inv[s][v] = t with t.s = v; only rcomp reads it."""
+        col_inv: list[dict[int, int]] = [dict() for _ in self.names]
+        for t, row in enumerate(self.product_rows):
+            for s, v in row.items():
+                col_inv[s][v] = t
+        return col_inv
 
     def _compute_atom_lengths(self) -> list[int]:
         # Divisor-set size increases strictly along proper divisibility in

@@ -63,10 +63,17 @@ class _Run:
         if not ok:
             self.failures.append(describe())
 
-    def eq(self, lhs, rhs, label: str, *args) -> None:
-        names = ", ".join(self._show(a) for a in args)
-        self.check(lhs == rhs,
-                   lambda: f"{label}[{names}]: {self._show(lhs)} != {self._show(rhs)}")
+    def eq(self, lhs, rhs, label: str, *args, show: Callable[[object], str] | None = None) -> None:
+        """
+        One case: lhs == rhs.  Only a failure is rendered: the arguments,
+        then both sides by `show` (default _show, which names an int as a
+        simple; pass str for counts and lengths).
+        """
+        self.cases += 1
+        if lhs != rhs:
+            render = show or self._show
+            names = ", ".join(self._show(a) for a in args)
+            self.failures.append(f"{label}[{names}]: {render(lhs)} != {render(rhs)}")
 
     def _show(self, v) -> str:
         if isinstance(v, NormalWord):
@@ -227,7 +234,7 @@ def suite_element_lattice_laws(g: Germ, opt: Options) -> SuiteReport:
         xy = element.multiply(g, x, y)
         r.eq(element.atom_length(g, xy),
              element.atom_length(g, x) + element.atom_length(g, y),
-             "length-additive", x, y)
+             "length-additive", x, y, show=str)
     return SuiteReport("element-lattice-laws", r.cases, r.failures)
 
 

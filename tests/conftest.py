@@ -30,6 +30,11 @@ def b4():
 
 
 @pytest.fixture(scope="session")
+def b5():
+    return braid_germ(5)
+
+
+@pytest.fixture(scope="session")
 def ab2():
     return free_abelian_germ(2)
 

@@ -176,6 +176,20 @@ class BraidModel:
             names.append("".join(str(v + 1) for v in p))
         return names
 
+    def perm_of(self, name):
+        """The permutation a braid simple is named after ("1" is the identity)."""
+        return self.id if name == "1" else tuple(int(c) - 1 for c in name)
+
+    def atom_word(self, perm):
+        """A reduced atom word of a permutation: peel right descents off."""
+        p, word = list(perm), []
+        while True:
+            i = next((i for i in range(self.n - 1) if p[i] > p[i + 1]), None)
+            if i is None:
+                return word[::-1]
+            p[i], p[i + 1] = p[i + 1], p[i]
+            word.append(i)
+
 
 class ProductModel:
     """
@@ -275,3 +289,83 @@ def zs_actions(g, g_simples, h_simples):
             acts["lr_inv"][x, h] = only([k for k in H if acts["lr"][x, k] == h])
             acts["ll_inv"][x, h] = only([y for y in G if acts["ll"][y, h] == x])
     return acts
+
+
+class FixpointArithmetic:
+    """
+    Element arithmetic on words with every Delta power spelled out, using
+    only the simple-level lookups of a germ: the normal form rewrites
+    adjacent pairs until all are left weighted, a product renormalises the
+    concatenation, and a complement runs the whole letter grid.  Quadratic
+    or worse, and shares no code with the library's sweep.
+    """
+
+    def __init__(self, g):
+        self.g = g
+
+    def letters(self, w):
+        return (self.g.delta,) * w.deltas + w.factors
+
+    def normal_form(self, word):
+        from garside.element import NormalWord
+
+        g = self.g
+        w = list(word)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(w) - 1):
+                u = g.meet(g.complement(w[i]), w[i + 1])
+                if u != g.unit:
+                    w[i], w[i + 1] = g.product(w[i], u), g.lcomp(u, w[i + 1])
+                    changed = True
+        lo, hi = 0, len(w)
+        while lo < hi and w[lo] == g.delta:
+            lo += 1
+        while lo < hi and w[hi - 1] == g.unit:
+            hi -= 1
+        return NormalWord(lo, tuple(w[lo:hi]))
+
+    def multiply(self, x, y):
+        return self.normal_form(self.letters(x) + self.letters(y))
+
+    def left_complement(self, x, y):
+        g = self.g
+        w = list(self.letters(y))
+        for s in self.letters(x):
+            out = []
+            for t in w:
+                out.append(g.lcomp(s, t))
+                s = g.lcomp(t, s)
+            w = out
+        return self.normal_form(w)
+
+    def lcm(self, x, y):
+        return self.multiply(x, self.left_complement(x, y))
+
+    def divides(self, x, y):
+        return self.lcm(x, y) == y
+
+    def head(self, w):
+        word = self.letters(w)
+        return word[0] if word else self.g.unit
+
+    def gcd(self, x, y):
+        """The meet of the two heads, divided out of both, repeatedly."""
+        acc = []
+        while (a := self.g.meet(self.head(x), self.head(y))) != self.g.unit:
+            acc.append(a)
+            s = self.normal_form([a])
+            x, y = self.left_complement(s, x), self.left_complement(s, y)
+        return self.normal_form(acc)
+
+    def _reversed(self, w, other):
+        return other.normal_form(tuple(reversed(self.letters(w))))
+
+    def right_complement(self, x, y):
+        op = FixpointArithmetic(self.g.opposite())
+        z = op.left_complement(self._reversed(x, op), self._reversed(y, op))
+        return op._reversed(z, self)
+
+    def rdivides(self, x, y):
+        return self.multiply(self.right_complement(x, y), x) == y

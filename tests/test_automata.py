@@ -21,6 +21,16 @@ def test_build_wreath_proper(wreath):
     assert a.accepts([])
 
 
+def test_step_off_the_alphabet_goes_dead(wreath):
+    a = build_nf_automaton(wreath, "proper")
+    s = wreath.simple
+    assert a.position == {x: i for i, x in enumerate(a.letters)}
+    assert a.step(0, wreath.delta) == a.dead
+    assert a.step(0, wreath.unit) == a.dead
+    assert a.step(a.step(0, s("a")), len(wreath)) == a.dead
+    assert not a.accepts([s("c"), wreath.delta])
+
+
 def test_trivial_germ_accepts_only_empty():
     g = free_abelian_germ(0)
     a = build_nf_automaton(g, "proper")

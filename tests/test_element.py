@@ -1,10 +1,13 @@
 import random
 
-from garside import element as el
-from garside.element import NormalWord
+import pytest
 
-from oracles import (AbelianModel, BraidModel, ProductModel, WreathModel,
-                     model_check)
+from garside import GermError, parse_germ, element as el
+from garside.element import NormalWord
+from garside.germ import make_germ
+
+from oracles import (AbelianModel, BraidModel, FixpointArithmetic, ProductModel,
+                     WreathModel, model_check)
 
 
 def nf_names(g, w):
@@ -192,3 +195,125 @@ def test_balance(wreath):
     left = el.left_divisor_set(wreath, aabc)
     right = el.right_divisor_set(wreath, aabc)
     assert (w in left) != (w in right)
+
+
+def _braid_words(g, rng, long, deltas):
+    """
+    Atom words up to `long` letters, Delta-heavy words over all simples,
+    and words with Delta powers in front and behind, the longest Delta^deltas.
+    """
+    atoms = list(g.atoms)
+    everything = range(len(g))
+    words = [[rng.choice(atoms) for _ in range(n)] for n in (long, long // 3, 41)]
+    words += [[rng.choice(everything) for _ in range(n)] for n in (21, 12)]
+    words.append([g.delta] * 3 + [rng.choice(everything) for _ in range(9)] + [g.delta] * 2)
+    words.append([g.delta] * deltas + [rng.choice(atoms) for _ in range(20)])
+    return words
+
+
+@pytest.mark.parametrize("fixture, n", [("b4", 4), ("b5", 5)])
+def test_sweep_matches_braid_model(request, fixture, n):
+    g = request.getfixturevalue(fixture)
+    model = BraidModel(n)
+    words = _braid_words(g, random.Random(n), 120, 4)
+    spelled = [[a for s in w for a in model.atom_word(model.perm_of(g.names[s]))]
+               for w in words]
+
+    def value(w):
+        return (w.deltas, tuple(model.perm_of(g.names[f]) for f in w.factors))
+
+    nfs = [el.normal_form(g, w) for w in words]
+    for atoms, nf in zip(spelled, nfs):
+        assert el.is_normal(g, nf)
+        assert value(nf) == model.value(atoms)
+    for i in range(1, len(words) - 1):
+        assert value(el.multiply(g, nfs[i + 1], nfs[i])) == model.value(spelled[i + 1] + spelled[i])
+
+
+@pytest.mark.parametrize("fixture", ["b4", "b5"])
+def test_element_operations_match_fixpoint_reference(request, fixture):
+    g = request.getfixturevalue(fixture)
+    ref = FixpointArithmetic(g)
+    words = _braid_words(g, random.Random(len(g)), 400, 25)
+    nfs = [el.normal_form(g, w) for w in words]
+    assert nfs == [ref.normal_form(w) for w in words]
+    short = el.normal_form(g, words[2][:6])
+    pairs = [(nfs[0], nfs[1]), (nfs[1], nfs[0]), (nfs[3], nfs[5]), (nfs[5], nfs[6]),
+             (nfs[6], nfs[2]), (short, nfs[2]), (nfs[2], short), (nfs[4], nfs[4]),
+             (el.UNIT, nfs[3]), (el.delta_power(g, 30), nfs[2])]
+    for x, y in pairs:
+        for op in ("multiply", "gcd", "lcm", "left_complement", "divides"):
+            assert getattr(el, op)(g, x, y) == getattr(ref, op)(x, y), op
+    for x, y in pairs[2:]:
+        for op in ("right_complement", "rdivides"):
+            assert getattr(el, op)(g, x, y) == getattr(ref, op)(x, y), op
+    assert el.divides(g, short, nfs[2])
+    assert el.rdivides(g, nfs[4], el.multiply(g, nfs[3], nfs[4]))
+
+
+def test_order_three_twist_matches_fixpoint_reference():
+    # Here tau = comp^2 cycles the atoms a -> c -> b, so how far a letter
+    # is twisted depends on the Delta power mod 3, not just its parity.
+    from test_germ import CYCLIC_FILE
+
+    g = parse_germ(CYCLIC_FILE)
+    ref = FixpointArithmetic(g)
+    rng = random.Random(3)
+    words = [[rng.randrange(len(g)) for _ in range(rng.randint(0, 12))] for _ in range(30)]
+    words += [[g.delta] * k + w + [g.delta] * (k // 2) for k, w in enumerate(words[:8])]
+    nfs = [el.normal_form(g, w) for w in words]
+    assert nfs == [ref.normal_form(w) for w in words]
+    for x, y in zip(nfs, nfs[1:] + [el.delta_power(g, 4)]):
+        for op in ("multiply", "gcd", "lcm", "left_complement", "divides",
+                   "right_complement", "rdivides"):
+            assert getattr(el, op)(g, x, y) == getattr(ref, op)(x, y), op
+
+
+class _CountingRows:
+    """A lattice table that counts its row lookups."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.lookups = 0
+
+    def __getitem__(self, s):
+        self.lookups += 1
+        return self.rows[s]
+
+
+def test_delta_powers_cost_no_lattice_lookups(b4, monkeypatch):
+    rng = random.Random(5)
+    w = [rng.choice(b4.atoms) for _ in range(60)]
+    x = el.normal_form(b4, w)
+    d = b4.delta
+    plain = {t: getattr(b4, t) for t in ("_meet", "_join", "_rmeet", "_rjoin")}
+    work = {}
+    for k in (0, 1, 2, 7, 1000):
+        tables = {t: _CountingRows(rows) for t, rows in plain.items()}
+        for t, rows in tables.items():
+            monkeypatch.setattr(b4, t, rows)
+        counts = []
+        for call in (lambda: el.normal_form(b4, [d] * k + w),
+                     lambda: el.normal_form(b4, w + [d] * k),
+                     lambda: el.multiply(b4, x, el.delta_power(b4, k))):
+            before = sum(rows.lookups for rows in tables.values())
+            assert call().deltas >= k
+            counts.append(sum(rows.lookups for rows in tables.values()) - before)
+        work[k] = counts
+    assert len(set(map(tuple, work.values()))) == 1, work
+    assert work[0][2] == 0
+
+
+def test_sweep_keeps_germ_errors():
+    # Unvalidated: x and y have no meet, and r.x = D puts comp r = x against
+    # a following y.
+    g = make_germ(["1", "p", "q", "s", "x", "y", "r", "D"], "D",
+                  [("p", "q", "x"), ("q", "p", "x"), ("p", "s", "y"), ("q", "s", "y"),
+                   ("r", "x", "D")])
+    with pytest.raises(GermError, match="^no meet of 'x' and 'y': germ is not a lattice$"):
+        el.normal_form(g, [g.simple("r"), g.simple("y")])
+    # Unvalidated: a.c = b.c = D, so comp is not injective and neither is tau.
+    g = make_germ(["1", "a", "b", "c", "D"], "D",
+                  [("a", "c", "D"), ("b", "c", "D"), ("c", "a", "D")])
+    with pytest.raises(GermError, match="not a bijection"):
+        el.multiply(g, el.simple(g, g.simple("b")), el.delta_power(g, 1))
