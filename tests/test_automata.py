@@ -6,7 +6,8 @@ import pytest
 from garside import (build, build_factor_automaton, build_nf_automaton,
                      count_accepted, enumerate_accepted, export,
                      free_abelian_germ, germ_from_spec,
-                     project_product_to_pair, translate_pair_to_product)
+                     project_product_to_pair, run_suite,
+                     translate_pair_to_product)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -136,3 +137,11 @@ def test_golden_exports(wreath, b3, ab2):
     ]
     for automaton, fmt, fname in cases:
         assert export(automaton, fmt) == (GOLDEN / fname).read_text()
+
+
+def test_translation_suite_on_a_large_product():
+    # 144 product letters: millions of normal words of length 5
+    g = germ_from_spec("prod:braid:4,braid:3")
+    zs = build(g, [g.simple(nm) for nm in ("1243*1", "1324*1", "2134*1")])
+    report = run_suite("automata-translation", zs)
+    assert report.ok, str(report)

@@ -128,6 +128,13 @@ def test_check(capsys):
     assert code == 2
 
 
+def test_check_translation_on_a_large_product(capsys):
+    code, out, err = run(capsys, "check", "--germ", "prod:braid:4,abelian:1",
+                         "--left", "1*e1", "--suite", "automata-translation")
+    assert (code, err) == (0, "")
+    assert out.startswith("suite automata-translation: ok")
+
+
 def test_germ_file(tmp_path, capsys):
     path = tmp_path / "wreath.germ"
     path.write_text(WREATH_FILE)
