@@ -4,8 +4,8 @@ finite Garside structures, with acceptors for their normal-form languages.
 """
 
 from .automata import (NFAutomaton, build_factor_automaton, build_nf_automaton,
-                       count_accepted, enumerate_accepted, export,
-                       project_product_to_pair, translate_pair_to_product)
+                       count_accepted, export, project_product_to_pair,
+                       translate_pair_to_product)
 from .builtins import (GermSpec, braid_germ, direct_product_germ, divisor_germ,
                        free_abelian_germ, germ_from_spec, wreath_example_germ)
 from .element import (NormalWord, UNIT, atom_length, balance_witness, divides,

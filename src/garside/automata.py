@@ -9,6 +9,13 @@ is accepted iff it is in normal form.  The "proper" variant reads letters
 from the proper simples; the "full" variant admits Delta as an ordinary
 letter.
 
+Such an acceptor is fixed by its alphabet and its table of live pairs, and
+so is its language: the words of length 1 are the letters, those of
+length 2 the live pairs, and a longer word is accepted iff all its
+adjacent pairs are live.  Two acceptors built here therefore accept the
+same words at every length exactly when their alphabets and transition
+tables are equal.
+
 translate_pair_to_product rebuilds the product monoid's acceptor from the
 two factor acceptors and the action tables alone, without consulting the
 product lattice; project_product_to_pair is the inverse restriction.
@@ -77,18 +84,17 @@ def build_nf_automaton(g: Germ, variant: str = "proper") -> NFAutomaton:
     uses the proper simples as alphabet; variant="full" additionally
     admits Delta.
     """
-    letters = _variant_alphabet(g, variant)
+    letters = _variant_alphabet(range(len(g)), g.unit, g.delta, variant)
     return _build_from_liveness(
         letters, tuple(g.names[s] for s in letters),
         g.normal_pair)
 
 
-def _variant_alphabet(g: Germ, variant: str) -> tuple[int, ...]:
-    if variant == "proper":
-        return g.proper_simples()
-    if variant == "full":
-        return tuple(s for s in range(len(g)) if s != g.unit)
-    raise ValueError(f"unknown automaton variant {variant!r}")
+def _variant_alphabet(simples, unit: int, delta: int, variant: str) -> tuple[int, ...]:
+    """The simples but the unit, and in the proper variant but delta too."""
+    if variant not in ("proper", "full"):
+        raise ValueError(f"unknown automaton variant {variant!r}")
+    return tuple(s for s in simples if s != unit and (variant == "full" or s != delta))
 
 
 def _build_from_liveness(letters, names, live) -> NFAutomaton:
@@ -117,11 +123,7 @@ def build_factor_automaton(zs: ZSStructure, side: str, variant: str = "full") ->
         simples, delta, comp = zs.h_simples, zs.delta_h, zs.comp_h
     else:
         raise ValueError("side must be 'G' or 'H'")
-    letters = tuple(s for s in simples if s != g.unit)
-    if variant == "proper":
-        letters = tuple(s for s in letters if s != delta)
-    elif variant != "full":
-        raise ValueError(f"unknown automaton variant {variant!r}")
+    letters = _variant_alphabet(simples, g.unit, delta, variant)
     return _build_from_liveness(
         letters, tuple(g.names[s] for s in letters),
         lambda x, y: g.meet(comp(x), y) == g.unit)
@@ -149,23 +151,7 @@ def translate_pair_to_product(zs: ZSStructure, a_g: NFAutomaton,
             pair_of[zs.join_gh(gs, hs)] = (gs, hs)
     letters = tuple(sorted(pair_of))
 
-    g_pos = {s: i + 1 for i, s in enumerate(a_g.letters)}
-    h_pos = {s: i + 1 for i, s in enumerate(a_h.letters)}
-
-    def g_live(x: int, y: int) -> bool:
-        # comp_G(x) meet y == 1, read off the G acceptor
-        if x == unit:
-            return y == unit
-        if y == unit:
-            return True
-        return a_g.transitions[g_pos[x]][g_pos[y] - 1] != a_g.dead
-
-    def h_live(x: int, y: int) -> bool:
-        if x == unit:
-            return y == unit
-        if y == unit:
-            return True
-        return a_h.transitions[h_pos[x]][h_pos[y] - 1] != a_h.dead
+    g_live, h_live = _live_in(a_g, unit), _live_in(a_h, unit)
 
     def live(k1: int, k2: int) -> bool:
         g1, h1 = pair_of[k1]
@@ -177,6 +163,21 @@ def translate_pair_to_product(zs: ZSStructure, a_g: NFAutomaton,
         letters, tuple(g.names[s] for s in letters), live)
 
 
+def _live_in(a: NFAutomaton, unit: int):
+    """
+    Whether simple y may follow simple x, read off the acceptor a.  The
+    unit stands for an empty factor: anything may precede it, and only the
+    unit may follow it.
+    """
+    pos, rows, dead = a.position, a.transitions, a.dead
+
+    def live(x: int, y: int) -> bool:
+        if x == unit:
+            return y == unit
+        return y == unit or rows[1 + pos[x]][pos[y]] != dead
+    return live
+
+
 def project_product_to_pair(zs: ZSStructure,
                             a_k: NFAutomaton) -> tuple[NFAutomaton, NFAutomaton]:
     """
@@ -185,13 +186,11 @@ def project_product_to_pair(zs: ZSStructure,
     factor, so the restrictions are the factor acceptors.
     """
     g = zs.germ
+    live = _live_in(a_k, g.unit)
 
     def restrict(members) -> NFAutomaton:
         letters = tuple(s for s in a_k.letters if members(s))
-        pos = a_k.position
-        return _build_from_liveness(
-            letters, tuple(g.names[s] for s in letters),
-            lambda x, y: a_k.transitions[1 + pos[x]][pos[y]] != a_k.dead)
+        return _build_from_liveness(letters, tuple(g.names[s] for s in letters), live)
 
     return restrict(zs.member_g), restrict(zs.member_h)
 
@@ -209,29 +208,6 @@ def count_accepted(a: NFAutomaton, n: int) -> int:
                 nxt[a.transitions[state][pos]] += c
         counts = nxt
     return sum(c for state, c in enumerate(counts) if a.is_accepting(state))
-
-
-def enumerate_accepted(a: NFAutomaton, n: int, limit: int = 1_000_000) -> list[tuple[int, ...]]:
-    """All accepted words of length exactly n, as letter tuples."""
-    total = count_accepted(a, n)
-    if total > limit:
-        raise ValueError(f"{total} words of length {n} exceeds the enumeration limit {limit}")
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
-
-    def grow(state: int) -> None:
-        if len(word) == n:
-            out.append(tuple(word))
-            return
-        for pos, letter in enumerate(a.letters):
-            nxt = a.transitions[state][pos]
-            if nxt != a.dead:
-                word.append(letter)
-                grow(nxt)
-                word.pop()
-
-    grow(0)
-    return out
 
 
 def export(a: NFAutomaton, fmt: str) -> str:

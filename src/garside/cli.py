@@ -25,8 +25,11 @@ class UsageError(Exception):
     pass
 
 
-def parse_word(g: Germ, text: str) -> list[int]:
-    """A '.'-separated word; "1" alone is the empty word, D^k a Delta power."""
+def parse_word(g: Germ, text: str) -> list[tuple[int, int]]:
+    """
+    A '.'-separated word as (simple, power) pairs: a name is (s, 1) and D^k
+    is (Delta, k); "1" alone is the empty word.
+    """
     if text == "1":
         return []
     out = []
@@ -38,12 +41,25 @@ def parse_word(g: Germ, text: str) -> list[int]:
                 raise UsageError(f"bad Delta power {token!r}") from None
             if k < 0:
                 raise UsageError("Delta power must be non-negative")
-            out.extend([g.delta] * k)
-            continue
-        if token not in g.name_index:
+            out.append((g.delta, k))
+        elif token in g.name_index:
+            out.append((g.name_index[token], 1))
+        else:
             raise UsageError(f"unknown simple name {token!r}")
-        out.append(g.name_index[token])
     return out
+
+
+def parse_element(g: Germ, text: str) -> NormalWord:
+    """The element of a word; a Delta power stays a counter, never k letters."""
+    x, run = element.UNIT, []
+    for s, k in parse_word(g, text):
+        if s == g.delta:
+            x = element.multiply(g, element.multiply(g, x, element.normal_form(g, run)),
+                                 element.delta_power(g, k))
+            run = []
+        else:
+            run.append(s)
+    return element.multiply(g, x, element.normal_form(g, run))
 
 
 def format_word(g: Germ, word) -> str:
@@ -176,31 +192,31 @@ def cmd_validate(args) -> int:
 
 def cmd_nf(args) -> int:
     g = _germ(args)
-    w = element.normal_form(g, parse_word(g, args.word))
+    w = parse_element(g, args.word)
     print(element.format_nf(g, w))
     return 0
 
 
 def cmd_gcd(args) -> int:
     g = _germ(args)
-    x = element.normal_form(g, parse_word(g, args.word1))
-    y = element.normal_form(g, parse_word(g, args.word2))
+    x = parse_element(g, args.word1)
+    y = parse_element(g, args.word2)
     print(element.format_nf(g, element.gcd(g, x, y)))
     return 0
 
 
 def cmd_lcm(args) -> int:
     g = _germ(args)
-    x = element.normal_form(g, parse_word(g, args.word1))
-    y = element.normal_form(g, parse_word(g, args.word2))
+    x = parse_element(g, args.word1)
+    y = parse_element(g, args.word2)
     print(element.format_nf(g, element.lcm(g, x, y)))
     return 0
 
 
 def cmd_divides(args) -> int:
     g = _germ(args)
-    x = element.normal_form(g, parse_word(g, args.word1))
-    y = element.normal_form(g, parse_word(g, args.word2))
+    x = parse_element(g, args.word1)
+    y = parse_element(g, args.word2)
     print("true" if element.divides(g, x, y) else "false")
     return 0
 
@@ -249,7 +265,7 @@ def cmd_decompose(args) -> int:
 def cmd_gh(args) -> int:
     g = _germ(args)
     zs = _zs(args, g)
-    x = element.normal_form(g, parse_word(g, args.word))
+    x = parse_element(g, args.word)
     gpart, hpart = zappa_szep.gh_decompose(zs, x)
     print(f"G: {element.format_nf(g, gpart)}")
     print(f"H: {element.format_nf(g, hpart)}")
@@ -259,7 +275,7 @@ def cmd_gh(args) -> int:
 def cmd_hg(args) -> int:
     g = _germ(args)
     zs = _zs(args, g)
-    x = element.normal_form(g, parse_word(g, args.word))
+    x = parse_element(g, args.word)
     hpart, gpart = zappa_szep.hg_decompose(zs, x)
     print(f"H: {element.format_nf(g, hpart)}")
     print(f"G: {element.format_nf(g, gpart)}")
@@ -269,8 +285,8 @@ def cmd_hg(args) -> int:
 def cmd_act(args) -> int:
     g = _germ(args)
     zs = _zs(args, g)
-    hw = tuple(parse_word(g, args.hword))
-    gw = tuple(parse_word(g, args.gword))
+    # Delta lies in neither factor: D^k (k > 0) stays one letter, which the action rejects
+    hw, gw = (tuple(s for s, k in parse_word(g, w) if k) for w in (args.hword, args.gword))
     fn = zappa_szep.WORD_ACTIONS[args.op]
     if args.op.startswith(("rr", "rl")):
         out = fn(zs, hw, gw)
@@ -283,7 +299,7 @@ def cmd_act(args) -> int:
 def cmd_split_nf(args) -> int:
     g = _germ(args)
     zs = _zs(args, g)
-    w = element.normal_form(g, parse_word(g, args.word))
+    w = parse_element(g, args.word)
     pair = normal_forms.split_nf(zs, w)
     print(f"G: {format_factor_nf(g, zs.delta_g, pair.nf_g)}")
     print(f"H: {format_factor_nf(g, zs.delta_h, pair.nf_h)}")

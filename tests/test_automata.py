@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from garside import (build, build_factor_automaton, build_nf_automaton,
-                     count_accepted, enumerate_accepted, export,
-                     free_abelian_germ, germ_from_spec,
-                     project_product_to_pair, run_suite,
+from garside import (NFAutomaton, automata, build, build_factor_automaton,
+                     build_nf_automaton,
+                     count_accepted, export, free_abelian_germ,
+                     germ_from_spec, project_product_to_pair, run_suite,
                      translate_pair_to_product)
+from garside.automata import _build_from_liveness
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,7 +51,7 @@ def test_full_variant_keeps_delta(wreath):
     assert not a.accepts([s("a"), d])
 
 
-def test_count_and_enumerate(wreath):
+def test_count_matches_pair_scan(wreath):
     a = build_nf_automaton(wreath, "proper")
     assert count_accepted(a, 0) == 1
     assert count_accepted(a, 1) == 6
@@ -58,19 +59,20 @@ def test_count_and_enumerate(wreath):
     proper = wreath.proper_simples()
     brute = sum(1 for x in proper for y in proper if wreath.normal_pair(x, y))
     assert count_accepted(a, 2) == brute
-    assert len(enumerate_accepted(a, 2)) == brute
-    with pytest.raises(ValueError):
-        enumerate_accepted(a, 6, limit=10)
+
+
+def _words(alphabet, max_len):
+    for n in range(max_len + 1):
+        yield from itertools.product(alphabet, repeat=n)
 
 
 def test_language_matches_definition(wreath, b3):
+    # every word over the letters, accepted or not, up to length 3
     for g in (wreath, b3):
         a = build_nf_automaton(g, "proper")
-        proper = g.proper_simples()
-        for n in range(4):
-            expected = {w for w in itertools.product(proper, repeat=n)
-                        if all(g.normal_pair(w[i], w[i + 1]) for i in range(n - 1))}
-            assert set(enumerate_accepted(a, n)) == expected
+        for w in _words(g.proper_simples(), 3):
+            expected = all(g.normal_pair(w[i], w[i + 1]) for i in range(len(w) - 1))
+            assert a.accepts(w) == expected, w
 
 
 @pytest.mark.parametrize("spec,left_tag", [
@@ -85,10 +87,9 @@ def test_translation_equals_direct(spec, left_tag):
     a_h = build_factor_automaton(zs, "H", "full")
     translated = translate_pair_to_product(zs, a_g, a_h)
     direct = build_nf_automaton(g, "full")
-    assert translated.letters == direct.letters
-    for n in range(7):
-        assert set(enumerate_accepted(translated, n)) == \
-            set(enumerate_accepted(direct, n))
+    assert translated == direct
+    for w in _words(direct.letters, 3):
+        assert translated.accepts(w) == direct.accepts(w), w
 
 
 def test_translation_alphabet_size(wreath, wreath_zs):
@@ -145,3 +146,39 @@ def test_translation_suite_on_a_large_product():
     zs = build(g, [g.simple(nm) for nm in ("1243*1", "1324*1", "2134*1")])
     report = run_suite("automata-translation", zs)
     assert report.ok, str(report)
+
+
+def _tampered_translation(monkeypatch, tamper):
+    real = automata.translate_pair_to_product
+    monkeypatch.setattr(automata, "translate_pair_to_product",
+                        lambda *args: tamper(real(*args)))
+
+
+def test_translation_suite_names_a_flipped_live_pair(monkeypatch, wreath, wreath_zs):
+    def flip(a):
+        # the first live pair after letter "a" goes dead
+        state = 1 + a.position[wreath.simple("a")]
+        row = list(a.transitions[state])
+        pos = next(i for i, t in enumerate(row) if t != a.dead)
+        row[pos] = a.dead
+        rows = a.transitions[:state] + (tuple(row),) + a.transitions[state + 1:]
+        return NFAutomaton(a.letters, a.letter_names, rows)
+
+    _tampered_translation(monkeypatch, flip)
+    report = run_suite("automata-translation", wreath_zs)
+    assert not report.ok
+    assert any(f.startswith("transitions from a differ") for f in report.failures), report
+
+
+def test_translation_suite_names_a_dropped_letter(monkeypatch, wreath, wreath_zs):
+    c = wreath.simple("c")
+
+    def drop(a):
+        letters = tuple(s for s in a.letters if s != c)
+        return _build_from_liveness(letters, tuple(wreath.names[s] for s in letters),
+                                    lambda x, y: a.step(a.step(0, x), y) != a.dead)
+
+    _tampered_translation(monkeypatch, drop)
+    report = run_suite("automata-translation", wreath_zs)
+    assert not report.ok
+    assert "alphabets differ: only translated -, only direct c" in report.failures

@@ -1,4 +1,6 @@
-from garside import cli
+import random
+
+from garside import cli, element, germ_from_spec
 
 WREATH_FILE = """\
 germ v1
@@ -133,6 +135,46 @@ def test_check_translation_on_a_large_product(capsys):
                          "--left", "1*e1", "--suite", "automata-translation")
     assert (code, err) == (0, "")
     assert out.startswith("suite automata-translation: ok")
+
+
+def test_delta_powers_stay_symbolic(capsys):
+    big = "D^1000000000000"
+    code, out, _ = run(capsys, "nf", "--germ", "wreath", f"{big}.a")
+    assert (code, out) == (0, f"{big}|a\n")
+    code, out, _ = run(capsys, "gcd", "--germ", "wreath", f"{big}.a", f"{big}.b")
+    assert (code, out) == (0, f"{big}\n")
+    code, out, _ = run(capsys, "lcm", "--germ", "wreath", f"{big}.a", f"{big}.b")
+    assert (code, out) == (0, f"{big}|ab\n")
+    code, out, _ = run(capsys, "divides", "--germ", "wreath", f"{big}.a", f"{big}.a.b")
+    assert (code, out) == (0, "true\n")
+    # Delta is in neither factor, so an action rejects it
+    code, _, err = run(capsys, "act", "--germ", "wreath", "--left", "a,b",
+                       "--op", "rr", "--h", "c", "--g", f"a.{big}")
+    assert code == 1 and "'abc' is not a G-simple" in err
+    code, out, _ = run(capsys, "act", "--germ", "wreath", "--left", "a,b",
+                       "--op", "rr", "--h", "c", "--g", "a.D^0.a")
+    assert (code, out) == (0, "b.b\n")
+
+
+def test_delta_powers_mean_delta_letters(capsys):
+    # D^k tokens against the same word with k Delta letters, normalised directly
+    rng = random.Random(5)
+    for spec in ("wreath", "braid:4"):
+        g = germ_from_spec(spec)
+        for _ in range(40):
+            tokens, word = [], []
+            for _ in range(rng.randint(0, 6)):
+                if rng.random() < 0.3:
+                    k = rng.randint(0, 3)
+                    tokens.append(f"D^{k}")
+                    word += [g.delta] * k
+                else:
+                    s = rng.randrange(len(g))
+                    tokens.append(g.names[s])
+                    word.append(s)
+            text = ".".join(tokens) or "1"
+            code, out, _ = run(capsys, "nf", "--germ", spec, text)
+            assert (code, out) == (0, element.format_nf(g, element.normal_form(g, word)) + "\n")
 
 
 def test_germ_file(tmp_path, capsys):
