@@ -103,6 +103,44 @@ def test_validate_idempotent_fails_cancellativity():
     assert any(c.axiom == "cancellativity" and not c.passed for c in report.checks)
 
 
+# Hand-made tables, each breaking partial associativity in one way; the
+# witness text names the first failing triple in table order.
+ASSOCIATIVITY_FAILURES = [
+    # (a.b).d = c.d = f, b.d = g, but a.g is undefined
+    ((["1", "a", "b", "c", "d", "f", "g"], "c",
+      [("a", "b", "c"), ("c", "d", "f"), ("b", "d", "g")]),
+     "(a.b).d defined but a.(b.d) is not"),
+    # (a.b).d = c.d = e, but a.(b.d) = a.f = d
+    ((["1", "a", "b", "c", "d", "e", "f"], "c",
+      [("a", "b", "c"), ("c", "d", "e"), ("b", "d", "f"), ("a", "f", "d")]),
+     "(a.b).d != a.(b.d)"),
+    # a.(b.c) = a.d = e, but (a.b).c = f.c is undefined
+    ((["1", "a", "b", "c", "d", "e", "f"], "e",
+      [("b", "c", "d"), ("a", "d", "e"), ("a", "b", "f")]),
+     "a.(b.c) defined but disagrees with (a.b).c"),
+    # the same failure, with x.d = a.d = e as well: the column of d holds two
+    # left factors of e, and the failing one comes first
+    ((["1", "a", "b", "c", "d", "e", "f", "x"], "e",
+      [("b", "c", "d"), ("a", "d", "e"), ("a", "b", "f"), ("x", "d", "e")]),
+     "a.(b.c) defined but disagrees with (a.b).c"),
+]
+
+
+@pytest.mark.parametrize("table, witness", ASSOCIATIVITY_FAILURES,
+                         ids=["undefined", "differs", "disagrees", "non-cancellative"])
+def test_associativity_witnesses(table, witness):
+    report = validate_germ(make_germ(*table))
+    assert [str(c) for c in report.checks if c.axiom == "associativity"] \
+        == [f"associativity: FAIL ({witness})"]
+
+
+def test_non_cancellative_associativity_witness_is_kept():
+    names, delta, products = ASSOCIATIVITY_FAILURES[-1][0]
+    report = validate_germ(make_germ(names, delta, products))
+    assert [c.axiom for c in report.failures()][:2] == ["associativity", "cancellativity"]
+    assert report.failures()[1].witness == "a.d = x.d = e"
+
+
 def test_left_divides(wreath):
     s = wreath.simple
     assert wreath.left_divides(s("a"), s("ab"))
