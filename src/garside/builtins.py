@@ -3,12 +3,13 @@ builtins: known-correct germ constructors, used both as fixtures and as
 CLI entry points (--germ braid:4, abelian:3, wreath, prod:...,..., file:...).
 
 braid_germ models simples as permutations with products defined when
-inversion counts add; free_abelian_germ uses subsets with disjoint-union
-products; wreath_example_germ is the three-generator monoid whose c swaps
-the two commuting generators.  direct_product_germ pairs two germs
-componentwise, and divisor_germ cuts the divisor germ of an arbitrary
-balanced element out of an ambient germ (failing with a witness when the
-element is not balanced).
+inversion counts add, and finds them along the covers of the weak order
+instead of trying every pair; free_abelian_germ uses subsets with
+disjoint-union products; wreath_example_germ is the three-generator monoid
+whose c swaps the two commuting generators.  direct_product_germ pairs two
+germs componentwise, row by row, and divisor_germ cuts the divisor germ of
+an arbitrary balanced element out of an ambient germ (failing with a
+witness when the element is not balanced).
 """
 
 from __future__ import annotations
@@ -28,33 +29,42 @@ ABELIAN_MAX = 10
 def braid_germ(n: int) -> Germ:
     """
     The braid monoid on n strands: simples are the permutations of n
-    points, the product of two is defined when their inversion counts add,
-    and Delta is the order-reversing permutation.
+    points, in lexicographic order, the product of two is defined when
+    their inversion counts add, and Delta is the order-reversing
+    permutation.
+
+    Products are found along the covers p < p.s_k of the weak (prefix)
+    order: the k with p[k] < p[k+1], where p.s_k swaps those two positions.
+    For a reduced q = s_k.q', p.q is defined exactly when p.s_k covers p
+    and (p.s_k).q' is defined, and then p.q = (p.s_k).q'.  So row p is
+    1 -> p together with s_k.q' -> (p.s_k).q' over the covers of p and the
+    row of p.s_k.  p.s_k comes after p in lexicographic order, so the rows
+    are filled from the last index, Delta, down, and each product is
+    visited once per cover of p instead of trying all n!^2 pairs.
     """
     if not 2 <= n <= BRAID_MAX:
         raise ValueError(f"braid_germ expects 2 <= n <= {BRAID_MAX}")
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
+    perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    inv = [_inversions(p) for p in perms]
-
-    def name(p: tuple[int, ...]) -> str:
-        if p == tuple(range(n)):
-            return "1"
-        return "".join(str(i + 1) for i in p)
-
-    names = [name(p) for p in perms]
-    delta = index[tuple(reversed(range(n)))]
-    rows: list[dict[int, int]] = [dict() for _ in perms]
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            pq = tuple(p[q[k]] for k in range(n))
-            if inv[i] + inv[j] == _inversions(pq):
-                rows[i][j] = index[pq]
-    return Germ(tuple(names), delta, tuple(rows))
-
-
-def _inversions(p: tuple[int, ...]) -> int:
-    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+    names = ["1"] + ["".join(str(i + 1) for i in p) for p in perms[1:]]
+    # up[i]: (k, index of p.s_k) for each cover of p = perms[i];
+    # left[k][j]: index of s_k.q for q = perms[j], its values k, k+1 swapped
+    up = [[(k, index[p[:k] + (p[k + 1], p[k]) + p[k + 2:]])
+           for k in range(n - 1) if p[k] < p[k + 1]] for p in perms]
+    left = []
+    for k in range(n - 1):
+        swap = list(range(n))
+        swap[k], swap[k + 1] = k + 1, k
+        left.append([index[tuple(swap[v] for v in q)] for q in perms])
+    rows: list[dict[int, int]] = [{} for _ in perms]
+    for i in reversed(range(len(perms))):
+        row = {0: i}
+        for k, j in up[i]:
+            lk = left[k]
+            for q, v in rows[j].items():
+                row[lk[q]] = v
+        rows[i] = dict(sorted(row.items()))
+    return Germ(tuple(names), len(perms) - 1, tuple(rows))
 
 
 def free_abelian_germ(k: int) -> Germ:
@@ -107,27 +117,24 @@ def wreath_example_germ() -> Germ:
 
 def direct_product_germ(g1: Germ, g2: Germ) -> Germ:
     """
-    The direct product: simples are pairs named "s*t", products work
-    componentwise, both defined or the pair product is undefined.
+    The direct product: simples are pairs named "s*t", indexed s*|g2| + t,
+    and products work componentwise, both defined or the pair product is
+    undefined.  A row is the product of the two factor rows, each taken in
+    ascending key order, so its own keys ascend.
     """
-    pairs = list(itertools.product(range(len(g1)), range(len(g2))))
-    index = {p: i for i, p in enumerate(pairs)}
+    n2 = len(g2)
 
     def name(s1: int, s2: int) -> str:
         if s1 == g1.unit and s2 == g2.unit:
             return "1"
         return f"{g1.names[s1]}*{g2.names[s2]}"
 
-    names = [name(s1, s2) for s1, s2 in pairs]
-    delta = index[(g1.delta, g2.delta)]
-    rows: list[dict[int, int]] = [dict() for _ in pairs]
-    for i, (s1, s2) in enumerate(pairs):
-        for j, (t1, t2) in enumerate(pairs):
-            u1 = g1.product(s1, t1)
-            u2 = g2.product(s2, t2)
-            if u1 is not None and u2 is not None:
-                rows[i][j] = index[(u1, u2)]
-    return Germ(tuple(names), delta, tuple(rows))
+    names = [name(s1, s2) for s1 in range(len(g1)) for s2 in range(n2)]
+    rows1 = [sorted(row.items()) for row in g1.product_rows]
+    rows2 = [sorted(row.items()) for row in g2.product_rows]
+    rows = [{t1 * n2 + t2: u1 * n2 + u2 for t1, u1 in r1 for t2, u2 in r2}
+            for r1 in rows1 for r2 in rows2]
+    return Germ(tuple(names), g1.delta * n2 + g2.delta, tuple(rows))
 
 
 def divisor_germ(g: Germ, d: NormalWord) -> Germ:

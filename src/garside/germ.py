@@ -112,8 +112,8 @@ class Germ:
     and rows that already contain the implied unit products.
 
     Immutable after construction (by convention) apart from the lattice
-    tables and the column inverses, which are filled lazily and
-    idempotently; safe to share between threads.  Equality is identity;
+    tables and the row and column inverses of the product, which are built
+    on first use, idempotently; safe to share between threads.  Equality is identity;
     compare `names`, `delta` and `product_rows` directly when structural
     equality is needed.
     """
@@ -132,23 +132,24 @@ class Germ:
         self.name_index: dict[str, int] = {nm: i for i, nm in enumerate(names)}
 
         # Divisibility bitmasks.  ldiv[t] holds s iff s.u = t for some u;
-        # rdiv[t] holds s iff u.s = t for some u.
+        # rdiv[t] holds s iff u.s = t for some u.  lupper and rupper are
+        # their transposes: lupper[s] holds the products s.u, rupper[s]
+        # the products u.s.
         ldiv = [0] * n
         rdiv = [0] * n
-        for s, row in enumerate(product_rows):
-            for t, u in row.items():
-                ldiv[u] |= 1 << s
-                rdiv[u] |= 1 << t
-        self.ldiv = ldiv
-        self.rdiv = rdiv
-
         lupper = [0] * n
         rupper = [0] * n
-        for t in range(n):
-            for s in _bits(ldiv[t]):
-                lupper[s] |= 1 << t
-            for s in _bits(rdiv[t]):
-                rupper[s] |= 1 << t
+        for s, row in enumerate(product_rows):
+            bit = 1 << s
+            above = 0
+            for t, u in row.items():
+                ldiv[u] |= bit
+                rdiv[u] |= 1 << t
+                above |= 1 << u
+                rupper[t] |= 1 << u
+            lupper[s] = above
+        self.ldiv = ldiv
+        self.rdiv = rdiv
         self.lupper = lupper
         self.rupper = rupper
 
@@ -157,19 +158,20 @@ class Germ:
             s for s in range(1, n) if ldiv[s] == unit_mask | (1 << s)
         )
 
-        # Inverted product map: _row_inv[s][v] = t with s.t = v (and
-        # _col_inv, built on first use, its mirror).  Cancellativity makes
-        # these well defined; validation flags germs where they are not.
-        self._row_inv: list[dict[int, int]] = [
-            {v: t for t, v in row.items()} for row in product_rows
-        ]
+        # Inverted product rows, _row_inv[s][v] = t with s.t = v, and their
+        # mirror _col_inv are built on first use: _row_inverses() fills
+        # _row_inv.  Cancellativity makes them well defined; validation
+        # flags germs where they are not.
+        self._row_inv: list[dict[int, int]] | None = None
 
-        self._comp = [self._row_inv[s].get(delta, -1) for s in range(n)]
+        comp = [-1] * n
         rcomp = [-1] * n
-        for t, row in enumerate(product_rows):
-            for s, v in row.items():
+        for s, row in enumerate(product_rows):
+            for t, v in row.items():
                 if v == delta:
-                    rcomp[s] = t
+                    comp[s] = t
+                    rcomp[t] = s
+        self._comp = comp
         self._rcomp = rcomp
 
         # A simple is pinned down by its divisor set, so meets and joins
@@ -189,6 +191,12 @@ class Germ:
         self._rmeet = _LatticeRows(rdiv, self._by_rdiv)
         self._rjoin = _LatticeRows(rupper, self._by_rupper)
 
+    def _row_inverses(self) -> list[dict[int, int]]:
+        """_row_inv[s][v] = t with s.t = v, built on first use."""
+        if self._row_inv is None:
+            self._row_inv = [{v: t for t, v in row.items()} for row in self.product_rows]
+        return self._row_inv
+
     @cached_property
     def _col_inv(self) -> list[dict[int, int]]:
         """_col_inv[s][v] = t with t.s = v; only rcomp reads it."""
@@ -204,14 +212,15 @@ class Germ:
         n = len(self.names)
         lens = [-1] * n
         lens[self.unit] = 0
+        atom_inv = {a: {v: t for t, v in self.product_rows[a].items()} for a in self.atoms}
         order = sorted(range(n), key=lambda s: self.ldiv[s].bit_count())
         for s in order:
             if s == self.unit:
                 continue
             best = -1
-            for a in self.atoms:
+            for a, inv in atom_inv.items():
                 if (self.ldiv[s] >> a) & 1:
-                    t = self._row_inv[a].get(s)
+                    t = inv.get(s)
                     if t is not None and t != s and lens[t] >= 0:
                         best = max(best, 1 + lens[t])
             lens[s] = best  # -1 marks a simple atomicity cannot reach
@@ -287,7 +296,7 @@ class Germ:
 
     def lcomp(self, s: int, t: int) -> int:
         """The left complement s\\t: the simple u with s.u = s v t."""
-        return self._row_inv[s][self.join(s, t)]
+        return self._row_inverses()[s][self.join(s, t)]
 
     def rcomp(self, s: int, t: int) -> int:
         """The right complement t/s: the simple u with u.s = right-join."""
@@ -527,11 +536,15 @@ def _check_associativity(g: Germ) -> tuple[bool, str | None]:
                     return False, f"({nm[s]}.{nm[t]}).{nm[u]} defined but {nm[s]}.({nm[t]}.{nm[u]}) is not"
                 if s_tu != st_u:
                     return False, f"({nm[s]}.{nm[t]}).{nm[u]} != {nm[s]}.({nm[t]}.{nm[u]})"
+    # cols[v]: every (s, s.v), s ascending; no inverse map, which would keep
+    # one s per value on a non-cancellative table and could hide a witness
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(len(g))]
+    for s, row_s in enumerate(g.product_rows):
+        for v, sv in row_s.items():
+            cols[v].append((s, sv))
     for t, row_t in enumerate(g.product_rows):
         for u, tu in row_t.items():
-            for s, s_tu in ((s, g.product_rows[s].get(tu)) for s in range(len(g))):
-                if s_tu is None:
-                    continue
+            for s, s_tu in cols[tu]:
                 st = g.product(s, t)
                 if st is None:
                     continue

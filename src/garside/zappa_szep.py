@@ -251,6 +251,7 @@ def _generated_simples(g: Germ, atoms: Sequence[int]) -> list[int]:
     # The simples generated by an atom subset, by stripping atoms in a
     # topological order of the prefix relation.
     atom_set = set(atoms)
+    inv = g._row_inverses()
     member = [False] * len(g)
     member[g.unit] = True
     order = sorted(range(len(g)), key=lambda s: g.ldiv[s].bit_count())
@@ -258,7 +259,7 @@ def _generated_simples(g: Germ, atoms: Sequence[int]) -> list[int]:
         if s == g.unit:
             continue
         for a in atom_set:
-            if (g.ldiv[s] >> a) & 1 and member[g._row_inv[a][s]]:
+            if (g.ldiv[s] >> a) & 1 and member[inv[a][s]]:
                 member[s] = True
                 break
     return [s for s in range(len(g)) if member[s]]

@@ -369,3 +369,82 @@ class FixpointArithmetic:
 
     def rdivides(self, x, y):
         return self.multiply(self.right_complement(x, y), x) == y
+
+
+def _inversions(p) -> int:
+    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+
+
+def braid_germ_by_pairs(n: int):
+    """
+    The braid germ on n strands by trying all n!^2 pairs of permutations:
+    a product is defined when the inversion counts add.  Permutations are
+    indexed in lexicographic order and rows list their keys ascending.
+    """
+    from garside import Germ
+
+    perms = [tuple(p) for p in itertools.permutations(range(n))]
+    index = {p: i for i, p in enumerate(perms)}
+    inv = [_inversions(p) for p in perms]
+    names = ["1" if p == tuple(range(n)) else "".join(str(i + 1) for i in p)
+             for p in perms]
+    rows = [dict() for _ in perms]
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            pq = tuple(p[q[k]] for k in range(n))
+            if inv[i] + inv[j] == _inversions(pq):
+                rows[i][j] = index[pq]
+    return Germ(tuple(names), index[tuple(reversed(range(n)))], tuple(rows))
+
+
+def direct_product_germ_by_pairs(g1, g2):
+    """The direct product by testing all |G1|^2.|G2|^2 pairs of pairs."""
+    from garside import Germ
+
+    pairs = list(itertools.product(range(len(g1)), range(len(g2))))
+    index = {p: i for i, p in enumerate(pairs)}
+    names = ["1" if (s1, s2) == (g1.unit, g2.unit) else f"{g1.names[s1]}*{g2.names[s2]}"
+             for s1, s2 in pairs]
+    rows = [dict() for _ in pairs]
+    for i, (s1, s2) in enumerate(pairs):
+        for j, (t1, t2) in enumerate(pairs):
+            u1 = g1.product(s1, t1)
+            u2 = g2.product(s2, t2)
+            if u1 is not None and u2 is not None:
+                rows[i][j] = index[(u1, u2)]
+    return Germ(tuple(names), index[(g1.delta, g2.delta)], tuple(rows))
+
+
+def abelian_by_braid3_germ():
+    """
+    The semidirect product N^3 x| B3+, in which sigma_1 and sigma_2 swap
+    the generators e1, e2 and e2, e3.  Its 48 simples are pairs (x, p) of a
+    subset x of {e1, e2, e3} and a simple p of B3+, named "x*p" like the
+    simples of a direct product.  With p(y) = {p[i] : i in y},
+
+        (x, p).(y, q) = (x + p(y), p.q),
+
+    defined when x and p(y) are disjoint and the inversion counts of p and
+    q add.  G = <e1, e2, e3> is a left factor on which the non-commuting
+    H = B3+ acts by permuting the generators.
+    """
+    from garside.germ import make_germ
+
+    perms = list(itertools.permutations(range(3)))
+    subsets = [frozenset(i for i in range(3) if (mask >> i) & 1) for mask in range(8)]
+
+    def name(x, p):
+        xs = "".join(f"e{i + 1}" for i in sorted(x)) or "1"
+        ps = "1" if p == (0, 1, 2) else "".join(str(i + 1) for i in p)
+        return "1" if xs == ps == "1" else f"{xs}*{ps}"
+
+    simples = [(x, p) for x in subsets for p in perms]
+    triples = []
+    for x, p in simples:
+        for y, q in simples:
+            py = frozenset(p[i] for i in y)
+            pq = tuple(p[q[k]] for k in range(3))
+            if not x & py and _inversions(p) + _inversions(q) == _inversions(pq):
+                triples.append((name(x, p), name(y, q), name(x | py, pq)))
+    return make_germ([name(x, p) for x, p in simples], name(subsets[-1], (2, 1, 0)),
+                     triples)

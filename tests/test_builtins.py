@@ -5,6 +5,16 @@ from garside import (GermSpec, GermValidationError, braid_germ, build,
                      free_abelian_germ, germ_from_spec, validate_germ)
 from garside import atom_classes, delta_of_simple
 
+from oracles import braid_germ_by_pairs, direct_product_germ_by_pairs
+
+
+def assert_same_germ(g, h):
+    """Same names, Delta and product rows, with the keys in the same order."""
+    assert g.names == h.names
+    assert g.delta == h.delta
+    assert [list(row.items()) for row in g.product_rows] \
+        == [list(row.items()) for row in h.product_rows]
+
 
 def test_braid_sizes(b3, b4):
     assert len(b3) == 6 and len(b3.atoms) == 2
@@ -19,6 +29,18 @@ def test_braid_range():
         braid_germ(1)
     with pytest.raises(ValueError):
         braid_germ(8)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_braid_germ_matches_pair_search(n):
+    assert_same_germ(braid_germ(n), braid_germ_by_pairs(n))
+
+
+@pytest.mark.parametrize("left, right", [("braid:4", "braid:3"), ("wreath", "wreath"),
+                                         ("braid:3", "abelian:1"), ("braid:4", "abelian:4")])
+def test_direct_product_matches_pair_search(left, right):
+    g1, g2 = germ_from_spec(left), germ_from_spec(right)
+    assert_same_germ(direct_product_germ(g1, g2), direct_product_germ_by_pairs(g1, g2))
 
 
 def test_free_abelian(ab2, ab3):

@@ -3,12 +3,16 @@ import random
 import pytest
 
 from garside import (NotAUnionOfClasses, Options, ZS_SUITES, build,
-                     germ_from_spec, run_suite)
+                     germ_from_spec, run_suite, validate_germ)
 from garside import element as el
 from garside import zappa_szep as zsm
 from garside.suites import _split_by_gcd
 
-from oracles import zs_actions
+from oracles import abelian_by_braid3_germ, zs_actions
+
+# Germs built from a model in the tests, by the spec DECOMPOSITIONS gives them.
+MODEL_GERMS = {"abelian:3><braid:3": abelian_by_braid3_germ}
+N3_LEFT = ("e1*1", "e2*1", "e3*1")
 
 DECOMPOSITIONS = [
     ("wreath", ("a", "b")),
@@ -16,6 +20,7 @@ DECOMPOSITIONS = [
     ("abelian:3", ("e1",)),
     ("prod:braid:3,abelian:1", ("132*1", "213*1")),
     ("prod:braid:4,braid:3", ("1243*1", "1324*1", "2134*1")),
+    ("abelian:3><braid:3", N3_LEFT),
 ]
 
 
@@ -23,7 +28,7 @@ DECOMPOSITIONS = [
                 ids=[f"{spec}[{','.join(left)}]" for spec, left in DECOMPOSITIONS])
 def decomposition(request):
     spec, left = request.param
-    g = germ_from_spec(spec)
+    g = MODEL_GERMS[spec]() if spec in MODEL_GERMS else germ_from_spec(spec)
     return build(g, [g.simple(nm) for nm in left])
 
 
@@ -193,5 +198,37 @@ def test_suites_multiclass_sides(suite):
     zs = build(g, left)
     assert g.names[zs.delta_g] == "ab*ab"
     assert g.names[zs.delta_h] == "c*c"
+    report = run_suite(suite, zs, SMOKE)
+    assert report.ok, str(report)
+
+
+def test_noncommuting_action_permutes_generators():
+    # h.g = (p(x), 1).(0, p) for g = (x, 1) and h = (0, p): H acts through S3
+    g = abelian_by_braid3_germ()
+    assert validate_germ(g).ok
+    zs = build(g, [g.simple(nm) for nm in N3_LEFT])
+    assert g.names[zs.delta_g] == "e1e2e3*1"
+    assert g.names[zs.delta_h] == "1*321"
+    assert len(zs.g_simples) == 8 and len(zs.h_simples) == 6
+    moved = 0
+    for hs in zs.h_simples:
+        p = g.names[hs].split("*")[-1]
+        for gs in zs.g_simples:
+            x = g.names[gs].split("*")[0]
+            xs = {int(c) for c in x[1::2]} if x != "1" else set()
+            image = {int(p[i - 1]) for i in xs} if p != "1" else xs
+            expected = "".join(f"e{i}" for i in sorted(image)) or "1"
+            assert g.names[zs.act_rr(hs, gs)].split("*")[0] == expected
+            assert zs.act_rl(hs, gs) == hs
+            moved += image != xs
+    assert moved > 0
+
+
+@pytest.mark.parametrize("suite", sorted(ZS_SUITES))
+def test_suites_noncommuting_action(suite):
+    # sigma_1.sigma_2 and sigma_2.sigma_1 act differently on G = N^3, so
+    # the composition laws see the order of two H-simples
+    g = abelian_by_braid3_germ()
+    zs = build(g, [g.simple(nm) for nm in N3_LEFT])
     report = run_suite(suite, zs, SMOKE)
     assert report.ok, str(report)
