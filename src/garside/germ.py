@@ -113,9 +113,9 @@ class Germ:
 
     Immutable after construction (by convention) apart from the lattice
     tables and the row and column inverses of the product, which are built
-    on first use, idempotently; safe to share between threads.  Equality is identity;
-    compare `names`, `delta` and `product_rows` directly when structural
-    equality is needed.
+    on first use, idempotently; safe to share between threads.  Equality
+    is identity; compare `names`, `delta` and `product_rows` directly when
+    structural equality is needed.
     """
 
     def __init__(self, names: tuple[str, ...], delta: int,
