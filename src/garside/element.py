@@ -105,7 +105,8 @@ def _sweep(g: Germ, f: list[int], b: int) -> int:
     position can end as the unit, which is dropped here, and only the first
     can become Delta, which the caller moves into its Delta power.
     """
-    meet, comp, prod, inv, unit = g._meet, g._comp, g.product_rows, g._row_inverses(), g.unit
+    meet, comp, prod, unit = g._meet, g._comp, g.product_rows, g.unit
+    inv = g._row_inv or g._row_inverses()
     j = len(f)
     f.append(b)
     while j:
@@ -230,7 +231,7 @@ def _under(g: Germ, s: int, word: list[int]) -> list[int]:
     of a cell.  Unit letters are dropped; once the carry is the unit the
     rest of w passes unchanged.
     """
-    join, inv, unit = g._join, g._row_inverses(), g.unit
+    join, inv, unit = g._join, g._row_inv or g._row_inverses(), g.unit
     out = []
     for i, y in enumerate(word):
         if s == unit:

@@ -192,7 +192,10 @@ class Germ:
         self._rjoin = _LatticeRows(rupper, self._by_rupper)
 
     def _row_inverses(self) -> list[dict[int, int]]:
-        """_row_inv[s][v] = t with s.t = v, built on first use."""
+        """
+        _row_inv[s][v] = t with s.t = v, built on first use.  Hot paths read
+        `g._row_inv or g._row_inverses()`, which makes no call once it is built.
+        """
         if self._row_inv is None:
             self._row_inv = [{v: t for t, v in row.items()} for row in self.product_rows]
         return self._row_inv
@@ -296,7 +299,7 @@ class Germ:
 
     def lcomp(self, s: int, t: int) -> int:
         """The left complement s\\t: the simple u with s.u = s v t."""
-        return self._row_inverses()[s][self.join(s, t)]
+        return (self._row_inv or self._row_inverses())[s][self.join(s, t)]
 
     def rcomp(self, s: int, t: int) -> int:
         """The right complement t/s: the simple u with u.s = right-join."""
