@@ -299,7 +299,10 @@ class Germ:
 
     def lcomp(self, s: int, t: int) -> int:
         """The left complement s\\t: the simple u with s.u = s v t."""
-        return (self._row_inv or self._row_inverses())[s][self.join(s, t)]
+        v = self._join[s][t]
+        if v < 0:
+            self.join(s, t)  # raises: germ is not a lattice
+        return (self._row_inv or self._row_inverses())[s][v]
 
     def rcomp(self, s: int, t: int) -> int:
         """The right complement t/s: the simple u with u.s = right-join."""

@@ -265,7 +265,9 @@ def test_lattice_accessors_reject_non_lattice():
             with pytest.raises(GermError, match=f"^no {kind} of '{s}' and '{t}': "
                                                 "germ is not a lattice$"):
                 getattr(germ, kind)(germ.simple(s), germ.simple(t))
-    a, x, y = (g.simple(nm) for nm in ("a", "x", "y"))
+    a, b, x, y = (g.simple(nm) for nm in ("a", "b", "x", "y"))
+    with pytest.raises(GermError, match="^no join of 'a' and 'b': germ is not a lattice$"):
+        g.lcomp(a, b)
     assert g.meet(x, a) == a
     assert g.join(a, y) == y
     assert op.rjoin(a, x) == x
