@@ -288,11 +288,7 @@ def cmd_act(args) -> int:
     # Delta lies in neither factor: D^k (k > 0) stays one letter, which the action rejects
     hw, gw = (tuple(s for s, k in parse_word(g, w) if k) for w in (args.hword, args.gword))
     fn = zappa_szep.WORD_ACTIONS[args.op]
-    if args.op.startswith(("rr", "rl")):
-        out = fn(zs, hw, gw)
-    else:
-        out = fn(zs, gw, hw)
-    print(format_word(g, out))
+    print(format_word(g, fn(zs, hw, gw) if args.op[0] == "r" else fn(zs, gw, hw)))
     return 0
 
 
@@ -338,6 +334,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.max_len < 0 or args.samples < 0:
+        raise UsageError("--max-len and --samples must be non-negative")
     g = _germ(args)
     opt = Options(max_len=args.max_len, samples=args.samples, seed=args.seed)
     if args.suite == "all":

@@ -579,13 +579,18 @@ def _check_cancellativity(g: Germ) -> tuple[bool, str | None]:
 def _check_complements(g: Germ) -> tuple[bool, str | None]:
     nm = g.names
     n = len(g)
+    # one pass over the products equal to delta counts both completions
+    right, left = [0] * n, [0] * n
+    for s, row in enumerate(g.product_rows):
+        for t, u in row.items():
+            if u == g.delta:
+                right[s] += 1
+                left[t] += 1
     for s in range(n):
-        right = [t for t, u in g.product_rows[s].items() if u == g.delta]
-        if len(right) != 1:
-            return False, f"{nm[s]} has {len(right)} right completions to delta (expected 1)"
-        left = [t for t in range(n) if g.product_rows[t].get(s) == g.delta]
-        if len(left) != 1:
-            return False, f"{nm[s]} has {len(left)} left completions to delta (expected 1)"
+        if right[s] != 1:
+            return False, f"{nm[s]} has {right[s]} right completions to delta (expected 1)"
+        if left[s] != 1:
+            return False, f"{nm[s]} has {left[s]} left completions to delta (expected 1)"
     comp = [g._comp[s] for s in range(n)]
     if sorted(comp) != list(range(n)):
         return False, "the complement map is not a bijection on simples"

@@ -113,18 +113,9 @@ def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
         raise ValueError("nf_h is not a normal word over the H-simples")
     word = hw
     while gw:
-        last = gw.pop()
-        if not word:
-            word = [last]
-        else:
-            pairs = [zs.hg_pair[x] for x in word]
-            new = [g.product(last, pairs[0][0])]
-            for i in range(len(pairs) - 1):
-                new.append(g.product(pairs[i][1], pairs[i + 1][0]))
-            if pairs[-1][1] != g.unit:
-                new.append(pairs[-1][1])
-            assert all(k is not None for k in new), "pushed factor left the simples"
-            word = new
+        # the last G-letter re-associates as a leading factor 1.last
+        pairs = [(g.unit, gw.pop())] + [zs.hg_pair[x] for x in word]
+        word = zappa_szep.reassociate(g, pairs)
         assert element._is_normal_word(g, word), "merge_nf produced a non-normal word"
     return _from_letters(zs, word, g.delta)
 

@@ -4,14 +4,17 @@ suites: named property suites over germs and decompositions.
 Each suite exhaustively enumerates the simple-level quantifiers of one
 family of structural identities (action laws, order isomorphisms,
 complement formulas, normal-form criteria, ...) and samples the
-word-level variants with a seeded generator.  Suites return a report with
-a case count and a list of counterexample descriptions; the CLI `check`
-subcommand and the test suite both run them.
+word-level variants with a seeded generator.  Normality is 2-local, so
+`action-preserves-nf` and `push-lemma` instead walk the reachable states
+of a letter-to-letter transducer, exact at every length.  Suites return
+a report with a case count and a list of counterexample descriptions;
+the CLI `check` subcommand and the test suite both run them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -700,111 +703,113 @@ def suite_normal_form_criteria(zs: ZSStructure, opt: Options) -> SuiteReport:
                             f"join criterion fails at ({g.names[g1]},{g.names[h1]},"
                             f"{g.names[g2]},{g.names[h2]})")
 
-                    def oracle(k1: int, k2: int) -> bool:
-                        return g.normal_pair(k1, k2) and k2 != u
-
-                    r.check(normal_forms.is_normal_gh_gh(zs, g1, h1, g2, h2)
-                            == oracle(g.product(g1, h1), g.product(g2, h2)),
-                            lambda g1=g1, h1=h1, g2=g2, h2=h2:
-                            f"gh|gh criterion fails at ({g.names[g1]},{g.names[h1]},"
-                            f"{g.names[g2]},{g.names[h2]})")
-                    r.check(normal_forms.is_normal_gh_hg(zs, g1, h1, h2, g2)
-                            == oracle(g.product(g1, h1), g.product(h2, g2)),
-                            lambda g1=g1, h1=h1, g2=g2, h2=h2:
-                            f"gh|hg criterion fails at ({g.names[g1]},{g.names[h1]},"
-                            f"{g.names[h2]},{g.names[g2]})")
-                    r.check(normal_forms.is_normal_hg_gh(zs, h1, g1, g2, h2)
-                            == oracle(g.product(h1, g1), g.product(g2, h2)),
-                            lambda g1=g1, h1=h1, g2=g2, h2=h2:
-                            f"hg|gh criterion fails at ({g.names[h1]},{g.names[g1]},"
-                            f"{g.names[g2]},{g.names[h2]})")
-                    r.check(normal_forms.is_normal_hg_hg(zs, h1, g1, h2, g2)
-                            == oracle(g.product(h1, g1), g.product(h2, g2)),
-                            lambda g1=g1, h1=h1, g2=g2, h2=h2:
-                            f"hg|hg criterion fails at ({g.names[h1]},{g.names[g1]},"
-                            f"{g.names[h2]},{g.names[g2]})")
+                    for label, crit, xs in (
+                            ("gh|gh", normal_forms.is_normal_gh_gh, (g1, h1, g2, h2)),
+                            ("gh|hg", normal_forms.is_normal_gh_hg, (g1, h1, h2, g2)),
+                            ("hg|gh", normal_forms.is_normal_hg_gh, (h1, g1, g2, h2)),
+                            ("hg|hg", normal_forms.is_normal_hg_hg, (h1, g1, h2, g2))):
+                        k1, k2 = g.product(xs[0], xs[1]), g.product(xs[2], xs[3])
+                        r.check(crit(zs, *xs) == (g.normal_pair(k1, k2) and k2 != u),
+                                lambda label=label, xs=xs: f"{label} criterion fails at "
+                                f"({','.join(g.names[x] for x in xs)})")
     return SuiteReport("normal-form-criteria", r.cases, r.failures)
 
 
+def _walk(r: _Run, roots: Sequence, moves: Callable, describe: Callable) -> None:
+    """
+    Breadth first over the states reachable from `roots`: moves(state)
+    yields (letter, ok, next state), or (None, ok, None) for a check at the
+    end of a word, one case each; a failed move leads nowhere.  A failure
+    is describe(root, word) with the shortest word that reaches it, read
+    back through the parent links.
+    """
+    parent = dict.fromkeys(roots)
+    queue = deque(roots)
+
+    def witness(state, letter) -> str:
+        word = [] if letter is None else [letter]
+        while parent[state] is not None:
+            state, x = parent[state]
+            word.append(x)
+        return describe(state, tuple(word[::-1]))
+
+    while queue:
+        state = queue.popleft()
+        for letter, ok, nxt in moves(state):
+            r.check(ok, lambda: witness(state, letter))
+            if ok and nxt is not None and nxt not in parent:
+                parent[nxt] = (state, letter)
+                queue.append(nxt)
+
+
+def _successors(g: Germ, alphabet: Sequence[int]) -> dict[int, list[int]]:
+    """The letters that may follow each letter in a normal word."""
+    return {s: [t for t in alphabet if g.normal_pair(s, t)] for s in alphabet}
+
+
 def suite_push_lemma(zs: ZSStructure, opt: Options) -> SuiteReport:
-    """Pushing an H-simple through a normal word of GH-factors."""
+    """
+    Pushing an H-simple through a normal word of GH-factors, exact at every
+    length: a walk over the states (last letter, last output).
+    """
     g = zs.germ
     r = _Run(g)
-    G, H = zs.g_simples, zs.h_simples
     u = g.unit
+    pair = zs.gh_pair
+    alphabet = [k for k in range(len(g)) if k != u]
+    succ = _successors(g, alphabet)
+    lr = zs.steps["lr"]
 
-    def check_config(h: int, pairs: list[tuple[int, int]]) -> None:
-        ks = [g.product(gs, hs) for gs, hs in pairs]
-        if any(k is None or k == u for k in ks):
+    def moves(state):
+        k, out = state
+        if k is None:           # a root: out is the pushed h
+            for k1 in alphabet:
+                g1, h1 = pair[k1]
+                if g.meet(zs.comp_h(out), lr[g1][h1][0]) == u:
+                    y = g.product(out, g1)
+                    yield k1, y != u, (k1, y)
             return
-        if not all(g.normal_pair(ks[i], ks[i + 1]) for i in range(len(ks) - 1)):
-            return
-        if g.meet(zs.comp_h(h), zs.act_lr(pairs[0][0], pairs[0][1])) != u:
-            return
-        out = [g.product(h, pairs[0][0])]
-        for i in range(len(pairs) - 1):
-            out.append(g.product(pairs[i][1], pairs[i + 1][0]))
-        if pairs[-1][1] != u:
-            out.append(pairs[-1][1])
-        ok = (all(k is not None and k != u for k in out)
-              and all(g.normal_pair(out[i], out[i + 1]) for i in range(len(out) - 1)))
-        r.check(ok, lambda: "push lemma fails at h="
-                f"{g.names[h]}, word {[tuple(g.names[x] for x in p) for p in pairs]}")
+        carry = pair[k][1]
+        if carry != u:
+            yield None, g.normal_pair(out, carry), None
+        for k1 in succ[k]:
+            y = g.product(carry, pair[k1][0])
+            yield k1, y != u and g.normal_pair(out, y), (k1, y)
 
-    for h in H:
-        for g1 in G:
-            for h1 in H:
-                check_config(h, [(g1, h1)])
-                for g2 in G:
-                    for h2 in H:
-                        check_config(h, [(g1, h1), (g2, h2)])
-    rng = opt.rng()
-    for _ in range(opt.samples):
-        length = rng.randint(3, max(3, opt.max_len))
-        h = rng.choice(H)
-        pairs = [(rng.choice(G), rng.choice(H)) for _ in range(length)]
-        check_config(h, pairs)
+    def describe(root, word) -> str:
+        pairs = [tuple(g.names[x] for x in pair[k]) for k in word]
+        return f"push lemma fails at h={g.names[root[1]]}, word {pairs}"
+
+    _walk(r, [(None, h) for h in zs.h_simples], moves, describe)
     return SuiteReport("push-lemma", r.cases, r.failures)
 
 
 def suite_action_preserves_nf(zs: ZSStructure, opt: Options) -> SuiteReport:
-    """Acting on a normal factor word gives a normal word, both ways."""
+    """
+    Acting on a normal factor word gives a normal word, both ways, exact at
+    every length: a walk over the states (carry, last input, last output).
+    """
     g = zs.germ
     r = _Run(g)
-    g_alpha = tuple(s for s in zs.g_simples if s != g.unit)
-    h_alpha = tuple(s for s in zs.h_simples if s != g.unit)
+    for name, actors, acted, shape in (
+            ("rr", zs.h_simples, zs.g_simples, "{} |> {} is not normal"),
+            ("rr-inv", zs.h_simples, zs.g_simples, "{}^-1 |> {} is not normal"),
+            ("lr", zs.g_simples, zs.h_simples, "{} |>> {} is not normal"),
+            ("lr-inv", zs.g_simples, zs.h_simples, "{}^-1 |>> {} is not normal")):
+        step = zs.steps[name]
+        alphabet = [s for s in acted if s != g.unit]
+        succ = _successors(g, alphabet)
 
-    def norm(word: tuple[int, ...]) -> bool:
-        return all(g.normal_pair(word[i], word[i + 1]) for i in range(len(word) - 1))
+        def moves(state, step=step, alphabet=alphabet, succ=succ):
+            c, last, out = state
+            for x in (alphabet if last is None else succ[last]):
+                y, c1 = step[c][x]
+                yield x, out is None or g.normal_pair(out, y), (c1, x, y)
 
-    def words(alpha, letters: int) -> Iterator[tuple[int, ...]]:
-        def grow(word: list[int]) -> Iterator[tuple[int, ...]]:
-            yield tuple(word)
-            if len(word) == letters:
-                return
-            for s in alpha:
-                if not word or g.normal_pair(word[-1], s):
-                    word.append(s)
-                    yield from grow(word)
-                    word.pop()
-        yield from grow([])
+        def describe(root, word, shape=shape) -> str:
+            return shape.format(g.names[root[0]], r._show(word))
 
-    for gw in words(g_alpha, opt.max_len):
-        for hs in zs.h_simples:
-            acted = zappa_szep.act_rr_word(zs, (hs,), gw)
-            r.check(norm(acted), lambda hs=hs, gw=gw:
-                    f"{g.names[hs]} |> {r._show(gw)} is not normal")
-            back = zappa_szep.act_rr_inv_word(zs, (hs,), gw)
-            r.check(norm(back), lambda hs=hs, gw=gw:
-                    f"{g.names[hs]}^-1 |> {r._show(gw)} is not normal")
-    for hw in words(h_alpha, opt.max_len):
-        for gs in zs.g_simples:
-            acted = zappa_szep.act_lr_word(zs, (gs,), hw)
-            r.check(norm(acted), lambda gs=gs, hw=hw:
-                    f"{g.names[gs]} |>> {r._show(hw)} is not normal")
-            back = zappa_szep.act_lr_inv_word(zs, (gs,), hw)
-            r.check(norm(back), lambda gs=gs, hw=hw:
-                    f"{g.names[gs]}^-1 |>> {r._show(hw)} is not normal")
+        _walk(r, [(c, None, None) for c in actors], moves, describe)
     return SuiteReport("action-preserves-nf", r.cases, r.failures)
 
 

@@ -9,23 +9,23 @@ four actions on simples:
     h . g = (h |> g)(h <| g)        g . h = (g |>> h)(g <<| h)
 
 written here act_rr/act_rl (h acting on g from the left / the companion)
-and act_lr/act_ll.  The structure stores only the two factorisation maps
-gh_pair and hg_pair.  Each action and each inverse action is one lookup
-in them, at a product or at a join (v for the prefix join, v~ for the
-suffix join):
+and act_lr/act_ll.  build() stores the two factorisation maps gh_pair and
+hg_pair and derives from them one step table per action, a letter-to-
+letter transducer step (carry, letter) -> (output, next carry):
 
-    (h |> g, h <| g) = gh_pair[h.g]     (g |>> h, g <<| h) = hg_pair[g.h]
-    h^-1 |> g = hg_pair[g v h][1]       g^-1 |>> h = gh_pair[g v h][1]
-    h <| g^-1 = hg_pair[g v~ h][0]      g <<| h^-1 = gh_pair[g v~ h][0]
+    rr[h][g] = (h |> g, h <| g) = gh_pair[h.g]      rl[g][h] = (h <| g, h |> g)
+    lr[g][h] = (g |>> h, g <<| h) = hg_pair[g.h]    ll[h][g] = (g <<| h, g |>> h)
 
-Actions of words carry one actor letter at a time through the acted word
-with the simple-level actions.  The GH- and HG-decompositions of elements
-peel a normal form apart through the same two maps.
+An inverse table is the forward one with each row inverted on its output,
+e.g. rr-inv[h][g] = (h^-1 |> g, g^-1 |>> h).  An action on simples is one
+read of its table; an action of a word carries the actor letters through
+the acted word by the same steps.  The GH- and HG-decompositions of
+elements peel a normal form apart through gh_pair and hg_pair.
 
 build() re-verifies every structural invariant (parabolicity, unique
-decompositions of all simples, bijectivity of the actions) instead of
-trusting the classification; a failure raises DecompositionFailure with
-a witness.
+decompositions of all simples, and bijectivity of the actions, which is
+the inversion of the step tables) instead of trusting the classification;
+a failure raises DecompositionFailure with a witness.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class ZSStructure:
     delta_h: int
     gh_pair: list[tuple[int, int]]        # k -> the unique (g, h) with g.h = k; (1, k) iff k in H
     hg_pair: list[tuple[int, int]]        # k -> the unique (h, g) with h.g = k; (1, k) iff k in G
+    # action name -> carry -> letter -> (output letter, next carry)
+    steps: dict[str, dict[int, dict[int, tuple[int, int]]]]
 
     # -- membership ------------------------------------------------------
 
@@ -80,58 +82,54 @@ class ZSStructure:
 
     # -- the four actions and their inverses, on simples ------------------
 
-    def _domain(self, h: int, g: int, h_first: bool) -> None:
-        """Reject arguments unless h is an H-simple and g a G-simple."""
-        gh, unit = self.gh_pair, self.germ.unit
-        if gh[h][0] == unit == gh[g][1]:
-            return
+    def _act(self, name: str, first: int, second: int) -> int:
+        """
+        One read of the step table of the action `name`, with the
+        arguments in the order of act_<name>: the actor comes first for
+        rr and lr (and their inverses) and second for rl and ll.
+        """
+        try:
+            if name[1] == "r":
+                return self.steps[name][first][second][0]
+            return self.steps[name][second][first][0]
+        except KeyError:
+            pass
         nm = self.germ.names
-        if h_first:
-            want, got = "H-simple, G-simple", f"{nm[h]}, {nm[g]}"
-        else:
-            want, got = "G-simple, H-simple", f"{nm[g]}, {nm[h]}"
-        raise ValueError(
-            f"action argument outside its simple set: expected ({want}), got ({got})")
+        want = "H-simple, G-simple" if name[0] == "r" else "G-simple, H-simple"
+        raise ValueError("action argument outside its simple set: "
+                         f"expected ({want}), got ({nm[first]}, {nm[second]})")
 
     def act_rr(self, h: int, g: int) -> int:
         """h |> g."""
-        self._domain(h, g, True)
-        return self.gh_pair[self.germ.product_rows[h][g]][0]
+        return self._act("rr", h, g)
 
     def act_rl(self, h: int, g: int) -> int:
         """h <| g."""
-        self._domain(h, g, True)
-        return self.gh_pair[self.germ.product_rows[h][g]][1]
+        return self._act("rl", h, g)
 
     def act_lr(self, g: int, h: int) -> int:
         """g |>> h."""
-        self._domain(h, g, False)
-        return self.hg_pair[self.germ.product_rows[g][h]][0]
+        return self._act("lr", g, h)
 
     def act_ll(self, g: int, h: int) -> int:
         """g <<| h."""
-        self._domain(h, g, False)
-        return self.hg_pair[self.germ.product_rows[g][h]][1]
+        return self._act("ll", g, h)
 
     def act_rr_inv(self, h: int, g: int) -> int:
         """h^-1 |> g: the inverse permutation of g -> h |> g."""
-        self._domain(h, g, True)
-        return self.hg_pair[self.germ.join(g, h)][1]
+        return self._act("rr-inv", h, g)
 
     def act_rl_inv(self, h: int, g: int) -> int:
         """h <| g^-1."""
-        self._domain(h, g, True)
-        return self.hg_pair[self.germ.rjoin(g, h)][0]
+        return self._act("rl-inv", h, g)
 
     def act_lr_inv(self, g: int, h: int) -> int:
         """g^-1 |>> h."""
-        self._domain(h, g, False)
-        return self.gh_pair[self.germ.join(g, h)][1]
+        return self._act("lr-inv", g, h)
 
     def act_ll_inv(self, g: int, h: int) -> int:
         """g <<| h^-1."""
-        self._domain(h, g, False)
-        return self.gh_pair[self.germ.rjoin(g, h)][0]
+        return self._act("ll-inv", g, h)
 
     def join_gh(self, g: int, h: int) -> int:
         """lcm(g, h) computed factor-side: g.(g^-1 |>> h)."""
@@ -214,30 +212,28 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
         raise DecompositionFailure(
             f"{nm[missing[0]]} has no factorisation over the bipartition")
 
-    zs = ZSStructure(
+    # The forward steps, then their inverses: inverting a row on its output
+    # finds any collision, so a step table with an inverse is a bijection.
+    rr = {hs: {gs: gh_pair[germ.product(hs, gs)] for gs in g_simples} for hs in h_simples}
+    lr = {gs: {hs: hg_pair[germ.product(gs, hs)] for hs in h_simples} for gs in g_simples}
+    steps = {"rr": rr, "rl": {gs: {hs: rr[hs][gs][::-1] for hs in h_simples} for gs in g_simples},
+             "lr": lr, "ll": {hs: {gs: lr[gs][hs][::-1] for gs in g_simples} for hs in h_simples}}
+    for name, fails in (("rr", "{} |> . is not a bijection of the G-simples"),
+                        ("rl", ". <| {} is not a bijection of the H-simples"),
+                        ("lr", "{} |>> . is not a bijection of the H-simples"),
+                        ("ll", ". <<| {} is not a bijection of the G-simples")):
+        steps[name + "-inv"] = inv = {}
+        for c, row in steps[name].items():
+            inv[c] = {y: (x, d) for x, (y, d) in row.items()}
+            if len(inv[c]) != len(row):
+                raise DecompositionFailure(fails.format(nm[c]))
+
+    return ZSStructure(
         germ=germ, left_atoms=left, right_atoms=right,
         g_simples=g_simples, h_simples=h_simples,
         delta_g=delta_g, delta_h=delta_h,
-        gh_pair=gh_pair, hg_pair=hg_pair,
+        gh_pair=gh_pair, hg_pair=hg_pair, steps=steps,
     )
-
-    # Each action composed with its inverse lookup is the identity, which
-    # makes every action a bijection of its simple set.
-    for hs in h_simples:
-        for gs in g_simples:
-            if zs.act_rr(hs, zs.act_rr_inv(hs, gs)) != gs:
-                raise DecompositionFailure(
-                    f"{nm[hs]} |> . is not a bijection of the G-simples")
-            if zs.act_rl(zs.act_rl_inv(hs, gs), gs) != hs:
-                raise DecompositionFailure(
-                    f". <| {nm[gs]} is not a bijection of the H-simples")
-            if zs.act_lr(gs, zs.act_lr_inv(gs, hs)) != hs:
-                raise DecompositionFailure(
-                    f"{nm[gs]} |>> . is not a bijection of the H-simples")
-            if zs.act_ll(zs.act_ll_inv(gs, hs), hs) != gs:
-                raise DecompositionFailure(
-                    f". <<| {nm[hs]} is not a bijection of the G-simples")
-    return zs
 
 
 def _join_all(g: Germ, simples: Iterable[int]) -> int:
@@ -301,14 +297,7 @@ def _peel(zs: ZSStructure, x: NormalWord, pair: list[tuple[int, int]],
         if pairs[0][0] == g.unit:
             break
         first.append(pairs[0][0])
-        new = []
-        for i in range(len(pairs) - 1):
-            k = g.product(pairs[i][1], pairs[i + 1][0])
-            assert k is not None, "re-associated factor left the simples"
-            new.append(k)
-        if pairs[-1][1] != g.unit:
-            new.append(pairs[-1][1])
-        word = new
+        word = reassociate(g, pairs)
         assert element._is_normal_word(g, word), "peeling produced a non-normal word"
     assert element._is_normal_word(g, first), "peeling produced a non-normal first factor"
     # Neither factor contains delta, so both letter lists are normal words.
@@ -319,12 +308,24 @@ def _peel(zs: ZSStructure, x: NormalWord, pair: list[tuple[int, int]],
     return lead, rest
 
 
+def reassociate(g: Germ, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """
+    One re-association step over a word of factored letters a_i.b_i: the
+    letters b_i.a_(i+1), then b_n unless it is 1.
+    """
+    word = [g.product(b, a) for (_, b), (a, _) in zip(pairs, pairs[1:])]
+    assert None not in word, "re-associated factor left the simples"
+    if pairs[-1][1] != g.unit:
+        word.append(pairs[-1][1])
+    return word
+
+
 # -- actions on words --------------------------------------------------------
 #
 # A word acts one letter at a time, and a letter acts on a word by being
-# carried through it: step(carry, letter) gives the output letter and the
-# next carry.  The *_word functions take (actor word, acted word) in the
-# same argument order as the simple-level actions.
+# carried through it: steps[name][carry][letter] gives the output letter
+# and the next carry.  The *_word functions take (actor word, acted word)
+# in the same argument order as the simple-level actions.
 
 def _check_words(zs: ZSStructure, sides: str, *words: Sequence[int]) -> None:
     for side, word in zip(sides, words):
@@ -334,15 +335,23 @@ def _check_words(zs: ZSStructure, sides: str, *words: Sequence[int]) -> None:
                 raise ValueError(f"{zs.germ.names[s]!r} is not a {side}-simple")
 
 
-def _carry(step, actors: Iterable[int], word: Sequence[int],
-           rightward: bool) -> tuple[int, ...]:
-    """Carry each actor in turn through the word, from its left end if
-    rightward, else from its right end."""
-    out = list(word)
+def _act_word(zs: ZSStructure, name: str, first: Sequence[int],
+              second: Sequence[int]) -> tuple[int, ...]:
+    """
+    Carry each actor letter through the acted word: rightward for rr and
+    lr, whose actor word comes first, leftward for rl and ll.  A word acts
+    from its letter nearest the acted word, and its inverse from the other.
+    """
+    _check_words(zs, "HG" if name[0] == "r" else "GH", first, second)
+    step = zs.steps[name]
+    rightward = name[1] == "r"
+    actors, out = (first, list(second)) if rightward else (second, list(first))
+    if rightward != name.endswith("-inv"):
+        actors = actors[::-1]
     for c in actors:
         new = []
         for x in (out if rightward else reversed(out)):
-            y, c = step(c, x)
+            y, c = step[c][x]
             new.append(y)
         out = new if rightward else new[::-1]
     return tuple(out)
@@ -350,52 +359,42 @@ def _carry(step, actors: Iterable[int], word: Sequence[int],
 
 def act_rr_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
     """(h-word) |> (g-word)."""
-    _check_words(zs, "HG", hw, gw)
-    return _carry(lambda h, g: zs.gh_pair[zs.germ.product(h, g)], reversed(hw), gw, True)
+    return _act_word(zs, "rr", hw, gw)
 
 
 def act_rl_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
     """(h-word) <| (g-word)."""
-    _check_words(zs, "HG", hw, gw)
-    return _carry(lambda g, h: zs.gh_pair[zs.germ.product(h, g)][::-1], gw, hw, False)
+    return _act_word(zs, "rl", hw, gw)
 
 
 def act_lr_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
     """(g-word) |>> (h-word)."""
-    _check_words(zs, "GH", gw, hw)
-    return _carry(lambda g, h: zs.hg_pair[zs.germ.product(g, h)], reversed(gw), hw, True)
+    return _act_word(zs, "lr", gw, hw)
 
 
 def act_ll_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
     """(g-word) <<| (h-word)."""
-    _check_words(zs, "GH", gw, hw)
-    return _carry(lambda h, g: zs.hg_pair[zs.germ.product(g, h)][::-1], hw, gw, False)
+    return _act_word(zs, "ll", gw, hw)
 
 
 def act_rr_inv_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
     """(h-word)^-1 |> (g-word)."""
-    _check_words(zs, "HG", hw, gw)
-    return _carry(lambda h, g: (zs.act_rr_inv(h, g), zs.act_lr_inv(g, h)), hw, gw, True)
+    return _act_word(zs, "rr-inv", hw, gw)
 
 
 def act_rl_inv_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
     """(h-word) <| (g-word)^-1."""
-    _check_words(zs, "HG", hw, gw)
-    return _carry(lambda g, h: (zs.act_rl_inv(h, g), zs.act_ll_inv(g, h)), reversed(gw), hw,
-                  False)
+    return _act_word(zs, "rl-inv", hw, gw)
 
 
 def act_lr_inv_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
     """(g-word)^-1 |>> (h-word)."""
-    _check_words(zs, "GH", gw, hw)
-    return _carry(lambda g, h: (zs.act_lr_inv(g, h), zs.act_rr_inv(h, g)), gw, hw, True)
+    return _act_word(zs, "lr-inv", gw, hw)
 
 
 def act_ll_inv_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
     """(g-word) <<| (h-word)^-1."""
-    _check_words(zs, "GH", gw, hw)
-    return _carry(lambda h, g: (zs.act_ll_inv(g, h), zs.act_rl_inv(h, g)), reversed(hw), gw,
-                  False)
+    return _act_word(zs, "ll-inv", gw, hw)
 
 
 WORD_ACTIONS = {

@@ -448,3 +448,90 @@ def abelian_by_braid3_germ():
                 triples.append((name(x, p), name(y, q), name(x | py, pq)))
     return make_germ([name(x, p) for x, p in simples], name(subsets[-1], (2, 1, 0)),
                      triples)
+
+
+# -- word enumerators for the two walked Zappa-Szep suites ------------------------
+
+def normal_words(g, alphabet, letters: int):
+    """Every normal word over the alphabet with at most `letters` letters."""
+    def grow(word):
+        yield tuple(word)
+        if len(word) == letters:
+            return
+        for s in alphabet:
+            if not word or g.normal_pair(word[-1], s):
+                word.append(s)
+                yield from grow(word)
+                word.pop()
+    yield from grow([])
+
+
+ACTION_NF_SHAPES = {"rr": "{} |> {} is not normal", "rr-inv": "{}^-1 |> {} is not normal",
+                    "lr": "{} |>> {} is not normal", "lr-inv": "{}^-1 |>> {} is not normal"}
+
+
+def action_nf_failures(zs, name: str, letters: int) -> list[tuple[str, int]]:
+    """
+    The action-preserves-nf law for one of rr, rr-inv, lr and lr-inv, by
+    enumeration: every simple of the acting factor on every normal word of
+    the other with at most `letters` letters.  Returns (the failure line
+    in the suite's format, the word's length) for each word whose image is
+    not normal.
+    """
+    from garside import zappa_szep
+
+    g = zs.germ
+    act = zappa_szep.WORD_ACTIONS[name]
+    actors, acted = ((zs.h_simples, zs.g_simples) if name[0] == "r"
+                     else (zs.g_simples, zs.h_simples))
+    alphabet = [s for s in acted if s != g.unit]
+    found = []
+    for word in normal_words(g, alphabet, letters):
+        for c in actors:
+            out = act(zs, (c,), word)
+            if not all(g.normal_pair(x, y) for x, y in zip(out, out[1:])):
+                shown = ".".join(g.names[s] for s in word) if word else "1"
+                found.append((ACTION_NF_SHAPES[name].format(g.names[c], shown), len(word)))
+    return found
+
+
+def push_lemma_failures(zs, pairs: int) -> list[tuple[str, int]]:
+    """
+    The push lemma by enumeration: every H-simple h pushed through every
+    word of at most `pairs` GH-factors (g_i, h_i) whose products form a
+    normal word, when h is prefix-coprime to g_1 |>> h_1.  Returns (the
+    failure line in the suite's format, the number of factors).
+    """
+    g = zs.germ
+    u = g.unit
+    found = []
+
+    def check(h, word):
+        out = [g.product(h, word[0][0])]
+        out += [g.product(b, a) for (_, b), (a, _) in zip(word, word[1:])]
+        if word[-1][1] != u:
+            out.append(word[-1][1])
+        if not (all(k is not None and k != u for k in out)
+                and all(g.normal_pair(x, y) for x, y in zip(out, out[1:]))):
+            shown = [tuple(g.names[x] for x in p) for p in word]
+            found.append((f"push lemma fails at h={g.names[h]}, word {shown}", len(word)))
+
+    def grow(h, word, last):
+        if word:
+            check(h, word)
+        if len(word) == pairs:
+            return
+        for a in zs.g_simples:
+            for b in zs.h_simples:
+                k = g.product(a, b)
+                if k == u or (last is not None and not g.normal_pair(last, k)):
+                    continue
+                if not word and g.meet(zs.comp_h(h), zs.act_lr(a, b)) != u:
+                    continue
+                word.append((a, b))
+                grow(h, word, k)
+                word.pop()
+
+    for h in zs.h_simples:
+        grow(h, [], None)
+    return found

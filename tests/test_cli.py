@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from garside import cli, element, germ_from_spec
 
 WREATH_FILE = """\
@@ -128,6 +130,14 @@ def test_check(capsys):
     code, out, err = run(capsys, "check", "--germ", "wreath",
                          "--suite", "no-such-suite")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--max-len", "--samples"])
+def test_check_rejects_negative_bounds(capsys, flag):
+    code, out, err = run(capsys, "check", "--germ", "wreath", "--suite",
+                         "complements-lemma", flag, "-1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: --max-len and --samples must be non-negative\n"
 
 
 def test_check_translation_on_a_large_product(capsys):

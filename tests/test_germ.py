@@ -141,6 +141,25 @@ def test_non_cancellative_associativity_witness_is_kept():
     assert report.failures()[1].witness == "a.d = x.d = e"
 
 
+# Hand-made tables whose complement check first fails on a left completion:
+# the earlier simples each have exactly one right and one left completion.
+LEFT_COMPLETION_FAILURES = [
+    # nothing times a is delta
+    ((["1", "a", "b", "d"], "d", [("a", "b", "d"), ("b", "b", "d")]),
+     "a has 0 left completions to delta (expected 1)"),
+    # a.b = c.b = delta
+    ((["1", "a", "b", "c", "d"], "d", [("a", "b", "d"), ("b", "a", "d"), ("c", "b", "d")]),
+     "b has 2 left completions to delta (expected 1)"),
+]
+
+
+@pytest.mark.parametrize("table, witness", LEFT_COMPLETION_FAILURES, ids=["none", "two"])
+def test_left_completion_witnesses(table, witness):
+    report = validate_germ(make_germ(*table))
+    assert [str(c) for c in report.checks if c.axiom == "complements"] \
+        == [f"complements: FAIL ({witness})"]
+
+
 def test_left_divides(wreath):
     s = wreath.simple
     assert wreath.left_divides(s("a"), s("ab"))

@@ -1,8 +1,9 @@
+import copy
 import random
 
 import pytest
 
-from garside import (NotAUnionOfClasses, Options, ZS_SUITES, build,
+from garside import (DecompositionFailure, NotAUnionOfClasses, Options, ZS_SUITES, build,
                      germ_from_spec, run_suite, validate_germ)
 from garside import element as el
 from garside import zappa_szep as zsm
@@ -55,6 +56,20 @@ def test_build_rejects_partial_class(b3, wreath):
         build(wreath, [wreath.simple("a"), wreath.simple("b"), wreath.simple("c")])
     with pytest.raises(NotAUnionOfClasses):
         build(wreath, [])
+
+
+def test_build_rejects_an_action_that_is_not_a_bijection(wreath, wreath_zs):
+    # Swapping the values of 1.ab and c.a keeps every HG-factorisation
+    # unique, but then 1 |> b = 1 |> ab = b.  The copy shares the lattice
+    # tables that building wreath_zs filled from the untampered products.
+    s = wreath.simple
+    g = copy.copy(wreath)
+    g.product_rows = [dict(row) for row in wreath.product_rows]
+    g.product_rows[g.unit][s("ab")] = s("bc")
+    g.product_rows[s("c")][s("a")] = s("ab")
+    with pytest.raises(DecompositionFailure,
+                       match=r"^1 \|> \. is not a bijection of the G-simples$"):
+        build(g, [s("a"), s("b")])
 
 
 def test_member(wreath_zs, wreath):
