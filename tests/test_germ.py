@@ -160,6 +160,56 @@ def test_left_completion_witnesses(table, witness):
         == [f"complements: FAIL ({witness})"]
 
 
+def _report(complements, balanced, lattice, atoms="pass", cancellativity="pass"):
+    return ["identity: pass", "associativity: pass",
+            *(f"{axiom}: {result}" for axiom, result in (
+                ("cancellativity", cancellativity), ("complements", complements),
+                ("balanced-delta", balanced), ("lattice", lattice), ("atoms", atoms)))]
+
+
+# Hand-made tables, each breaking one suffix-side axiom of the balanced-delta
+# or lattice check, and one breaking both sides at the same place, where the
+# prefix witness is the one reported.  The full reports pin every witness.
+SUFFIX_SIDE_FAILURES = [
+    # a.x = y and b.y = x: x and y are suffixes of each other
+    ((["1", "x", "y", "a", "b"], "x", [("a", "x", "y"), ("b", "y", "x")]),
+     _report(complements="FAIL (y has 0 right completions to delta (expected 1))",
+             balanced="FAIL (y is not a prefix of delta)",
+             lattice="FAIL (suffix order not antisymmetric: y, x)",
+             atoms="FAIL (atom stripping does not terminate at x)")),
+    # D = d.a = c.b and y = c.a = d.b have the common suffixes a and b, and
+    # y.c = D makes y a prefix of D, so their prefix meet and join exist
+    ((["1", "D", "y", "a", "b", "c", "d"], "D",
+      [("c", "a", "y"), ("d", "b", "y"), ("d", "a", "D"), ("c", "b", "D"), ("y", "c", "D")]),
+     _report(complements="FAIL (y has 0 left completions to delta (expected 1))",
+             balanced="FAIL (a is not a prefix of delta)",
+             lattice="FAIL (D and y have no suffix meet)")),
+    # a.d = b: a is a prefix of b, but nothing has both as suffixes
+    ((["1", "a", "b", "d"], "b", [("a", "d", "b")]),
+     _report(complements="FAIL (a has 0 left completions to delta (expected 1))",
+             balanced="FAIL (d is not a prefix of delta)",
+             lattice="FAIL (a and b have no suffix join)")),
+    # a.b = b.b = d: every simple is a prefix of d, but a is no suffix
+    ((["1", "a", "b", "d"], "d", [("a", "b", "d"), ("b", "b", "d")]),
+     _report(cancellativity="FAIL (a.b = b.b = d)",
+             complements="FAIL (a has 0 left completions to delta (expected 1))",
+             balanced="FAIL (a is not a suffix of delta)",
+             lattice="FAIL (a and b have no suffix join)")),
+    # a.b = d alone: b is no prefix and a no suffix of d, and a, b have
+    # neither a prefix nor a suffix join
+    ((["1", "a", "b", "d"], "d", [("a", "b", "d")]),
+     _report(complements="FAIL (a has 0 left completions to delta (expected 1))",
+             balanced="FAIL (b is not a prefix of delta)",
+             lattice="FAIL (a and b have no prefix join)")),
+]
+
+
+@pytest.mark.parametrize("table, report", SUFFIX_SIDE_FAILURES,
+                         ids=["antisymmetry", "meet", "join", "delta", "both-sides"])
+def test_suffix_side_witnesses(table, report):
+    assert str(validate_germ(make_germ(*table))).splitlines() == report
+
+
 def test_left_divides(wreath):
     s = wreath.simple
     assert wreath.left_divides(s("a"), s("ab"))
