@@ -161,6 +161,22 @@ def test_action_domain_errors(wreath, wreath_zs):
         zsm.act_rr_word(wreath_zs, (wreath.simple("c"),), (wreath.simple("c"),))
 
 
+def test_action_domain_errors_name_raw_ids(wreath, wreath_zs):
+    zs = wreath_zs
+    a = wreath.simple("a")
+    cases = [
+        (lambda: zs.act_rr(10**6, 0), r"got \(simple id 1000000, '1'\)$"),
+        (lambda: zs.act_rr(-1, a), r"got \(simple id -1, 'a'\)$"),
+        (lambda: zs.act_ll(a, 8), r"got \('a', simple id 8\)$"),
+        (lambda: zsm.act_rr_word(zs, (10**6,), ()), r"^simple id 1000000 is not a H-simple$"),
+        (lambda: zsm.act_rr_word(zs, (-1,), ()), r"^simple id -1 is not a H-simple$"),
+        (lambda: zsm.act_lr_word(zs, (a,), (0, -8)), r"^simple id -8 is not a H-simple$"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_word_actions(wreath, wreath_zs):
     s = wreath.simple
     zs = wreath_zs
