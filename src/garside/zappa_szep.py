@@ -94,10 +94,10 @@ class ZSStructure:
             return self.steps[name][second][first][0]
         except KeyError:
             pass
-        nm = self.germ.names
+        g = self.germ
         want = "H-simple, G-simple" if name[0] == "r" else "G-simple, H-simple"
         raise ValueError("action argument outside its simple set: "
-                         f"expected ({want}), got ({nm[first]}, {nm[second]})")
+                         f"expected ({want}), got ({_quoted(g, first)}, {_quoted(g, second)})")
 
     def act_rr(self, h: int, g: int) -> int:
         """h |> g."""
@@ -327,12 +327,18 @@ def reassociate(g: Germ, pairs: Sequence[tuple[int, int]]) -> list[int]:
 # and the next carry.  The *_word functions take (actor word, acted word)
 # in the same argument order as the simple-level actions.
 
+def _quoted(g: Germ, s: int) -> str:
+    """The quoted name of simple s, or the raw id of an argument that is none."""
+    return repr(g.names[s]) if 0 <= s < len(g) else f"simple id {s}"
+
+
 def _check_words(zs: ZSStructure, sides: str, *words: Sequence[int]) -> None:
     for side, word in zip(sides, words):
         ok = zs.member_g if side == "G" else zs.member_h
         for s in word:
-            if not ok(s):
-                raise ValueError(f"{zs.germ.names[s]!r} is not a {side}-simple")
+            # an id past the last simple divides nothing, so only s < 0 needs a test
+            if s < 0 or not ok(s):
+                raise ValueError(f"{_quoted(zs.germ, s)} is not a {side}-simple")
 
 
 def _act_word(zs: ZSStructure, name: str, first: Sequence[int],
