@@ -377,16 +377,9 @@ def left_divisor_set(g: Germ, x: NormalWord) -> set[NormalWord]:
 
 
 def right_divisor_set(g: Germ, x: NormalWord) -> set[NormalWord]:
-    found = {UNIT}
-    frontier = [UNIT]
-    while frontier:
-        d = frontier.pop()
-        for a in g.atoms:
-            ad = multiply(g, simple(g, a), d)
-            if ad not in found and rdivides(g, ad, x):
-                found.add(ad)
-                frontier.append(ad)
-    return found
+    """All suffixes of x: its prefixes in the opposite germ, read backwards."""
+    op = g.opposite()
+    return {_reversed_in(g, d) for d in left_divisor_set(op, _reversed_in(op, x))}
 
 
 def balance_witness(g: Germ, x: NormalWord) -> NormalWord | None:

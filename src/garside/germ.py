@@ -4,11 +4,12 @@ germ: finite Garside structures presented by their simple-element tables.
 A germ is the complete combinatorial datum of a finite Garside structure:
 the set of divisors of the Garside element Delta ("simples"), the partial
 product on simples (defined exactly when the product of two simples is
-again a simple), the identity and Delta.  Divisibility, atoms and
-complements are derived at construction time.  Meets and joins in both
-the prefix and the suffix order live in one table per operation whose
-rows are filled from the divisibility bitmasks the first time they are
-used, so every lattice query is an O(1) array lookup.
+again a simple), the identity and Delta.  Prefix divisibility, atoms and
+complements are derived at construction time.  Meets and joins in the
+prefix order live in one table per operation whose rows are filled from
+the divisibility bitmasks the first time they are used, so every lattice
+query is an O(1) array lookup.  The suffix order of a germ is the prefix
+order of its opposite germ, whose tables answer every suffix query.
 
 Simples are identified by small integers.  Index 0 is always the identity,
 which must be named "1".  Divisibility relations are kept as bitmasks over
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NoReturn
 
 # Characters that would collide with word syntax ('.'-words, '|'-normal
@@ -112,10 +112,12 @@ class Germ:
     and rows that already contain the implied unit products.
 
     Immutable after construction (by convention) apart from the lattice
-    tables and the row and column inverses of the product, which are built
-    on first use, idempotently; safe to share between threads.  Equality
-    is identity; compare `names`, `delta` and `product_rows` directly when
-    structural equality is needed.
+    tables, the row inverses of the product and the opposite germ, which
+    are built on first use, idempotently; safe to share between threads.
+    The suffix accessors (right_divides, rmeet, rjoin, rcomp, ...) read
+    the prefix tables of the opposite germ.  Equality is identity; compare
+    `names`, `delta` and `product_rows` directly when structural equality
+    is needed.
     """
 
     def __init__(self, names: tuple[str, ...], delta: int,
@@ -132,54 +134,40 @@ class Germ:
         self.name_index: dict[str, int] = {nm: i for i, nm in enumerate(names)}
 
         # Divisibility bitmasks.  ldiv[t] holds s iff s.u = t for some u;
-        # rdiv[t] holds s iff u.s = t for some u.  lupper and rupper are
-        # their transposes: lupper[s] holds the products s.u, rupper[s]
-        # the products u.s.
+        # its transpose lupper[s] holds the products s.u.
         ldiv = [0] * n
-        rdiv = [0] * n
         lupper = [0] * n
-        rupper = [0] * n
         for s, row in enumerate(product_rows):
             bit = 1 << s
             above = 0
-            for t, u in row.items():
+            for u in row.values():
                 ldiv[u] |= bit
-                rdiv[u] |= 1 << t
                 above |= 1 << u
-                rupper[t] |= 1 << u
             lupper[s] = above
         self.ldiv = ldiv
-        self.rdiv = rdiv
         self.lupper = lupper
-        self.rupper = rupper
 
         unit_mask = 1 << 0
         self.atoms: tuple[int, ...] = tuple(
             s for s in range(1, n) if ldiv[s] == unit_mask | (1 << s)
         )
 
-        # Inverted product rows, _row_inv[s][v] = t with s.t = v, and their
-        # mirror _col_inv are built on first use: _row_inverses() fills
-        # _row_inv.  Cancellativity makes them well defined; validation
-        # flags germs where they are not.
+        # Inverted product rows, _row_inv[s][v] = t with s.t = v, are built
+        # on first use by _row_inverses().  Cancellativity makes them well
+        # defined; validation flags germs where they are not.
         self._row_inv: list[dict[int, int]] | None = None
 
         comp = [-1] * n
-        rcomp = [-1] * n
         for s, row in enumerate(product_rows):
             for t, v in row.items():
                 if v == delta:
                     comp[s] = t
-                    rcomp[t] = s
         self._comp = comp
-        self._rcomp = rcomp
 
         # A simple is pinned down by its divisor set, so meets and joins
         # are mask-intersection lookups.
         self._by_ldiv = {ldiv[s]: s for s in range(n)}
-        self._by_rdiv = {rdiv[s]: s for s in range(n)}
         self._by_lupper = {lupper[s]: s for s in range(n)}
-        self._by_rupper = {rupper[s]: s for s in range(n)}
 
         self.atom_len = self._compute_atom_lengths()
 
@@ -188,8 +176,6 @@ class Germ:
 
         self._meet = _LatticeRows(ldiv, self._by_ldiv)
         self._join = _LatticeRows(lupper, self._by_lupper)
-        self._rmeet = _LatticeRows(rdiv, self._by_rdiv)
-        self._rjoin = _LatticeRows(rupper, self._by_rupper)
 
     def _row_inverses(self) -> list[dict[int, int]]:
         """
@@ -199,15 +185,6 @@ class Germ:
         if self._row_inv is None:
             self._row_inv = [{v: t for t, v in row.items()} for row in self.product_rows]
         return self._row_inv
-
-    @cached_property
-    def _col_inv(self) -> list[dict[int, int]]:
-        """_col_inv[s][v] = t with t.s = v; only rcomp reads it."""
-        col_inv: list[dict[int, int]] = [dict() for _ in self.names]
-        for t, row in enumerate(self.product_rows):
-            for s, v in row.items():
-                col_inv[s][v] = t
-        return col_inv
 
     def _compute_atom_lengths(self) -> list[int]:
         # Divisor-set size increases strictly along proper divisibility in
@@ -264,13 +241,13 @@ class Germ:
 
     def right_divides(self, s: int, t: int) -> bool:
         """s is a suffix of t: some u satisfies u.s = t."""
-        return bool((self.rdiv[t] >> s) & 1)
+        return bool((self.opposite().ldiv[t] >> s) & 1)
 
     def left_divisors(self, t: int) -> list[int]:
         return list(_bits(self.ldiv[t]))
 
     def right_divisors(self, t: int) -> list[int]:
-        return list(_bits(self.rdiv[t]))
+        return list(_bits(self.opposite().ldiv[t]))
 
     def _not_a_lattice(self, kind: str, s: int, t: int) -> NoReturn:
         raise GermError(
@@ -289,12 +266,12 @@ class Germ:
 
     def rmeet(self, s: int, t: int) -> int:
         """Greatest common suffix of two simples."""
-        r = self._rmeet[s][t]
+        r = self.opposite()._meet[s][t]
         return r if r >= 0 else self._not_a_lattice("rmeet", s, t)
 
     def rjoin(self, s: int, t: int) -> int:
         """Least common upper bound of two simples in the suffix order."""
-        r = self._rjoin[s][t]
+        r = self.opposite()._join[s][t]
         return r if r >= 0 else self._not_a_lattice("rjoin", s, t)
 
     def lcomp(self, s: int, t: int) -> int:
@@ -306,7 +283,8 @@ class Germ:
 
     def rcomp(self, s: int, t: int) -> int:
         """The right complement t/s: the simple u with u.s = right-join."""
-        return self._col_inv[s][self.rjoin(s, t)]
+        op = self.opposite()
+        return (op._row_inv or op._row_inverses())[s][self.rjoin(s, t)]
 
     def complement(self, s: int) -> int:
         """The simple u with s.u = delta."""
@@ -317,7 +295,7 @@ class Germ:
 
     def rcomplement(self, s: int) -> int:
         """The simple u with u.s = delta."""
-        u = self._rcomp[s]
+        u = self.opposite()._comp[s]
         if u < 0:
             raise GermError(f"simple {self.names[s]!r} has no left completion to delta")
         return u
@@ -594,19 +572,21 @@ def _check_complements(g: Germ) -> tuple[bool, str | None]:
     comp = [g._comp[s] for s in range(n)]
     if sorted(comp) != list(range(n)):
         return False, "the complement map is not a bijection on simples"
+    op = g.opposite()
     for s in range(n):
-        if g._rcomp[comp[s]] != s:
+        if op._comp[comp[s]] != s:
             return False, f"left and right complements are not mutually inverse at {nm[s]}"
     return True, None
 
 
 def _check_balanced(g: Germ) -> tuple[bool, str | None]:
     full = (1 << len(g)) - 1
+    op = g.opposite()
     if g.ldiv[g.delta] != full:
         missing = next(s for s in range(len(g)) if not (g.ldiv[g.delta] >> s) & 1)
         return False, f"{g.names[missing]} is not a prefix of delta"
-    if g.rdiv[g.delta] != full:
-        missing = next(s for s in range(len(g)) if not (g.rdiv[g.delta] >> s) & 1)
+    if op.ldiv[g.delta] != full:
+        missing = next(s for s in range(len(g)) if not (op.ldiv[g.delta] >> s) & 1)
         return False, f"{g.names[missing]} is not a suffix of delta"
     return True, None
 
@@ -614,8 +594,9 @@ def _check_balanced(g: Germ) -> tuple[bool, str | None]:
 def _check_lattice(g: Germ) -> tuple[bool, str | None]:
     nm = g.names
     n = len(g)
+    op = g.opposite()
     for s in range(n):
-        if not (g.ldiv[s] >> s) & 1 or not (g.rdiv[s] >> s) & 1:
+        if not (g.ldiv[s] >> s) & 1 or not (op.ldiv[s] >> s) & 1:
             return False, f"divisibility is not reflexive at {nm[s]}"
     for t in range(n):
         for s in _bits(g.ldiv[t]):
@@ -623,10 +604,10 @@ def _check_lattice(g: Germ) -> tuple[bool, str | None]:
                 return False, f"prefix order not antisymmetric: {nm[s]}, {nm[t]}"
             if g.ldiv[s] & g.ldiv[t] != g.ldiv[s]:
                 return False, f"prefix order not transitive below {nm[t]} at {nm[s]}"
-        for s in _bits(g.rdiv[t]):
-            if s != t and (g.rdiv[s] >> t) & 1:
+        for s in _bits(op.ldiv[t]):
+            if s != t and (op.ldiv[s] >> t) & 1:
                 return False, f"suffix order not antisymmetric: {nm[s]}, {nm[t]}"
-            if g.rdiv[s] & g.rdiv[t] != g.rdiv[s]:
+            if op.ldiv[s] & op.ldiv[t] != op.ldiv[s]:
                 return False, f"suffix order not transitive below {nm[t]} at {nm[s]}"
     for s in range(n):
         for t in range(s, n):
@@ -634,9 +615,9 @@ def _check_lattice(g: Germ) -> tuple[bool, str | None]:
                 return False, f"{nm[s]} and {nm[t]} have no prefix meet"
             if g.lupper[s] & g.lupper[t] not in g._by_lupper:
                 return False, f"{nm[s]} and {nm[t]} have no prefix join"
-            if g.rdiv[s] & g.rdiv[t] not in g._by_rdiv:
+            if op.ldiv[s] & op.ldiv[t] not in op._by_ldiv:
                 return False, f"{nm[s]} and {nm[t]} have no suffix meet"
-            if g.rupper[s] & g.rupper[t] not in g._by_rupper:
+            if op.lupper[s] & op.lupper[t] not in op._by_lupper:
                 return False, f"{nm[s]} and {nm[t]} have no suffix join"
     return True, None
 

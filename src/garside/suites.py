@@ -119,10 +119,9 @@ def _normal_words(g: Germ, alphabet: Sequence[int], budget: int) -> Iterator[tup
 # ---------------------------------------------------------------------------
 
 def suite_lattice_laws(g: Germ, opt: Options) -> SuiteReport:
-    """Commutativity, absorption and duality of the germ lattice ops."""
+    """Commutativity, absorption and associativity of the lattice ops; complement laws."""
     r = _Run(g)
     n = len(g)
-    op = g.opposite()
     for s in range(n):
         for t in range(n):
             r.eq(g.meet(s, t), g.meet(t, s), "meet-comm", s, t)
@@ -132,9 +131,6 @@ def suite_lattice_laws(g: Germ, opt: Options) -> SuiteReport:
             r.eq(g.product(s, g.lcomp(s, t)), g.join(s, t), "lcomp-join", s, t)
             pr = g.product(g.rcomp(s, t), s)
             r.eq(pr, g.rjoin(s, t), "rcomp-rjoin", s, t)
-            r.eq(op.meet(s, t), g.rmeet(s, t), "tau-meet", s, t)
-            r.eq(op.join(s, t), g.rjoin(s, t), "tau-join", s, t)
-            r.eq(op.lcomp(s, t), g.rcomp(s, t), "tau-lcomp", s, t)
     for s in range(n):
         r.eq(g.rcomplement(g.complement(s)), s, "comp-inverse", s)
     if n <= 24:

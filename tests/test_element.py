@@ -286,7 +286,7 @@ def test_delta_powers_cost_no_lattice_lookups(b4, monkeypatch):
     w = [rng.choice(b4.atoms) for _ in range(60)]
     x = el.normal_form(b4, w)
     d = b4.delta
-    plain = {t: getattr(b4, t) for t in ("_meet", "_join", "_rmeet", "_rjoin")}
+    plain = {t: getattr(b4, t) for t in ("_meet", "_join")}
     work = {}
     for k in (0, 1, 2, 7, 1000):
         tables = {t: _CountingRows(rows) for t, rows in plain.items()}

@@ -258,14 +258,16 @@ def test_opposite(wreath, ab2):
 
 
 def test_tau_duality_exhaustive(wreath, b3):
+    # the suffix accessors, read from the opposite germ, against brute force
     for g in (wreath, b3):
-        op = g.opposite()
+        oracle = LatticeOracle(g)
         for s in range(len(g)):
             for t in range(len(g)):
-                assert op.meet(s, t) == g.rmeet(s, t)
-                assert op.join(s, t) == g.rjoin(s, t)
-                assert op.lcomp(s, t) == g.rcomp(s, t)
-                assert op.left_divides(s, t) == g.right_divides(s, t)
+                assert g.rmeet(s, t) == oracle.rmeet(s, t)
+                j = oracle.rjoin(s, t)
+                assert g.rjoin(s, t) == j
+                assert [u for u in range(len(g)) if g.product(u, s) == j] == [g.rcomp(s, t)]
+                assert g.right_divides(s, t) == (s in oracle.suffixes[t])
 
 
 def test_lattice_laws_exhaustive(wreath, b3, ab3):
