@@ -535,3 +535,24 @@ def push_lemma_failures(zs, pairs: int) -> list[tuple[str, int]]:
     for h in zs.h_simples:
         grow(h, [], None)
     return found
+
+
+# -- acceptor word counts ------------------------------------------------------------
+
+def count_accepted_by_states(a, n: int) -> int:
+    """
+    Accepted words of length n, by moving a count for every state along
+    every letter n times: O(n * states * letters), with no grouping of
+    states.
+    """
+    counts = [0] * a.n_states
+    counts[0] = 1
+    for _ in range(n):
+        nxt = [0] * a.n_states
+        for state, c in enumerate(counts):
+            if not c:
+                continue
+            for pos in range(len(a.letters)):
+                nxt[a.transitions[state][pos]] += c
+        counts = nxt
+    return sum(c for state, c in enumerate(counts) if a.is_accepting(state))

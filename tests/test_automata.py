@@ -1,3 +1,4 @@
+import functools
 import itertools
 from pathlib import Path
 
@@ -9,6 +10,9 @@ from garside import (NFAutomaton, automata, build, build_factor_automaton,
                      germ_from_spec, project_product_to_pair, run_suite,
                      translate_pair_to_product)
 from garside.automata import _build_from_liveness
+from garside.germ import GermError, make_germ, parse_germ
+from oracles import abelian_by_braid3_germ, count_accepted_by_states
+from test_germ import CYCLIC_FILE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -182,3 +186,112 @@ def test_translation_suite_names_a_dropped_letter(monkeypatch, wreath, wreath_zs
     report = run_suite("automata-translation", wreath_zs)
     assert not report.ok
     assert "alphabets differ: only translated -, only direct c" in report.failures
+
+
+# -- acceptors against their per-pair tables, counts against the per-state loop
+
+GERM_SPECS = ["wreath", "braid:2", "braid:3", "braid:4", "braid:5",
+              "abelian:0", "abelian:1", "abelian:2", "abelian:3",
+              "prod:braid:4,braid:3", "prod:braid:3,abelian:1"]
+
+
+@functools.cache
+def _germ(spec):
+    if spec == "abelian:3><braid:3":
+        return abelian_by_braid3_germ()
+    if spec == "cyclic":
+        return parse_germ(CYCLIC_FILE)
+    return germ_from_spec(spec)
+
+
+@pytest.mark.parametrize("variant", ["proper", "full"])
+@pytest.mark.parametrize("spec", GERM_SPECS + ["abelian:3><braid:3", "cyclic"])
+def test_nf_automaton_equals_pair_table(spec, variant):
+    g = _germ(spec)
+    a = build_nf_automaton(g, variant)
+    assert a == _build_from_liveness(a.letters, a.letter_names, g.normal_pair)
+    assert a.letters == tuple(s for s in range(len(g)) if s != g.unit
+                              and (variant == "full" or s != g.delta))
+
+
+FACTORS = [("wreath", ("a", "b")),
+           ("prod:braid:4,braid:3", ("1243*1", "1324*1", "2134*1")),
+           ("abelian:3><braid:3", ("e1*1", "e2*1", "e3*1"))]
+
+
+@pytest.mark.parametrize("variant", ["proper", "full"])
+@pytest.mark.parametrize("spec, left", FACTORS, ids=[spec for spec, _ in FACTORS])
+def test_factor_automaton_equals_pair_table(spec, left, variant):
+    g = _germ(spec)
+    zs = build(g, [g.simple(nm) for nm in left])
+    for side, simples, comp in (("G", zs.g_simples, zs.comp_g),
+                                ("H", zs.h_simples, zs.comp_h)):
+        a = build_factor_automaton(zs, side, variant)
+        assert set(a.letters) <= set(simples)
+        assert a == _build_from_liveness(
+            a.letters, a.letter_names,
+            lambda x, y, comp=comp: g.meet(comp(x), y) == g.unit)
+
+
+def test_nf_automaton_rejects_a_missing_meet():
+    # Unvalidated: e.x = D, and x = a.b = b.a and y = a.c = b.c share the
+    # prefixes a and b without a greatest one, so y after e needs the
+    # missing meet of x and y.
+    g = make_germ(["1", "e", "a", "b", "c", "x", "y", "D"], "D",
+                  [("e", "x", "D"), ("a", "b", "x"), ("b", "a", "x"),
+                   ("a", "c", "y"), ("b", "c", "y")])
+    with pytest.raises(GermError, match="^no meet of 'x' and 'y': germ is not a lattice$"):
+        build_nf_automaton(g, "proper")
+
+
+@pytest.mark.parametrize("variant", ["proper", "full"])
+@pytest.mark.parametrize("spec", GERM_SPECS + ["abelian:3><braid:3"])
+def test_count_equals_per_state_loop(spec, variant):
+    a = build_nf_automaton(_germ(spec), variant)
+    for n in range(11):
+        assert count_accepted(a, n) == count_accepted_by_states(a, n), n
+
+
+def _automaton(rows):
+    letters = tuple(range(1, len(rows[0]) + 1))
+    return NFAutomaton(letters, tuple(f"l{x}" for x in letters),
+                       tuple(tuple(list(row)) for row in rows))
+
+
+HAND_MADE = {
+    # equal rows, each in a tuple object of its own
+    "equal-rows": _automaton([(1, 2, 3), (1, 4, 4), (1, 4, 4), (1, 2, 3), (4, 4, 4)]),
+    # letter 3 kills every successor: its row equals the dead state's, but
+    # it accepts
+    "all-dead-row": _automaton([(1, 2, 3), (1, 2, 3), (1, 2, 3), (4, 4, 4), (4, 4, 4)]),
+    # transitions that are not "the last letter read"
+    "permuting": _automaton([(2, 3, 1), (3, 1, 2), (1, 2, 4), (2, 2, 2), (4, 4, 4)]),
+    "empty-alphabet": NFAutomaton((), (), ((), ())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_count_equals_per_state_loop_on_hand_made_acceptors(name):
+    a = HAND_MADE[name]
+    for n in range(11):
+        assert count_accepted(a, n) == count_accepted_by_states(a, n), n
+    assert count_accepted(a, 0) == 1
+
+
+def test_count_of_a_dead_row_letter_stops_at_it():
+    a = HAND_MADE["all-dead-row"]
+    assert a.transitions[3] == a.transitions[a.dead]
+    # any letter may follow 1 or 2, none may follow 3
+    assert [count_accepted(a, n) for n in range(4)] == [1, 3, 6, 12]
+
+
+def test_equal_rows_are_distinct_objects():
+    a = HAND_MADE["equal-rows"]
+    assert a.transitions[1] == a.transitions[2] and a.transitions[1] is not a.transitions[2]
+
+
+def test_count_rejects_negative_length(wreath):
+    a = build_nf_automaton(wreath, "proper")
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            count_accepted(a, n)
