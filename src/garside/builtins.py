@@ -15,6 +15,7 @@ witness when the element is not balanced).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import element
@@ -24,6 +25,7 @@ from .germ import (CheckResult, Germ, GermValidationError,
 
 BRAID_MAX = 7
 ABELIAN_MAX = 10
+MAX_SIMPLES = 5040  # braid:7; a larger prod: spec is refused unbuilt
 
 
 def braid_germ(n: int) -> Germ:
@@ -207,6 +209,17 @@ class GermSpec:
             f"unknown germ spec {text!r} (expected wreath, braid:N, abelian:K, "
             "prod:SPEC,SPEC or file:PATH)")
 
+    def size(self) -> int | None:
+        """The number of simples build() gives; None for a file or a parameter it refuses."""
+        if self.family == "prod":
+            left, right = (spec.size() for spec in self.params)
+            return left * right if left and right else None
+        if self.family == "braid" and 2 <= self.params[0] <= BRAID_MAX:
+            return math.factorial(self.params[0])
+        if self.family == "abelian" and 0 <= self.params[0] <= ABELIAN_MAX:
+            return 1 << self.params[0]
+        return 8 if self.family == "wreath" else None
+
     def build(self) -> Germ:
         if self.family == "wreath":
             return wreath_example_germ()
@@ -215,6 +228,9 @@ class GermSpec:
         if self.family == "abelian":
             return free_abelian_germ(self.params[0])
         if self.family == "prod":
+            if (self.size() or 0) > MAX_SIMPLES:
+                raise ValueError(f"a prod: germ of {self.size()} simples is above the "
+                                 f"limit of {MAX_SIMPLES} (braid:{BRAID_MAX})")
             return direct_product_germ(self.params[0].build(), self.params[1].build())
         if self.family == "file":
             with open(self.params[0], encoding="utf-8") as fh:

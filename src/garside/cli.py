@@ -11,6 +11,7 @@ impossible decomposition, ...), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 
 from . import automata, element, normal_forms, quasicenter, suites, zappa_szep
@@ -80,7 +81,7 @@ def parse_nf_letters(g: Germ, text: str) -> list[int]:
 
 def format_factor_nf(g: Germ, delta: int, w: NormalWord) -> str:
     """Factor normal form with the factor Garside element as a letter."""
-    word = (delta,) * w.deltas + w.factors
+    word = normal_forms._letters(delta, w)
     return "|".join(g.names[s] for s in word) if word else "1"
 
 
@@ -142,15 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd("validate", cmd_validate, help="check the germ axioms")
     cmd("nf", cmd_nf, words=1, help="left normal form of a word")
-    cmd("gcd", cmd_gcd, words=2, help="greatest common prefix of two words")
-    cmd("lcm", cmd_lcm, words=2, help="least common right multiple of two words")
-    cmd("divides", cmd_divides, words=2, help="whether word1 is a prefix of word2")
+    cmd("gcd", cmd_two_words, words=2, help="greatest common prefix of two words")
+    cmd("lcm", cmd_two_words, words=2, help="least common right multiple of two words")
+    cmd("divides", cmd_two_words, words=2, help="whether word1 is a prefix of word2")
     cmd("deltas", cmd_deltas, help="quasi-central closure of each atom")
     cmd("classes", cmd_classes, help="atom classes and their closures")
     cmd("pure", cmd_pure, help="whether all atoms share one closure")
     cmd("decompose", cmd_decompose, left=True, help="build and verify a decomposition")
-    cmd("gh", cmd_gh, words=1, left=True, help="GH-decomposition of a word")
-    cmd("hg", cmd_hg, words=1, left=True, help="HG-decomposition of a word")
+    cmd("gh", cmd_factor_word, words=1, left=True, help="GH-decomposition of a word")
+    cmd("hg", cmd_factor_word, words=1, left=True, help="HG-decomposition of a word")
     p = cmd("act", cmd_act, left=True, help="apply one of the eight actions")
     p.add_argument("--op", required=True, choices=sorted(zappa_szep.WORD_ACTIONS))
     p.add_argument("--h", dest="hword", required=True, help="H-word ('.'-separated)")
@@ -197,27 +198,14 @@ def cmd_nf(args) -> int:
     return 0
 
 
-def cmd_gcd(args) -> int:
+def cmd_two_words(args) -> int:
     g = _germ(args)
     x = parse_element(g, args.word1)
     y = parse_element(g, args.word2)
-    print(element.format_nf(g, element.gcd(g, x, y)))
-    return 0
-
-
-def cmd_lcm(args) -> int:
-    g = _germ(args)
-    x = parse_element(g, args.word1)
-    y = parse_element(g, args.word2)
-    print(element.format_nf(g, element.lcm(g, x, y)))
-    return 0
-
-
-def cmd_divides(args) -> int:
-    g = _germ(args)
-    x = parse_element(g, args.word1)
-    y = parse_element(g, args.word2)
-    print("true" if element.divides(g, x, y) else "false")
+    if args.command == "divides":
+        print("true" if element.divides(g, x, y) else "false")
+    else:
+        print(element.format_nf(g, getattr(element, args.command)(g, x, y)))
     return 0
 
 
@@ -262,23 +250,13 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_gh(args) -> int:
+def cmd_factor_word(args) -> int:
     g = _germ(args)
     zs = _zs(args, g)
     x = parse_element(g, args.word)
-    gpart, hpart = zappa_szep.gh_decompose(zs, x)
-    print(f"G: {element.format_nf(g, gpart)}")
-    print(f"H: {element.format_nf(g, hpart)}")
-    return 0
-
-
-def cmd_hg(args) -> int:
-    g = _germ(args)
-    zs = _zs(args, g)
-    x = parse_element(g, args.word)
-    hpart, gpart = zappa_szep.hg_decompose(zs, x)
-    print(f"H: {element.format_nf(g, hpart)}")
-    print(f"G: {element.format_nf(g, gpart)}")
+    decompose = zappa_szep.gh_decompose if args.command == "gh" else zappa_szep.hg_decompose
+    for side, part in zip(args.command.upper(), decompose(zs, x)):
+        print(f"{side}: {element.format_nf(g, part)}")
     return 0
 
 
@@ -329,7 +307,8 @@ def cmd_count(args) -> int:
     g = _germ(args)
     if args.n < 0:
         raise UsageError("--n must be non-negative")
-    print(automata.count_accepted(_automaton(args, g), args.n))
+    # Decimal prints every digit; str() of an int stops at 4,300 by default
+    print(decimal.Decimal(automata.count_accepted(_automaton(args, g), args.n)))
     return 0
 
 

@@ -169,10 +169,10 @@ class Germ:
         self._by_ldiv = {ldiv[s]: s for s in range(n)}
         self._by_lupper = {lupper[s]: s for s in range(n)}
 
-        self.atom_len = self._compute_atom_lengths()
+        self.atom_len = _atom_lengths(self, self.atoms)
 
         self._opposite: Germ | None = None
-        self._memo: dict = {}  # cross-module caches (quasi-centre table etc.)
+        self._memo: dict = {}  # cross-module caches (quasi-central closures etc.)
 
         self._meet = _LatticeRows(ldiv, self._by_ldiv)
         self._join = _LatticeRows(lupper, self._by_lupper)
@@ -185,26 +185,6 @@ class Germ:
         if self._row_inv is None:
             self._row_inv = [{v: t for t, v in row.items()} for row in self.product_rows]
         return self._row_inv
-
-    def _compute_atom_lengths(self) -> list[int]:
-        # Divisor-set size increases strictly along proper divisibility in
-        # a valid germ, so sorting by popcount is a topological order.
-        n = len(self.names)
-        lens = [-1] * n
-        lens[self.unit] = 0
-        atom_inv = {a: {v: t for t, v in self.product_rows[a].items()} for a in self.atoms}
-        order = sorted(range(n), key=lambda s: self.ldiv[s].bit_count())
-        for s in order:
-            if s == self.unit:
-                continue
-            best = -1
-            for a, inv in atom_inv.items():
-                if (self.ldiv[s] >> a) & 1:
-                    t = inv.get(s)
-                    if t is not None and t != s and lens[t] >= 0:
-                        best = max(best, 1 + lens[t])
-            lens[s] = best  # -1 marks a simple atomicity cannot reach
-        return lens
 
     # -- basic queries ---------------------------------------------------
 
@@ -320,6 +300,31 @@ class Germ:
         return self._opposite
 
 
+def _atom_lengths(g: Germ, atoms: Iterable[int]) -> list[int]:
+    """Per simple, the most `atoms` that strip it to the unit, or -1 if none do."""
+    # Divisor-set size increases strictly along proper divisibility in
+    # a valid germ, so sorting by popcount is a topological order.
+    lens = [-1] * len(g)
+    lens[g.unit] = 0
+    atom_inv = {a: {v: t for t, v in g.product_rows[a].items()} for a in atoms}
+    for s in sorted(range(len(g)), key=lambda s: g.ldiv[s].bit_count()):
+        if s == g.unit:
+            continue
+        for a, inv in atom_inv.items():
+            if (g.ldiv[s] >> a) & 1:
+                t = inv.get(s)
+                if t is not None and t != s and lens[t] >= 0:
+                    lens[s] = max(lens[s], 1 + lens[t])
+    return lens
+
+
+def _join_all(g: Germ, simples: Iterable[int]) -> int:
+    j = g.unit
+    for s in simples:
+        j = g.join(j, s)
+    return j
+
+
 def make_germ(names: Iterable[str], delta_name: str,
               products: Iterable[tuple[str, str, str]],
               validate: bool = False) -> Germ:
@@ -348,24 +353,29 @@ def make_germ(names: Iterable[str], delta_name: str,
     for s in range(n):
         rows[0][s] = s
         rows[s][0] = s
+    defined: set[tuple[str, str]] = set()
     for sn, tn, un in products:
         for nm in (sn, tn, un):
             if nm not in index:
                 raise GermError(f"unknown simple name {nm!r} in product")
-        s, t, u = index[sn], index[tn], index[un]
-        if s == 0 or t == 0:
-            if rows[s][t] != u:
-                raise GermError(f"product {sn}.{tn} = {un} conflicts with the unit law")
-            continue
-        if t in rows[s]:
-            raise GermError(f"duplicate product entry for {sn}.{tn}")
-        rows[s][t] = u
+        _check_entry(defined, sn, tn, un)
+        if "1" not in (sn, tn):
+            rows[index[sn]][index[tn]] = index[un]
     g = Germ(tuple(ordered), index[delta_name], tuple(rows))
     if validate:
         report = validate_germ(g)
         if not report.ok:
             raise GermValidationError(report)
     return g
+
+
+def _check_entry(defined: set[tuple[str, str]], sn: str, tn: str, un: str) -> None:
+    """Refuse a product entry that breaks the unit law or repeats one in `defined`; add it there."""
+    if "1" in (sn, tn) and un != (tn if sn == "1" else sn):
+        raise GermError(f"product {sn}.{tn} = {un} conflicts with the unit law")
+    if "1" not in (sn, tn) and (sn, tn) in defined:
+        raise GermError(f"duplicate product entry for {sn}.{tn}")
+    defined.add((sn, tn))
 
 
 def check_name(name: str) -> None:
@@ -441,26 +451,16 @@ def parse_germ(text: str) -> Germ:
     if delta_name not in name_set:
         raise GermSyntaxError(1, f"delta {delta_name!r} is not a listed simple")
 
+    defined: set[tuple[str, str]] = set()
     for sn, tn, un, lineno in triples:
         for nm in (sn, tn, un):
             if nm not in name_set:
                 raise GermSyntaxError(lineno, f"unknown simple name {nm!r}")
-
-    try:
-        g = make_germ(names, delta_name, [(s, t, u) for s, t, u, _ in triples])
-    except GermError as e:
-        # duplicate / conflicting product entries carry no line info here;
-        # find the offending line for a better message
-        msg = str(e)
-        for sn, tn, un, lineno in triples:
-            if f"{sn}.{tn}" in msg:
-                raise GermSyntaxError(lineno, msg) from None
-        raise GermSyntaxError(1, msg) from None
-
-    report = validate_germ(g)
-    if not report.ok:
-        raise GermValidationError(report)
-    return g
+        try:
+            _check_entry(defined, sn, tn, un)
+        except GermError as e:
+            raise GermSyntaxError(lineno, str(e)) from None
+    return make_germ(names, delta_name, [t[:3] for t in triples], validate=True)
 
 
 def format_germ(g: Germ) -> str:

@@ -31,12 +31,9 @@ class NFPair:
     nf_h: NormalWord
 
 
-def _g_letters(zs: ZSStructure, w: NormalWord) -> tuple[int, ...]:
-    return (zs.delta_g,) * w.deltas + w.factors
-
-
-def _h_letters(zs: ZSStructure, w: NormalWord) -> tuple[int, ...]:
-    return (zs.delta_h,) * w.deltas + w.factors
+def _letters(delta: int, w: NormalWord) -> tuple[int, ...]:
+    """The letters of a factor normal form, its Garside element `delta` spelt out."""
+    return (delta,) * w.deltas + w.factors
 
 
 def _from_letters(zs: ZSStructure, word: Sequence[int], delta: int) -> NormalWord:
@@ -105,8 +102,8 @@ def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
     HG-decompositions of its factors, staying normal at every step.
     """
     g = zs.germ
-    gw = list(_g_letters(zs, p.nf_g))
-    hw = list(_h_letters(zs, p.nf_h))
+    gw = list(_letters(zs.delta_g, p.nf_g))
+    hw = list(_letters(zs.delta_h, p.nf_h))
     if not all(zs.member_g(x) for x in gw) or not element._is_normal_word(g, gw):
         raise ValueError("nf_g is not a normal word over the G-simples")
     if not all(zs.member_h(x) for x in hw) or not element._is_normal_word(g, hw):
@@ -138,8 +135,8 @@ def psi(zs: ZSStructure, p: NFPair) -> NormalWord:
     normal) and then merging.
     """
     g = zs.germ
-    gw = _g_letters(zs, p.nf_g)
-    hw = _h_letters(zs, p.nf_h)
+    gw = _letters(zs.delta_g, p.nf_g)
+    hw = _letters(zs.delta_h, p.nf_h)
     acted = list(zappa_szep.act_lr_inv_word(zs, gw, hw))
     assert element._is_normal_word(g, acted), "inverse action broke normality of the H-word"
     return merge_nf(zs, NFPair(p.nf_g, _from_letters(zs, acted, zs.delta_h)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import element
-from .germ import Germ, GermError
+from .germ import Germ, GermError, _join_all
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,12 @@ class AtomClassPartition:
 
 
 def delta_of_simple(g: Germ, s: int) -> int:
-    """The least quasi-central element above s, as a simple."""
-    return _delta_table(g)[s]
-
-
-def _delta_table(g: Germ) -> list[int]:
-    if "qz_delta" not in g._memo:
-        g._memo["qz_delta"] = [_compute_delta(g, s, g.atoms) for s in range(len(g))]
-    return g._memo["qz_delta"]
+    """The least quasi-central element above s, as a simple; memoised in g."""
+    closures = g._memo.setdefault("qz_delta", {})
+    d = closures.get(s)
+    if d is None:
+        d = closures[s] = _compute_delta(g, s, g.atoms)
+    return d
 
 
 def _compute_delta(g: Germ, s: int, atom_order: tuple[int, ...]) -> int:
@@ -47,19 +45,15 @@ def _compute_delta(g: Germ, s: int, atom_order: tuple[int, ...]) -> int:
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    d = g.unit
-    for x in seen:
-        d = g.join(d, x)
-    return d
+    return _join_all(g, seen)
 
 
 def is_delta_pure(g: Germ) -> bool:
     """Whether all atoms share the same quasi-central closure."""
     if not g.atoms:
         raise ValueError("delta-purity needs at least one atom")
-    table = _delta_table(g)
-    first = table[g.atoms[0]]
-    return all(table[a] == first for a in g.atoms)
+    first = delta_of_simple(g, g.atoms[0])
+    return all(delta_of_simple(g, a) == first for a in g.atoms)
 
 
 def atom_classes(g: Germ) -> AtomClassPartition:
@@ -67,12 +61,11 @@ def atom_classes(g: Germ) -> AtomClassPartition:
     Partition the atoms by equality of their quasi-central closures and
     check that closures of distinct classes meet trivially.
     """
-    table = _delta_table(g)
     by_delta: dict[int, list[int]] = {}
     for a in g.atoms:
-        by_delta.setdefault(table[a], []).append(a)
+        by_delta.setdefault(delta_of_simple(g, a), []).append(a)
     blocks = sorted(by_delta.values(), key=lambda block: block[0])
-    deltas = tuple(table[block[0]] for block in blocks)
+    deltas = tuple(delta_of_simple(g, block[0]) for block in blocks)
     for i in range(len(deltas)):
         for j in range(i + 1, len(deltas)):
             if g.meet(deltas[i], deltas[j]) != g.unit:

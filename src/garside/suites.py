@@ -237,7 +237,7 @@ def suite_quasicenter(g: Germ, opt: Options) -> SuiteReport:
     """Quasi-central closure properties over all simples."""
     r = _Run(g)
     n = len(g)
-    delta_of = quasicenter._delta_table(g)
+    delta_of = [quasicenter.delta_of_simple(g, s) for s in range(n)]
     for a in g.atoms:
         r.check(g.left_divides(a, delta_of[a]),
                 lambda a=a: f"{g.names[a]} does not divide its closure")
@@ -836,9 +836,9 @@ def suite_translation_roundtrip(zs: ZSStructure, opt: Options) -> SuiteReport:
         p = normal_forms.split_nf(zs, w)
         r.eq(normal_forms.merge_nf(zs, p), w, "merge-after-split", w)
         gpart, hpart = _split_by_gcd(zs, w, zs.delta_g)
-        r.eq(element.normal_form(g, normal_forms._g_letters(zs, p.nf_g)), gpart,
+        r.eq(element.normal_form(g, normal_forms._letters(zs.delta_g, p.nf_g)), gpart,
              "split-g-oracle", w)
-        r.eq(element.normal_form(g, normal_forms._h_letters(zs, p.nf_h)), hpart,
+        r.eq(element.normal_form(g, normal_forms._letters(zs.delta_h, p.nf_h)), hpart,
              "split-h-oracle", w)
 
     pair_count = 0

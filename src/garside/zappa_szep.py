@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from . import element, quasicenter
 from .element import NormalWord
-from .germ import Germ
+from .germ import Germ, _atom_lengths, _join_all
 
 
 class ZSError(Exception):
@@ -162,22 +162,23 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
             "the bipartition must be non-empty and proper on both sides")
     right = tuple(a for a in germ.atoms if a not in set(left))
 
-    in_g = _generated_simples(germ, left)
-    in_h = _generated_simples(germ, right)
+    # The simples of a factor are those its atoms strip down to the unit.
+    g_simples, h_simples = (tuple(s for s, k in enumerate(_atom_lengths(germ, side)) if k >= 0)
+                            for side in (left, right))
 
-    delta_g = _join_all(germ, in_g)
-    delta_h = _join_all(germ, in_h)
+    delta_g = _join_all(germ, g_simples)
+    delta_h = _join_all(germ, h_simples)
 
     # The class-wise construction must give the same Garside elements.
-    table = quasicenter._delta_table(germ)
-    if _join_all(germ, (table[a] for a in left)) != delta_g or \
-            _join_all(germ, (table[a] for a in right)) != delta_h:
+    class_g = _join_all(germ, (part.class_delta[i] for i in chosen))
+    class_h = _join_all(germ, (d for i, d in enumerate(part.class_delta) if i not in chosen))
+    if (class_g, class_h) != (delta_g, delta_h):
         raise DecompositionFailure(
             "join of generated simples disagrees with the join of the "
             "atom-class values")
 
     # Parabolicity: the divisors of delta_G are exactly the simples in G.
-    for delta, simples, side in ((delta_g, in_g, "left"), (delta_h, in_h, "right")):
+    for delta, simples, side in ((delta_g, g_simples, "left"), (delta_h, h_simples, "right")):
         if set(germ.left_divisors(delta)) != set(simples):
             raise DecompositionFailure(
                 f"divisors of {germ.names[delta]} are not the simples "
@@ -187,9 +188,6 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
             germ.product(delta_h, delta_g) != germ.delta:
         raise DecompositionFailure(
             f"{germ.names[delta_g]}.{germ.names[delta_h]} is not delta")
-
-    g_simples = tuple(sorted(in_g))
-    h_simples = tuple(sorted(in_h))
 
     n = len(germ)
     nm = germ.names
@@ -234,31 +232,6 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
         delta_g=delta_g, delta_h=delta_h,
         gh_pair=gh_pair, hg_pair=hg_pair, steps=steps,
     )
-
-
-def _join_all(g: Germ, simples: Iterable[int]) -> int:
-    j = g.unit
-    for s in simples:
-        j = g.join(j, s)
-    return j
-
-
-def _generated_simples(g: Germ, atoms: Sequence[int]) -> list[int]:
-    # The simples generated by an atom subset, by stripping atoms in a
-    # topological order of the prefix relation.
-    atom_set = set(atoms)
-    inv = g._row_inverses()
-    member = [False] * len(g)
-    member[g.unit] = True
-    order = sorted(range(len(g)), key=lambda s: g.ldiv[s].bit_count())
-    for s in order:
-        if s == g.unit:
-            continue
-        for a in atom_set:
-            if (g.ldiv[s] >> a) & 1 and member[inv[a][s]]:
-                member[s] = True
-                break
-    return [s for s in range(len(g)) if member[s]]
 
 
 # -- element-level decompositions -------------------------------------------

@@ -556,3 +556,48 @@ def count_accepted_by_states(a, n: int) -> int:
                 nxt[a.transitions[state][pos]] += c
         counts = nxt
     return sum(c for state, c in enumerate(counts) if a.is_accepting(state))
+
+
+# -- reference set-up of a decomposition --------------------------------------------
+
+def generated_simples(g, atoms):
+    """
+    The simples of the submonoid an atom subset generates, by stripping
+    those atoms in a topological order of the prefix relation, through the
+    full row inverses of the product.
+    """
+    atom_set = set(atoms)
+    inv = g._row_inverses()
+    member = [False] * len(g)
+    member[g.unit] = True
+    order = sorted(range(len(g)), key=lambda s: g.ldiv[s].bit_count())
+    for s in order:
+        if s == g.unit:
+            continue
+        for a in atom_set:
+            if (g.ldiv[s] >> a) & 1 and member[inv[a][s]]:
+                member[s] = True
+                break
+    return [s for s in range(len(g)) if member[s]]
+
+
+def closure_table(g):
+    """
+    The quasi-central closure of every simple, eagerly: the join of the
+    closure of {s} under the maps y -> a\\y over all atoms a.
+    """
+    table = []
+    for s in range(len(g)):
+        seen, frontier = {s}, [s]
+        while frontier:
+            x = frontier.pop()
+            for a in g.atoms:
+                y = g.lcomp(a, x)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        d = g.unit
+        for x in seen:
+            d = g.join(d, x)
+        table.append(d)
+    return table

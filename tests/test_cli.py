@@ -1,8 +1,11 @@
+import decimal
 import random
 
 import pytest
 
-from garside import cli, element, germ_from_spec
+from garside import automata, cli, element, germ_from_spec
+from garside import builtins as germ_builtins
+from garside.builtins import GermSpec
 
 WREATH_FILE = """\
 germ v1
@@ -226,3 +229,46 @@ def test_outputs_stable(capsys):
     first = run(capsys, "automaton", "--germ", "braid:3", "--format", "dot")
     second = run(capsys, "automaton", "--germ", "braid:3", "--format", "dot")
     assert first == second
+
+
+def test_count_prints_every_digit(capsys):
+    # above the interpreter's default limit of 4,300 digits for str(int)
+    g = germ_from_spec("braid:4")
+    expected = automata.count_accepted(automata.build_nf_automaton(g, "proper"), 6000)
+    code, out, err = run(capsys, "count", "--germ", "braid:4", "--variant", "proper",
+                         "--n", "6000")
+    assert code == 0 and err == ""
+    digits = out.strip()
+    assert digits.isdigit() and len(digits) > 4300
+    assert decimal.Decimal(digits) == expected
+
+
+def test_oversized_product_spec_is_refused_unbuilt(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a germ was built for a refused spec")
+
+    monkeypatch.setattr(germ_builtins, "braid_germ", no_build)
+    monkeypatch.setattr(germ_builtins, "direct_product_germ", no_build)
+    for spec, size in (("prod:braid:7,braid:7", 25401600), ("prod:braid:6,braid:4", 17280),
+                       ("prod:prod:braid:5,braid:5,abelian:0", 14400)):
+        code, out, err = run(capsys, "nf", "--germ", spec, "1")
+        assert code == 2 and out == ""
+        assert err == (f"usage error: a prod: germ of {size} simples is above the limit "
+                       "of 5040 (braid:7)\n")
+
+
+def test_largest_allowed_product_spec_builds(capsys):
+    code, out, _ = run(capsys, "nf", "--germ", "prod:braid:6,braid:3", "1")
+    assert code == 0 and out == "1\n"
+
+
+@pytest.mark.parametrize("spec", ["wreath", "braid:2", "braid:4", "abelian:0", "abelian:3",
+                                  "prod:braid:3,abelian:1", "prod:wreath,prod:braid:2,abelian:1"])
+def test_spec_size_is_the_built_size(spec):
+    assert GermSpec.parse(spec).size() == len(germ_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["file:x.germ", "braid:9", "abelian:-1", "prod:braid:9,braid:3",
+                                  "prod:file:x.germ,braid:7"])
+def test_spec_size_is_unknown_for_files_and_refused_parameters(spec):
+    assert GermSpec.parse(spec).size() is None

@@ -1,0 +1,56 @@
+"""
+The set-up of a decomposition against its references in oracles.py: the
+simples a set of atom classes generates, read from one atom stripping, and
+the quasi-central closures, computed one simple at a time on request.
+"""
+
+import itertools
+
+import pytest
+
+from garside import atom_classes, build, delta_of_simple, germ_from_spec, quasicenter
+from garside.germ import _atom_lengths
+
+from oracles import abelian_by_braid3_germ, closure_table, generated_simples
+
+SPECS = (["wreath"] + [f"braid:{n}" for n in range(2, 6)] + [f"abelian:{k}" for k in range(4)]
+         + ["prod:braid:3,abelian:1", "prod:braid:4,braid:3", "prod:wreath,wreath",
+            "prod:abelian:1,abelian:1", "prod:braid:4,abelian:4", "abelian:3><braid:3"])
+
+
+@pytest.fixture(scope="module", params=SPECS)
+def germ(request):
+    if request.param == "abelian:3><braid:3":
+        return abelian_by_braid3_germ()
+    return germ_from_spec(request.param)
+
+
+def test_atom_stripping_matches_generated_simples(germ):
+    assert _atom_lengths(germ, germ.atoms) == germ.atom_len
+    classes = atom_classes(germ).classes
+    for r in range(len(classes) + 1):
+        for chosen in itertools.combinations(classes, r):
+            atoms = [a for block in chosen for a in block]
+            lens = _atom_lengths(germ, atoms)
+            assert [s for s, k in enumerate(lens) if k >= 0] == generated_simples(germ, atoms)
+
+
+def test_closures_on_request_match_the_eager_table(germ):
+    # atoms first, as build asks for them, then every simple
+    atom_first = list(germ.atoms) + list(range(len(germ)))
+    expected = closure_table(germ)
+    assert [delta_of_simple(germ, s) for s in atom_first] == [expected[s] for s in atom_first]
+
+
+def test_build_computes_the_closures_of_the_atoms_only(monkeypatch):
+    calls = []
+    compute = quasicenter._compute_delta
+
+    def counted(g, s, atom_order):
+        calls.append(s)
+        return compute(g, s, atom_order)
+
+    monkeypatch.setattr(quasicenter, "_compute_delta", counted)
+    g = germ_from_spec("prod:braid:4,braid:3")
+    build(g, [g.simple(nm) for nm in ("1243*1", "1324*1", "2134*1")])
+    assert sorted(calls) == sorted(g.atoms) and len(g.atoms) == 5

@@ -77,6 +77,21 @@ def test_parse_errors_carry_line_numbers():
         parse_germ("germ v1\nsimples: 1 a b\ndelta: b\nprod a a b\nprod a a b\n")
     assert "duplicate product" in str(exc.value)
 
+    # duplicates and unit-law conflicts are reported at their own line,
+    # not at an earlier entry whose names the message happens to contain
+    with pytest.raises(GermSyntaxError) as exc:
+        parse_germ("germ v1\nsimples: 1 a b ab\ndelta: ab\nprod a b ab\nprod a b ab\n")
+    assert exc.value.line == 5 and "duplicate product entry for a.b" in str(exc.value)
+
+    with pytest.raises(GermSyntaxError) as exc:
+        parse_germ("germ v1\nsimples: 1 a b aa bb x\ndelta: x\n"
+                   "prod a b x\nprod aa bb x\nprod aa bb x\n")
+    assert exc.value.line == 6 and "duplicate product entry for aa.bb" in str(exc.value)
+
+    with pytest.raises(GermSyntaxError) as exc:
+        parse_germ("germ v1\nsimples: 1 a aa\ndelta: aa\nprod a 1 a\nprod aa 1 a\n")
+    assert exc.value.line == 5 and "aa.1 = a conflicts with the unit law" in str(exc.value)
+
     with pytest.raises(GermSyntaxError):
         parse_germ("germ v1\nsimples: a b\ndelta: b\n")  # no unit
 
