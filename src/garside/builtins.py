@@ -228,10 +228,14 @@ class GermSpec:
         if self.family == "abelian":
             return free_abelian_germ(self.params[0])
         if self.family == "prod":
-            if (self.size() or 0) > MAX_SIMPLES:
-                raise ValueError(f"a prod: germ of {self.size()} simples is above the "
+            # a part of unknown size (a file) is built first, so that the
+            # limit holds before the other part is built
+            parts = [spec.build() if spec.size() is None else spec for spec in self.params]
+            size = math.prod(len(p) if isinstance(p, Germ) else p.size() for p in parts)
+            if size > MAX_SIMPLES:
+                raise ValueError(f"a prod: germ of {size} simples is above the "
                                  f"limit of {MAX_SIMPLES} (braid:{BRAID_MAX})")
-            return direct_product_germ(self.params[0].build(), self.params[1].build())
+            return direct_product_germ(*(p if isinstance(p, Germ) else p.build() for p in parts))
         if self.family == "file":
             with open(self.params[0], encoding="utf-8") as fh:
                 return parse_germ(fh.read())

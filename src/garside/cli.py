@@ -284,8 +284,8 @@ def cmd_merge_nf(args) -> int:
     g = _germ(args)
     zs = _zs(args, g)
     pair = normal_forms.NFPair(
-        normal_forms._from_letters(zs, parse_nf_letters(g, args.gword), zs.delta_g),
-        normal_forms._from_letters(zs, parse_nf_letters(g, args.hword), zs.delta_h))
+        element._from_letters(parse_nf_letters(g, args.gword), zs.delta_g),
+        element._from_letters(parse_nf_letters(g, args.hword), zs.delta_h))
     print(element.format_nf(g, normal_forms.merge_nf(zs, pair)))
     return 0
 

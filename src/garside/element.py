@@ -15,6 +15,11 @@ a word, multiply sweeps in the factors of its right operand, and gcd and
 the complements finish with it.  Delta powers stay a counter: with
 tau = comp^2, s.Delta = Delta.tau(s), so a Delta moves to the front by
 twisting what it passes, and no Delta enters a sweep.
+
+One walk enumerates: normal_words lists the normal words over an
+alphabet up to an atom length, depth first on an explicit stack (so no
+recursion limit applies), and iter_elements reads it over every simple
+but the unit as elements.  Both grow exponentially with the length.
 """
 
 from __future__ import annotations
@@ -348,18 +353,51 @@ def rdivides(g: Germ, x: NormalWord, y: NormalWord) -> bool:
 
 # -- enumeration and balance ------------------------------------------------
 
+def _successors(g: Germ, alphabet: Sequence[int]) -> dict[int, list[int]]:
+    """The letters that may follow each letter in a normal word."""
+    return {s: [t for t in alphabet if g.normal_pair(s, t)] for s in alphabet}
+
+
+def normal_words(g: Germ, alphabet: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
+    """
+    Normal words over the alphabet with total atom length <= budget, depth
+    first: each word, then its extensions in alphabet order.  The stack
+    holds one iterator over the letters that may come next per position.
+    """
+    atom_len = g.atom_len
+    letters = [s for s in alphabet if atom_len[s] <= budget]
+    succ = _successors(g, letters)
+    word: list[int] = []
+    stack = [iter(letters)]
+    yield ()
+    while stack:
+        for s in stack[-1]:
+            if atom_len[s] <= budget:
+                break
+        else:
+            stack.pop()
+            if word:
+                budget += atom_len[word.pop()]
+            continue
+        word.append(s)
+        budget -= atom_len[s]
+        yield tuple(word)
+        stack.append(iter(succ[s]))
+
+
+def _from_letters(word: Sequence[int], delta: int) -> NormalWord:
+    """The normal word of a normal letter sequence: its leading `delta` letters become the count."""
+    k = 0
+    while k < len(word) and word[k] == delta:
+        k += 1
+    return NormalWord(k, tuple(word[k:]))
+
+
 def iter_elements(g: Germ, max_len: int) -> Iterator[NormalWord]:
     """All elements of atom length at most max_len, shortest first."""
-    level = {UNIT}
-    yield UNIT
-    for _ in range(max_len):
-        nxt = set()
-        for w in level:
-            for a in g.atoms:
-                nxt.add(multiply(g, w, simple(g, a)))
-        for w in sorted(nxt, key=lambda v: (v.deltas, v.factors)):
-            yield w
-        level = nxt
+    simples = [s for s in range(len(g)) if s != g.unit]
+    elems = [_from_letters(w, g.delta) for w in normal_words(g, simples, max_len)]
+    yield from sorted(elems, key=lambda v: (atom_length(g, v), v.deltas, v.factors))
 
 
 def left_divisor_set(g: Germ, x: NormalWord) -> set[NormalWord]:

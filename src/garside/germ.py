@@ -194,9 +194,6 @@ class Germ:
     def __repr__(self) -> str:
         return f"Germ({len(self.names)} simples, delta={self.names[self.delta]!r})"
 
-    def name(self, s: int) -> str:
-        return self.names[s]
-
     def simple(self, name: str) -> int:
         if name not in self.name_index:
             raise KeyError(f"unknown simple name {name!r}")
@@ -225,9 +222,6 @@ class Germ:
 
     def left_divisors(self, t: int) -> list[int]:
         return list(_bits(self.ldiv[t]))
-
-    def right_divisors(self, t: int) -> list[int]:
-        return list(_bits(self.opposite().ldiv[t]))
 
     def _not_a_lattice(self, kind: str, s: int, t: int) -> NoReturn:
         raise GermError(

@@ -13,7 +13,6 @@ bijections; psi is the lcm variant, reduced to phi by an inverse action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import element, zappa_szep
 from .element import NormalWord
@@ -34,14 +33,6 @@ class NFPair:
 def _letters(delta: int, w: NormalWord) -> tuple[int, ...]:
     """The letters of a factor normal form, its Garside element `delta` spelt out."""
     return (delta,) * w.deltas + w.factors
-
-
-def _from_letters(zs: ZSStructure, word: Sequence[int], delta: int) -> NormalWord:
-    # In a normal word all delta letters lead; fold them into the count.
-    k = 0
-    while k < len(word) and word[k] == delta:
-        k += 1
-    return NormalWord(k, tuple(word[k:]))
 
 
 # -- pairwise normality from factor data -------------------------------------
@@ -91,8 +82,8 @@ def split_nf(zs: ZSStructure, w: NormalWord) -> NFPair:
     delta_G and delta_H letters folded into the delta counts.
     """
     gpart, hpart = zappa_szep.gh_decompose(zs, w)
-    return NFPair(_from_letters(zs, gpart.factors, zs.delta_g),
-                  _from_letters(zs, hpart.factors, zs.delta_h))
+    return NFPair(element._from_letters(gpart.factors, zs.delta_g),
+                  element._from_letters(hpart.factors, zs.delta_h))
 
 
 def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
@@ -114,7 +105,7 @@ def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
         pairs = [(g.unit, gw.pop())] + [zs.hg_pair[x] for x in word]
         word = zappa_szep.reassociate(g, pairs)
         assert element._is_normal_word(g, word), "merge_nf produced a non-normal word"
-    return _from_letters(zs, word, g.delta)
+    return element._from_letters(word, g.delta)
 
 
 # -- the bijections ------------------------------------------------------------
@@ -139,4 +130,4 @@ def psi(zs: ZSStructure, p: NFPair) -> NormalWord:
     hw = _letters(zs.delta_h, p.nf_h)
     acted = list(zappa_szep.act_lr_inv_word(zs, gw, hw))
     assert element._is_normal_word(g, acted), "inverse action broke normality of the H-word"
-    return merge_nf(zs, NFPair(p.nf_g, _from_letters(zs, acted, zs.delta_h)))
+    return merge_nf(zs, NFPair(p.nf_g, element._from_letters(acted, zs.delta_h)))

@@ -6,9 +6,11 @@ family of structural identities (action laws, order isomorphisms,
 complement formulas, normal-form criteria, ...) and samples the
 word-level variants with a seeded generator.  Normality is 2-local, so
 `action-preserves-nf` and `push-lemma` instead walk the reachable states
-of a letter-to-letter transducer, exact at every length.  Suites return
-a report with a case count and a list of counterexample descriptions;
-the CLI `check` subcommand and the test suite both run them.
+of a letter-to-letter transducer, exact at every length.  A suite
+records its cases and counterexample descriptions in the run it is
+given; run_suite is the one place that makes the run and turns it into
+the named report.  The CLI `check` subcommand and the test suite both
+go through run_suite.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import automata, element, normal_forms, quasicenter, zappa_szep
 from .element import NormalWord
@@ -96,31 +98,12 @@ def _rand_element(g: Germ, rng: random.Random, max_len: int) -> NormalWord:
     return element.normal_form(g, _rand_word(rng, range(len(g)), max_len))
 
 
-def _normal_words(g: Germ, alphabet: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
-    """Normal words over the alphabet with total atom length <= budget."""
-    word: list[int] = []
-
-    def grow(last: int | None, left: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(word)
-        for s in alphabet:
-            if g.atom_len[s] > left:
-                continue
-            if last is not None and not g.normal_pair(last, s):
-                continue
-            word.append(s)
-            yield from grow(s, left - g.atom_len[s])
-            word.pop()
-
-    yield from grow(None, budget)
-
-
 # ---------------------------------------------------------------------------
 # germ-level suites
 # ---------------------------------------------------------------------------
 
-def suite_lattice_laws(g: Germ, opt: Options) -> SuiteReport:
+def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
     """Commutativity, absorption and associativity of the lattice ops; complement laws."""
-    r = _Run(g)
     n = len(g)
     for s in range(n):
         for t in range(n):
@@ -142,12 +125,10 @@ def suite_lattice_laws(g: Germ, opt: Options) -> SuiteReport:
     for s, t, u in triples:
         r.eq(g.meet(g.meet(s, t), u), g.meet(s, g.meet(t, u)), "meet-assoc", s, t, u)
         r.eq(g.join(g.join(s, t), u), g.join(s, g.join(t, u)), "join-assoc", s, t, u)
-    return SuiteReport("lattice-laws", r.cases, r.failures)
 
 
-def suite_complements_lemma(g: Germ, opt: Options) -> SuiteReport:
+def suite_complements_lemma(r: _Run, g: Germ, opt: Options) -> None:
     """The two complement recursions, on simples and on random elements."""
-    r = _Run(g)
     for a in range(len(g)):
         for b, ab in g.product_rows[a].items():
             for c in range(len(g)):
@@ -168,12 +149,10 @@ def suite_complements_lemma(g: Germ, opt: Options) -> SuiteReport:
                               element.left_complement(
                                   g, element.left_complement(g, x, z), y)),
              "element-over", x, y, z)
-    return SuiteReport("complements-lemma", r.cases, r.failures)
 
 
-def suite_normal_form_confluence(g: Germ, opt: Options) -> SuiteReport:
+def suite_normal_form_confluence(r: _Run, g: Germ, opt: Options) -> None:
     """Rewriting adjacent pairs in any order reaches the same normal form."""
-    r = _Run(g)
     rng = opt.rng()
 
     def random_order_nf(word: tuple[int, ...]) -> NormalWord:
@@ -199,12 +178,10 @@ def suite_normal_form_confluence(g: Germ, opt: Options) -> SuiteReport:
         nf = element.normal_form(g, word)
         r.eq(random_order_nf(word), nf, "confluence", word)
         r.eq(element.normal_form(g, element.letters(g, nf)), nf, "idempotence", word)
-    return SuiteReport("normal-form-confluence", r.cases, r.failures)
 
 
-def suite_element_lattice_laws(g: Germ, opt: Options) -> SuiteReport:
+def suite_element_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
     """gcd/lcm laws at element level, plus suffix-order sanity."""
-    r = _Run(g)
     rng = opt.rng()
     unit = element.UNIT
     for _ in range(opt.samples):
@@ -230,12 +207,10 @@ def suite_element_lattice_laws(g: Germ, opt: Options) -> SuiteReport:
         r.eq(element.atom_length(g, xy),
              element.atom_length(g, x) + element.atom_length(g, y),
              "length-additive", x, y, show=str)
-    return SuiteReport("element-lattice-laws", r.cases, r.failures)
 
 
-def suite_quasicenter(g: Germ, opt: Options) -> SuiteReport:
+def suite_quasicenter(r: _Run, g: Germ, opt: Options) -> None:
     """Quasi-central closure properties over all simples."""
-    r = _Run(g)
     n = len(g)
     delta_of = [quasicenter.delta_of_simple(g, s) for s in range(n)]
     for a in g.atoms:
@@ -260,10 +235,9 @@ def suite_quasicenter(g: Germ, opt: Options) -> SuiteReport:
             rng.shuffle(order)
             r.eq(quasicenter._compute_delta(g, a, tuple(order)), delta_of[a],
                  "order-independent", a)
-    return SuiteReport("quasicenter", r.cases, r.failures)
 
 
-GERM_SUITES: dict[str, Callable[[Germ, Options], SuiteReport]] = {
+GERM_SUITES: dict[str, Callable[[_Run, Germ, Options], None]] = {
     "lattice-laws": suite_lattice_laws,
     "complements-lemma": suite_complements_lemma,
     "normal-form-confluence": suite_normal_form_confluence,
@@ -276,10 +250,9 @@ GERM_SUITES: dict[str, Callable[[Germ, Options], SuiteReport]] = {
 # decomposition-level suites
 # ---------------------------------------------------------------------------
 
-def suite_action_laws(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_action_laws(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Associativity and product rules of the four actions, plus word forms."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for h1 in H:
         for h2 in H:
@@ -340,12 +313,10 @@ def suite_action_laws(zs: ZSStructure, opt: Options) -> SuiteReport:
                  element.normal_form(g, zappa_szep.act_lr_word(zs, gw, hw)),
                  element.normal_form(g, zappa_szep.act_ll_word(zs, gw, hw))),
              "word-defining-lr", gw, hw)
-    return SuiteReport("action-laws", r.cases, r.failures)
 
 
-def suite_identity_detection(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_identity_detection(r: _Run, zs: ZSStructure, opt: Options) -> None:
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     u = g.unit
     for hs in H:
@@ -358,13 +329,11 @@ def suite_identity_detection(zs: ZSStructure, opt: Options) -> SuiteReport:
                     lambda hs=hs, gs=gs: f"lr unit detection fails at ({g.names[gs]}, {g.names[hs]})")
             r.check((gs == u) == (zs.act_ll(gs, hs) == u),
                     lambda hs=hs, gs=gs: f"ll unit detection fails at ({g.names[gs]}, {g.names[hs]})")
-    return SuiteReport("identity-detection", r.cases, r.failures)
 
 
-def suite_round_trip(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_round_trip(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Rewriting GH to HG and back is the identity."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for gs in G:
         for hs in H:
@@ -376,13 +345,11 @@ def suite_round_trip(zs: ZSStructure, opt: Options) -> SuiteReport:
             h3 = zs.act_rl(hs, gs)
             r.eq(zs.act_lr(g3, h3), hs, "hg-gh-hg-h", hs, gs)
             r.eq(zs.act_ll(g3, h3), gs, "hg-gh-hg-g", hs, gs)
-    return SuiteReport("round-trip", r.cases, r.failures)
 
 
-def suite_inverse_interplay(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Identities mixing the actions with their inverse permutations."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for gs in G:
         for hs in H:
@@ -442,13 +409,11 @@ def suite_inverse_interplay(zs: ZSStructure, opt: Options) -> SuiteReport:
              hw, "word-lr-roundtrip", gw, hw)
         r.eq(zappa_szep.act_ll_inv_word(zs, zappa_szep.act_ll_word(zs, gw, hw), hw),
              gw, "word-ll-roundtrip", gw, hw)
-    return SuiteReport("inverse-interplay", r.cases, r.failures)
 
 
-def suite_order_isomorphism(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_order_isomorphism(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Left actions preserve prefix order; right actions preserve suffix order."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for hs in H:
         for g1 in G:
@@ -472,13 +437,11 @@ def suite_order_isomorphism(zs: ZSStructure, opt: Options) -> SuiteReport:
                         == g.right_divides(zs.act_rl(h1, gs), zs.act_rl(h2, gs)),
                         lambda gs=gs, h1=h1, h2=h2:
                         f"rl not a suffix iso at ({g.names[gs]}; {g.names[h1]}, {g.names[h2]})")
-    return SuiteReport("order-isomorphism", r.cases, r.failures)
 
 
-def suite_complement_transport(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_complement_transport(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """How the actions move lattice complements between factors."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for hs in H:
         for g1 in G:
@@ -491,13 +454,11 @@ def suite_complement_transport(zs: ZSStructure, opt: Options) -> SuiteReport:
                      g.lcomp(zs.act_ll(g1, hs),
                              zs.act_rr_inv(zs.act_lr(g1, hs), g2)),
                      "transport-inv", hs, g1, g2)
-    return SuiteReport("complement-transport", r.cases, r.failures)
 
 
-def suite_lcm_formula(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_lcm_formula(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """lcm(g, h) = g.(g^-1 |>> h) = h.(h^-1 |> g), injectively."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     seen: dict[int, tuple[int, int]] = {}
     for gs in G:
@@ -513,13 +474,11 @@ def suite_lcm_formula(zs: ZSStructure, opt: Options) -> SuiteReport:
                     f"({g.names[gs]}, {g.names[hs]})")
     r.check(len(seen) == len(G) * len(H),
             lambda: "(g, h) -> join(g, h) is not injective")
-    return SuiteReport("lcm-formula", r.cases, r.failures)
 
 
-def suite_poset_product(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_poset_product(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """(g, h) -> join(g, h) is an isomorphism of the product order."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for g1 in G:
         for h1 in H:
@@ -532,13 +491,11 @@ def suite_poset_product(zs: ZSStructure, opt: Options) -> SuiteReport:
                             lambda g1=g1, h1=h1, g2=g2, h2=h2:
                             "poset product fails at "
                             f"({g.names[g1]},{g.names[h1]}) vs ({g.names[g2]},{g.names[h2]})")
-    return SuiteReport("poset-product", r.cases, r.failures)
 
 
-def suite_join_complement(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_join_complement(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """The complement of one join under another, factor by factor."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for g1 in G:
         for h1 in H:
@@ -551,13 +508,11 @@ def suite_join_complement(zs: ZSStructure, opt: Options) -> SuiteReport:
                          g.join(zs.act_rr_inv(x, g.lcomp(g1, g2)),
                                 zs.act_lr_inv(y, g.lcomp(h1, h2))),
                          "join-under", g1, h1, g2, h2)
-    return SuiteReport("join-complement", r.cases, r.failures)
 
 
-def suite_delta_invariance(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_delta_invariance(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """The factor Garside elements are fixed and simples map to simples."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for hs in H:
         r.eq(zs.act_rr(hs, zs.delta_g), zs.delta_g, "rr-fixes-deltaG", hs)
@@ -573,13 +528,11 @@ def suite_delta_invariance(zs: ZSStructure, opt: Options) -> SuiteReport:
             r.check(zs.member_h(zs.act_rl(hs, gs)) and zs.member_h(zs.act_rl_inv(hs, gs))
                     and zs.member_h(zs.act_lr(gs, hs)) and zs.member_h(zs.act_lr_inv(gs, hs)),
                     lambda hs=hs, gs=gs: f"H-simples not preserved at ({g.names[hs]}, {g.names[gs]})")
-    return SuiteReport("delta-invariance", r.cases, r.failures)
 
 
-def suite_complement_action(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_complement_action(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Factor complements of acted simples."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for hs in H:
         for gs in G:
@@ -591,13 +544,11 @@ def suite_complement_action(zs: ZSStructure, opt: Options) -> SuiteReport:
                  zs.act_lr(zs.act_ll(gs, hs), zs.comp_h(hs)), "compH-lr", gs, hs)
             r.eq(zs.comp_h(zs.act_rl(hs, gs)),
                  zs.act_lr_inv(gs, zs.comp_h(hs)), "compH-rl", hs, gs)
-    return SuiteReport("complement-action", r.cases, r.failures)
 
 
-def suite_complement_of_join(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_complement_of_join(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """The ambient complement of a join from the factor complements."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     for gs in G:
         for hs in H:
@@ -605,13 +556,11 @@ def suite_complement_of_join(zs: ZSStructure, opt: Options) -> SuiteReport:
                  g.join(zs.comp_g(zs.act_rr_inv(hs, gs)),
                         zs.comp_h(zs.act_lr_inv(gs, hs))),
                  "comp-of-join", gs, hs)
-    return SuiteReport("complement-of-join", r.cases, r.failures)
 
 
-def suite_factor_closure(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_factor_closure(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """A product landing in a factor forces both terms into that factor."""
     g = zs.germ
-    r = _Run(g)
     elems = list(element.iter_elements(g, opt.max_len))
     for x in elems:
         for y in elems:
@@ -622,12 +571,10 @@ def suite_factor_closure(zs: ZSStructure, opt: Options) -> SuiteReport:
             if zappa_szep.element_in_h(zs, xy):
                 r.check(zappa_szep.element_in_h(zs, x) and zappa_szep.element_in_h(zs, y),
                         lambda x=x, y=y: f"H-closure fails at {r._show(x)}, {r._show(y)}")
-    return SuiteReport("factor-closure", r.cases, r.failures)
 
 
-def suite_atoms_to_atoms(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_atoms_to_atoms(r: _Run, zs: ZSStructure, opt: Options) -> None:
     g = zs.germ
-    r = _Run(g)
     for hs in zs.h_simples:
         for a in zs.left_atoms:
             r.check(g.is_atom(zs.act_rr(hs, a)),
@@ -636,13 +583,11 @@ def suite_atoms_to_atoms(zs: ZSStructure, opt: Options) -> SuiteReport:
         for b in zs.right_atoms:
             r.check(g.is_atom(zs.act_lr(gs, b)),
                     lambda gs=gs, b=b: f"{g.names[gs]} |>> {g.names[b]} is not an atom")
-    return SuiteReport("atoms-to-atoms", r.cases, r.failures)
 
 
-def suite_decomposition_uniqueness(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_decomposition_uniqueness(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Every element has exactly one GH- and one HG-factorisation."""
     g = zs.germ
-    r = _Run(g)
     elems = list(element.iter_elements(g, opt.max_len))
     g_elems = [x for x in elems if zappa_szep.element_in_g(zs, x)]
     h_elems = [x for x in elems if zappa_szep.element_in_h(zs, x)]
@@ -665,26 +610,22 @@ def suite_decomposition_uniqueness(zs: ZSStructure, opt: Options) -> SuiteReport
         r.eq(element.multiply(g, gpart, hpart), x, "gh-recompose", x)
         hpart2, gpart2 = zappa_szep.hg_decompose(zs, x)
         r.eq(element.multiply(g, hpart2, gpart2), x, "hg-recompose", x)
-    return SuiteReport("decomposition-uniqueness", r.cases, r.failures)
 
 
-def suite_local_deltas(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_local_deltas(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Quasi-central closures of factor simples stay in the factor."""
     g = zs.germ
-    r = _Run(g)
     for gs in zs.g_simples:
         r.check(zs.member_g(quasicenter.delta_of_simple(g, gs)),
                 lambda gs=gs: f"closure of {g.names[gs]} leaves G")
     for hs in zs.h_simples:
         r.check(zs.member_h(quasicenter.delta_of_simple(g, hs)),
                 lambda hs=hs: f"closure of {g.names[hs]} leaves H")
-    return SuiteReport("local-deltas", r.cases, r.failures)
 
 
-def suite_normal_form_criteria(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_normal_form_criteria(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Factor-level normality criteria against the ambient definition."""
     g = zs.germ
-    r = _Run(g)
     G, H = zs.g_simples, zs.h_simples
     u = g.unit
     for g1 in G:
@@ -708,7 +649,6 @@ def suite_normal_form_criteria(zs: ZSStructure, opt: Options) -> SuiteReport:
                         r.check(crit(zs, *xs) == (g.normal_pair(k1, k2) and k2 != u),
                                 lambda label=label, xs=xs: f"{label} criterion fails at "
                                 f"({','.join(g.names[x] for x in xs)})")
-    return SuiteReport("normal-form-criteria", r.cases, r.failures)
 
 
 def _walk(r: _Run, roots: Sequence, moves: Callable, describe: Callable) -> None:
@@ -738,22 +678,16 @@ def _walk(r: _Run, roots: Sequence, moves: Callable, describe: Callable) -> None
                 queue.append(nxt)
 
 
-def _successors(g: Germ, alphabet: Sequence[int]) -> dict[int, list[int]]:
-    """The letters that may follow each letter in a normal word."""
-    return {s: [t for t in alphabet if g.normal_pair(s, t)] for s in alphabet}
-
-
-def suite_push_lemma(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_push_lemma(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """
     Pushing an H-simple through a normal word of GH-factors, exact at every
     length: a walk over the states (last letter, last output).
     """
     g = zs.germ
-    r = _Run(g)
     u = g.unit
     pair = zs.gh_pair
     alphabet = [k for k in range(len(g)) if k != u]
-    succ = _successors(g, alphabet)
+    succ = element._successors(g, alphabet)
     lr = zs.steps["lr"]
 
     def moves(state):
@@ -777,16 +711,14 @@ def suite_push_lemma(zs: ZSStructure, opt: Options) -> SuiteReport:
         return f"push lemma fails at h={g.names[root[1]]}, word {pairs}"
 
     _walk(r, [(None, h) for h in zs.h_simples], moves, describe)
-    return SuiteReport("push-lemma", r.cases, r.failures)
 
 
-def suite_action_preserves_nf(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_action_preserves_nf(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """
     Acting on a normal factor word gives a normal word, both ways, exact at
     every length: a walk over the states (carry, last input, last output).
     """
     g = zs.germ
-    r = _Run(g)
     for name, actors, acted, shape in (
             ("rr", zs.h_simples, zs.g_simples, "{} |> {} is not normal"),
             ("rr-inv", zs.h_simples, zs.g_simples, "{}^-1 |> {} is not normal"),
@@ -794,7 +726,7 @@ def suite_action_preserves_nf(zs: ZSStructure, opt: Options) -> SuiteReport:
             ("lr-inv", zs.g_simples, zs.h_simples, "{}^-1 |>> {} is not normal")):
         step = zs.steps[name]
         alphabet = [s for s in acted if s != g.unit]
-        succ = _successors(g, alphabet)
+        succ = element._successors(g, alphabet)
 
         def moves(state, step=step, alphabet=alphabet, succ=succ):
             c, last, out = state
@@ -806,7 +738,6 @@ def suite_action_preserves_nf(zs: ZSStructure, opt: Options) -> SuiteReport:
             return shape.format(g.names[root[0]], r._show(word))
 
         _walk(r, [(c, None, None) for c in actors], moves, describe)
-    return SuiteReport("action-preserves-nf", r.cases, r.failures)
 
 
 def _split_by_gcd(zs: ZSStructure, x: NormalWord, delta: int) -> tuple[NormalWord, NormalWord]:
@@ -821,18 +752,17 @@ def _split_by_gcd(zs: ZSStructure, x: NormalWord, delta: int) -> tuple[NormalWor
     return first, element.left_complement(g, first, x)
 
 
-def suite_translation_roundtrip(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_translation_roundtrip(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """split/merge and the bijections against the element-level oracles."""
     g = zs.germ
-    r = _Run(g)
     full = tuple(s for s in range(len(g)) if s != g.unit)
     g_alpha = tuple(s for s in zs.g_simples if s != g.unit)
     h_alpha = tuple(s for s in zs.h_simples if s != g.unit)
 
-    k_words = list(_normal_words(g, full, opt.max_len))
+    k_words = list(element.normal_words(g, full, opt.max_len))
     images = set()
     for letters in k_words:
-        w = normal_forms._from_letters(zs, list(letters), g.delta)
+        w = element._from_letters(letters, g.delta)
         p = normal_forms.split_nf(zs, w)
         r.eq(normal_forms.merge_nf(zs, p), w, "merge-after-split", w)
         gpart, hpart = _split_by_gcd(zs, w, zs.delta_g)
@@ -843,13 +773,13 @@ def suite_translation_roundtrip(zs: ZSStructure, opt: Options) -> SuiteReport:
 
     pair_count = 0
     by_length: dict[int, int] = {}
-    for gl in _normal_words(g, g_alpha, opt.max_len):
+    for gl in element.normal_words(g, g_alpha, opt.max_len):
         glen = sum(g.atom_len[s] for s in gl)
-        for hl in _normal_words(g, h_alpha, opt.max_len - glen):
+        for hl in element.normal_words(g, h_alpha, opt.max_len - glen):
             pair_count += 1
             p = normal_forms.NFPair(
-                normal_forms._from_letters(zs, list(gl), zs.delta_g),
-                normal_forms._from_letters(zs, list(hl), zs.delta_h))
+                element._from_letters(gl, zs.delta_g),
+                element._from_letters(hl, zs.delta_h))
             w = normal_forms.phi(zs, p)
             r.eq(normal_forms.phi_inv(zs, w), p, "split-after-merge", w)
             r.eq(w, element.normal_form(g, gl + hl), "merge-oracle", gl, hl)
@@ -866,10 +796,9 @@ def suite_translation_roundtrip(zs: ZSStructure, opt: Options) -> SuiteReport:
         total = sum(g.atom_len[s] for s in letters)
         k_by_length[total] = k_by_length.get(total, 0) + 1
     r.eq(by_length, k_by_length, "phi-counts")
-    return SuiteReport("translation-roundtrip", r.cases, r.failures)
 
 
-def suite_automata_translation(zs: ZSStructure, opt: Options) -> SuiteReport:
+def suite_automata_translation(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """
     Translated product acceptor vs the directly built one, exactly.  Both
     are in the state of the last letter read, so a word is accepted iff
@@ -878,7 +807,6 @@ def suite_automata_translation(zs: ZSStructure, opt: Options) -> SuiteReport:
     unequal ones differ already at length 1 or 2.
     """
     g = zs.germ
-    r = _Run(g)
     a_g = automata.build_factor_automaton(zs, "G", "full")
     a_h = automata.build_factor_automaton(zs, "H", "full")
     translated = automata.translate_pair_to_product(zs, a_g, a_h)
@@ -899,10 +827,9 @@ def suite_automata_translation(zs: ZSStructure, opt: Options) -> SuiteReport:
     back_g, back_h = automata.project_product_to_pair(zs, translated)
     r.eq(back_g, a_g, "project-G")
     r.eq(back_h, a_h, "project-H")
-    return SuiteReport("automata-translation", r.cases, r.failures)
 
 
-ZS_SUITES: dict[str, Callable[[ZSStructure, Options], SuiteReport]] = {
+ZS_SUITES: dict[str, Callable[[_Run, ZSStructure, Options], None]] = {
     "action-laws": suite_action_laws,
     "identity-detection": suite_identity_detection,
     "round-trip": suite_round_trip,
@@ -928,14 +855,17 @@ ZS_SUITES: dict[str, Callable[[ZSStructure, Options], SuiteReport]] = {
 
 
 def run_suite(name: str, target: Germ | ZSStructure, opt: Options | None = None) -> SuiteReport:
-    """Run one named suite against a germ or a decomposition."""
-    opt = opt or Options()
+    """Run one named suite against a germ or a decomposition, and report its cases."""
     if name in GERM_SUITES:
+        fn = GERM_SUITES[name]
         if isinstance(target, ZSStructure):
             target = target.germ
-        return GERM_SUITES[name](target, opt)
-    if name in ZS_SUITES:
+    elif name in ZS_SUITES:
+        fn = ZS_SUITES[name]
         if not isinstance(target, ZSStructure):
             raise ValueError(f"suite {name!r} needs a decomposition (--left)")
-        return ZS_SUITES[name](target, opt)
-    raise ValueError(f"unknown suite {name!r}")
+    else:
+        raise ValueError(f"unknown suite {name!r}")
+    r = _Run(target.germ if isinstance(target, ZSStructure) else target)
+    fn(r, target, opt or Options())
+    return SuiteReport(name, r.cases, r.failures)

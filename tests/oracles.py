@@ -601,3 +601,38 @@ def closure_table(g):
             d = g.join(d, x)
         table.append(d)
     return table
+
+
+# -- reference enumerators of normal words and elements -----------------------------
+
+def normal_words_recursive(g, alphabet, budget: int):
+    """Every normal word over the alphabet with total atom length <= budget, by recursion."""
+    word = []
+
+    def grow(last, left):
+        yield tuple(word)
+        for s in alphabet:
+            if g.atom_len[s] > left:
+                continue
+            if last is not None and not g.normal_pair(last, s):
+                continue
+            word.append(s)
+            yield from grow(s, left - g.atom_len[s])
+            word.pop()
+
+    yield from grow(None, budget)
+
+
+def elements_by_levels(g, max_len: int):
+    """Every element of atom length <= max_len, breadth first by multiplication by atoms."""
+    from garside import element as el
+
+    level = {el.UNIT}
+    yield el.UNIT
+    for _ in range(max_len):
+        nxt = set()
+        for w in level:
+            for a in g.atoms:
+                nxt.add(el.multiply(g, w, el.simple(g, a)))
+        yield from sorted(nxt, key=lambda v: (v.deltas, v.factors))
+        level = nxt

@@ -12,7 +12,7 @@ from garside import (GermValidationError, Options, build, cli, divisor_germ,
                      element as el, germ_from_spec, normal_forms as nfm,
                      quasicenter as qc, run_suite)
 from garside import automata
-from garside.suites import _normal_words
+from garside.element import normal_words
 
 from oracles import AbelianModel, BraidModel, WreathModel, model_check
 
@@ -135,7 +135,7 @@ def test_criterion_6_bijections():
             full = tuple(s for s in range(len(g)) if s != g.unit)
 
             k_by_len: dict[int, int] = {}
-            for letters in _normal_words(g, full, 5):
+            for letters in normal_words(g, full, 5):
                 n = sum(g.atom_len[s] for s in letters)
                 k_by_len[n] = k_by_len.get(n, 0) + 1
 
@@ -143,14 +143,14 @@ def test_criterion_6_bijections():
             psi_images = set()
             pair_by_len: dict[int, int] = {}
             pairs = 0
-            for gl in _normal_words(g, g_alpha, 5):
+            for gl in normal_words(g, g_alpha, 5):
                 glen = sum(g.atom_len[s] for s in gl)
-                for hl in _normal_words(g, h_alpha, 5 - glen):
+                for hl in normal_words(g, h_alpha, 5 - glen):
                     pairs += 1
                     n = glen + sum(g.atom_len[s] for s in hl)
                     pair_by_len[n] = pair_by_len.get(n, 0) + 1
-                    p = nfm.NFPair(nfm._from_letters(zs, list(gl), zs.delta_g),
-                                   nfm._from_letters(zs, list(hl), zs.delta_h))
+                    p = nfm.NFPair(el._from_letters(gl, zs.delta_g),
+                                   el._from_letters(hl, zs.delta_h))
                     w = nfm.phi(zs, p)
                     assert sum(g.atom_len[s] for s in el.letters(g, w)) == n
                     phi_images.add(w)

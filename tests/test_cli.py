@@ -257,6 +257,22 @@ def test_oversized_product_spec_is_refused_unbuilt(capsys, monkeypatch):
                        "of 5040 (braid:7)\n")
 
 
+def test_oversized_product_with_a_file_part_is_refused_unbuilt(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "two.germ"
+    path.write_text("germ v1\nsimples: 1 a\ndelta: a\n")
+
+    def no_build(*args):
+        raise AssertionError("a germ was built for a refused spec")
+
+    monkeypatch.setattr(germ_builtins, "braid_germ", no_build)
+    monkeypatch.setattr(germ_builtins, "direct_product_germ", no_build)
+    for spec in (f"prod:file:{path},braid:7", f"prod:braid:7,file:{path}"):
+        code, out, err = run(capsys, "nf", "--germ", spec, "1")
+        assert code == 2 and out == ""
+        assert err == ("usage error: a prod: germ of 10080 simples is above the limit "
+                       "of 5040 (braid:7)\n")
+
+
 def test_largest_allowed_product_spec_builds(capsys):
     code, out, _ = run(capsys, "nf", "--germ", "prod:braid:6,braid:3", "1")
     assert code == 0 and out == "1\n"

@@ -2,8 +2,8 @@ import pytest
 
 from garside import element as el
 from garside import normal_forms as nfm
+from garside.element import normal_words
 from garside.normal_forms import NFPair
-from garside.suites import _normal_words
 
 
 def nw(g, *names):
@@ -83,7 +83,7 @@ def test_merge_rejects_non_normal_input(wreath, wreath_zs):
 def test_phi_round_trip_small(wreath, wreath_zs):
     g, zs = wreath, wreath_zs
     full = tuple(s for s in range(len(g)) if s != g.unit)
-    for letters in _normal_words(g, full, 4):
+    for letters in normal_words(g, full, 4):
         w = el.normal_form(g, letters)
         assert nfm.phi(zs, nfm.phi_inv(zs, w)) == w
 
@@ -98,8 +98,8 @@ def test_psi_examples(wreath, wreath_zs):
     # psi agrees with the element-level lcm on all simple pairs
     for gs in zs.g_simples:
         for hs in zs.h_simples:
-            p = NFPair(nfm._from_letters(zs, [gs] if gs != g.unit else [], zs.delta_g),
-                       nfm._from_letters(zs, [hs] if hs != g.unit else [], zs.delta_h))
+            p = NFPair(el._from_letters([gs] if gs != g.unit else [], zs.delta_g),
+                       el._from_letters([hs] if hs != g.unit else [], zs.delta_h))
             assert nfm.psi(zs, p) == el.lcm(g, el.simple(g, gs), el.simple(g, hs))
 
 
@@ -133,7 +133,7 @@ def test_action_preserves_normality(wreath_zs):
     g = zs.germ
     from garside import zappa_szep as zsm
     g_alpha = tuple(s for s in zs.g_simples if s != g.unit)
-    for letters in _normal_words(g, g_alpha, 4):
+    for letters in normal_words(g, g_alpha, 4):
         for hs in zs.h_simples:
             acted = zsm.act_rr_word(zs, (hs,), letters)
             assert all(g.normal_pair(acted[i], acted[i + 1])
