@@ -636,3 +636,57 @@ def elements_by_levels(g, max_len: int):
                 nxt.add(el.multiply(g, w, el.simple(g, a)))
         yield from sorted(nxt, key=lambda v: (v.deltas, v.factors))
         level = nxt
+
+
+# -- the germ-level laws, one case at a time ----------------------------------------
+
+def lattice_laws_by_cases(r, g, opt):
+    """The lattice-laws suite as it was before its rows were compared whole."""
+    n = len(g)
+    for s in range(n):
+        for t in range(n):
+            r.eq(g.meet(s, t), g.meet(t, s), "meet-comm", s, t)
+            r.eq(g.join(s, t), g.join(t, s), "join-comm", s, t)
+            r.eq(g.meet(s, g.join(s, t)), s, "absorb-meet", s, t)
+            r.eq(g.join(s, g.meet(s, t)), s, "absorb-join", s, t)
+            r.eq(g.product(s, g.lcomp(s, t)), g.join(s, t), "lcomp-join", s, t)
+            pr = g.product(g.rcomp(s, t), s)
+            r.eq(pr, g.rjoin(s, t), "rcomp-rjoin", s, t)
+    for s in range(n):
+        r.eq(g.rcomplement(g.complement(s)), s, "comp-inverse", s)
+    if n <= 24:
+        triples = [(s, t, u) for s in range(n) for t in range(n) for u in range(n)]
+    else:
+        rng = opt.rng()
+        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                   for _ in range(opt.samples)]
+    for s, t, u in triples:
+        r.eq(g.meet(g.meet(s, t), u), g.meet(s, g.meet(t, u)), "meet-assoc", s, t, u)
+        r.eq(g.join(g.join(s, t), u), g.join(s, g.join(t, u)), "join-assoc", s, t, u)
+
+
+def complements_lemma_by_cases(r, g, opt):
+    """The complements-lemma suite as it was before its rows were compared whole."""
+    from garside import element
+    from garside.suites import _rand_element
+
+    for a in range(len(g)):
+        for b, ab in g.product_rows[a].items():
+            for c in range(len(g)):
+                r.eq(g.lcomp(ab, c), g.lcomp(b, g.lcomp(a, c)), "under-product", a, b, c)
+                rhs = g.product(g.lcomp(c, a), g.lcomp(g.lcomp(a, c), b))
+                r.eq(g.lcomp(c, ab), rhs, "over-product", a, b, c)
+    rng = opt.rng()
+    for _ in range(opt.samples):
+        x = _rand_element(g, rng, opt.max_len)
+        y = _rand_element(g, rng, opt.max_len)
+        z = _rand_element(g, rng, opt.max_len)
+        xy = element.multiply(g, x, y)
+        r.eq(element.left_complement(g, xy, z),
+             element.left_complement(g, y, element.left_complement(g, x, z)),
+             "element-under", x, y, z)
+        r.eq(element.left_complement(g, z, xy),
+             element.multiply(g, element.left_complement(g, z, x),
+                              element.left_complement(
+                                  g, element.left_complement(g, x, z), y)),
+             "element-over", x, y, z)

@@ -8,7 +8,7 @@ from garside import element as el
 from garside.suites import _Run
 
 from oracles import (ACTION_NF_SHAPES, abelian_by_braid3_germ, action_nf_failures,
-                     push_lemma_failures)
+                     complements_lemma_by_cases, lattice_laws_by_cases, push_lemma_failures)
 
 # The monoid <a, b | a.a = b.b.b>: a valid germ on which atom lengths are
 # not additive, so the length law reports counterexamples.
@@ -121,3 +121,52 @@ def test_action_walk_agrees_with_enumeration_up_to_four_letters(spec, left):
                     == min(listed.values(), default=None)
                 caught += bool(walk)
     assert caught > 0
+
+
+# -- the row-wise germ-level laws against their per-case oracles ----------------
+
+BY_CASES = {"complements-lemma": complements_lemma_by_cases,
+            "lattice-laws": lattice_laws_by_cases}
+
+
+def _by_cases(suite, g, opt):
+    r = _Run(g)
+    BY_CASES[suite](r, g, opt)
+    return r.cases, r.failures
+
+
+def _swap_row_inv(g, s):
+    """Swap the outputs of the first two products in the inverted row of s."""
+    row = g._row_inverses()[s]
+    v, w = sorted(row)[:2]
+    row[v], row[w] = row[w], row[v]
+
+
+def _swap_join(g, s):
+    """Swap the joins of s with the simples 1 and 2."""
+    row = g._join[s]
+    row[1], row[2] = row[2], row[1]
+
+
+@pytest.mark.parametrize("suite", BY_CASES)
+@pytest.mark.parametrize("spec", ["wreath", "braid:3", "braid:4", "abelian:3",
+                                  "prod:braid:4,braid:3", "A2_B3"])
+def test_row_suites_agree_with_per_case_oracle(spec, suite):
+    g = parse_germ(A2_B3) if spec == "A2_B3" else germ_from_spec(spec)
+    opt = Options(samples=40, seed=3)
+    report = run_suite(suite, g, opt)
+    assert (report.cases, report.failures) == _by_cases(suite, g, opt)
+
+
+@pytest.mark.parametrize("suite", BY_CASES)
+@pytest.mark.parametrize("tamper", [_swap_row_inv, _swap_join], ids=["row-inv", "join"])
+@pytest.mark.parametrize("spec, row", [("wreath", "a"), ("braid:4", "1243"),
+                                       ("braid:4", "2143"), ("prod:braid:4,braid:3", "1243*1")])
+def test_row_suites_agree_with_per_case_oracle_on_tampered_tables(spec, row, tamper, suite):
+    g = germ_from_spec(spec)
+    tamper(g, g.simple(row))
+    # the element-level half is left out: it may not survive a broken table
+    opt = Options(samples=0)
+    report = run_suite(suite, g, opt)
+    assert report.failures
+    assert (report.cases, report.failures) == _by_cases(suite, g, opt)
