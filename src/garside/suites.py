@@ -102,18 +102,38 @@ def _rand_element(g: Germ, rng: random.Random, max_len: int) -> NormalWord:
 # germ-level suites
 # ---------------------------------------------------------------------------
 
+def _compare_rows(r: _Run, laws, *args) -> None:
+    """
+    One case per law and column: laws holds (label, lhs row, rhs row) with
+    rows as lists indexed by the last argument.  Equal rows count their
+    cases at once; otherwise the columns are walked in order, law by law,
+    so the cases and failures are those of one r.eq per case.
+    """
+    n = len(laws[0][1])
+    if all(lhs == rhs for _, lhs, rhs in laws):
+        r.cases += len(laws) * n
+        return
+    for c in range(n):
+        for label, lhs, rhs in laws:
+            r.eq(lhs[c], rhs[c], label, *args, c)
+
+
 def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
     """Commutativity, absorption and associativity of the lattice ops; complement laws."""
     n = len(g)
+    rows = g.product_rows
     for s in range(n):
-        for t in range(n):
-            r.eq(g.meet(s, t), g.meet(t, s), "meet-comm", s, t)
-            r.eq(g.join(s, t), g.join(t, s), "join-comm", s, t)
-            r.eq(g.meet(s, g.join(s, t)), s, "absorb-meet", s, t)
-            r.eq(g.join(s, g.meet(s, t)), s, "absorb-join", s, t)
-            r.eq(g.product(s, g.lcomp(s, t)), g.join(s, t), "lcomp-join", s, t)
-            pr = g.product(g.rcomp(s, t), s)
-            r.eq(pr, g.rjoin(s, t), "rcomp-rjoin", s, t)
+        meet = [g.meet(s, t) for t in range(n)]
+        join = [g.join(s, t) for t in range(n)]
+        rjoin = [g.rjoin(s, t) for t in range(n)]
+        _compare_rows(r, (
+            ("meet-comm", meet, [g.meet(t, s) for t in range(n)]),
+            ("join-comm", join, [g.join(t, s) for t in range(n)]),
+            ("absorb-meet", [meet[v] for v in join], [s] * n),
+            ("absorb-join", [join[v] for v in meet], [s] * n),
+            ("lcomp-join", [rows[s].get(g.lcomp(s, t)) for t in range(n)], join),
+            ("rcomp-rjoin", [rows[g.rcomp(s, t)].get(s) for t in range(n)], rjoin),
+        ), s)
     for s in range(n):
         r.eq(g.rcomplement(g.complement(s)), s, "comp-inverse", s)
     if n <= 24:
@@ -129,12 +149,18 @@ def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
 
 def suite_complements_lemma(r: _Run, g: Germ, opt: Options) -> None:
     """The two complement recursions, on simples and on random elements."""
-    for a in range(len(g)):
-        for b, ab in g.product_rows[a].items():
-            for c in range(len(g)):
-                r.eq(g.lcomp(ab, c), g.lcomp(b, g.lcomp(a, c)), "under-product", a, b, c)
-                rhs = g.product(g.lcomp(c, a), g.lcomp(g.lcomp(a, c), b))
-                r.eq(g.lcomp(c, ab), rhs, "over-product", a, b, c)
+    n = len(g)
+    rows = g.product_rows
+    lc = [[g.lcomp(s, t) for t in range(n)] for s in range(n)]  # lc[s][t] = s\t
+    lc_t = [list(col) for col in zip(*lc)]  # lc_t[t][s] = s\t
+    for a in range(n):
+        for b, ab in rows[a].items():
+            # for every c: (ab)\c = b\(a\c) and c\(ab) = (c\a).((a\c)\b)
+            _compare_rows(r, (
+                ("under-product", lc[ab], [lc[b][x] for x in lc[a]]),
+                ("over-product", lc_t[ab],
+                 [rows[x].get(lc_t[b][y]) for x, y in zip(lc_t[a], lc[a])]),
+            ), a, b)
     rng = opt.rng()
     for _ in range(opt.samples):
         x = _rand_element(g, rng, opt.max_len)
