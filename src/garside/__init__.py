@@ -16,8 +16,8 @@ from .germ import (Germ, GermError, GermSyntaxError, GermValidationError,
                    ValidationReport, format_germ, make_germ, parse_germ,
                    validate_germ)
 from .normal_forms import (NFPair, is_normal_gh_gh, is_normal_gh_hg,
-                           is_normal_hg_gh, is_normal_hg_hg, merge_nf, phi,
-                           phi_inv, psi, split_nf)
+                           is_normal_hg_gh, is_normal_hg_hg, merge_nf, psi,
+                           split_nf)
 from .quasicenter import (AtomClassPartition, atom_classes, delta_of_simple,
                           is_delta_pure, quasi_center_basis)
 from .suites import GERM_SUITES, ZS_SUITES, Options, SuiteReport, run_suite

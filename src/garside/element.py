@@ -48,11 +48,6 @@ class NormalWord:
     def sup(self) -> int:
         return self.deltas + len(self.factors)
 
-    @property
-    def cl(self) -> int:
-        """Canonical length: the number of non-Delta factors."""
-        return len(self.factors)
-
 
 UNIT = NormalWord(0, ())
 

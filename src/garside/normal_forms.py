@@ -6,8 +6,8 @@ split_nf peels the G-part off a normal word of K factor by factor (the
 GH-decomposition of zappa_szep); merge_nf pushes the G-factors of a pair
 back through the H-word.  Both loops produce only words that are already
 normal -- that invariant is the substance of their correctness, so it is
-asserted at every step rather than repaired.  phi/phi_inv package the two loops as mutually inverse
-bijections; psi is the lcm variant, reduced to phi by an inverse action.
+asserted at every step rather than repaired.  The two are mutually inverse
+bijections; psi is the lcm variant, reduced to merge_nf by an inverse action.
 """
 
 from __future__ import annotations
@@ -108,16 +108,7 @@ def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
     return element._from_letters(word, g.delta)
 
 
-# -- the bijections ------------------------------------------------------------
-
-def phi(zs: ZSStructure, p: NFPair) -> NormalWord:
-    """The normal form of (product of nf_g) . (product of nf_h)."""
-    return merge_nf(zs, p)
-
-
-def phi_inv(zs: ZSStructure, w: NormalWord) -> NFPair:
-    return split_nf(zs, w)
-
+# -- the lcm variant -----------------------------------------------------------
 
 def psi(zs: ZSStructure, p: NFPair) -> NormalWord:
     """

@@ -151,7 +151,7 @@ def test_criterion_6_bijections():
                     pair_by_len[n] = pair_by_len.get(n, 0) + 1
                     p = nfm.NFPair(el._from_letters(gl, zs.delta_g),
                                    el._from_letters(hl, zs.delta_h))
-                    w = nfm.phi(zs, p)
+                    w = nfm.merge_nf(zs, p)
                     assert sum(g.atom_len[s] for s in el.letters(g, w)) == n
                     phi_images.add(w)
                     psi_images.add(nfm.psi(zs, p))

@@ -85,7 +85,7 @@ def test_phi_round_trip_small(wreath, wreath_zs):
     full = tuple(s for s in range(len(g)) if s != g.unit)
     for letters in normal_words(g, full, 4):
         w = el.normal_form(g, letters)
-        assert nfm.phi(zs, nfm.phi_inv(zs, w)) == w
+        assert nfm.merge_nf(zs, nfm.split_nf(zs, w)) == w
 
 
 def test_psi_examples(wreath, wreath_zs):

@@ -37,6 +37,18 @@ def test_run_renders_counts_as_numbers(wreath):
                           "simples[a]: a != b"]
 
 
+def test_report_times_its_suite_but_does_not_print_the_time(wreath):
+    report = run_suite("lattice-laws", wreath)
+    assert report.elapsed >= 0
+    assert str(report) == f"suite lattice-laws: ok ({report.cases} cases)"
+    assert str(report) == str(dataclasses.replace(report, elapsed=12.5))
+    failing = run_suite("element-lattice-laws", parse_germ(A2_B3), Options(seed=1))
+    assert failing.elapsed >= 0
+    assert str(failing) == str(dataclasses.replace(failing, elapsed=12.5))
+    assert str(failing).startswith(f"suite element-lattice-laws: {len(failing.failures)} "
+                                   f"counterexamples in {failing.cases} cases\n")
+
+
 def test_length_law_failures_render_as_numbers():
     report = run_suite("element-lattice-laws", parse_germ(A2_B3), Options(seed=1))
     for line in report.failures:
