@@ -12,8 +12,8 @@ braid:6 (45.7M cases) takes seconds.  Normality is 2-local, so
 of a letter-to-letter transducer, exact at every length.  A suite
 records its cases and counterexample descriptions in the run it is
 given; run_suite is the one place that makes the run, times it and
-turns it into the named report.  The CLI `check` subcommand and the test suite both
-go through run_suite.
+turns it into the named report.  The CLI `check` subcommand and the
+test suite both go through run_suite.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _rand_element(g: Germ, rng: random.Random, max_len: int) -> NormalWord:
 # germ-level suites
 # ---------------------------------------------------------------------------
 
-def _compare_rows(r: _Run, laws, *args) -> None:
+def _compare_rows(r: _Run, laws: Sequence[tuple[str, list, list]], *args) -> None:
     """
     One case per law and column: laws holds (label, lhs row, rhs row) with
     rows as lists indexed by the last argument.  Equal rows count their

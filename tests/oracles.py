@@ -641,7 +641,7 @@ def elements_by_levels(g, max_len: int):
 # -- the germ-level laws, one case at a time ----------------------------------------
 
 def lattice_laws_by_cases(r, g, opt):
-    """The lattice-laws suite as it was before its rows were compared whole."""
+    """The lattice-laws suite with one r.eq per case: the reference for its rows."""
     n = len(g)
     for s in range(n):
         for t in range(n):
@@ -666,7 +666,7 @@ def lattice_laws_by_cases(r, g, opt):
 
 
 def complements_lemma_by_cases(r, g, opt):
-    """The complements-lemma suite as it was before its rows were compared whole."""
+    """The complements-lemma suite with one r.eq per case: the reference for its rows."""
     from garside import element
     from garside.suites import _rand_element
 

@@ -45,8 +45,6 @@ def test_report_times_its_suite_but_does_not_print_the_time(wreath):
     failing = run_suite("element-lattice-laws", parse_germ(A2_B3), Options(seed=1))
     assert failing.elapsed >= 0
     assert str(failing) == str(dataclasses.replace(failing, elapsed=12.5))
-    assert str(failing).startswith(f"suite element-lattice-laws: {len(failing.failures)} "
-                                   f"counterexamples in {failing.cases} cases\n")
 
 
 def test_length_law_failures_render_as_numbers():
