@@ -690,3 +690,22 @@ def complements_lemma_by_cases(r, g, opt):
                               element.left_complement(
                                   g, element.left_complement(g, x, z), y)),
              "element-over", x, y, z)
+
+
+# -- factor closure by products of elements -------------------------------------------
+
+def factor_closure_by_pairs(r, zs, opt):
+    """A product landing in a factor forces both terms into that factor."""
+    from garside import element, zappa_szep
+
+    g = zs.germ
+    elems = list(element.iter_elements(g, opt.max_len))
+    for x in elems:
+        for y in elems:
+            xy = element.multiply(g, x, y)
+            if zappa_szep.element_in_g(zs, xy):
+                r.check(zappa_szep.element_in_g(zs, x) and zappa_szep.element_in_g(zs, y),
+                        lambda x=x, y=y: f"G-closure fails at {r._show(x)}, {r._show(y)}")
+            if zappa_szep.element_in_h(zs, xy):
+                r.check(zappa_szep.element_in_h(zs, x) and zappa_szep.element_in_h(zs, y),
+                        lambda x=x, y=y: f"H-closure fails at {r._show(x)}, {r._show(y)}")

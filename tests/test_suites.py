@@ -8,7 +8,8 @@ from garside import element as el
 from garside.suites import _Run
 
 from oracles import (ACTION_NF_SHAPES, abelian_by_braid3_germ, action_nf_failures,
-                     complements_lemma_by_cases, lattice_laws_by_cases, push_lemma_failures)
+                     complements_lemma_by_cases, factor_closure_by_pairs,
+                     lattice_laws_by_cases, push_lemma_failures)
 
 # The monoid <a, b | a.a = b.b.b>: a valid germ on which atom lengths are
 # not additive, so the length law reports counterexamples.
@@ -180,3 +181,44 @@ def test_row_suites_agree_with_per_case_oracle_on_tampered_tables(spec, row, tam
     report = run_suite(suite, g, opt)
     assert report.failures
     assert (report.cases, report.failures) == _by_cases(suite, g, opt)
+
+
+# -- factor closure against products of elements ------------------------------------
+
+CLOSURE = [("wreath", "a,b"), ("wreath", "c"), ("abelian:3", "e1"),
+           ("prod:braid:3,abelian:1", "132*1,213*1"),
+           ("prod:braid:4,braid:3", "1243*1,1324*1,2134*1"),
+           ("prod:wreath,wreath", "a*1,b*1,1*c"), ("N3_B3", "e1*1,e2*1,e3*1")]
+
+
+def _closure_zs(spec, left):
+    g = abelian_by_braid3_germ() if spec == "N3_B3" else germ_from_spec(spec)
+    return build(g, [g.simple(nm) for nm in left.split(",")])
+
+
+def _by_pairs(zs, opt):
+    r = _Run(zs.germ)
+    factor_closure_by_pairs(r, zs, opt)
+    return r.failures
+
+
+@pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
+def test_factor_closure_agrees_with_products_of_elements(spec, left):
+    zs = _closure_zs(spec, left)
+    opt = Options(max_len=3)
+    assert run_suite("factor-closure", zs, opt).ok
+    assert _by_pairs(zs, opt) == []
+
+
+@pytest.mark.parametrize("field", ["delta_g", "delta_h"])
+@pytest.mark.parametrize("name", ["1", "a", "b", "c", "ab", "ac", "bc", "abc"])
+def test_factor_closure_agrees_with_products_of_elements_on_tampered_deltas(
+        wreath_zs, field, name):
+    zs = dataclasses.replace(wreath_zs, **{field: wreath_zs.germ.simple(name)})
+    opt = Options(max_len=3)
+    report = run_suite("factor-closure", zs, opt)
+    assert report.ok == (_by_pairs(zs, opt) == [])
+    # ac and bc are the two replacements whose divisors are not closed
+    assert report.ok == (name not in ("ac", "bc"))
+    side = field[-1].upper()
+    assert all(line.startswith(f"{side}-closure fails at ") for line in report.failures)
