@@ -217,8 +217,25 @@ def test_factor_closure_agrees_with_products_of_elements_on_tampered_deltas(
     zs = dataclasses.replace(wreath_zs, **{field: wreath_zs.germ.simple(name)})
     opt = Options(max_len=3)
     report = run_suite("factor-closure", zs, opt)
-    assert report.ok == (_by_pairs(zs, opt) == [])
+    by_pairs = _by_pairs(zs, opt)
+    assert report.ok == (by_pairs == [])
+    # each counterexample is a pair of simples, so the pairs list it too
+    assert set(report.failures) <= set(by_pairs)
     # ac and bc are the two replacements whose divisors are not closed
     assert report.ok == (name not in ("ac", "bc"))
     side = field[-1].upper()
     assert all(line.startswith(f"{side}-closure fails at ") for line in report.failures)
+
+
+@pytest.mark.parametrize("spec, left", CLOSURE[3:5], ids=["prod:braid:3,abelian:1",
+                                                          "prod:braid:4,braid:3"])
+def test_factor_closure_reads_neither_length_nor_samples(spec, left):
+    zs = _closure_zs(spec, left)
+    reports = [run_suite("factor-closure", zs, Options(max_len=n, samples=k))
+               for n in (0, 4, 8) for k in (0, 200)]
+    assert all(report == reports[0] and report.ok for report in reports)
+    # one case per divisor of each factor simple
+    g = zs.germ
+    assert reports[0].cases == sum(
+        len(set(g.left_divisors(s)) | set(g.opposite().left_divisors(s)))
+        for delta in (zs.delta_g, zs.delta_h) for s in g.left_divisors(delta))
