@@ -183,31 +183,45 @@ class GermSpec:
 
     @staticmethod
     def parse(text: str) -> "GermSpec":
-        if text == "wreath":
-            return GermSpec("wreath", ())
-        if text.startswith("braid:"):
-            return GermSpec("braid", (_int_param(text, "braid:"),))
-        if text.startswith("abelian:"):
-            return GermSpec("abelian", (_int_param(text, "abelian:"),))
-        if text.startswith("file:"):
-            return GermSpec("file", (text[len("file:"):],))
+        """
+        The spec of a --germ argument.  The grammar is prefix notation,
+        prod:SPEC,SPEC, and only a file: path may hold a comma: a product
+        splits at the first comma where both halves parse.  A descent over
+        the comma-separated pieces tries more than one end only for a file
+        path, so a spec of builtins parses in time linear in its length.
+        """
+        pieces = text.split(",")
+        memo: dict[tuple[int, int], dict[int, GermSpec]] = {}
+
+        def ends(i: int, at: int) -> dict[int, GermSpec]:
+            """Per last piece j, the spec that starts at pieces[i][at:] and ends with piece j."""
+            if (i, at) not in memo:
+                head, found = pieces[i][at:], {}
+                if head.startswith("file:"):
+                    for j in range(i, len(pieces)):
+                        found[j] = GermSpec("file", (",".join([head[5:], *pieces[i + 1:j + 1]]),))
+                elif head.startswith("prod:"):
+                    lefts = ends(i, at + len("prod:"))
+                    for c in sorted(c for c in lefts if c + 1 < len(pieces)):
+                        for j, right in ends(c + 1, 0).items():
+                            found.setdefault(j, GermSpec("prod", (lefts[c], right)))
+                else:
+                    try:
+                        found[i] = _leaf(head)
+                    except ValueError:
+                        pass
+                memo[i, at] = found
+            return memo[i, at]
+
+        try:
+            spec = ends(0, 0).get(len(pieces) - 1)
+        except RecursionError:
+            raise ValueError("germ spec nested too deeply") from None
+        if spec is not None:
+            return spec
         if text.startswith("prod:"):
-            rest = text[len("prod:"):]
-            # the comma splitting the two sub-specs is the first one where
-            # both halves parse
-            for i, ch in enumerate(rest):
-                if ch != ",":
-                    continue
-                try:
-                    left = GermSpec.parse(rest[:i])
-                    right = GermSpec.parse(rest[i + 1:])
-                except ValueError:
-                    continue
-                return GermSpec("prod", (left, right))
             raise ValueError(f"cannot split product spec {text!r}")
-        raise ValueError(
-            f"unknown germ spec {text!r} (expected wreath, braid:N, abelian:K, "
-            "prod:SPEC,SPEC or file:PATH)")
+        return _leaf(text)  # raises the leaf's own error
 
     def size(self) -> int | None:
         """The number of simples build() gives; None for a file or a parameter it refuses."""
@@ -242,6 +256,21 @@ class GermSpec:
         raise ValueError(f"unknown germ family {self.family!r}")
 
 
+def _leaf(text: str) -> GermSpec:
+    """A spec other than prod:, which may not hold a comma unless it is a file."""
+    if text == "wreath":
+        return GermSpec("wreath", ())
+    if text.startswith("braid:"):
+        return GermSpec("braid", (_int_param(text, "braid:"),))
+    if text.startswith("abelian:"):
+        return GermSpec("abelian", (_int_param(text, "abelian:"),))
+    if text.startswith("file:"):
+        return GermSpec("file", (text[len("file:"):],))
+    raise ValueError(
+        f"unknown germ spec {text!r} (expected wreath, braid:N, abelian:K, "
+        "prod:SPEC,SPEC or file:PATH)")
+
+
 def _int_param(text: str, prefix: str) -> int:
     try:
         return int(text[len(prefix):])
@@ -251,4 +280,7 @@ def _int_param(text: str, prefix: str) -> int:
 
 def germ_from_spec(text: str) -> Germ:
     """Build a germ from a spec string like braid:4 or prod:braid:3,abelian:1."""
-    return GermSpec.parse(text).build()
+    try:
+        return GermSpec.parse(text).build()
+    except RecursionError:  # size() and build() recurse deeper than parse()
+        raise ValueError("germ spec nested too deeply") from None

@@ -709,3 +709,35 @@ def factor_closure_by_pairs(r, zs, opt):
             if zappa_szep.element_in_h(zs, xy):
                 r.check(zappa_szep.element_in_h(zs, x) and zappa_szep.element_in_h(zs, y),
                         lambda x=x, y=y: f"H-closure fails at {r._show(x)}, {r._show(y)}")
+
+
+# -- the --germ spec, split by trying every comma ---------------------------------------
+
+def germ_spec_by_splits(text: str):
+    """GermSpec.parse by its rule as stated: a product splits at the first
+    comma where both halves parse, each half parsed afresh."""
+    from garside.builtins import GermSpec
+
+    if text == "wreath":
+        return GermSpec("wreath", ())
+    for family in ("braid", "abelian"):
+        if text.startswith(family + ":"):
+            try:
+                return GermSpec(family, (int(text[len(family) + 1:]),))
+            except ValueError:
+                raise ValueError(f"bad integer in germ spec {text!r}") from None
+    if text.startswith("file:"):
+        return GermSpec("file", (text[len("file:"):],))
+    if text.startswith("prod:"):
+        rest = text[len("prod:"):]
+        for i, ch in enumerate(rest):
+            if ch != ",":
+                continue
+            try:
+                left = germ_spec_by_splits(rest[:i])
+                right = germ_spec_by_splits(rest[i + 1:])
+            except ValueError:
+                continue
+            return GermSpec("prod", (left, right))
+        raise ValueError(f"cannot split product spec {text!r}")
+    raise ValueError(f"unknown germ spec {text!r}")

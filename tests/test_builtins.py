@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from garside import (GermSpec, GermValidationError, braid_germ, build,
@@ -5,7 +7,7 @@ from garside import (GermSpec, GermValidationError, braid_germ, build,
                      free_abelian_germ, germ_from_spec, validate_germ)
 from garside import atom_classes, delta_of_simple
 
-from oracles import braid_germ_by_pairs, direct_product_germ_by_pairs
+from oracles import braid_germ_by_pairs, direct_product_germ_by_pairs, germ_spec_by_splits
 
 
 def assert_same_germ(g, h):
@@ -157,3 +159,59 @@ def test_germ_spec_parsing():
         GermSpec.parse("braid:x")
     with pytest.raises(ValueError):
         GermSpec.parse("prod:braid:3")
+
+
+# every spec the tests use, well-formed or not
+TEST_SPECS = ["wreath", "braid:2", "braid:3", "braid:4", "braid:5", "braid:9", "braid:x",
+              "abelian:-1", "abelian:0", "abelian:1", "abelian:3", "abelian:4", "octonion:3",
+              "file:", "file:x.germ", "prod:", "prod:braid:3", "prod:abelian:1,abelian:1",
+              "prod:braid:3,abelian:1", "prod:braid:4,abelian:1", "prod:braid:4,abelian:4",
+              "prod:braid:4,braid:3", "prod:braid:5,abelian:1", "prod:braid:6,braid:3",
+              "prod:braid:6,braid:4", "prod:braid:7,braid:7", "prod:braid:9,braid:3",
+              "prod:wreath,wreath", "prod:file:x.germ,braid:7", "prod:braid:7,file:x.germ",
+              "prod:prod:braid:5,braid:5,abelian:0", "prod:wreath,prod:braid:2,abelian:1"]
+
+
+def _parse_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return str(e).split(" (expected")[0]
+
+
+@pytest.mark.parametrize("text", TEST_SPECS)
+def test_spec_parses_as_by_trying_every_comma(text):
+    assert _parse_or_error(GermSpec.parse, text) == _parse_or_error(germ_spec_by_splits, text)
+
+
+@pytest.mark.parametrize("text, path", [
+    ("prod:file:one,atom.germ,braid:3", "one,atom.germ"),
+    # the first comma where both halves parse: "wreath,braid:3" is no spec
+    ("prod:file:x,wreath,braid:3", "x,wreath"),
+    ("prod:file:x,prod:wreath,wreath", "x"),
+    ("prod:prod:file:a,b,wreath,wreath", "a,b"),
+])
+def test_file_path_ends_at_the_first_comma_where_both_halves_parse(text, path):
+    spec = GermSpec.parse(text)
+    assert spec == germ_spec_by_splits(text)
+    while spec.family == "prod":
+        spec = spec.params[0]
+    assert spec == GermSpec("file", (path,))
+
+
+def test_nested_builtin_spec_parses_in_linear_time():
+    n = 200
+    text = "prod:" * n + "abelian:0" + ",abelian:0" * n
+    start = time.perf_counter()
+    spec = GermSpec.parse(text)
+    assert time.perf_counter() - start < 0.1
+    for _ in range(n):
+        assert spec.family == "prod" and spec.params[1] == GermSpec("abelian", (0,))
+        spec = spec.params[0]
+    assert spec == GermSpec("abelian", (0,))
+
+
+def test_spec_nested_past_the_recursion_limit_is_a_value_error():
+    text = "prod:" * 5000 + "abelian:0" + ",abelian:0" * 5000
+    with pytest.raises(ValueError, match="nested too deeply"):
+        GermSpec.parse(text)

@@ -273,6 +273,24 @@ def test_oversized_product_with_a_file_part_is_refused_unbuilt(capsys, monkeypat
                        "of 5040 (braid:7)\n")
 
 
+def test_product_with_a_comma_in_a_file_name_builds(capsys, tmp_path):
+    path = tmp_path / "one,atom.germ"
+    path.write_text("germ v1\nsimples: 1 a\ndelta: a\n")
+    code, out, err = run(capsys, "nf", "--germ", f"prod:file:{path},braid:3", "a*1.1*213")
+    assert (code, out, err) == (0, "a*213\n", "")
+
+
+@pytest.mark.parametrize("depth, code", [(200, 0), (5000, 2)])
+def test_deeply_nested_product_spec(capsys, depth, code):
+    spec = "prod:" * depth + "abelian:0" + ",abelian:0" * depth
+    got, out, err = run(capsys, "nf", "--germ", spec, "1")
+    assert got == code
+    if code == 0:
+        assert (out, err) == ("1\n", "")
+    else:
+        assert (out, err) == ("", "usage error: germ spec nested too deeply\n")
+
+
 def test_largest_allowed_product_spec_builds(capsys):
     code, out, _ = run(capsys, "nf", "--germ", "prod:braid:6,braid:3", "1")
     assert code == 0 and out == "1\n"
