@@ -19,6 +19,7 @@ thousand simples cheap.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NoReturn
@@ -172,6 +173,7 @@ class Germ:
         self.atom_len = _atom_lengths(self, self.atoms)
 
         self._opposite: Germ | None = None
+        self._opposite_of: weakref.ref[Germ] | None = None  # set on an opposite
         self._memo: dict = {}  # cross-module caches (quasi-central closures etc.)
 
         self._meet = _LatticeRows(ldiv, self._by_ldiv)
@@ -281,17 +283,24 @@ class Germ:
     # -- the opposite germ ------------------------------------------------
 
     def opposite(self) -> Germ:
-        """The germ with reversed products; cached, an involution."""
-        if self._opposite is None:
+        """
+        The germ with reversed products; cached, an involution.  A germ
+        holds its opposite, which refers back weakly, so the two form no
+        reference cycle and each is freed when its last reference goes.
+        """
+        op = self._opposite
+        if op is None and self._opposite_of is not None:
+            op = self._opposite_of()
+        if op is None:
             n = len(self.names)
             rows: list[dict[int, int]] = [dict() for _ in range(n)]
             for s, row in enumerate(self.product_rows):
                 for t, u in row.items():
                     rows[t][s] = u
             op = Germ(self.names, self.delta, tuple(rows))
-            op._opposite = self
+            op._opposite_of = weakref.ref(self)
             self._opposite = op
-        return self._opposite
+        return op
 
 
 def _atom_lengths(g: Germ, atoms: Iterable[int]) -> list[int]:

@@ -1,8 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from garside import (GermError, GermSyntaxError, GermValidationError,
+from garside import (GermError, GermSyntaxError, GermValidationError, braid_germ,
                      format_germ, parse_germ, validate_germ)
 from garside.germ import make_germ
 
@@ -270,6 +272,29 @@ def test_opposite(wreath, ab2):
     # commutative germ is its own opposite
     ab_op = ab2.opposite()
     assert ab_op.product_rows == ab2.product_rows
+
+
+@pytest.mark.parametrize("build_opposite", [False, True])
+def test_germ_dies_on_del_without_the_cyclic_collector(build_opposite):
+    g = braid_germ(3)
+    if build_opposite:
+        op = g.opposite()
+        assert op.opposite() is g
+        del op
+    alive = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_opposite_outlives_its_germ():
+    op = braid_germ(3).opposite()
+    # the germ was freed; asking again builds an equal one
+    assert op.opposite().product_rows == braid_germ(3).product_rows
+    assert op.opposite().opposite() is op
 
 
 def test_tau_duality_exhaustive(wreath, b3):
