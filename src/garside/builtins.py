@@ -14,6 +14,7 @@ witness when the element is not balanced).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -184,17 +185,17 @@ class GermSpec:
     @staticmethod
     def parse(text: str) -> "GermSpec":
         """
-        The spec of a --germ argument.  The grammar is prefix notation,
-        prod:SPEC,SPEC, and only a file: path may hold a comma: a product
-        splits at the first comma where both halves parse.  A descent over
-        the comma-separated pieces tries more than one end only for a file
-        path, so a spec of builtins parses in time linear in its length.
+        The spec of a --germ argument, in prefix notation.  Only a file:
+        path may hold a comma, and a product splits at the first comma where
+        both halves parse.  The descent over the comma-separated pieces
+        tries more than one end only for a path, so a spec of builtins
+        parses in time linear in its length.
         """
         pieces = text.split(",")
         memo: dict[tuple[int, int], dict[int, GermSpec]] = {}
 
         def ends(i: int, at: int) -> dict[int, GermSpec]:
-            """Per last piece j, the spec that starts at pieces[i][at:] and ends with piece j."""
+            """Per last piece j, the spec from pieces[i][at:] through piece j."""
             if (i, at) not in memo:
                 head, found = pieces[i][at:], {}
                 if head.startswith("file:"):
@@ -206,10 +207,8 @@ class GermSpec:
                         for j, right in ends(c + 1, 0).items():
                             found.setdefault(j, GermSpec("prod", (lefts[c], right)))
                 else:
-                    try:
+                    with contextlib.suppress(ValueError):
                         found[i] = _leaf(head)
-                    except ValueError:
-                        pass
                 memo[i, at] = found
             return memo[i, at]
 
@@ -217,11 +216,9 @@ class GermSpec:
             spec = ends(0, 0).get(len(pieces) - 1)
         except RecursionError:
             raise ValueError("germ spec nested too deeply") from None
-        if spec is not None:
-            return spec
-        if text.startswith("prod:"):
+        if spec is None and text.startswith("prod:"):
             raise ValueError(f"cannot split product spec {text!r}")
-        return _leaf(text)  # raises the leaf's own error
+        return spec or _leaf(text)  # a leaf that does not parse raises its own error
 
     def size(self) -> int | None:
         """The number of simples build() gives; None for a file or a parameter it refuses."""
@@ -257,25 +254,18 @@ class GermSpec:
 
 
 def _leaf(text: str) -> GermSpec:
-    """A spec other than prod:, which may not hold a comma unless it is a file."""
-    if text == "wreath":
-        return GermSpec("wreath", ())
-    if text.startswith("braid:"):
-        return GermSpec("braid", (_int_param(text, "braid:"),))
-    if text.startswith("abelian:"):
-        return GermSpec("abelian", (_int_param(text, "abelian:"),))
-    if text.startswith("file:"):
-        return GermSpec("file", (text[len("file:"):],))
+    """A spec other than prod:; only a file: path may hold a comma."""
+    family, colon, param = text.partition(":")
+    if text == "wreath" or family == "file" and colon:
+        return GermSpec(family, (param,) if colon else ())
+    if family in ("braid", "abelian") and colon:
+        try:
+            return GermSpec(family, (int(param),))
+        except ValueError:
+            raise ValueError(f"bad integer in germ spec {text!r}") from None
     raise ValueError(
         f"unknown germ spec {text!r} (expected wreath, braid:N, abelian:K, "
         "prod:SPEC,SPEC or file:PATH)")
-
-
-def _int_param(text: str, prefix: str) -> int:
-    try:
-        return int(text[len(prefix):])
-    except ValueError:
-        raise ValueError(f"bad integer in germ spec {text!r}") from None
 
 
 def germ_from_spec(text: str) -> Germ:

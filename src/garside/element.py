@@ -420,12 +420,8 @@ def balance_witness(g: Germ, x: NormalWord) -> NormalWord | None:
     None if the prefixes of x are exactly its suffixes; otherwise an
     element in one set but not the other (the canonically smallest one).
     """
-    left = left_divisor_set(g, x)
-    right = right_divisor_set(g, x)
-    diff = left.symmetric_difference(right)
-    if not diff:
-        return None
-    return min(diff, key=lambda w: (atom_length(g, w), w.deltas, w.factors))
+    diff = left_divisor_set(g, x) ^ right_divisor_set(g, x)
+    return min(diff, key=lambda w: (atom_length(g, w), w.deltas, w.factors), default=None)
 
 
 def is_balanced(g: Germ, x: NormalWord) -> bool:

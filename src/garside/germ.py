@@ -283,11 +283,8 @@ class Germ:
     # -- the opposite germ ------------------------------------------------
 
     def opposite(self) -> Germ:
-        """
-        The germ with reversed products; cached, an involution.  A germ
-        holds its opposite, which refers back weakly, so the two form no
-        reference cycle and each is freed when its last reference goes.
-        """
+        """The germ with reversed products; cached, an involution.  Its link
+        back is weak, so a germ and its opposite form no reference cycle."""
         op = self._opposite
         if op is None and self._opposite_of is not None:
             op = self._opposite_of()
@@ -583,14 +580,10 @@ def _check_complements(g: Germ) -> tuple[bool, str | None]:
 
 
 def _check_balanced(g: Germ) -> tuple[bool, str | None]:
-    full = (1 << len(g)) - 1
-    op = g.opposite()
-    if g.ldiv[g.delta] != full:
-        missing = next(s for s in range(len(g)) if not (g.ldiv[g.delta] >> s) & 1)
-        return False, f"{g.names[missing]} is not a prefix of delta"
-    if op.ldiv[g.delta] != full:
-        missing = next(s for s in range(len(g)) if not (op.ldiv[g.delta] >> s) & 1)
-        return False, f"{g.names[missing]} is not a suffix of delta"
+    for h, side in ((g, "prefix"), (g.opposite(), "suffix")):
+        if h.ldiv[g.delta] != (1 << len(g)) - 1:
+            missing = next(s for s in range(len(g)) if not (h.ldiv[g.delta] >> s) & 1)
+            return False, f"{g.names[missing]} is not a {side} of delta"
     return True, None
 
 
@@ -601,27 +594,21 @@ def _check_lattice(g: Germ) -> tuple[bool, str | None]:
     for s in range(n):
         if not (g.ldiv[s] >> s) & 1 or not (op.ldiv[s] >> s) & 1:
             return False, f"divisibility is not reflexive at {nm[s]}"
+    sides = ((g, "prefix"), (op, "suffix"))
     for t in range(n):
-        for s in _bits(g.ldiv[t]):
-            if s != t and (g.ldiv[s] >> t) & 1:
-                return False, f"prefix order not antisymmetric: {nm[s]}, {nm[t]}"
-            if g.ldiv[s] & g.ldiv[t] != g.ldiv[s]:
-                return False, f"prefix order not transitive below {nm[t]} at {nm[s]}"
-        for s in _bits(op.ldiv[t]):
-            if s != t and (op.ldiv[s] >> t) & 1:
-                return False, f"suffix order not antisymmetric: {nm[s]}, {nm[t]}"
-            if op.ldiv[s] & op.ldiv[t] != op.ldiv[s]:
-                return False, f"suffix order not transitive below {nm[t]} at {nm[s]}"
+        for h, side in sides:
+            for s in _bits(h.ldiv[t]):
+                if s != t and (h.ldiv[s] >> t) & 1:
+                    return False, f"{side} order not antisymmetric: {nm[s]}, {nm[t]}"
+                if h.ldiv[s] & h.ldiv[t] != h.ldiv[s]:
+                    return False, f"{side} order not transitive below {nm[t]} at {nm[s]}"
     for s in range(n):
         for t in range(s, n):
-            if g.ldiv[s] & g.ldiv[t] not in g._by_ldiv:
-                return False, f"{nm[s]} and {nm[t]} have no prefix meet"
-            if g.lupper[s] & g.lupper[t] not in g._by_lupper:
-                return False, f"{nm[s]} and {nm[t]} have no prefix join"
-            if op.ldiv[s] & op.ldiv[t] not in op._by_ldiv:
-                return False, f"{nm[s]} and {nm[t]} have no suffix meet"
-            if op.lupper[s] & op.lupper[t] not in op._by_lupper:
-                return False, f"{nm[s]} and {nm[t]} have no suffix join"
+            for h, side in sides:
+                if h.ldiv[s] & h.ldiv[t] not in h._by_ldiv:
+                    return False, f"{nm[s]} and {nm[t]} have no {side} meet"
+                if h.lupper[s] & h.lupper[t] not in h._by_lupper:
+                    return False, f"{nm[s]} and {nm[t]} have no {side} join"
     return True, None
 
 

@@ -9,7 +9,10 @@ laws on simples compare a whole row of cases with one list equality and
 walk a row case by case only when it differs, so `complements-lemma` on
 braid:6 (45.7M cases) takes seconds.  Normality is 2-local, so
 `action-preserves-nf` and `push-lemma` instead walk the reachable states
-of a letter-to-letter transducer, exact at every length.  A suite
+of a letter-to-letter transducer, and `factor-closure` checks the
+divisors of factor simples, all three exact at every length; only
+`decomposition-uniqueness` and `translation-roundtrip` enumerate words up
+to `--max-len`, exponentially many.  A suite
 records its cases and counterexample descriptions in the run it is
 given; run_suite is the one place that makes the run, times it and
 turns it into the named report.  The CLI `check` subcommand and the
@@ -591,32 +594,26 @@ def suite_complement_of_join(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 def suite_factor_closure(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """
-    A product landing in a factor forces both terms into that factor, at
-    every length: one case per left or right divisor d of each simple s of
-    G (the left divisors of delta_G, which member_g tests), and of H.
-
-    build checks that the left divisors of delta_G are the simples that
-    the G-atoms generate, and this suite adds that their right divisors
-    are G-simples too.  Stripping G-atoms then shows that a defined
-    product of G-simples is a G-simple, so every sweep step (a, b) ->
-    (a.u, u\\b) with u = (complement of a) meet b stays in G; delta is not
-    a G-simple, so a product of G-simples has a normal form of G-letters.
-    If x divides z in G on the left, head(x) divides head(z) and is a
-    G-simple, and head(x)^-1.z is a product of G-simples; induction on
-    sup(x) puts x and, one letter at a time, x^-1.z in G.  So x.y in G
-    gives x and y in G.  Conversely a divisor d of s outside G is the
-    counterexample d.(d\\s) = s or (s/d).d = s.  H is the same.
+    A product in a factor has both terms in it, at every length: one case
+    per left or right divisor of each simple of G (the left divisors of
+    delta_G, which member_g tests) and of H.  build checks that the left
+    divisors of delta_G are the simples the G-atoms generate; with right
+    divisors closed too, stripping G-atoms shows that a defined product of
+    G-simples is one.  So each sweep step (a, b) -> (a.u, u\\b), with
+    u = (complement of a) meet b, stays in G, and as delta is no G-simple
+    a product of G-simples has G-letters only.  If x divides z in G on the
+    left, head(x) divides head(z), so it is a G-simple, and head(x)^-1.z
+    is a product of G-simples: induction on sup(x) puts x and x^-1.z in G.
+    Conversely a divisor d of s outside G gives d.(d\\s) = s or (s/d).d = s.
     """
-    g = zs.germ
-    left_inv, op = g._row_inv or g._row_inverses(), g.opposite()
-    right_inv = op._row_inv or op._row_inverses()
+    g, op = zs.germ, zs.germ.opposite()
     for side, delta in (("G", zs.delta_g), ("H", zs.delta_h)):
         inside = g.ldiv[delta]
         for s in _bits(inside):
             divisors = g.ldiv[s] | op.ldiv[s]
             r.cases += divisors.bit_count()
             for d in _bits(divisors & ~inside):
-                x, y = (d, left_inv[d][s]) if (g.ldiv[s] >> d) & 1 else (right_inv[d][s], d)
+                x, y = (d, g.lcomp(d, s)) if (g.ldiv[s] >> d) & 1 else (g.rcomp(d, s), d)
                 r.failures.append(f"{side}-closure fails at {g.names[x]}, {g.names[y]}")
 
 

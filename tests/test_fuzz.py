@@ -120,7 +120,7 @@ JUNK = ["", "1", "x", "D^", "D^-1", "D^x", "D^1e3", " a", "a ", "-a", "1.1", "é
 
 
 def _word(rng: random.Random, names, seps: str, big_deltas: bool) -> str:
-    """Up to five names, junk tokens and Delta powers, each joined by a separator from `seps`."""
+    """Up to five names, junk tokens and Delta powers, joined by one separator drawn from `seps`."""
     def token():
         r = rng.random()
         if r < 0.15:
