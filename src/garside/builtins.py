@@ -200,7 +200,7 @@ class GermSpec:
                 head, found = pieces[i][at:], {}
                 if head.startswith("file:"):
                     for j in range(i, len(pieces)):
-                        found[j] = GermSpec("file", (",".join([head[5:], *pieces[i + 1:j + 1]]),))
+                        found[j] = _leaf(",".join([head, *pieces[i + 1:j + 1]]))
                 elif head.startswith("prod:"):
                     lefts = ends(i, at + len("prod:"))
                     for c in sorted(c for c in lefts if c + 1 < len(pieces)):

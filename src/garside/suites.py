@@ -599,7 +599,7 @@ def suite_factor_closure(r: _Run, zs: ZSStructure, opt: Options) -> None:
     delta_G, which member_g tests) and of H.  build checks that the left
     divisors of delta_G are the simples the G-atoms generate; with right
     divisors closed too, stripping G-atoms shows that a defined product of
-    G-simples is one.  So each sweep step (a, b) -> (a.u, u\\b), with
+    G-simples is a G-simple.  So each sweep step (a, b) -> (a.u, u\\b), with
     u = (complement of a) meet b, stays in G, and as delta is no G-simple
     a product of G-simples has G-letters only.  If x divides z in G on the
     left, head(x) divides head(z), so it is a G-simple, and head(x)^-1.z
