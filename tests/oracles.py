@@ -711,6 +711,39 @@ def factor_closure_by_pairs(r, zs, opt):
                         lambda x=x, y=y: f"H-closure fails at {r._show(x)}, {r._show(y)}")
 
 
+# -- decomposition uniqueness by products of elements ---------------------------------
+
+def decomposition_uniqueness_by_pairs(r, zs, opt):
+    """Every element up to opt.max_len atoms has exactly one GH- and one
+    HG-factorisation among the products of G- and H-elements, and the two
+    peels multiply back to it."""
+    from garside import element, zappa_szep
+
+    g = zs.germ
+    elems = list(element.iter_elements(g, opt.max_len))
+    g_elems = [x for x in elems if zappa_szep.element_in_g(zs, x)]
+    h_elems = [x for x in elems if zappa_szep.element_in_h(zs, x)]
+    gh_count = {}
+    hg_count = {}
+    for ge in g_elems:
+        for he in h_elems:
+            k = element.multiply(g, ge, he)
+            if element.atom_length(g, k) <= opt.max_len:
+                gh_count[k] = gh_count.get(k, 0) + 1
+            k2 = element.multiply(g, he, ge)
+            if element.atom_length(g, k2) <= opt.max_len:
+                hg_count[k2] = hg_count.get(k2, 0) + 1
+    for x in elems:
+        r.check(gh_count.get(x, 0) == 1,
+                lambda x=x: f"{r._show(x)} has {gh_count.get(x, 0)} GH-factorisations")
+        r.check(hg_count.get(x, 0) == 1,
+                lambda x=x: f"{r._show(x)} has {hg_count.get(x, 0)} HG-factorisations")
+        gpart, hpart = zappa_szep.gh_decompose(zs, x)
+        r.eq(element.multiply(g, gpart, hpart), x, "gh-recompose", x)
+        hpart2, gpart2 = zappa_szep.hg_decompose(zs, x)
+        r.eq(element.multiply(g, hpart2, gpart2), x, "hg-recompose", x)
+
+
 # -- the --germ spec, split by trying every comma ---------------------------------------
 
 def germ_spec_by_splits(text: str):

@@ -112,6 +112,16 @@ def test_split_merge(capsys):
     assert out2 == "G: ab|a\nH: c\n"
 
 
+
+@pytest.mark.parametrize("spec, left, words", [
+    ("wreath", "a,b", ["1", "a.a.c", "D^3.c.a", "D^2", "a.zz"]),
+    ("prod:braid:4,braid:3", "1243*1,1324*1,2134*1",
+     ["1", "D^3.1243*132.2134*213", "3214*321.1*231", "D^1", "1243*1.zz"])])
+def test_split_nf_prints_the_gh_decomposition(capsys, spec, left, words):
+    for word in words:
+        argv = ["--germ", spec, "--left", left, word]
+        assert run(capsys, "split-nf", *argv) == run(capsys, "gh", *argv)
+
 def test_automaton_and_count(capsys):
     code, out, _ = run(capsys, "automaton", "--germ", "wreath",
                        "--variant", "proper", "--format", "tsv")

@@ -8,8 +8,8 @@ from garside import element as el
 from garside.suites import _Run
 
 from oracles import (ACTION_NF_SHAPES, abelian_by_braid3_germ, action_nf_failures,
-                     complements_lemma_by_cases, factor_closure_by_pairs,
-                     lattice_laws_by_cases, push_lemma_failures)
+                     complements_lemma_by_cases, decomposition_uniqueness_by_pairs,
+                     factor_closure_by_pairs, lattice_laws_by_cases, push_lemma_failures)
 
 # The monoid <a, b | a.a = b.b.b>: a valid germ on which atom lengths are
 # not additive, so the length law reports counterexamples.
@@ -196,9 +196,9 @@ def _closure_zs(spec, left):
     return build(g, [g.simple(nm) for nm in left.split(",")])
 
 
-def _by_pairs(zs, opt):
+def _by_pairs(zs, opt, oracle=factor_closure_by_pairs):
     r = _Run(zs.germ)
-    factor_closure_by_pairs(r, zs, opt)
+    oracle(r, zs, opt)
     return r.failures
 
 
@@ -239,3 +239,32 @@ def test_factor_closure_reads_neither_length_nor_samples(spec, left):
     assert reports[0].cases == sum(
         len(set(g.left_divisors(s)) | set(g.opposite().left_divisors(s)))
         for delta in (zs.delta_g, zs.delta_h) for s in g.left_divisors(delta))
+
+
+# -- decomposition uniqueness against products of elements ---------------------------
+
+def _uniqueness_by_pairs(zs, opt):
+    return _by_pairs(zs, opt, decomposition_uniqueness_by_pairs)
+
+
+@pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
+def test_decomposition_uniqueness_agrees_with_products_of_elements(spec, left):
+    zs = _closure_zs(spec, left)
+    opt = Options(max_len=3)
+    assert run_suite("decomposition-uniqueness", zs, opt).ok
+    assert _uniqueness_by_pairs(zs, opt) == []
+
+
+@pytest.mark.parametrize("field", ["delta_g", "delta_h"])
+@pytest.mark.parametrize("name", ["1", "a", "b", "c", "ab", "ac", "bc", "abc"])
+def test_decomposition_uniqueness_agrees_with_products_of_elements_on_tampered_deltas(
+        wreath_zs, field, name):
+    zs = dataclasses.replace(wreath_zs, **{field: wreath_zs.germ.simple(name)})
+    opt = Options(max_len=3)
+    report = run_suite("decomposition-uniqueness", zs, opt)
+    by_pairs = _uniqueness_by_pairs(zs, opt)
+    assert report.ok == (by_pairs == [])
+    # only the built deltas, ab and c, decompose the wreath monoid
+    assert report.ok == (name == {"delta_g": "ab", "delta_h": "c"}[field])
+    # the enumeration reports each counterexample with the same count
+    assert set(report.failures) <= set(by_pairs)
