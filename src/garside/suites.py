@@ -9,14 +9,14 @@ laws on simples compare a whole row of cases with one list equality and
 walk a row case by case only when it differs, so `complements-lemma` on
 braid:6 (45.7M cases) takes seconds.  Normality is 2-local, so
 `action-preserves-nf` and `push-lemma` instead walk the reachable states
-of a letter-to-letter transducer, and `factor-closure` checks the
-divisors of factor simples, all three exact at every length; only
-`decomposition-uniqueness` and `translation-roundtrip` enumerate words up
-to `--max-len`, exponentially many.  A suite
-records its cases and counterexample descriptions in the run it is
-given; run_suite is the one place that makes the run, times it and
-turns it into the named report.  The CLI `check` subcommand and the
-test suite both go through run_suite.
+of a letter-to-letter transducer; `factor-closure` checks the divisors
+of factor simples, and `decomposition-uniqueness` those and the products
+of factor simples, all four exact at every length.  Only
+`translation-roundtrip` enumerates words up to `--max-len`, exponentially
+many.  A suite records its cases and counterexample descriptions in the
+run it is given; run_suite is the one place that makes the run, times
+it and turns it into the named report.  The CLI `check` subcommand and
+the test suite both go through run_suite.
 """
 
 from __future__ import annotations
@@ -630,30 +630,47 @@ def suite_atoms_to_atoms(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 
 def suite_decomposition_uniqueness(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """Every element has exactly one GH- and one HG-factorisation."""
+    """
+    Every element has exactly one GH- and one HG-factorisation, at every
+    length, if on SG and SH, the left divisors of delta_G and of delta_H
+    but delta (a delta power in normal form): (1) divisors stay in SG and
+    SH (factor-closure); (2) so do defined products; (3) (g, h) -> g.h and
+    -> h.g are defined on SG x SH and hit each simple once.  By (3) each
+    h.g rewrites as g'.h', lowering the H-letters before G-letters, so a
+    GH-factorisation exists.  By (1) and (2) G and H are prefix-closed (as
+    in factor-closure); an atom of both would make (a, 1) and (1, a) give
+    a.  If g.h = g'.h', v = g\\g' divides h and is in G (a complement of SG
+    simples right-divides their join), so v = 1; so g = g' by symmetry, and
+    h = h'.  HG is the mirror in the opposite germ.  Lines name simples
+    with no factorisation or several; a breach of (1)-(3) shows only if
+    there is none.  The peels of opt.samples sampled elements multiply back.
+    """
     g = zs.germ
-    elems = list(element.iter_elements(g, opt.max_len))
-    g_elems = [x for x in elems if zappa_szep.element_in_g(zs, x)]
-    h_elems = [x for x in elems if zappa_szep.element_in_h(zs, x)]
-    gh_count: dict[NormalWord, int] = {}
-    hg_count: dict[NormalWord, int] = {}
-    for ge in g_elems:
-        for he in h_elems:
-            k = element.multiply(g, ge, he)
-            if element.atom_length(g, k) <= opt.max_len:
-                gh_count[k] = gh_count.get(k, 0) + 1
-            k2 = element.multiply(g, he, ge)
-            if element.atom_length(g, k2) <= opt.max_len:
-                hg_count[k2] = hg_count.get(k2, 0) + 1
-    for x in elems:
-        r.check(gh_count.get(x, 0) == 1,
-                lambda x=x: f"{r._show(x)} has {gh_count.get(x, 0)} GH-factorisations")
-        r.check(hg_count.get(x, 0) == 1,
-                lambda x=x: f"{r._show(x)} has {hg_count.get(x, 0)} HG-factorisations")
-        gpart, hpart = zappa_szep.gh_decompose(zs, x)
-        r.eq(element.multiply(g, gpart, hpart), x, "gh-recompose", x)
-        hpart2, gpart2 = zappa_szep.hg_decompose(zs, x)
-        r.eq(element.multiply(g, hpart2, gpart2), x, "hg-recompose", x)
+    suite_factor_closure(r, zs, opt)
+    breaches, r.failures = r.failures, []
+    inside = [g.ldiv[d] & ~(1 << g.delta) for d in (zs.delta_g, zs.delta_h)]
+    for side, simples in zip("GH", inside):
+        for a in _bits(simples):
+            defined = simples & g.ldiv[g.complement(a)]
+            r.cases += defined.bit_count()
+            breaches += [f"{g.names[a]}.{g.names[b]} is no {side}-simple"
+                         for b in _bits(defined) if not (simples >> g.product(a, b)) & 1]
+    count = {"GH": [0] * len(g), "HG": [0] * len(g)}
+    for kind, (first, second) in zip(count, (inside, inside[::-1])):
+        for a in _bits(first):
+            defined = second & g.ldiv[g.complement(a)]
+            breaches += [f"{g.names[a]}.{g.names[b]} is not simple" for b in _bits(second & ~defined)]
+            for b in _bits(defined):
+                count[kind][g.product(a, b)] += 1
+    r.cases += 2 * (len(g) + inside[0].bit_count() * inside[1].bit_count())
+    r.failures += [f"{r._show(element.simple(g, s))} has {c[s]} {kind}-factorisations"
+                   for s in range(len(g)) for kind, c in count.items() if c[s] != 1] or breaches
+    rng = opt.rng()
+    for _ in range(opt.samples):
+        x = _rand_element(g, rng, opt.max_len)
+        for label, peel in (("gh-recompose", zappa_szep.gh_decompose),
+                            ("hg-recompose", zappa_szep.hg_decompose)):
+            r.eq(element.multiply(g, *peel(zs, x)), x, label, x)
 
 
 def suite_local_deltas(r: _Run, zs: ZSStructure, opt: Options) -> None:

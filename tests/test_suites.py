@@ -266,5 +266,19 @@ def test_decomposition_uniqueness_agrees_with_products_of_elements_on_tampered_d
     assert report.ok == (by_pairs == [])
     # only the built deltas, ab and c, decompose the wreath monoid
     assert report.ok == (name == {"delta_g": "ab", "delta_h": "c"}[field])
-    # the enumeration reports each counterexample with the same count
+    # the enumeration reports each counterexample with the same count, and
+    # each names a simple with no factorisation or with several
     assert set(report.failures) <= set(by_pairs)
+    for line in report.failures:
+        m = re.fullmatch(r"(\S+) has (\d+) (GH|HG)-factorisations", line)
+        assert m and m[2] != "1" and (m[1] in wreath_zs.germ.name_index or m[1] == "D^1"), line
+
+
+@pytest.mark.parametrize("spec, left", CLOSURE[3:5], ids=["prod:braid:3,abelian:1",
+                                                          "prod:braid:4,braid:3"])
+def test_decomposition_uniqueness_reads_no_length_without_samples(spec, left):
+    zs = _closure_zs(spec, left)
+    first = run_suite("decomposition-uniqueness", zs, Options(max_len=0, samples=0))
+    assert first.ok
+    for n in (4, 8):
+        assert run_suite("decomposition-uniqueness", zs, Options(max_len=n, samples=0)) == first
