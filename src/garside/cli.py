@@ -79,12 +79,6 @@ def parse_nf_letters(g: Germ, text: str) -> list[int]:
     return out
 
 
-def format_factor_nf(g: Germ, delta: int, w: NormalWord) -> str:
-    """Factor normal form with the factor Garside element as a letter."""
-    word = normal_forms._letters(delta, w)
-    return "|".join(g.names[s] for s in word) if word else "1"
-
-
 def _germ(args) -> Germ:
     try:
         return germ_from_spec(args.germ)
@@ -156,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, choices=sorted(zappa_szep.WORD_ACTIONS))
     p.add_argument("--h", dest="hword", required=True, help="H-word ('.'-separated)")
     p.add_argument("--g", dest="gword", required=True, help="G-word ('.'-separated)")
-    cmd("split-nf", cmd_split_nf, words=1, left=True,
-        help="factor normal forms of a product normal form")
+    cmd("split-nf", cmd_factor_word, words=1, left=True, help="factor normal forms, as gh prints")
     p = cmd("merge-nf", cmd_merge_nf, left=True,
             help="product normal form from factor normal forms")
     p.add_argument("gword", help="normal form over the left factor ('|'-separated)")
@@ -254,8 +247,8 @@ def cmd_factor_word(args) -> int:
     g = _germ(args)
     zs = _zs(args, g)
     x = parse_element(g, args.word)
-    decompose = zappa_szep.gh_decompose if args.command == "gh" else zappa_szep.hg_decompose
-    for side, part in zip(args.command.upper(), decompose(zs, x)):
+    kind = "hg" if args.command == "hg" else "gh"  # split-nf: GH-parts are factor normal forms
+    for side, part in zip(kind.upper(), getattr(zappa_szep, f"{kind}_decompose")(zs, x)):
         print(f"{side}: {element.format_nf(g, part)}")
     return 0
 
@@ -267,16 +260,6 @@ def cmd_act(args) -> int:
     hw, gw = (tuple(s for s, k in parse_word(g, w) if k) for w in (args.hword, args.gword))
     fn = zappa_szep.WORD_ACTIONS[args.op]
     print(format_word(g, fn(zs, hw, gw) if args.op[0] == "r" else fn(zs, gw, hw)))
-    return 0
-
-
-def cmd_split_nf(args) -> int:
-    g = _germ(args)
-    zs = _zs(args, g)
-    w = parse_element(g, args.word)
-    pair = normal_forms.split_nf(zs, w)
-    print(f"G: {format_factor_nf(g, zs.delta_g, pair.nf_g)}")
-    print(f"H: {format_factor_nf(g, zs.delta_h, pair.nf_h)}")
     return 0
 
 
