@@ -1,9 +1,10 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
-from garside import Options, build, germ_from_spec, parse_germ, run_suite
+from garside import Options, build, germ_from_spec, parse_germ, run_suite, validate_germ
 from garside import element as el
 from garside.suites import _Run
 
@@ -13,14 +14,8 @@ from oracles import (ACTION_NF_SHAPES, abelian_by_braid3_germ, action_nf_failure
 
 # The monoid <a, b | a.a = b.b.b>: a valid germ on which atom lengths are
 # not additive, so the length law reports counterexamples.
-A2_B3 = """germ v1
-simples: 1 a b bb D
-delta: D
-prod a a D
-prod b b bb
-prod b bb D
-prod bb b D
-"""
+A2_B3_FILE = Path(__file__).parent / "golden" / "a2_b3.germ"
+A2_B3 = A2_B3_FILE.read_text()
 
 
 def test_run_formats_witnesses_only_for_failures(wreath):
@@ -46,6 +41,16 @@ def test_report_times_its_suite_but_does_not_print_the_time(wreath):
     failing = run_suite("element-lattice-laws", parse_germ(A2_B3), Options(seed=1))
     assert failing.elapsed >= 0
     assert str(failing) == str(dataclasses.replace(failing, elapsed=12.5))
+
+
+def test_non_homogeneous_germ_is_valid():
+    assert validate_germ(germ_from_spec(f"file:{A2_B3_FILE}")).ok
+
+
+@pytest.mark.xfail(strict=True, reason="atom_length assumes a homogeneous germ, so the "
+                                       "length law fails on a.a = b.b.b")
+def test_element_laws_hold_on_a_non_homogeneous_germ():
+    assert run_suite("element-lattice-laws", parse_germ(A2_B3)).ok
 
 
 def test_length_law_failures_render_as_numbers():
