@@ -248,16 +248,12 @@ def test_factor_closure_reads_neither_length_nor_samples(spec, left):
 
 # -- decomposition uniqueness against products of elements ---------------------------
 
-def _uniqueness_by_pairs(zs, opt):
-    return _by_pairs(zs, opt, decomposition_uniqueness_by_pairs)
-
-
 @pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
 def test_decomposition_uniqueness_agrees_with_products_of_elements(spec, left):
     zs = _closure_zs(spec, left)
     opt = Options(max_len=3)
     assert run_suite("decomposition-uniqueness", zs, opt).ok
-    assert _uniqueness_by_pairs(zs, opt) == []
+    assert _by_pairs(zs, opt, decomposition_uniqueness_by_pairs) == []
 
 
 @pytest.mark.parametrize("field", ["delta_g", "delta_h"])
@@ -267,7 +263,7 @@ def test_decomposition_uniqueness_agrees_with_products_of_elements_on_tampered_d
     zs = dataclasses.replace(wreath_zs, **{field: wreath_zs.germ.simple(name)})
     opt = Options(max_len=3)
     report = run_suite("decomposition-uniqueness", zs, opt)
-    by_pairs = _uniqueness_by_pairs(zs, opt)
+    by_pairs = _by_pairs(zs, opt, decomposition_uniqueness_by_pairs)
     assert report.ok == (by_pairs == [])
     # only the built deltas, ab and c, decompose the wreath monoid
     assert report.ok == (name == {"delta_g": "ab", "delta_h": "c"}[field])
