@@ -10,8 +10,8 @@ walk a row case by case only when it differs, so `complements-lemma` on
 braid:6 (45.7M cases) takes seconds.  Normality is 2-local, so
 `action-preserves-nf` and `push-lemma` instead walk the reachable states
 of a letter-to-letter transducer; `factor-closure` checks the divisors
-of factor simples, and `decomposition-uniqueness` those and the products
-of factor simples, all four exact at every length.  Only
+of factor simples, and `decomposition-uniqueness` the two factorisation
+maps on pairs of them, all four exact at every length.  Only
 `translation-roundtrip` enumerates words up to `--max-len`, exponentially
 many.  A suite records its cases and counterexample descriptions in the
 run it is given; run_suite is the one place that makes the run, times
@@ -284,42 +284,41 @@ GERM_SUITES: dict[str, Callable[[_Run, Germ, Options], None]] = {
 # decomposition-level suites
 # ---------------------------------------------------------------------------
 
+def _closed_products(g: Germ, simples: Sequence[int],
+                     member: Callable[[int], bool]) -> list[tuple[int, int, int]]:
+    """The triples (x, y, x.y) of factor simples whose product is a simple of the factor."""
+    return [(x, y, k) for x in simples for y in simples
+            if (k := g.product(x, y)) is not None and member(k)]
+
+
 def suite_action_laws(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Associativity and product rules of the four actions, plus word forms."""
     g = zs.germ
     G, H = zs.g_simples, zs.h_simples
-    for h1 in H:
-        for h2 in H:
-            k = g.product(h1, h2)
-            if k is None or not zs.member_h(k):
-                continue
-            for gs in G:
-                r.eq(zs.act_rr(k, gs), zs.act_rr(h1, zs.act_rr(h2, gs)),
-                     "rr-assoc", h1, h2, gs)
-                r.eq(zs.act_rl(k, gs),
-                     g.product(zs.act_rl(h1, zs.act_rr(h2, gs)), zs.act_rl(h2, gs)),
-                     "rl-product", h1, h2, gs)
-                r.eq(zs.act_ll(gs, k),
-                     zs.act_ll(zs.act_ll(gs, h1), h2), "ll-assoc", gs, h1, h2)
-                r.eq(zs.act_lr(gs, k),
-                     g.product(zs.act_lr(gs, h1), zs.act_lr(zs.act_ll(gs, h1), h2)),
-                     "lr-product", gs, h1, h2)
-    for g1 in G:
-        for g2 in G:
-            k = g.product(g1, g2)
-            if k is None or not zs.member_g(k):
-                continue
-            for hs in H:
-                r.eq(zs.act_lr(k, hs), zs.act_lr(g1, zs.act_lr(g2, hs)),
-                     "lr-assoc", g1, g2, hs)
-                r.eq(zs.act_rl(hs, k),
-                     zs.act_rl(zs.act_rl(hs, g1), g2), "rl-assoc", hs, g1, g2)
-                r.eq(zs.act_rr(hs, k),
-                     g.product(zs.act_rr(hs, g1), zs.act_rr(zs.act_rl(hs, g1), g2)),
-                     "rr-product", hs, g1, g2)
-                r.eq(zs.act_ll(k, hs),
-                     g.product(zs.act_ll(g1, zs.act_lr(g2, hs)), zs.act_ll(g2, hs)),
-                     "ll-product", g1, g2, hs)
+    for h1, h2, k in _closed_products(g, H, zs.member_h):
+        for gs in G:
+            r.eq(zs.act_rr(k, gs), zs.act_rr(h1, zs.act_rr(h2, gs)),
+                 "rr-assoc", h1, h2, gs)
+            r.eq(zs.act_rl(k, gs),
+                 g.product(zs.act_rl(h1, zs.act_rr(h2, gs)), zs.act_rl(h2, gs)),
+                 "rl-product", h1, h2, gs)
+            r.eq(zs.act_ll(gs, k),
+                 zs.act_ll(zs.act_ll(gs, h1), h2), "ll-assoc", gs, h1, h2)
+            r.eq(zs.act_lr(gs, k),
+                 g.product(zs.act_lr(gs, h1), zs.act_lr(zs.act_ll(gs, h1), h2)),
+                 "lr-product", gs, h1, h2)
+    for g1, g2, k in _closed_products(g, G, zs.member_g):
+        for hs in H:
+            r.eq(zs.act_lr(k, hs), zs.act_lr(g1, zs.act_lr(g2, hs)),
+                 "lr-assoc", g1, g2, hs)
+            r.eq(zs.act_rl(hs, k),
+                 zs.act_rl(zs.act_rl(hs, g1), g2), "rl-assoc", hs, g1, g2)
+            r.eq(zs.act_rr(hs, k),
+                 g.product(zs.act_rr(hs, g1), zs.act_rr(zs.act_rl(hs, g1), g2)),
+                 "rr-product", hs, g1, g2)
+            r.eq(zs.act_ll(k, hs),
+                 g.product(zs.act_ll(g1, zs.act_lr(g2, hs)), zs.act_ll(g2, hs)),
+                 "ll-product", g1, g2, hs)
     rng = opt.rng()
     for _ in range(opt.samples):
         hw = _rand_word(rng, H, opt.max_len)
@@ -395,42 +394,34 @@ def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
                  "inv-mix-3", gs, hs)
             r.eq(zs.act_lr(zs.act_ll_inv(gs, hs), hs), zs.act_rl_inv(hs, gs),
                  "inv-mix-4", gs, hs)
-    for h1 in H:
-        for h2 in H:
-            k = g.product(h1, h2)
-            if k is None or not zs.member_h(k):
-                continue
-            for gs in G:
-                r.eq(zs.act_rr_inv(k, gs),
-                     zs.act_rr_inv(h2, zs.act_rr_inv(h1, gs)), "inv-rr-assoc", h1, h2, gs)
-                r.eq(zs.act_ll_inv(gs, k),
-                     zs.act_ll_inv(zs.act_ll_inv(gs, h2), h1), "inv-ll-assoc", gs, h1, h2)
-                r.eq(zs.act_lr_inv(gs, k),
-                     g.product(zs.act_lr_inv(gs, h1),
-                               zs.act_lr_inv(zs.act_rr_inv(h1, gs), h2)),
-                     "inv-lr-product", gs, h1, h2)
-                r.eq(zs.act_rl_inv(k, gs),
-                     g.product(zs.act_rl_inv(h1, zs.act_ll_inv(gs, h2)),
-                               zs.act_rl_inv(h2, gs)),
-                     "inv-rl-product", h1, h2, gs)
-    for g1 in G:
-        for g2 in G:
-            k = g.product(g1, g2)
-            if k is None or not zs.member_g(k):
-                continue
-            for hs in H:
-                r.eq(zs.act_lr_inv(k, hs),
-                     zs.act_lr_inv(g2, zs.act_lr_inv(g1, hs)), "inv-lr-assoc", g1, g2, hs)
-                r.eq(zs.act_rl_inv(hs, k),
-                     zs.act_rl_inv(zs.act_rl_inv(hs, g2), g1), "inv-rl-assoc", hs, g1, g2)
-                r.eq(zs.act_rr_inv(hs, k),
-                     g.product(zs.act_rr_inv(hs, g1),
-                               zs.act_rr_inv(zs.act_lr_inv(g1, hs), g2)),
-                     "inv-rr-product", hs, g1, g2)
-                r.eq(zs.act_ll_inv(k, hs),
-                     g.product(zs.act_ll_inv(g1, zs.act_rl_inv(hs, g2)),
-                               zs.act_ll_inv(g2, hs)),
-                     "inv-ll-product", g1, g2, hs)
+    for h1, h2, k in _closed_products(g, H, zs.member_h):
+        for gs in G:
+            r.eq(zs.act_rr_inv(k, gs),
+                 zs.act_rr_inv(h2, zs.act_rr_inv(h1, gs)), "inv-rr-assoc", h1, h2, gs)
+            r.eq(zs.act_ll_inv(gs, k),
+                 zs.act_ll_inv(zs.act_ll_inv(gs, h2), h1), "inv-ll-assoc", gs, h1, h2)
+            r.eq(zs.act_lr_inv(gs, k),
+                 g.product(zs.act_lr_inv(gs, h1),
+                           zs.act_lr_inv(zs.act_rr_inv(h1, gs), h2)),
+                 "inv-lr-product", gs, h1, h2)
+            r.eq(zs.act_rl_inv(k, gs),
+                 g.product(zs.act_rl_inv(h1, zs.act_ll_inv(gs, h2)),
+                           zs.act_rl_inv(h2, gs)),
+                 "inv-rl-product", h1, h2, gs)
+    for g1, g2, k in _closed_products(g, G, zs.member_g):
+        for hs in H:
+            r.eq(zs.act_lr_inv(k, hs),
+                 zs.act_lr_inv(g2, zs.act_lr_inv(g1, hs)), "inv-lr-assoc", g1, g2, hs)
+            r.eq(zs.act_rl_inv(hs, k),
+                 zs.act_rl_inv(zs.act_rl_inv(hs, g2), g1), "inv-rl-assoc", hs, g1, g2)
+            r.eq(zs.act_rr_inv(hs, k),
+                 g.product(zs.act_rr_inv(hs, g1),
+                           zs.act_rr_inv(zs.act_lr_inv(g1, hs), g2)),
+                 "inv-rr-product", hs, g1, g2)
+            r.eq(zs.act_ll_inv(k, hs),
+                 g.product(zs.act_ll_inv(g1, zs.act_rl_inv(hs, g2)),
+                           zs.act_ll_inv(g2, hs)),
+                 "inv-ll-product", g1, g2, hs)
     rng = opt.rng()
     for _ in range(opt.samples):
         hw = _rand_word(rng, H, opt.max_len)
@@ -632,39 +623,39 @@ def suite_atoms_to_atoms(r: _Run, zs: ZSStructure, opt: Options) -> None:
 def suite_decomposition_uniqueness(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """
     Every element has exactly one GH- and one HG-factorisation, at every
-    length, if on SG and SH, the left divisors of delta_G and of delta_H
-    but delta (a delta power in normal form): (1) divisors stay in SG and
-    SH (factor-closure); (2) so do defined products; (3) (g, h) -> g.h and
-    -> h.g are defined on SG x SH and hit each simple once.  By (3) each
-    h.g rewrites as g'.h', lowering the H-letters before G-letters, so a
-    GH-factorisation exists.  By (1) and (2) G and H are prefix-closed (as
-    in factor-closure); an atom of both would make (a, 1) and (1, a) give
-    a.  If g.h = g'.h', v = g\\g' divides h and is in G (a complement of SG
-    simples right-divides their join), so v = 1; so g = g' by symmetry, and
-    h = h'.  HG is the mirror in the opposite germ.  Lines name simples
-    with no factorisation or several; a breach of (1)-(3) shows only if
-    there is none.  The peels of opt.samples sampled elements multiply back.
+    length, if (g, h) -> g.h and (g, h) -> h.g are defined on SG x SH and
+    hit each simple once; SG and SH are the left divisors of delta_G and
+    of delta_H but delta (a delta power in normal form).  The two maps
+    close the factors.  Right divisors: if s = x.d is in SG and
+    d = g'.h', x.g' divides s, so it is in SG, and (x.g', h') and (s, 1)
+    both give s: h' = 1, and d is in SG.  SH is the mirror, through the HG
+    map.  SG and SH meet in 1: d != 1 in both gives (d, 1) and (1, d).
+    Products: if s = g1.g2 is simple, write s = g'.h' and
+    m = s meet delta_G = g'.d; d divides h' and right-divides m, so it is
+    in SH and SG, d = 1 and m = g' = g1.v with v in SG.  Cancelling g1,
+    (g2, 1) and (v, h') both give g2, so h' = 1; SH is the mirror.  So
+    each h.g rewrites as g'.h', lowering the H-letters before G-letters,
+    and a GH-factorisation exists.  G and H are prefix-closed (as in
+    factor-closure), so if g.h = g'.h', v = g\\g' divides h and is in G
+    (a complement of SG simples right-divides their join), so v = 1; so
+    g = g' by symmetry, and h = h'.  HG is the mirror in the opposite
+    germ.  Lines name simples with no factorisation or several, or if
+    there are none, products that are not simple.  The peels of
+    opt.samples sampled elements multiply back.
     """
     g = zs.germ
-    suite_factor_closure(r, zs, opt)
-    breaches, r.failures = r.failures, []
     inside = [g.ldiv[d] & ~(1 << g.delta) for d in (zs.delta_g, zs.delta_h)]
-    for side, simples in zip("GH", inside):
-        for a in _bits(simples):
-            defined = simples & g.ldiv[g.complement(a)]
-            r.cases += defined.bit_count()
-            breaches += [f"{g.names[a]}.{g.names[b]} is no {side}-simple"
-                         for b in _bits(defined) if not (simples >> g.product(a, b)) & 1]
+    undefined = []
     count = {"GH": [0] * len(g), "HG": [0] * len(g)}
     for kind, (first, second) in zip(count, (inside, inside[::-1])):
         for a in _bits(first):
             defined = second & g.ldiv[g.complement(a)]
-            breaches += [f"{g.names[a]}.{g.names[b]} is not simple" for b in _bits(second & ~defined)]
+            undefined += [f"{g.names[a]}.{g.names[b]} is not simple" for b in _bits(second & ~defined)]
             for b in _bits(defined):
                 count[kind][g.product(a, b)] += 1
     r.cases += 2 * (len(g) + inside[0].bit_count() * inside[1].bit_count())
     r.failures += [f"{r._show(element.simple(g, s))} has {c[s]} {kind}-factorisations"
-                   for s in range(len(g)) for kind, c in count.items() if c[s] != 1] or breaches
+                   for s in range(len(g)) for kind, c in count.items() if c[s] != 1] or undefined
     rng = opt.rng()
     for _ in range(opt.samples):
         x = _rand_element(g, rng, opt.max_len)

@@ -283,3 +283,5 @@ def test_decomposition_uniqueness_reads_no_length_without_samples(spec, left):
     assert first.ok
     for n in (4, 8):
         assert run_suite("decomposition-uniqueness", zs, Options(max_len=n, samples=0)) == first
+    # one case per simple and per pair of factor simples, for each of GH and HG
+    assert first.cases == 2 * (len(zs.germ) + len(zs.g_simples) * len(zs.h_simples))

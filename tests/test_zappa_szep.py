@@ -6,6 +6,7 @@ import pytest
 from garside import (DecompositionFailure, NotAUnionOfClasses, Options, ZS_SUITES, build,
                      germ_from_spec, run_suite, validate_germ)
 from garside import element as el
+from garside import normal_forms
 from garside import zappa_szep as zsm
 from garside.suites import _split_by_gcd
 
@@ -140,18 +141,35 @@ def test_simple_actions_solve_defining_equations(decomposition):
             assert act(a, b) == value, (name, nm[a], nm[b])
 
 
+def _long_normal_words(g, rng, count):
+    # normal words of 16-64 letters from a seeded walk over left-weighted
+    # pairs, under delta^k with k = 0, 1, 2, 3 in turn
+    proper = g.proper_simples()
+    follow = {s: [t for t in proper if g.normal_pair(s, t)] for s in proper}
+    words = []
+    for i in range(count):
+        factors = [rng.choice(proper)]
+        n = rng.randint(16, 64)
+        while len(factors) < n:
+            factors.append(rng.choice(follow[factors[-1]]))
+        words.append(el.NormalWord(i % 4, tuple(factors)))
+    return words
+
+
 def test_decompositions_match_gcd_route(decomposition):
     zs = decomposition
     g = zs.germ
     mirror = build(g, zs.right_atoms)
     rng = random.Random(5)
-    for k in range(3):
-        for _ in range(12):
-            x = el.normal_form(g, [g.delta] * k
-                               + [rng.randrange(len(g)) for _ in range(rng.randint(0, 4))])
-            assert zsm.gh_decompose(zs, x) == _split_by_gcd(zs, x, zs.delta_g)
-            assert zsm.hg_decompose(zs, x) == _split_by_gcd(zs, x, zs.delta_h)
-            assert zsm.hg_decompose(zs, x) == zsm.gh_decompose(mirror, x)
+    short = [el.normal_form(g, [g.delta] * k
+                            + [rng.randrange(len(g)) for _ in range(rng.randint(0, 4))])
+             for k in range(3) for _ in range(12)]
+    for x in short + _long_normal_words(g, random.Random(7), 40):
+        hg = zsm.hg_decompose(zs, x)
+        assert zsm.gh_decompose(zs, x) == _split_by_gcd(zs, x, zs.delta_g)
+        assert hg == _split_by_gcd(zs, x, zs.delta_h)
+        assert hg == zsm.gh_decompose(mirror, x)
+        assert normal_forms.merge_nf(zs, normal_forms.split_nf(zs, x)) == x
 
 
 def test_action_domain_errors(wreath, wreath_zs):
