@@ -4,32 +4,32 @@ suites: named property suites over germs and decompositions.
 Each suite exhaustively enumerates the simple-level quantifiers of one
 family of structural identities (action laws, order isomorphisms,
 complement formulas, normal-form criteria, ...) and samples the
-word-level variants with a seeded generator.  The lattice and complement
-laws on simples compare a whole row of cases with one list equality and
-walk a row case by case only when it differs, so `complements-lemma` on
-braid:6 (45.7M cases) takes seconds.  Normality is 2-local, so
-`action-preserves-nf` and `push-lemma` instead walk the reachable states
-of a letter-to-letter transducer; `factor-closure` checks the divisors
-of factor simples, and `decomposition-uniqueness` the two factorisation
-maps on pairs of them, all four exact at every length.  Only
-`translation-roundtrip` enumerates words up to `--max-len`, exponentially
-many.  A suite records its cases and counterexample descriptions in the
-run it is given; run_suite is the one place that makes the run, times
-it and turns it into the named report.  The CLI `check` subcommand and
-the test suite both go through run_suite.
+word-level variants with a seeded generator.  `lattice-laws`,
+`complements-lemma`, `normal-form-criteria`, `join-complement` and
+`poset-product` compare a row of cases (over simples, or over pairs of
+factor simples) with one list equality, and walk a row case by case
+only when it differs: `complements-lemma` on braid:6 (45.7M cases)
+takes seconds.  Normality is 2-local, so `action-preserves-nf` and
+`push-lemma` walk the reachable states of a letter-to-letter
+transducer; `factor-closure` checks the divisors of factor simples, and
+`decomposition-uniqueness` the two factorisation maps on pairs of them,
+all four exact at every length.  Only `translation-roundtrip` enumerates
+words up to `--max-len`, exponentially many.  A suite records its cases
+and failures in the run it is given; run_suite, the one path of the CLI
+`check` and of the tests, makes the run, times it and names the report.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import automata, element, normal_forms, quasicenter, zappa_szep
 from .element import NormalWord
-from .germ import Germ, _bits
+from .germ import Germ, GermError, _bits
 from .zappa_szep import ZSStructure
 
 
@@ -110,20 +110,22 @@ def _rand_element(g: Germ, rng: random.Random, max_len: int) -> NormalWord:
 # germ-level suites
 # ---------------------------------------------------------------------------
 
-def _compare_rows(r: _Run, laws: Sequence[tuple[str, list, list]], *args) -> None:
+def _compare_rows(r: _Run, laws: Sequence[tuple[str, list, list]] | None, *args,
+                  walk: Callable[[], object] | None = None) -> None:
     """
-    One case per law and column: laws holds (label, lhs row, rhs row) with
-    rows as lists indexed by the last argument.  Equal rows count their
-    cases at once; otherwise the columns are walked in order, law by law,
-    so the cases and failures are those of one r.eq per case.
+    One case per law and column: laws holds (label, lhs row, rhs row), or is
+    None for a row whose tables could not be read.  Equal rows count their
+    cases at once; any other row is checked by walk(), the per-case code, if
+    given, else column by column, law by law, with one r.eq per case.
     """
-    n = len(laws[0][1])
-    if all(lhs == rhs for _, lhs, rhs in laws):
-        r.cases += len(laws) * n
-        return
-    for c in range(n):
-        for label, lhs, rhs in laws:
-            r.eq(lhs[c], rhs[c], label, *args, c)
+    if laws is not None and all(lhs == rhs for _, lhs, rhs in laws):
+        r.cases += len(laws) * len(laws[0][1])
+    elif walk:
+        walk()
+    else:
+        for c in range(len(laws[0][1])):
+            for label, lhs, rhs in laws:
+                r.eq(lhs[c], rhs[c], label, *args, c)
 
 
 def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
@@ -199,13 +201,9 @@ def suite_normal_form_confluence(r: _Run, g: Germ, opt: Options) -> None:
             i = rng.choice(bad)
             u = g.meet(g.complement(w[i]), w[i + 1])
             w[i], w[i + 1] = g.product(w[i], u), g.lcomp(u, w[i + 1])
-        lo = 0
-        hi = len(w)
-        while lo < hi and w[lo] == g.delta:
-            lo += 1
-        while lo < hi and w[hi - 1] == g.unit:
-            hi -= 1
-        return NormalWord(lo, tuple(w[lo:hi]))
+        while w and w[-1] == g.unit:  # units can only trail a word with no rewrite left
+            w.pop()
+        return element._from_letters(w, g.delta)
 
     for _ in range(opt.samples):
         word = _rand_word(rng, range(len(g)), max(opt.max_len, 6))
@@ -350,18 +348,13 @@ def suite_action_laws(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 def suite_identity_detection(r: _Run, zs: ZSStructure, opt: Options) -> None:
     g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
     u = g.unit
-    for hs in H:
-        for gs in G:
-            r.check((gs == u) == (zs.act_rr(hs, gs) == u),
-                    lambda hs=hs, gs=gs: f"rr unit detection fails at ({g.names[hs]}, {g.names[gs]})")
-            r.check((hs == u) == (zs.act_rl(hs, gs) == u),
-                    lambda hs=hs, gs=gs: f"rl unit detection fails at ({g.names[hs]}, {g.names[gs]})")
-            r.check((hs == u) == (zs.act_lr(gs, hs) == u),
-                    lambda hs=hs, gs=gs: f"lr unit detection fails at ({g.names[gs]}, {g.names[hs]})")
-            r.check((gs == u) == (zs.act_ll(gs, hs) == u),
-                    lambda hs=hs, gs=gs: f"ll unit detection fails at ({g.names[gs]}, {g.names[hs]})")
+    for hs in zs.h_simples:
+        for gs in zs.g_simples:
+            for name, (x, y), acted in (("rr", (hs, gs), gs), ("rl", (hs, gs), hs),
+                                        ("lr", (gs, hs), hs), ("ll", (gs, hs), gs)):
+                r.check((acted == u) == (zs._act(name, x, y) == u),
+                        lambda: f"{name} unit detection fails at ({g.names[x]}, {g.names[y]})")
 
 
 def suite_round_trip(r: _Run, zs: ZSStructure, opt: Options) -> None:
@@ -439,29 +432,17 @@ def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
 def suite_order_isomorphism(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Left actions preserve prefix order; right actions preserve suffix order."""
     g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for hs in H:
-        for g1 in G:
-            for g2 in G:
-                r.check(g.left_divides(g1, g2)
-                        == g.left_divides(zs.act_rr(hs, g1), zs.act_rr(hs, g2)),
-                        lambda hs=hs, g1=g1, g2=g2:
-                        f"rr not a prefix iso at ({g.names[hs]}; {g.names[g1]}, {g.names[g2]})")
-                r.check(g.right_divides(g1, g2)
-                        == g.right_divides(zs.act_ll(g1, hs), zs.act_ll(g2, hs)),
-                        lambda hs=hs, g1=g1, g2=g2:
-                        f"ll not a suffix iso at ({g.names[hs]}; {g.names[g1]}, {g.names[g2]})")
-    for gs in G:
-        for h1 in H:
-            for h2 in H:
-                r.check(g.left_divides(h1, h2)
-                        == g.left_divides(zs.act_lr(gs, h1), zs.act_lr(gs, h2)),
-                        lambda gs=gs, h1=h1, h2=h2:
-                        f"lr not a prefix iso at ({g.names[gs]}; {g.names[h1]}, {g.names[h2]})")
-                r.check(g.right_divides(h1, h2)
-                        == g.right_divides(zs.act_rl(h1, gs), zs.act_rl(h2, gs)),
-                        lambda gs=gs, h1=h1, h2=h2:
-                        f"rl not a suffix iso at ({g.names[gs]}; {g.names[h1]}, {g.names[h2]})")
+    for actors, acted, laws in ((zs.h_simples, zs.g_simples, (("rr", "prefix"), ("ll", "suffix"))),
+                                (zs.g_simples, zs.h_simples, (("lr", "prefix"), ("rl", "suffix")))):
+        for c in actors:
+            for x in acted:
+                for y in acted:
+                    for name, order in laws:
+                        divides = g.left_divides if order == "prefix" else g.right_divides
+                        step = zs.steps[name][c]  # step[x][0] is the action of c on x
+                        r.check(divides(x, y) == divides(step[x][0], step[y][0]),
+                                lambda: f"{name} not a {order} iso at "
+                                        f"({g.names[c]}; {g.names[x]}, {g.names[y]})")
 
 
 def suite_complement_transport(r: _Run, zs: ZSStructure, opt: Options) -> None:
@@ -501,38 +482,60 @@ def suite_lcm_formula(r: _Run, zs: ZSStructure, opt: Options) -> None:
             lambda: "(g, h) -> join(g, h) is not injective")
 
 
-def suite_poset_product(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """(g, h) -> join(g, h) is an isomorphism of the product order."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
+def _factor_rows(r: _Run, zs: ZSStructure, rows: Callable, case: Callable) -> None:
+    """
+    A row per (g1, h1) of factor simples over the columns (g2, h2): rows(g1,
+    h1, joins), joins the column join(g2, h2), reads the laws raw, or gives
+    None where an accessor would refuse a read.  Such a row, and one that
+    differs, runs case(g1, h1, g2, h2), the per-case code, on every column.
+    """
+    g, G, H = zs.germ, zs.g_simples, zs.h_simples
+    joins = [g._join[g2][h2] for g2 in G for h2 in H]
     for g1 in G:
         for h1 in H:
-            j1 = g.join(g1, h1)
-            for g2 in G:
-                for h2 in H:
-                    lhs = g.left_divides(g1, g2) and g.left_divides(h1, h2)
-                    rhs = g.left_divides(j1, g.join(g2, h2))
-                    r.check(lhs == rhs,
-                            lambda g1=g1, h1=h1, g2=g2, h2=h2:
-                            "poset product fails at "
-                            f"({g.names[g1]},{g.names[h1]}) vs ({g.names[g2]},{g.names[h2]})")
+            try:
+                laws = rows(g1, h1, joins) if -1 not in joins else None
+            except (GermError, KeyError, ValueError):
+                laws = None
+            _compare_rows(r, laws, walk=lambda: [case(g1, h1, g2, h2) for g2 in G for h2 in H])
+
+
+def suite_poset_product(r: _Run, zs: ZSStructure, opt: Options) -> None:
+    """(g, h) -> join(g, h) is an isomorphism of the product order."""
+    g, G, H = zs.germ, zs.g_simples, zs.h_simples
+
+    def rows(g1, h1, joins):
+        up, ldiv = g.lupper[g.join(g1, h1)], g.ldiv  # up: what join(g1, h1) left-divides
+        dg, dh = [(ldiv[g2] >> g1) & 1 for g2 in G], [(ldiv[h2] >> h1) & 1 for h2 in H]
+        return [("poset", [a and b for a in dg for b in dh], [(up >> j) & 1 for j in joins])]
+
+    def case(g1, h1, g2, h2):
+        r.check((g.left_divides(g1, g2) and g.left_divides(h1, h2))
+                == g.left_divides(g.join(g1, h1), g.join(g2, h2)),
+                lambda: "poset product fails at "
+                        f"({g.names[g1]},{g.names[h1]}) vs ({g.names[g2]},{g.names[h2]})")
+
+    _factor_rows(r, zs, rows, case)
 
 
 def suite_join_complement(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """The complement of one join under another, factor by factor."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for g1 in G:
-        for h1 in H:
-            x = zs.act_lr_inv(g1, h1)
-            y = zs.act_rr_inv(h1, g1)
-            j1 = g.join(g1, h1)
-            for g2 in G:
-                for h2 in H:
-                    r.eq(g.lcomp(j1, g.join(g2, h2)),
-                         g.join(zs.act_rr_inv(x, g.lcomp(g1, g2)),
-                                zs.act_lr_inv(y, g.lcomp(h1, h2))),
-                         "join-under", g1, h1, g2, h2)
+    g, G, H = zs.germ, zs.g_simples, zs.h_simples
+
+    def rows(g1, h1, joins):
+        x, y, j1 = zs.act_lr_inv(g1, h1), zs.act_rr_inv(h1, g1), g.join(g1, h1)
+        a = [g._join[zs.act_rr_inv(x, g.lcomp(g1, g2))] for g2 in G]
+        b = [zs.act_lr_inv(y, g.lcomp(h1, h2)) for h2 in H]
+        under, jr = g._row_inverses()[j1], g._join[j1]  # j1\j = under[jr[j]]; -1 is no key
+        return [("join-under", [under[jr[j]] for j in joins], [row[v] for row in a for v in b])]
+
+    def case(g1, h1, g2, h2):
+        x, y, j1 = zs.act_lr_inv(g1, h1), zs.act_rr_inv(h1, g1), g.join(g1, h1)
+        r.eq(g.lcomp(j1, g.join(g2, h2)),
+             g.join(zs.act_rr_inv(x, g.lcomp(g1, g2)), zs.act_lr_inv(y, g.lcomp(h1, h2))),
+             "join-under", g1, h1, g2, h2)
+
+    _factor_rows(r, zs, rows, case)
 
 
 def suite_delta_invariance(r: _Run, zs: ZSStructure, opt: Options) -> None:
@@ -610,14 +613,12 @@ def suite_factor_closure(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 def suite_atoms_to_atoms(r: _Run, zs: ZSStructure, opt: Options) -> None:
     g = zs.germ
-    for hs in zs.h_simples:
-        for a in zs.left_atoms:
-            r.check(g.is_atom(zs.act_rr(hs, a)),
-                    lambda hs=hs, a=a: f"{g.names[hs]} |> {g.names[a]} is not an atom")
-    for gs in zs.g_simples:
-        for b in zs.right_atoms:
-            r.check(g.is_atom(zs.act_lr(gs, b)),
-                    lambda gs=gs, b=b: f"{g.names[gs]} |>> {g.names[b]} is not an atom")
+    for name, actors, atoms, sign in (("rr", zs.h_simples, zs.left_atoms, "|>"),
+                                      ("lr", zs.g_simples, zs.right_atoms, "|>>")):
+        for c in actors:
+            for a in atoms:
+                r.check(g.is_atom(zs._act(name, c, a)),
+                        lambda: f"{g.names[c]} {sign} {g.names[a]} is not an atom")
 
 
 def suite_decomposition_uniqueness(r: _Run, zs: ZSStructure, opt: Options) -> None:
@@ -667,40 +668,57 @@ def suite_decomposition_uniqueness(r: _Run, zs: ZSStructure, opt: Options) -> No
 def suite_local_deltas(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Quasi-central closures of factor simples stay in the factor."""
     g = zs.germ
-    for gs in zs.g_simples:
-        r.check(zs.member_g(quasicenter.delta_of_simple(g, gs)),
-                lambda gs=gs: f"closure of {g.names[gs]} leaves G")
-    for hs in zs.h_simples:
-        r.check(zs.member_h(quasicenter.delta_of_simple(g, hs)),
-                lambda hs=hs: f"closure of {g.names[hs]} leaves H")
+    for side, member, simples in (("G", zs.member_g, zs.g_simples),
+                                  ("H", zs.member_h, zs.h_simples)):
+        for s in simples:
+            r.check(member(quasicenter.delta_of_simple(g, s)),
+                    lambda: f"closure of {g.names[s]} leaves {side}")
 
 
 def suite_normal_form_criteria(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Factor-level normality criteria against the ambient definition."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
+    g, G, H = zs.germ, zs.g_simples, zs.h_simples
     u = g.unit
-    for g1 in G:
-        for h1 in H:
-            for g2 in G:
-                for h2 in H:
-                    lhs = (g.meet(g.complement(g.join(g1, h1)), g.join(g2, h2)) == u)
-                    rhs = (g.meet(zs.comp_g(zs.act_rr_inv(h1, g1)), g2) == u
-                           and g.meet(zs.comp_h(zs.act_lr_inv(g1, h1)), h2) == u)
-                    r.check(lhs == rhs,
-                            lambda g1=g1, h1=h1, g2=g2, h2=h2:
-                            f"join criterion fails at ({g.names[g1]},{g.names[h1]},"
-                            f"{g.names[g2]},{g.names[h2]})")
+    gh = [g.product(g2, h2) for g2 in G for h2 in H]
+    hg = [g.product(h2, g2) for g2 in G for h2 in H]
+    lr = [[zs.act_lr(g2, h2) for h2 in H] for g2 in G]  # a list per g2
+    rr = [zs.act_rr(h2, g2) for g2 in G for h2 in H]
+    # one[s][t] is 1 if meet(s, t) is the unit, 0 if not; None if s lacks a meet
+    one = [None if -1 in row else bytes(map(u.__eq__, row))
+           for row in map(g._meet.__getitem__, range(len(g)))]
 
-                    for label, crit, xs in (
-                            ("gh|gh", normal_forms.is_normal_gh_gh, (g1, h1, g2, h2)),
-                            ("gh|hg", normal_forms.is_normal_gh_hg, (g1, h1, h2, g2)),
-                            ("hg|gh", normal_forms.is_normal_hg_gh, (h1, g1, g2, h2)),
-                            ("hg|hg", normal_forms.is_normal_hg_hg, (h1, g1, h2, g2))):
-                        k1, k2 = g.product(xs[0], xs[1]), g.product(xs[2], xs[3])
-                        r.check(crit(zs, *xs) == (g.normal_pair(k1, k2) and k2 != u),
-                                lambda label=label, xs=xs: f"{label} criterion fails at "
-                                f"({','.join(g.names[x] for x in xs)})")
+    def rows(g1, h1, joins):
+        # complements: of join(g1, h1) and its factor parts, as in complement-of-join;
+        # the criteria's; of g1.h1 and h1.g1.  Column (1, 1) is 1 == 1 here, 0 == 0 per case
+        c, a, b, p, q, s, t, k, m = ones = [one[x] for x in (
+            g.complement(g.join(g1, h1)), zs.comp_g(zs.act_rr_inv(h1, g1)),
+            zs.comp_h(zs.act_lr_inv(g1, h1)), zs.comp_g(zs.act_ll(g1, h1)), zs.comp_h(h1),
+            zs.comp_g(g1), zs.comp_h(zs.act_rl(h1, g1)),
+            g.complement(g.product(g1, h1)), g.complement(g.product(h1, g1)))]
+        if None in ones:
+            return None
+        bh, qh, th = [b[x] for x in H], [q[x] for x in H] * len(G), [t[x] for x in H] * len(G)
+        return [("join", [a[x] and y for x in G for y in bh], [c[j] for j in joins]),
+                ("gh|gh", [p[x] and q[y] for x, ys in zip(G, lr) for y in ys], [k[x] for x in gh]),
+                ("gh|hg", [p[x] and y for x, y in zip(rr, qh)], [k[x] for x in hg]),
+                ("hg|gh", [s[x] and t[y] for x, ys in zip(G, lr) for y in ys], [m[x] for x in gh]),
+                ("hg|hg", [s[x] and y for x, y in zip(rr, th)], [m[x] for x in hg])]
+
+    def case(g1, h1, g2, h2):
+        names = lambda *xs: ",".join(g.names[x] for x in xs)
+        lhs = g.meet(g.complement(g.join(g1, h1)), g.join(g2, h2)) == u
+        rhs = (g.meet(zs.comp_g(zs.act_rr_inv(h1, g1)), g2) == u
+               and g.meet(zs.comp_h(zs.act_lr_inv(g1, h1)), h2) == u)
+        r.check(lhs == rhs, lambda: f"join criterion fails at ({names(g1, h1, g2, h2)})")
+        for label, crit, xs in (("gh|gh", normal_forms.is_normal_gh_gh, (g1, h1, g2, h2)),
+                                ("gh|hg", normal_forms.is_normal_gh_hg, (g1, h1, h2, g2)),
+                                ("hg|gh", normal_forms.is_normal_hg_gh, (h1, g1, g2, h2)),
+                                ("hg|hg", normal_forms.is_normal_hg_hg, (h1, g1, h2, g2))):
+            k1, k2 = g.product(xs[0], xs[1]), g.product(xs[2], xs[3])
+            r.check(crit(zs, *xs) == (g.normal_pair(k1, k2) and k2 != u),
+                    lambda: f"{label} criterion fails at ({names(*xs)})")
+
+    _factor_rows(r, zs, rows, case)
 
 
 def _walk(r: _Run, roots: Sequence, moves: Callable, describe: Callable) -> None:
@@ -795,11 +813,13 @@ def suite_action_preserves_nf(r: _Run, zs: ZSStructure, opt: Options) -> None:
 def _split_by_gcd(zs: ZSStructure, x: NormalWord, delta: int) -> tuple[NormalWord, NormalWord]:
     """
     Oracle for the GH-decomposition (delta = delta_G) and the HG-one
-    (delta = delta_H), independent of the peel: the first part is the gcd
-    of x with a high enough power of delta, the second its complement.
+    (delta = delta_H), independent of the peel: the first part f is the gcd
+    of x with delta^sup(x), the second its complement.  f is the largest
+    prefix of x in a parabolic submonoid, whose normal forms are those of
+    K, so f divides delta^sup(f), and sup(f) <= sup(x) as f divides x.
     """
     g = zs.germ
-    bound = element.normal_form(g, (delta,) * max(element.atom_length(g, x), 1))
+    bound = element.normal_form(g, (delta,) * max(x.sup, 1))
     first = element.gcd(g, x, bound)
     return first, element.left_complement(g, first, x)
 
@@ -843,10 +863,7 @@ def suite_translation_roundtrip(r: _Run, zs: ZSStructure, opt: Options) -> None:
             r.eq(normal_forms.psi(zs, p), element.lcm(g, ge, he), "psi-oracle", gl, hl)
     r.check(len(images) == pair_count,
             lambda: f"phi is not injective: {pair_count} pairs, {len(images)} images")
-    k_by_length: dict[int, int] = {}
-    for letters in k_words:
-        total = sum(g.atom_len[s] for s in letters)
-        k_by_length[total] = k_by_length.get(total, 0) + 1
+    k_by_length = dict(Counter(sum(g.atom_len[s] for s in letters) for letters in k_words))
     r.eq(by_length, k_by_length, "phi-counts")
 
 

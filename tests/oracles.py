@@ -692,6 +692,73 @@ def complements_lemma_by_cases(r, g, opt):
              "element-over", x, y, z)
 
 
+
+# -- the four-fold decomposition laws, one case at a time -----------------------------
+
+def poset_product_by_cases(r, zs, opt):
+    """The poset-product suite with one r.check per case: the reference for its rows."""
+    g = zs.germ
+    G, H = zs.g_simples, zs.h_simples
+    for g1 in G:
+        for h1 in H:
+            j1 = g.join(g1, h1)
+            for g2 in G:
+                for h2 in H:
+                    lhs = g.left_divides(g1, g2) and g.left_divides(h1, h2)
+                    rhs = g.left_divides(j1, g.join(g2, h2))
+                    r.check(lhs == rhs,
+                            lambda g1=g1, h1=h1, g2=g2, h2=h2:
+                            "poset product fails at "
+                            f"({g.names[g1]},{g.names[h1]}) vs ({g.names[g2]},{g.names[h2]})")
+
+
+def join_complement_by_cases(r, zs, opt):
+    """The join-complement suite with one r.eq per case: the reference for its rows."""
+    g = zs.germ
+    G, H = zs.g_simples, zs.h_simples
+    for g1 in G:
+        for h1 in H:
+            x = zs.act_lr_inv(g1, h1)
+            y = zs.act_rr_inv(h1, g1)
+            j1 = g.join(g1, h1)
+            for g2 in G:
+                for h2 in H:
+                    r.eq(g.lcomp(j1, g.join(g2, h2)),
+                         g.join(zs.act_rr_inv(x, g.lcomp(g1, g2)),
+                                zs.act_lr_inv(y, g.lcomp(h1, h2))),
+                         "join-under", g1, h1, g2, h2)
+
+
+def normal_form_criteria_by_cases(r, zs, opt):
+    """The normal-form-criteria suite with one r.check per case: the reference for its rows."""
+    from garside import normal_forms
+
+    g = zs.germ
+    G, H = zs.g_simples, zs.h_simples
+    u = g.unit
+    for g1 in G:
+        for h1 in H:
+            for g2 in G:
+                for h2 in H:
+                    lhs = (g.meet(g.complement(g.join(g1, h1)), g.join(g2, h2)) == u)
+                    rhs = (g.meet(zs.comp_g(zs.act_rr_inv(h1, g1)), g2) == u
+                           and g.meet(zs.comp_h(zs.act_lr_inv(g1, h1)), h2) == u)
+                    r.check(lhs == rhs,
+                            lambda g1=g1, h1=h1, g2=g2, h2=h2:
+                            f"join criterion fails at ({g.names[g1]},{g.names[h1]},"
+                            f"{g.names[g2]},{g.names[h2]})")
+
+                    for label, crit, xs in (
+                            ("gh|gh", normal_forms.is_normal_gh_gh, (g1, h1, g2, h2)),
+                            ("gh|hg", normal_forms.is_normal_gh_hg, (g1, h1, h2, g2)),
+                            ("hg|gh", normal_forms.is_normal_hg_gh, (h1, g1, g2, h2)),
+                            ("hg|hg", normal_forms.is_normal_hg_hg, (h1, g1, h2, g2))):
+                        k1, k2 = g.product(xs[0], xs[1]), g.product(xs[2], xs[3])
+                        r.check(crit(zs, *xs) == (g.normal_pair(k1, k2) and k2 != u),
+                                lambda label=label, xs=xs: f"{label} criterion fails at "
+                                f"({','.join(g.names[x] for x in xs)})")
+
+
 # -- factor closure by products of elements -------------------------------------------
 
 def factor_closure_by_pairs(r, zs, opt):

@@ -4,13 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from garside import Options, build, germ_from_spec, parse_germ, run_suite, validate_germ
+from garside import (GermError, Options, SuiteReport, build, germ_from_spec, parse_germ,
+                     run_suite, validate_germ)
 from garside import element as el
+from garside import suites
 from garside.suites import _Run
 
 from oracles import (ACTION_NF_SHAPES, abelian_by_braid3_germ, action_nf_failures,
                      complements_lemma_by_cases, decomposition_uniqueness_by_pairs,
-                     factor_closure_by_pairs, lattice_laws_by_cases, push_lemma_failures)
+                     factor_closure_by_pairs, join_complement_by_cases, lattice_laws_by_cases,
+                     normal_form_criteria_by_cases, poset_product_by_cases,
+                     push_lemma_failures)
 
 # The monoid <a, b | a.a = b.b.b>: a valid germ on which atom lengths are
 # not additive, so the length law reports counterexamples.
@@ -158,10 +162,10 @@ def _swap_row_inv(g, s):
     row[v], row[w] = row[w], row[v]
 
 
-def _swap_join(g, s):
-    """Swap the joins of s with the simples 1 and 2."""
+def _swap_join(g, s, a=1, b=2):
+    """Swap the joins of s with the simples a and b (by default 1 and 2)."""
     row = g._join[s]
-    row[1], row[2] = row[2], row[1]
+    row[a], row[b] = row[b], row[a]
 
 
 @pytest.mark.parametrize("suite", BY_CASES)
@@ -285,3 +289,96 @@ def test_decomposition_uniqueness_reads_no_length_without_samples(spec, left):
         assert run_suite("decomposition-uniqueness", zs, Options(max_len=n, samples=0)) == first
     # one case per simple and per pair of factor simples, for each of GH and HG
     assert first.cases == 2 * (len(zs.germ) + len(zs.g_simples) * len(zs.h_simples))
+
+
+# -- the row-wise four-fold decomposition laws against their per-case oracles ---------
+
+FOURFOLD = {"normal-form-criteria": normal_form_criteria_by_cases,
+            "join-complement": join_complement_by_cases,
+            "poset-product": poset_product_by_cases}
+PROD = ("prod:braid:4,braid:3", "1243*1,1324*1,2134*1")
+
+
+def _outcomes(zs):
+    """Per four-fold suite, the row version's outcome and the oracle's: the
+    report, or the type and text of the error raised."""
+    def outcome(run):
+        try:
+            return run()
+        except (GermError, ValueError) as e:
+            return type(e), str(e)
+
+    def by_cases(suite):
+        r = _Run(zs.germ)
+        FOURFOLD[suite](r, zs, Options())
+        return SuiteReport(suite, r.cases, r.failures)
+
+    return {suite: (outcome(lambda: run_suite(suite, zs)), outcome(lambda: by_cases(suite)))
+            for suite in FOURFOLD}
+
+
+@pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
+def test_fourfold_suites_agree_with_per_case_oracle(spec, left):
+    for suite, (rows, by_cases) in _outcomes(_closure_zs(spec, left)).items():
+        assert rows == by_cases and rows.ok, suite
+
+
+@pytest.mark.parametrize("step", ["rr", "rl", "lr", "ll", "rr-inv", "lr-inv"])
+def test_fourfold_suites_agree_with_per_case_oracle_on_tampered_steps(step):
+    zs = _closure_zs(*PROD)
+    carry = sorted(zs.steps[step])[1]
+    a, b = sorted(zs.steps[step][carry])[1:3]
+    outcomes = _outcomes(_tampered(zs, step, carry, a, b))
+    assert all(rows == by_cases for rows, by_cases in outcomes.values())
+    assert outcomes["normal-form-criteria"][0].failures
+
+
+def _unset(table, row, col):
+    """Make one lattice entry -1: the germ has no meet or join there."""
+    table[row][col] = -1
+
+
+ERROR_TAMPERS = [
+    # the join row of the unit, 1 and 2 swapped: every suite reports failures
+    ("swap-unit", lambda g, s: _swap_join(g, s("1")), None),
+    # two joins of an H-simple swapped: a complement in H leaves H, and an
+    # action refuses it
+    ("swap-h", lambda g, s: _swap_join(g, s("1*321"), s("1"), s("1432*1")), ValueError),
+    # one join missing: the accessor that reads it raises
+    ("no-join", lambda g, s: _unset(g._join, s("1*321"), s("1243*132")), GermError),
+    # one meet of delta missing, read by the row (1, 1) alone, where an entry
+    # read raw as "not 1" would leave both sides equal
+    ("no-meet", lambda g, s: _unset(g._meet, g.delta, s("2134*1")), GermError),
+    # a missing join(g2, h2), which every row reads, and a missing meet read
+    # by the row (1, 1*132): the error is the join's, met first in row (1, 1)
+    ("no-column-join", lambda g, s: (_unset(g._join, s("1243*1"), s("1*132")),
+                                     _unset(g._meet, s("4321*231"), g.unit)), GermError),
+]
+
+
+@pytest.mark.parametrize("tamper, error", [t[1:] for t in ERROR_TAMPERS],
+                         ids=[t[0] for t in ERROR_TAMPERS])
+def test_fourfold_suites_agree_with_per_case_oracle_on_tampered_lattice(tamper, error):
+    zs = _closure_zs(*PROD)
+    tamper(zs.germ, zs.germ.simple)
+    outcomes = _outcomes(zs)
+    assert all(rows == by_cases for rows, by_cases in outcomes.values())
+    raised = {rows[0] for rows, _ in outcomes.values() if isinstance(rows, tuple)}
+    assert raised == ({error} if error else set())
+    assert error or all(rows.failures for rows, _ in outcomes.values())
+
+
+@pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
+def test_fourfold_suites_walk_no_row_of_a_valid_decomposition(spec, left, monkeypatch):
+    zs = _closure_zs(spec, left)
+    rows = []
+    compare = suites._compare_rows
+
+    def recording(r, laws, *args, walk=None):
+        rows.append(laws is not None and all(lhs == rhs for _, lhs, rhs in laws))
+        compare(r, laws, *args, walk=walk)
+
+    monkeypatch.setattr(suites, "_compare_rows", recording)
+    for suite in FOURFOLD:
+        assert run_suite(suite, zs).ok
+    assert rows == [True] * (3 * len(zs.g_simples) * len(zs.h_simples))
