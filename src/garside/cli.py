@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd("gh", cmd_factor_word, words=1, left=True, help="GH-decomposition of a word")
     cmd("hg", cmd_factor_word, words=1, left=True, help="HG-decomposition of a word")
     p = cmd("act", cmd_act, left=True, help="apply one of the eight actions")
-    p.add_argument("--op", required=True, choices=sorted(zappa_szep.WORD_ACTIONS))
+    p.add_argument("--op", required=True, choices=sorted(zappa_szep.ACTIONS))
     p.add_argument("--h", dest="hword", required=True, help="H-word ('.'-separated)")
     p.add_argument("--g", dest="gword", required=True, help="G-word ('.'-separated)")
     cmd("split-nf", cmd_factor_word, words=1, left=True, help="factor normal forms, as gh prints")
@@ -258,8 +258,8 @@ def cmd_act(args) -> int:
     zs = _zs(args, g)
     # Delta lies in neither factor: D^k (k > 0) stays one letter, which the action rejects
     hw, gw = (tuple(s for s, k in parse_word(g, w) if k) for w in (args.hword, args.gword))
-    fn = zappa_szep.WORD_ACTIONS[args.op]
-    print(format_word(g, fn(zs, hw, gw) if args.op[0] == "r" else fn(zs, gw, hw)))
+    words = (hw, gw) if args.op[0] == "r" else (gw, hw)
+    print(format_word(g, zappa_szep.act_word(zs, args.op, *words)))
     return 0
 
 

@@ -84,7 +84,8 @@ class _LatticeRows(dict):
     mask is masks[s] & masks[t], or -1 if there is none.  A row is built in
     full on first access; building it twice gives an equal row, so a race
     between threads is harmless.  Rows are arrays of C ints, half the
-    memory of lists of Python ints.
+    memory of lists of Python ints.  A key that is no simple is refused
+    with KeyError, so a -1 entry read back as a row index fails loudly.
     """
 
     def __init__(self, masks: list[int], by_mask: dict[int, int]):
@@ -93,6 +94,8 @@ class _LatticeRows(dict):
         self.by_mask = by_mask
 
     def __missing__(self, s: int) -> array:
+        if not 0 <= s < len(self.masks):
+            raise KeyError(s)
         m = self.masks[s]
         row = self[s] = array("i", [self.by_mask.get(m & x, -1) for x in self.masks])
         return row

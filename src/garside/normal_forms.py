@@ -119,6 +119,6 @@ def psi(zs: ZSStructure, p: NFPair) -> NormalWord:
     g = zs.germ
     gw = _letters(zs.delta_g, p.nf_g)
     hw = _letters(zs.delta_h, p.nf_h)
-    acted = list(zappa_szep.act_lr_inv_word(zs, gw, hw))
+    acted = list(zappa_szep.act_word(zs, "lr-inv", gw, hw))
     assert element._is_normal_word(g, acted), "inverse action broke normality of the H-word"
     return merge_nf(zs, NFPair(p.nf_g, element._from_letters(acted, zs.delta_h)))

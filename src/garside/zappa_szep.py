@@ -297,8 +297,9 @@ def reassociate(g: Germ, pairs: Sequence[tuple[int, int]]) -> list[int]:
 #
 # A word acts one letter at a time, and a letter acts on a word by being
 # carried through it: steps[name][carry][letter] gives the output letter
-# and the next carry.  The *_word functions take (actor word, acted word)
-# in the same argument order as the simple-level actions.
+# and the next carry.  act_word takes its two words in the argument order
+# of the simple-level action: (h-word, g-word) for rr and rl and their
+# inverses, (g-word, h-word) for lr and ll and theirs.
 
 def _quoted(g: Germ, s: int) -> str:
     """The quoted name of simple s, or the raw id of an argument that is none."""
@@ -314,12 +315,18 @@ def _check_words(zs: ZSStructure, sides: str, *words: Sequence[int]) -> None:
                 raise ValueError(f"{_quoted(zs.germ, s)} is not a {side}-simple")
 
 
-def _act_word(zs: ZSStructure, name: str, first: Sequence[int],
-              second: Sequence[int]) -> tuple[int, ...]:
+ACTIONS = ("rr", "rl", "lr", "ll", "rr-inv", "rl-inv", "lr-inv", "ll-inv")  # build's steps
+
+
+def act_word(zs: ZSStructure, name: str, first: Sequence[int],
+             second: Sequence[int]) -> tuple[int, ...]:
     """
-    Carry each actor letter through the acted word: rightward for rr and
-    lr, whose actor word comes first, leftward for rl and ll.  A word acts
-    from its letter nearest the acted word, and its inverse from the other.
+    The action `name`, one of ACTIONS, on words: act_word(zs, "rr", hw, gw)
+    is (h-word) |> (g-word), act_word(zs, "ll-inv", gw, hw) is
+    (g-word) <<| (h-word)^-1.  Each actor letter is carried through the
+    acted word: rightward for rr and lr, whose actor word comes first,
+    leftward for rl and ll.  A word acts from its letter nearest the acted
+    word, and its inverse from the other.
     """
     _check_words(zs, "HG" if name[0] == "r" else "GH", first, second)
     step = zs.steps[name]
@@ -334,55 +341,3 @@ def _act_word(zs: ZSStructure, name: str, first: Sequence[int],
             new.append(y)
         out = new if rightward else new[::-1]
     return tuple(out)
-
-
-def act_rr_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
-    """(h-word) |> (g-word)."""
-    return _act_word(zs, "rr", hw, gw)
-
-
-def act_rl_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
-    """(h-word) <| (g-word)."""
-    return _act_word(zs, "rl", hw, gw)
-
-
-def act_lr_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
-    """(g-word) |>> (h-word)."""
-    return _act_word(zs, "lr", gw, hw)
-
-
-def act_ll_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
-    """(g-word) <<| (h-word)."""
-    return _act_word(zs, "ll", gw, hw)
-
-
-def act_rr_inv_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
-    """(h-word)^-1 |> (g-word)."""
-    return _act_word(zs, "rr-inv", hw, gw)
-
-
-def act_rl_inv_word(zs: ZSStructure, hw: Sequence[int], gw: Sequence[int]) -> tuple[int, ...]:
-    """(h-word) <| (g-word)^-1."""
-    return _act_word(zs, "rl-inv", hw, gw)
-
-
-def act_lr_inv_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
-    """(g-word)^-1 |>> (h-word)."""
-    return _act_word(zs, "lr-inv", gw, hw)
-
-
-def act_ll_inv_word(zs: ZSStructure, gw: Sequence[int], hw: Sequence[int]) -> tuple[int, ...]:
-    """(g-word) <<| (h-word)^-1."""
-    return _act_word(zs, "ll-inv", gw, hw)
-
-
-WORD_ACTIONS = {
-    "rr": act_rr_word,
-    "rl": act_rl_word,
-    "lr": act_lr_word,
-    "ll": act_ll_word,
-    "rr-inv": act_rr_inv_word,
-    "rl-inv": act_rl_inv_word,
-    "lr-inv": act_lr_inv_word,
-    "ll-inv": act_ll_inv_word,
-}

@@ -481,14 +481,13 @@ def action_nf_failures(zs, name: str, letters: int) -> list[tuple[str, int]]:
     from garside import zappa_szep
 
     g = zs.germ
-    act = zappa_szep.WORD_ACTIONS[name]
     actors, acted = ((zs.h_simples, zs.g_simples) if name[0] == "r"
                      else (zs.g_simples, zs.h_simples))
     alphabet = [s for s in acted if s != g.unit]
     found = []
     for word in normal_words(g, alphabet, letters):
         for c in actors:
-            out = act(zs, (c,), word)
+            out = zappa_szep.act_word(zs, name, (c,), word)
             if not all(g.normal_pair(x, y) for x, y in zip(out, out[1:])):
                 shown = ".".join(g.names[s] for s in word) if word else "1"
                 found.append((ACTION_NF_SHAPES[name].format(g.names[c], shown), len(word)))
@@ -691,6 +690,36 @@ def complements_lemma_by_cases(r, g, opt):
                                   g, element.left_complement(g, x, z), y)),
              "element-over", x, y, z)
 
+
+def quasicenter_by_cases(r, g, opt):
+    """The quasicenter suite with one r.eq per pair of simples for its
+    join-compatible law: the reference for its rows."""
+    from garside import quasicenter
+
+    n = len(g)
+    delta_of = [quasicenter.delta_of_simple(g, s) for s in range(n)]
+    for a in g.atoms:
+        r.check(g.left_divides(a, delta_of[a]),
+                lambda a=a: f"{g.names[a]} does not divide its closure")
+        r.check(g.left_divides(delta_of[a], g.delta),
+                lambda a=a: f"closure of {g.names[a]} is not simple-bounded")
+    for s in range(n):
+        for t in range(n):
+            r.eq(delta_of[g.join(s, t)], g.join(delta_of[s], delta_of[t]),
+                 "join-compatible", s, t)
+    if g.atoms:
+        for c in quasicenter.atom_classes(g).class_delta:
+            for s in range(n):
+                r.check(g.left_divides(s, c) == g.right_divides(s, c),
+                        lambda s=s, c=c: f"{g.names[c]} prefix/suffix sets differ "
+                                         f"at {g.names[s]}")
+    rng = opt.rng()
+    for a in g.atoms:
+        for _ in range(3):
+            order = list(g.atoms)
+            rng.shuffle(order)
+            r.eq(quasicenter._compute_delta(g, a, tuple(order)), delta_of[a],
+                 "order-independent", a)
 
 
 # -- the four-fold decomposition laws, one case at a time -----------------------------

@@ -384,6 +384,15 @@ def test_lattice_accessors_reject_non_lattice():
     assert op.rjoin(a, x) == x
 
 
+def test_lattice_rows_refuse_an_index_outside_the_simples():
+    g = braid_germ(4)
+    for table, index in ((g._meet, -1), (g._join, len(g))):
+        with pytest.raises(KeyError):
+            table[index]
+    assert -1 not in g._meet and len(g) not in g._join
+    assert list(g._meet[len(g) - 1]) == [g.meet(len(g) - 1, t) for t in range(len(g))]
+
+
 def test_lattice_above_256_simples(prod_b4a4):
     g = prod_b4a4
     assert len(g) == 384

@@ -5,6 +5,8 @@ from garside import normal_forms as nfm
 from garside.element import normal_words
 from garside.normal_forms import NFPair
 
+from test_suites import CLOSURE, _closure_zs
+
 
 def nw(g, *names):
     return el.normal_form(g, [g.simple(nm) for nm in names])
@@ -21,8 +23,9 @@ def test_is_normal_pair_variants(wreath, wreath_zs):
     assert not nfm.is_normal_hg_hg(zs, s("c"), s("a"), u, u)
 
 
-def test_criteria_match_definition_exhaustively(wreath_zs):
-    zs = wreath_zs
+@pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
+def test_criteria_match_definition_exhaustively(spec, left):
+    zs = _closure_zs(spec, left)
     g = zs.germ
     u = g.unit
 
@@ -135,7 +138,7 @@ def test_action_preserves_normality(wreath_zs):
     g_alpha = tuple(s for s in zs.g_simples if s != g.unit)
     for letters in normal_words(g, g_alpha, 4):
         for hs in zs.h_simples:
-            acted = zsm.act_rr_word(zs, (hs,), letters)
+            acted = zsm.act_word(zs, "rr", (hs,), letters)
             assert all(g.normal_pair(acted[i], acted[i + 1])
                        for i in range(len(acted) - 1))
-            assert zsm.act_rr_inv_word(zs, (hs,), acted) == letters
+            assert zsm.act_word(zs, "rr-inv", (hs,), acted) == letters

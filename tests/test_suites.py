@@ -14,7 +14,7 @@ from oracles import (ACTION_NF_SHAPES, abelian_by_braid3_germ, action_nf_failure
                      complements_lemma_by_cases, decomposition_uniqueness_by_pairs,
                      factor_closure_by_pairs, join_complement_by_cases, lattice_laws_by_cases,
                      normal_form_criteria_by_cases, poset_product_by_cases,
-                     push_lemma_failures)
+                     push_lemma_failures, quasicenter_by_cases)
 
 # The monoid <a, b | a.a = b.b.b>: a valid germ on which atom lengths are
 # not additive, so the length law reports counterexamples.
@@ -333,6 +333,17 @@ def test_fourfold_suites_agree_with_per_case_oracle_on_tampered_steps(step):
     assert outcomes["normal-form-criteria"][0].failures
 
 
+@pytest.mark.parametrize("step", ["rr", "lr"])
+def test_fourfold_suites_agree_with_per_case_oracle_when_the_unit_acts(step):
+    # the unit's outputs 1 and a swapped, so 1 acts on 1 as a: at the column
+    # (1, 1), where no pair is normal, the criteria must still hold
+    zs = _closure_zs("wreath", "a,b")
+    u = zs.germ.unit
+    outcomes = _outcomes(_tampered(zs, step, u, u, sorted(zs.steps[step][u])[1]))
+    assert all(rows == by_cases for rows, by_cases in outcomes.values())
+    assert outcomes["normal-form-criteria"][0].failures
+
+
 def _unset(table, row, col):
     """Make one lattice entry -1: the germ has no meet or join there."""
     table[row][col] = -1
@@ -374,11 +385,46 @@ def test_fourfold_suites_walk_no_row_of_a_valid_decomposition(spec, left, monkey
     rows = []
     compare = suites._compare_rows
 
-    def recording(r, laws, *args, walk=None):
+    def recording(r, laws, *args):
         rows.append(laws is not None and all(lhs == rhs for _, lhs, rhs in laws))
-        compare(r, laws, *args, walk=walk)
+        compare(r, laws, *args)
 
     monkeypatch.setattr(suites, "_compare_rows", recording)
     for suite in FOURFOLD:
         assert run_suite(suite, zs).ok
     assert rows == [True] * (3 * len(zs.g_simples) * len(zs.h_simples))
+
+
+# -- quasicenter's row law against its per-case oracle ---------------------------------
+
+QUASICENTER_CASES = (
+    [pytest.param(spec, None, None, id=spec)
+     for spec in ("wreath", "braid:3", "braid:4", "abelian:3", "prod:braid:4,braid:3", "A2_B3")]
+    + [pytest.param(spec, row, tamper, id=f"{spec}-{row}-{name}")
+       for spec, row in (("wreath", "a"), ("braid:4", "1243"), ("braid:4", "2143"),
+                         ("prod:braid:4,braid:3", "1243*1"))
+       for name, tamper in (("row-inv", _swap_row_inv), ("join", _swap_join))]
+    # a join that only the join-compatible law reads
+    + [pytest.param("braid:4", "2143", lambda g, s: _unset(g._join, s, g.simple("1324")),
+                    id="braid:4-2143-no-join")])
+
+
+@pytest.mark.parametrize("spec, row, tamper", QUASICENTER_CASES)
+def test_quasicenter_agrees_with_per_case_oracle(spec, row, tamper):
+    g = parse_germ(A2_B3) if spec == "A2_B3" else germ_from_spec(spec)
+    if tamper:
+        tamper(g, g.simple(row))
+    opt = Options(samples=40, seed=3)
+
+    def outcome(run):
+        try:
+            return run()
+        except (GermError, ValueError) as e:
+            return type(e), str(e)
+
+    def by_cases():
+        r = _Run(g)
+        quasicenter_by_cases(r, g, opt)
+        return SuiteReport("quasicenter", r.cases, r.failures)
+
+    assert outcome(lambda: run_suite("quasicenter", g, opt)) == outcome(by_cases)

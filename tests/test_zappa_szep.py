@@ -176,7 +176,7 @@ def test_action_domain_errors(wreath, wreath_zs):
     with pytest.raises(ValueError):
         wreath_zs.act_rr(wreath.simple("a"), wreath.simple("a"))
     with pytest.raises(ValueError):
-        zsm.act_rr_word(wreath_zs, (wreath.simple("c"),), (wreath.simple("c"),))
+        zsm.act_word(wreath_zs, "rr", (wreath.simple("c"),), (wreath.simple("c"),))
 
 
 def test_action_domain_errors_name_raw_ids(wreath, wreath_zs):
@@ -186,9 +186,9 @@ def test_action_domain_errors_name_raw_ids(wreath, wreath_zs):
         (lambda: zs.act_rr(10**6, 0), r"got \(simple id 1000000, '1'\)$"),
         (lambda: zs.act_rr(-1, a), r"got \(simple id -1, 'a'\)$"),
         (lambda: zs.act_ll(a, 8), r"got \('a', simple id 8\)$"),
-        (lambda: zsm.act_rr_word(zs, (10**6,), ()), r"^simple id 1000000 is not a H-simple$"),
-        (lambda: zsm.act_rr_word(zs, (-1,), ()), r"^simple id -1 is not a H-simple$"),
-        (lambda: zsm.act_lr_word(zs, (a,), (0, -8)), r"^simple id -8 is not a H-simple$"),
+        (lambda: zsm.act_word(zs, "rr", (10**6,), ()), r"^simple id 1000000 is not a H-simple$"),
+        (lambda: zsm.act_word(zs, "rr", (-1,), ()), r"^simple id -1 is not a H-simple$"),
+        (lambda: zsm.act_word(zs, "lr", (a,), (0, -8)), r"^simple id -8 is not a H-simple$"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -199,10 +199,10 @@ def test_word_actions(wreath, wreath_zs):
     s = wreath.simple
     zs = wreath_zs
     a, c = s("a"), s("c")
-    assert zsm.act_rr_word(zs, (c,), (a, a)) == (s("b"), s("b"))
-    assert zsm.act_rr_word(zs, (c,), ()) == ()
-    assert zsm.act_lr_word(zs, (a, a), (c,)) == (c,)
-    assert zsm.act_rl_word(zs, (c,), (a, a)) == (c,)
+    assert zsm.act_word(zs, "rr", (c,), (a, a)) == (s("b"), s("b"))
+    assert zsm.act_word(zs, "rr", (c,), ()) == ()
+    assert zsm.act_word(zs, "lr", (a, a), (c,)) == (c,)
+    assert zsm.act_word(zs, "rl", (c,), (a, a)) == (c,)
 
 
 def test_delta_powers_not_factor_elements(wreath, wreath_zs):
