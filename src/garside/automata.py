@@ -196,8 +196,8 @@ def translate_pair_to_product(zs: ZSStructure, a_g: NFAutomaton,
     def live(k1: int, k2: int) -> bool:
         g1, h1 = pair_of[k1]
         g2, h2 = pair_of[k2]
-        return (g_live(zs.act_rr_inv(h1, g1), g2)
-                and h_live(zs.act_lr_inv(g1, h1), h2))
+        return (g_live(zs.act("rr-inv", h1, g1), g2)
+                and h_live(zs.act("lr-inv", g1, h1), h2))
 
     return _build_from_liveness(
         letters, tuple(g.names[s] for s in letters), live)

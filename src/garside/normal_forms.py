@@ -42,8 +42,8 @@ def is_normal_gh_gh(zs: ZSStructure, g1: int, h1: int, g2: int, h2: int) -> bool
     g = zs.germ
     if g2 == g.unit and h2 == g.unit:
         return False
-    return (g.meet(zs.comp_g(zs.act_ll(g1, h1)), g2) == g.unit
-            and g.meet(zs.comp_h(h1), zs.act_lr(g2, h2)) == g.unit)
+    return (g.meet(zs.comp_g(zs.act("ll", g1, h1)), g2) == g.unit
+            and g.meet(zs.comp_h(h1), zs.act("lr", g2, h2)) == g.unit)
 
 
 def is_normal_gh_hg(zs: ZSStructure, g1: int, h1: int, h2: int, g2: int) -> bool:
@@ -51,7 +51,7 @@ def is_normal_gh_hg(zs: ZSStructure, g1: int, h1: int, h2: int, g2: int) -> bool
     g = zs.germ
     if g2 == g.unit and h2 == g.unit:
         return False
-    return (g.meet(zs.comp_g(zs.act_ll(g1, h1)), zs.act_rr(h2, g2)) == g.unit
+    return (g.meet(zs.comp_g(zs.act("ll", g1, h1)), zs.act("rr", h2, g2)) == g.unit
             and g.meet(zs.comp_h(h1), h2) == g.unit)
 
 
@@ -61,7 +61,7 @@ def is_normal_hg_gh(zs: ZSStructure, h1: int, g1: int, g2: int, h2: int) -> bool
     if g2 == g.unit and h2 == g.unit:
         return False
     return (g.meet(zs.comp_g(g1), g2) == g.unit
-            and g.meet(zs.comp_h(zs.act_rl(h1, g1)), zs.act_lr(g2, h2)) == g.unit)
+            and g.meet(zs.comp_h(zs.act("rl", h1, g1)), zs.act("lr", g2, h2)) == g.unit)
 
 
 def is_normal_hg_hg(zs: ZSStructure, h1: int, g1: int, h2: int, g2: int) -> bool:
@@ -69,8 +69,8 @@ def is_normal_hg_hg(zs: ZSStructure, h1: int, g1: int, h2: int, g2: int) -> bool
     g = zs.germ
     if g2 == g.unit and h2 == g.unit:
         return False
-    return (g.meet(zs.comp_g(g1), zs.act_rr(h2, g2)) == g.unit
-            and g.meet(zs.comp_h(zs.act_rl(h1, g1)), h2) == g.unit)
+    return (g.meet(zs.comp_g(g1), zs.act("rr", h2, g2)) == g.unit
+            and g.meet(zs.comp_h(zs.act("rl", h1, g1)), h2) == g.unit)
 
 
 # -- the two translation loops ------------------------------------------------

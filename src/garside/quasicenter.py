@@ -49,11 +49,10 @@ def _compute_delta(g: Germ, s: int, atom_order: tuple[int, ...]) -> int:
 
 
 def is_delta_pure(g: Germ) -> bool:
-    """Whether all atoms share the same quasi-central closure."""
+    """Whether all atoms share the same quasi-central closure: one atom class."""
     if not g.atoms:
         raise ValueError("delta-purity needs at least one atom")
-    first = delta_of_simple(g, g.atoms[0])
-    return all(delta_of_simple(g, a) == first for a in g.atoms)
+    return len(atom_classes(g)) == 1
 
 
 def atom_classes(g: Germ) -> AtomClassPartition:

@@ -323,27 +323,27 @@ def suite_action_laws(r: _Run, zs: ZSStructure, opt: Options) -> None:
     G, H = zs.g_simples, zs.h_simples
     for h1, h2, k in _closed_products(g, H, zs.member_h):
         for gs in G:
-            r.eq(zs.act_rr(k, gs), zs.act_rr(h1, zs.act_rr(h2, gs)),
+            r.eq(zs.act("rr", k, gs), zs.act("rr", h1, zs.act("rr", h2, gs)),
                  "rr-assoc", h1, h2, gs)
-            r.eq(zs.act_rl(k, gs),
-                 g.product(zs.act_rl(h1, zs.act_rr(h2, gs)), zs.act_rl(h2, gs)),
+            r.eq(zs.act("rl", k, gs),
+                 g.product(zs.act("rl", h1, zs.act("rr", h2, gs)), zs.act("rl", h2, gs)),
                  "rl-product", h1, h2, gs)
-            r.eq(zs.act_ll(gs, k),
-                 zs.act_ll(zs.act_ll(gs, h1), h2), "ll-assoc", gs, h1, h2)
-            r.eq(zs.act_lr(gs, k),
-                 g.product(zs.act_lr(gs, h1), zs.act_lr(zs.act_ll(gs, h1), h2)),
+            r.eq(zs.act("ll", gs, k),
+                 zs.act("ll", zs.act("ll", gs, h1), h2), "ll-assoc", gs, h1, h2)
+            r.eq(zs.act("lr", gs, k),
+                 g.product(zs.act("lr", gs, h1), zs.act("lr", zs.act("ll", gs, h1), h2)),
                  "lr-product", gs, h1, h2)
     for g1, g2, k in _closed_products(g, G, zs.member_g):
         for hs in H:
-            r.eq(zs.act_lr(k, hs), zs.act_lr(g1, zs.act_lr(g2, hs)),
+            r.eq(zs.act("lr", k, hs), zs.act("lr", g1, zs.act("lr", g2, hs)),
                  "lr-assoc", g1, g2, hs)
-            r.eq(zs.act_rl(hs, k),
-                 zs.act_rl(zs.act_rl(hs, g1), g2), "rl-assoc", hs, g1, g2)
-            r.eq(zs.act_rr(hs, k),
-                 g.product(zs.act_rr(hs, g1), zs.act_rr(zs.act_rl(hs, g1), g2)),
+            r.eq(zs.act("rl", hs, k),
+                 zs.act("rl", zs.act("rl", hs, g1), g2), "rl-assoc", hs, g1, g2)
+            r.eq(zs.act("rr", hs, k),
+                 g.product(zs.act("rr", hs, g1), zs.act("rr", zs.act("rl", hs, g1), g2)),
                  "rr-product", hs, g1, g2)
-            r.eq(zs.act_ll(k, hs),
-                 g.product(zs.act_ll(g1, zs.act_lr(g2, hs)), zs.act_ll(g2, hs)),
+            r.eq(zs.act("ll", k, hs),
+                 g.product(zs.act("ll", g1, zs.act("lr", g2, hs)), zs.act("ll", g2, hs)),
                  "ll-product", g1, g2, hs)
     rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
     for _ in range(opt.samples):
@@ -375,7 +375,7 @@ def suite_identity_detection(r: _Run, zs: ZSStructure, opt: Options) -> None:
         for gs in zs.g_simples:
             for name, (x, y), acted in (("rr", (hs, gs), gs), ("rl", (hs, gs), hs),
                                         ("lr", (gs, hs), hs), ("ll", (gs, hs), gs)):
-                r.check((acted == u) == (zs._act(name, x, y) == u),
+                r.check((acted == u) == (zs.act(name, x, y) == u),
                         lambda: f"{name} unit detection fails at ({g.names[x]}, {g.names[y]})")
 
 
@@ -385,14 +385,14 @@ def suite_round_trip(r: _Run, zs: ZSStructure, opt: Options) -> None:
     G, H = zs.g_simples, zs.h_simples
     for gs in G:
         for hs in H:
-            h2 = zs.act_lr(gs, hs)
-            g2 = zs.act_ll(gs, hs)
-            r.eq(zs.act_rr(h2, g2), gs, "gh-hg-gh-g", gs, hs)
-            r.eq(zs.act_rl(h2, g2), hs, "gh-hg-gh-h", gs, hs)
-            g3 = zs.act_rr(hs, gs)
-            h3 = zs.act_rl(hs, gs)
-            r.eq(zs.act_lr(g3, h3), hs, "hg-gh-hg-h", hs, gs)
-            r.eq(zs.act_ll(g3, h3), gs, "hg-gh-hg-g", hs, gs)
+            h2 = zs.act("lr", gs, hs)
+            g2 = zs.act("ll", gs, hs)
+            r.eq(zs.act("rr", h2, g2), gs, "gh-hg-gh-g", gs, hs)
+            r.eq(zs.act("rl", h2, g2), hs, "gh-hg-gh-h", gs, hs)
+            g3 = zs.act("rr", hs, gs)
+            h3 = zs.act("rl", hs, gs)
+            r.eq(zs.act("lr", g3, h3), hs, "hg-gh-hg-h", hs, gs)
+            r.eq(zs.act("ll", g3, h3), gs, "hg-gh-hg-g", hs, gs)
 
 
 def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
@@ -401,41 +401,41 @@ def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
     G, H = zs.g_simples, zs.h_simples
     for gs in G:
         for hs in H:
-            r.eq(zs.act_rl(hs, zs.act_rr_inv(hs, gs)), zs.act_lr_inv(gs, hs),
+            r.eq(zs.act("rl", hs, zs.act("rr-inv", hs, gs)), zs.act("lr-inv", gs, hs),
                  "inv-mix-1", hs, gs)
-            r.eq(zs.act_rr(zs.act_rl_inv(hs, gs), gs), zs.act_ll_inv(gs, hs),
+            r.eq(zs.act("rr", zs.act("rl-inv", hs, gs), gs), zs.act("ll-inv", gs, hs),
                  "inv-mix-2", hs, gs)
-            r.eq(zs.act_ll(gs, zs.act_lr_inv(gs, hs)), zs.act_rr_inv(hs, gs),
+            r.eq(zs.act("ll", gs, zs.act("lr-inv", gs, hs)), zs.act("rr-inv", hs, gs),
                  "inv-mix-3", gs, hs)
-            r.eq(zs.act_lr(zs.act_ll_inv(gs, hs), hs), zs.act_rl_inv(hs, gs),
+            r.eq(zs.act("lr", zs.act("ll-inv", gs, hs), hs), zs.act("rl-inv", hs, gs),
                  "inv-mix-4", gs, hs)
     for h1, h2, k in _closed_products(g, H, zs.member_h):
         for gs in G:
-            r.eq(zs.act_rr_inv(k, gs),
-                 zs.act_rr_inv(h2, zs.act_rr_inv(h1, gs)), "inv-rr-assoc", h1, h2, gs)
-            r.eq(zs.act_ll_inv(gs, k),
-                 zs.act_ll_inv(zs.act_ll_inv(gs, h2), h1), "inv-ll-assoc", gs, h1, h2)
-            r.eq(zs.act_lr_inv(gs, k),
-                 g.product(zs.act_lr_inv(gs, h1),
-                           zs.act_lr_inv(zs.act_rr_inv(h1, gs), h2)),
+            r.eq(zs.act("rr-inv", k, gs),
+                 zs.act("rr-inv", h2, zs.act("rr-inv", h1, gs)), "inv-rr-assoc", h1, h2, gs)
+            r.eq(zs.act("ll-inv", gs, k),
+                 zs.act("ll-inv", zs.act("ll-inv", gs, h2), h1), "inv-ll-assoc", gs, h1, h2)
+            r.eq(zs.act("lr-inv", gs, k),
+                 g.product(zs.act("lr-inv", gs, h1),
+                           zs.act("lr-inv", zs.act("rr-inv", h1, gs), h2)),
                  "inv-lr-product", gs, h1, h2)
-            r.eq(zs.act_rl_inv(k, gs),
-                 g.product(zs.act_rl_inv(h1, zs.act_ll_inv(gs, h2)),
-                           zs.act_rl_inv(h2, gs)),
+            r.eq(zs.act("rl-inv", k, gs),
+                 g.product(zs.act("rl-inv", h1, zs.act("ll-inv", gs, h2)),
+                           zs.act("rl-inv", h2, gs)),
                  "inv-rl-product", h1, h2, gs)
     for g1, g2, k in _closed_products(g, G, zs.member_g):
         for hs in H:
-            r.eq(zs.act_lr_inv(k, hs),
-                 zs.act_lr_inv(g2, zs.act_lr_inv(g1, hs)), "inv-lr-assoc", g1, g2, hs)
-            r.eq(zs.act_rl_inv(hs, k),
-                 zs.act_rl_inv(zs.act_rl_inv(hs, g2), g1), "inv-rl-assoc", hs, g1, g2)
-            r.eq(zs.act_rr_inv(hs, k),
-                 g.product(zs.act_rr_inv(hs, g1),
-                           zs.act_rr_inv(zs.act_lr_inv(g1, hs), g2)),
+            r.eq(zs.act("lr-inv", k, hs),
+                 zs.act("lr-inv", g2, zs.act("lr-inv", g1, hs)), "inv-lr-assoc", g1, g2, hs)
+            r.eq(zs.act("rl-inv", hs, k),
+                 zs.act("rl-inv", zs.act("rl-inv", hs, g2), g1), "inv-rl-assoc", hs, g1, g2)
+            r.eq(zs.act("rr-inv", hs, k),
+                 g.product(zs.act("rr-inv", hs, g1),
+                           zs.act("rr-inv", zs.act("lr-inv", g1, hs), g2)),
                  "inv-rr-product", hs, g1, g2)
-            r.eq(zs.act_ll_inv(k, hs),
-                 g.product(zs.act_ll_inv(g1, zs.act_rl_inv(hs, g2)),
-                           zs.act_ll_inv(g2, hs)),
+            r.eq(zs.act("ll-inv", k, hs),
+                 g.product(zs.act("ll-inv", g1, zs.act("rl-inv", hs, g2)),
+                           zs.act("ll-inv", g2, hs)),
                  "inv-ll-product", g1, g2, hs)
     rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
     for _ in range(opt.samples):
@@ -470,13 +470,13 @@ def suite_complement_transport(r: _Run, zs: ZSStructure, opt: Options) -> None:
     for hs in H:
         for g1 in G:
             for g2 in G:
-                r.eq(zs.act_rr(hs, g.lcomp(g1, g2)),
-                     g.lcomp(zs.act_ll_inv(g1, hs),
-                             zs.act_rr(zs.act_rl_inv(hs, g1), g2)),
+                r.eq(zs.act("rr", hs, g.lcomp(g1, g2)),
+                     g.lcomp(zs.act("ll-inv", g1, hs),
+                             zs.act("rr", zs.act("rl-inv", hs, g1), g2)),
                      "transport-fwd", hs, g1, g2)
-                r.eq(zs.act_rr_inv(hs, g.lcomp(g1, g2)),
-                     g.lcomp(zs.act_ll(g1, hs),
-                             zs.act_rr_inv(zs.act_lr(g1, hs), g2)),
+                r.eq(zs.act("rr-inv", hs, g.lcomp(g1, g2)),
+                     g.lcomp(zs.act("ll", g1, hs),
+                             zs.act("rr-inv", zs.act("lr", g1, hs), g2)),
                      "transport-inv", hs, g1, g2)
 
 
@@ -488,9 +488,9 @@ def suite_lcm_formula(r: _Run, zs: ZSStructure, opt: Options) -> None:
     for gs in G:
         for hs in H:
             j = g.join(gs, hs)
-            r.eq(g.product(gs, zs.act_lr_inv(gs, hs)), j, "lcm-gh", gs, hs)
-            r.eq(g.product(hs, zs.act_rr_inv(hs, gs)), j, "lcm-hg", gs, hs)
-            r.eq(g.rjoin(zs.act_rr_inv(hs, gs), zs.act_lr_inv(gs, hs)), j,
+            r.eq(g.product(gs, zs.act("lr-inv", gs, hs)), j, "lcm-gh", gs, hs)
+            r.eq(g.product(hs, zs.act("rr-inv", hs, gs)), j, "lcm-hg", gs, hs)
+            r.eq(g.rjoin(zs.act("rr-inv", hs, gs), zs.act("lr-inv", gs, hs)), j,
                  "lcm-suffix", gs, hs)
             r.check(seen.setdefault(j, (gs, hs)) == (gs, hs),
                     lambda gs=gs, hs=hs, j=j:
@@ -532,9 +532,9 @@ def suite_join_complement(r: _Run, zs: ZSStructure, opt: Options) -> None:
     join = _Rows(g, "join")
 
     def rows(g1, h1, joins):
-        x, y, j1 = zs.act_lr_inv(g1, h1), zs.act_rr_inv(h1, g1), g.join(g1, h1)
-        a = [join[zs.act_rr_inv(x, g.lcomp(g1, g2))] for g2 in G]
-        b = [zs.act_lr_inv(y, g.lcomp(h1, h2)) for h2 in H]
+        x, y, j1 = zs.act("lr-inv", g1, h1), zs.act("rr-inv", h1, g1), g.join(g1, h1)
+        a = [join[zs.act("rr-inv", x, g.lcomp(g1, g2))] for g2 in G]
+        b = [zs.act("lr-inv", y, g.lcomp(h1, h2)) for h2 in H]
         under, jr = g._row_inverses()[j1], join[j1]  # j1\j = under[jr[j]]
         return [("join-under", [under[jr[j]] for j in joins], [row[v] for row in a for v in b])]
 
@@ -546,18 +546,20 @@ def suite_delta_invariance(r: _Run, zs: ZSStructure, opt: Options) -> None:
     g = zs.germ
     G, H = zs.g_simples, zs.h_simples
     for hs in H:
-        r.eq(zs.act_rr(hs, zs.delta_g), zs.delta_g, "rr-fixes-deltaG", hs)
-        r.eq(zs.act_ll(zs.delta_g, hs), zs.delta_g, "ll-fixes-deltaG", hs)
+        r.eq(zs.act("rr", hs, zs.delta_g), zs.delta_g, "rr-fixes-deltaG", hs)
+        r.eq(zs.act("ll", zs.delta_g, hs), zs.delta_g, "ll-fixes-deltaG", hs)
     for gs in G:
-        r.eq(zs.act_rl(zs.delta_h, gs), zs.delta_h, "rl-fixes-deltaH", gs)
-        r.eq(zs.act_lr(gs, zs.delta_h), zs.delta_h, "lr-fixes-deltaH", gs)
+        r.eq(zs.act("rl", zs.delta_h, gs), zs.delta_h, "rl-fixes-deltaH", gs)
+        r.eq(zs.act("lr", gs, zs.delta_h), zs.delta_h, "lr-fixes-deltaH", gs)
     for hs in H:
         for gs in G:
-            r.check(zs.member_g(zs.act_rr(hs, gs)) and zs.member_g(zs.act_rr_inv(hs, gs))
-                    and zs.member_g(zs.act_ll(gs, hs)) and zs.member_g(zs.act_ll_inv(gs, hs)),
+            r.check(zs.member_g(zs.act("rr", hs, gs)) and zs.member_g(zs.act("rr-inv", hs, gs))
+                    and zs.member_g(zs.act("ll", gs, hs))
+                    and zs.member_g(zs.act("ll-inv", gs, hs)),
                     lambda hs=hs, gs=gs: f"G-simples not preserved at ({g.names[hs]}, {g.names[gs]})")
-            r.check(zs.member_h(zs.act_rl(hs, gs)) and zs.member_h(zs.act_rl_inv(hs, gs))
-                    and zs.member_h(zs.act_lr(gs, hs)) and zs.member_h(zs.act_lr_inv(gs, hs)),
+            r.check(zs.member_h(zs.act("rl", hs, gs)) and zs.member_h(zs.act("rl-inv", hs, gs))
+                    and zs.member_h(zs.act("lr", gs, hs))
+                    and zs.member_h(zs.act("lr-inv", gs, hs)),
                     lambda hs=hs, gs=gs: f"H-simples not preserved at ({g.names[hs]}, {g.names[gs]})")
 
 
@@ -567,14 +569,14 @@ def suite_complement_action(r: _Run, zs: ZSStructure, opt: Options) -> None:
     G, H = zs.g_simples, zs.h_simples
     for hs in H:
         for gs in G:
-            r.eq(zs.comp_g(zs.act_rr(hs, gs)),
-                 zs.act_rr(zs.act_rl(hs, gs), zs.comp_g(gs)), "compG-rr", hs, gs)
-            r.eq(zs.comp_g(zs.act_ll(gs, hs)),
-                 zs.act_rr_inv(hs, zs.comp_g(gs)), "compG-ll", gs, hs)
-            r.eq(zs.comp_h(zs.act_lr(gs, hs)),
-                 zs.act_lr(zs.act_ll(gs, hs), zs.comp_h(hs)), "compH-lr", gs, hs)
-            r.eq(zs.comp_h(zs.act_rl(hs, gs)),
-                 zs.act_lr_inv(gs, zs.comp_h(hs)), "compH-rl", hs, gs)
+            r.eq(zs.comp_g(zs.act("rr", hs, gs)),
+                 zs.act("rr", zs.act("rl", hs, gs), zs.comp_g(gs)), "compG-rr", hs, gs)
+            r.eq(zs.comp_g(zs.act("ll", gs, hs)),
+                 zs.act("rr-inv", hs, zs.comp_g(gs)), "compG-ll", gs, hs)
+            r.eq(zs.comp_h(zs.act("lr", gs, hs)),
+                 zs.act("lr", zs.act("ll", gs, hs), zs.comp_h(hs)), "compH-lr", gs, hs)
+            r.eq(zs.comp_h(zs.act("rl", hs, gs)),
+                 zs.act("lr-inv", gs, zs.comp_h(hs)), "compH-rl", hs, gs)
 
 
 def suite_complement_of_join(r: _Run, zs: ZSStructure, opt: Options) -> None:
@@ -584,8 +586,8 @@ def suite_complement_of_join(r: _Run, zs: ZSStructure, opt: Options) -> None:
     for gs in G:
         for hs in H:
             r.eq(g.complement(g.join(gs, hs)),
-                 g.join(zs.comp_g(zs.act_rr_inv(hs, gs)),
-                        zs.comp_h(zs.act_lr_inv(gs, hs))),
+                 g.join(zs.comp_g(zs.act("rr-inv", hs, gs)),
+                        zs.comp_h(zs.act("lr-inv", gs, hs))),
                  "comp-of-join", gs, hs)
 
 
@@ -620,7 +622,7 @@ def suite_atoms_to_atoms(r: _Run, zs: ZSStructure, opt: Options) -> None:
                                       ("lr", zs.g_simples, zs.right_atoms, "|>>")):
         for c in actors:
             for a in atoms:
-                r.check(g.is_atom(zs._act(name, c, a)),
+                r.check(g.is_atom(zs.act(name, c, a)),
                         lambda: f"{g.names[c]} {sign} {g.names[a]} is not an atom")
 
 
@@ -684,8 +686,8 @@ def suite_normal_form_criteria(r: _Run, zs: ZSStructure, opt: Options) -> None:
     u = g.unit
     gh = [g.product(g2, h2) for g2 in G for h2 in H]
     hg = [g.product(h2, g2) for g2 in G for h2 in H]
-    lr = [[zs.act_lr(g2, h2) for h2 in H] for g2 in G]  # a list per g2
-    rr = [zs.act_rr(h2, g2) for g2 in G for h2 in H]
+    lr = [[zs.act("lr", g2, h2) for h2 in H] for g2 in G]  # a list per g2
+    rr = [zs.act("rr", h2, g2) for g2 in G for h2 in H]
     # one[s][t] is 1 if meet(s, t) is the unit, 0 if not
     one = _Rows(g, "meet", lambda row: bytes(map(u.__eq__, row)))
 
@@ -693,9 +695,9 @@ def suite_normal_form_criteria(r: _Run, zs: ZSStructure, opt: Options) -> None:
         # complements: of join(g1, h1) and its factor parts, as in complement-of-join;
         # the criteria's, as in normal_forms.is_normal_*; of g1.h1 and h1.g1
         c, a, b, p, q, s, t, k, m = [one[x] for x in (
-            g.complement(g.join(g1, h1)), zs.comp_g(zs.act_rr_inv(h1, g1)),
-            zs.comp_h(zs.act_lr_inv(g1, h1)), zs.comp_g(zs.act_ll(g1, h1)), zs.comp_h(h1),
-            zs.comp_g(g1), zs.comp_h(zs.act_rl(h1, g1)),
+            g.complement(g.join(g1, h1)), zs.comp_g(zs.act("rr-inv", h1, g1)),
+            zs.comp_h(zs.act("lr-inv", g1, h1)), zs.comp_g(zs.act("ll", g1, h1)),
+            zs.comp_h(h1), zs.comp_g(g1), zs.comp_h(zs.act("rl", h1, g1)),
             g.complement(g.product(g1, h1)), g.complement(g.product(h1, g1)))]
         bh, qh, th = [b[x] for x in H], [q[x] for x in H] * len(G), [t[x] for x in H] * len(G)
         laws = [("join criterion fails at ({0},{1},{2},{3})",

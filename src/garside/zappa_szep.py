@@ -8,10 +8,11 @@ four actions on simples:
 
     h . g = (h |> g)(h <| g)        g . h = (g |>> h)(g <<| h)
 
-written here act_rr/act_rl (h acting on g from the left / the companion)
-and act_lr/act_ll.  build() stores the two factorisation maps gh_pair and
-hg_pair and derives from them one step table per action, a letter-to-
-letter transducer step (carry, letter) -> (output, next carry):
+named rr/rl (h acting on g from the left / the companion) and lr/ll; these
+and their inverses are read as zs.act(name, first, second).  build()
+stores the two factorisation maps gh_pair and hg_pair and derives from
+them one step table per action, a letter-to-letter transducer step
+(carry, letter) -> (output, next carry):
 
     rr[h][g] = (h |> g, h <| g) = gh_pair[h.g]      rl[g][h] = (h <| g, h |> g)
     lr[g][h] = (g |>> h, g <<| h) = hg_pair[g.h]    ll[h][g] = (g <<| h, g |>> h)
@@ -50,6 +51,10 @@ class DecompositionFailure(ZSError):
     """A structural invariant failed while building or using a decomposition."""
 
 
+ACTIONS = ("rr", "rl", "lr", "ll", "rr-inv", "rl-inv", "lr-inv", "ll-inv")  # build's steps
+_UNKNOWN_ACTION = "unknown action {!r}: expected one of " + ", ".join(ACTIONS)
+
+
 @dataclass(eq=False)
 class ZSStructure:
     germ: Germ
@@ -82,58 +87,28 @@ class ZSStructure:
 
     # -- the four actions and their inverses, on simples ------------------
 
-    def _act(self, name: str, first: int, second: int) -> int:
+    def act(self, name: str, first: int, second: int) -> int:
         """
-        One read of the step table of the action `name`, with the
-        arguments in the order of act_<name>: the actor comes first for
-        rr and lr (and their inverses) and second for rl and ll.
+        The action `name`, one of ACTIONS, on simples: one read of its step
+        table, with the arguments in the order of act_word.  The actor comes
+        first for rr and lr (and their inverses) and second for rl and ll:
+        act("rr", h, g) is h |> g, act("ll-inv", g, h) is g <<| h^-1.
         """
         try:
             if name[1] == "r":
                 return self.steps[name][first][second][0]
             return self.steps[name][second][first][0]
-        except KeyError:
-            pass
+        except (KeyError, IndexError):
+            if name not in self.steps:
+                raise ValueError(_UNKNOWN_ACTION.format(name)) from None
         g = self.germ
         want = "H-simple, G-simple" if name[0] == "r" else "G-simple, H-simple"
         raise ValueError("action argument outside its simple set: "
                          f"expected ({want}), got ({_quoted(g, first)}, {_quoted(g, second)})")
 
-    def act_rr(self, h: int, g: int) -> int:
-        """h |> g."""
-        return self._act("rr", h, g)
-
-    def act_rl(self, h: int, g: int) -> int:
-        """h <| g."""
-        return self._act("rl", h, g)
-
-    def act_lr(self, g: int, h: int) -> int:
-        """g |>> h."""
-        return self._act("lr", g, h)
-
-    def act_ll(self, g: int, h: int) -> int:
-        """g <<| h."""
-        return self._act("ll", g, h)
-
-    def act_rr_inv(self, h: int, g: int) -> int:
-        """h^-1 |> g: the inverse permutation of g -> h |> g."""
-        return self._act("rr-inv", h, g)
-
-    def act_rl_inv(self, h: int, g: int) -> int:
-        """h <| g^-1."""
-        return self._act("rl-inv", h, g)
-
-    def act_lr_inv(self, g: int, h: int) -> int:
-        """g^-1 |>> h."""
-        return self._act("lr-inv", g, h)
-
-    def act_ll_inv(self, g: int, h: int) -> int:
-        """g <<| h^-1."""
-        return self._act("ll-inv", g, h)
-
     def join_gh(self, g: int, h: int) -> int:
         """lcm(g, h) computed factor-side: g.(g^-1 |>> h)."""
-        k = self.germ.product(g, self.act_lr_inv(g, h))
+        k = self.germ.product(g, self.act("lr-inv", g, h))
         assert k is not None
         return k
 
@@ -298,8 +273,8 @@ def reassociate(g: Germ, pairs: Sequence[tuple[int, int]]) -> list[int]:
 # A word acts one letter at a time, and a letter acts on a word by being
 # carried through it: steps[name][carry][letter] gives the output letter
 # and the next carry.  act_word takes its two words in the argument order
-# of the simple-level action: (h-word, g-word) for rr and rl and their
-# inverses, (g-word, h-word) for lr and ll and theirs.
+# of zs.act: (h-word, g-word) for rr and rl and their inverses, (g-word,
+# h-word) for lr and ll and theirs.
 
 def _quoted(g: Germ, s: int) -> str:
     """The quoted name of simple s, or the raw id of an argument that is none."""
@@ -315,9 +290,6 @@ def _check_words(zs: ZSStructure, sides: str, *words: Sequence[int]) -> None:
                 raise ValueError(f"{_quoted(zs.germ, s)} is not a {side}-simple")
 
 
-ACTIONS = ("rr", "rl", "lr", "ll", "rr-inv", "rl-inv", "lr-inv", "ll-inv")  # build's steps
-
-
 def act_word(zs: ZSStructure, name: str, first: Sequence[int],
              second: Sequence[int]) -> tuple[int, ...]:
     """
@@ -328,8 +300,10 @@ def act_word(zs: ZSStructure, name: str, first: Sequence[int],
     leftward for rl and ll.  A word acts from its letter nearest the acted
     word, and its inverse from the other.
     """
+    step = zs.steps.get(name)
+    if step is None:
+        raise ValueError(_UNKNOWN_ACTION.format(name))
     _check_words(zs, "HG" if name[0] == "r" else "GH", first, second)
-    step = zs.steps[name]
     rightward = name[1] == "r"
     actors, out = (first, list(second)) if rightward else (second, list(first))
     if rightward != name.endswith("-inv"):

@@ -265,7 +265,7 @@ def zs_actions(g, g_simples, h_simples):
         g |>> (g^-1 |>> h) = h             (g <<| h^-1) <<| h = g
 
     Returns {name: {argument pair: value}}, with names and argument orders
-    as in ZSStructure.act_<name>.  Every solution is asserted unique.
+    as in ZSStructure.act.  Every solution is asserted unique.
     """
     G, H = tuple(g_simples), tuple(h_simples)
 
@@ -273,7 +273,7 @@ def zs_actions(g, g_simples, h_simples):
         assert len(solutions) == 1, solutions
         return solutions[0]
 
-    acts = {nm: {} for nm in ("rr", "rl", "lr", "ll", "rr_inv", "rl_inv", "lr_inv", "ll_inv")}
+    acts = {nm: {} for nm in ("rr", "rl", "lr", "ll", "rr-inv", "rl-inv", "lr-inv", "ll-inv")}
     for h in H:
         for x in G:
             hx = g.product(h, x)
@@ -284,10 +284,10 @@ def zs_actions(g, g_simples, h_simples):
                 [(b, a) for b in H for a in G if g.product(b, a) == xh])
     for h in H:
         for x in G:
-            acts["rr_inv"][h, x] = only([y for y in G if acts["rr"][h, y] == x])
-            acts["rl_inv"][h, x] = only([k for k in H if acts["rl"][k, x] == h])
-            acts["lr_inv"][x, h] = only([k for k in H if acts["lr"][x, k] == h])
-            acts["ll_inv"][x, h] = only([y for y in G if acts["ll"][y, h] == x])
+            acts["rr-inv"][h, x] = only([y for y in G if acts["rr"][h, y] == x])
+            acts["rl-inv"][h, x] = only([k for k in H if acts["rl"][k, x] == h])
+            acts["lr-inv"][x, h] = only([k for k in H if acts["lr"][x, k] == h])
+            acts["ll-inv"][x, h] = only([y for y in G if acts["ll"][y, h] == x])
     return acts
 
 
@@ -525,7 +525,7 @@ def push_lemma_failures(zs, pairs: int) -> list[tuple[str, int]]:
                 k = g.product(a, b)
                 if k == u or (last is not None and not g.normal_pair(last, k)):
                     continue
-                if not word and g.meet(zs.comp_h(h), zs.act_lr(a, b)) != u:
+                if not word and g.meet(zs.comp_h(h), zs.act("lr", a, b)) != u:
                     continue
                 word.append((a, b))
                 grow(h, word, k)
@@ -747,14 +747,14 @@ def join_complement_by_cases(r, zs, opt):
     G, H = zs.g_simples, zs.h_simples
     for g1 in G:
         for h1 in H:
-            x = zs.act_lr_inv(g1, h1)
-            y = zs.act_rr_inv(h1, g1)
+            x = zs.act("lr-inv", g1, h1)
+            y = zs.act("rr-inv", h1, g1)
             j1 = g.join(g1, h1)
             for g2 in G:
                 for h2 in H:
                     r.eq(g.lcomp(j1, g.join(g2, h2)),
-                         g.join(zs.act_rr_inv(x, g.lcomp(g1, g2)),
-                                zs.act_lr_inv(y, g.lcomp(h1, h2))),
+                         g.join(zs.act("rr-inv", x, g.lcomp(g1, g2)),
+                                zs.act("lr-inv", y, g.lcomp(h1, h2))),
                          "join-under", g1, h1, g2, h2)
 
 
@@ -770,8 +770,8 @@ def normal_form_criteria_by_cases(r, zs, opt):
             for g2 in G:
                 for h2 in H:
                     lhs = (g.meet(g.complement(g.join(g1, h1)), g.join(g2, h2)) == u)
-                    rhs = (g.meet(zs.comp_g(zs.act_rr_inv(h1, g1)), g2) == u
-                           and g.meet(zs.comp_h(zs.act_lr_inv(g1, h1)), h2) == u)
+                    rhs = (g.meet(zs.comp_g(zs.act("rr-inv", h1, g1)), g2) == u
+                           and g.meet(zs.comp_h(zs.act("lr-inv", g1, h1)), h2) == u)
                     r.check(lhs == rhs,
                             lambda g1=g1, h1=h1, g2=g2, h2=h2:
                             f"join criterion fails at ({g.names[g1]},{g.names[h1]},"

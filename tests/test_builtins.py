@@ -95,12 +95,12 @@ def test_direct_product_trivial_action(b3):
     zs = build(g, left)
     for hs in zs.h_simples:
         for gs in zs.g_simples:
-            assert zs.act_rr(hs, gs) == gs
-            assert zs.act_rl(hs, gs) == hs
+            assert zs.act("rr", hs, gs) == gs
+            assert zs.act("rl", hs, gs) == hs
     for gs in zs.g_simples:
         for hs in zs.h_simples:
-            assert zs.act_lr(gs, hs) == hs
-            assert zs.act_ll(gs, hs) == gs
+            assert zs.act("lr", gs, hs) == hs
+            assert zs.act("ll", gs, hs) == gs
 
 
 def test_every_builtin_validates(wreath, b3, ab3):

@@ -121,7 +121,7 @@ def test_push_lemma_exhaustive_wreath(wreath_zs):
                             continue
                         if not g.normal_pair(k1, k2):
                             continue
-                        if g.meet(zs.comp_h(h), zs.act_lr(g1, h1)) != u:
+                        if g.meet(zs.comp_h(h), zs.act("lr", g1, h1)) != u:
                             continue
                         out = [g.product(h, g1), g.product(h1, g2)]
                         if h2 != u:

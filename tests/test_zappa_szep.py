@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from garside import zappa_szep as zsm
 from garside.suites import _split_by_gcd
 
 from oracles import abelian_by_braid3_germ, zs_actions
+from test_suites import CLOSURE, _closure_zs
 
 # Germs built from a model in the tests, by the spec DECOMPOSITIONS gives them.
 MODEL_GERMS = {"abelian:3><braid:3": abelian_by_braid3_germ}
@@ -105,29 +107,29 @@ def test_gh_decompose_examples(wreath, wreath_zs):
 def test_simple_actions(wreath, wreath_zs):
     s = wreath.simple
     zs = wreath_zs
-    assert zs.act_rr(s("c"), s("a")) == s("b")
-    assert zs.act_rl(s("c"), s("a")) == s("c")
-    assert zs.act_lr(s("a"), s("c")) == s("c")
-    assert zs.act_ll(s("a"), s("c")) == s("b")
+    assert zs.act("rr", s("c"), s("a")) == s("b")
+    assert zs.act("rl", s("c"), s("a")) == s("c")
+    assert zs.act("lr", s("a"), s("c")) == s("c")
+    assert zs.act("ll", s("a"), s("c")) == s("b")
     # units act trivially and are fixed
     for gs in zs.g_simples:
-        assert zs.act_rr(wreath.unit, gs) == gs
+        assert zs.act("rr", wreath.unit, gs) == gs
     for hs in zs.h_simples:
-        assert zs.act_rl(hs, wreath.unit) == hs
+        assert zs.act("rl", hs, wreath.unit) == hs
 
 
 def test_inverse_actions(wreath, wreath_zs):
     s = wreath.simple
     zs = wreath_zs
-    assert zs.act_rr_inv(s("c"), s("b")) == s("a")
-    assert zs.act_rr_inv(s("c"), wreath.unit) == wreath.unit
-    assert zs.act_ll_inv(s("a"), s("c")) == s("b")
+    assert zs.act("rr-inv", s("c"), s("b")) == s("a")
+    assert zs.act("rr-inv", s("c"), wreath.unit) == wreath.unit
+    assert zs.act("ll-inv", s("a"), s("c")) == s("b")
     for hs in zs.h_simples:
         for gs in zs.g_simples:
-            assert zs.act_rr(hs, zs.act_rr_inv(hs, gs)) == gs
-            assert zs.act_rl_inv(zs.act_rl(hs, gs), gs) == hs
-            assert zs.act_lr_inv(gs, zs.act_lr(gs, hs)) == hs
-            assert zs.act_ll(zs.act_ll_inv(gs, hs), hs) == gs
+            assert zs.act("rr", hs, zs.act("rr-inv", hs, gs)) == gs
+            assert zs.act("rl-inv", zs.act("rl", hs, gs), gs) == hs
+            assert zs.act("lr-inv", gs, zs.act("lr", gs, hs)) == hs
+            assert zs.act("ll", zs.act("ll-inv", gs, hs), hs) == gs
 
 
 def test_simple_actions_solve_defining_equations(decomposition):
@@ -136,9 +138,8 @@ def test_simple_actions_solve_defining_equations(decomposition):
     acts = zs_actions(zs.germ, zs.g_simples, zs.h_simples)
     for name, table in acts.items():
         assert len(table) == len(zs.g_simples) * len(zs.h_simples)
-        act = getattr(zs, f"act_{name}")
         for (a, b), value in table.items():
-            assert act(a, b) == value, (name, nm[a], nm[b])
+            assert zs.act(name, a, b) == value, (name, nm[a], nm[b])
 
 
 def _long_normal_words(g, rng, count):
@@ -174,7 +175,7 @@ def test_decompositions_match_gcd_route(decomposition):
 
 def test_action_domain_errors(wreath, wreath_zs):
     with pytest.raises(ValueError):
-        wreath_zs.act_rr(wreath.simple("a"), wreath.simple("a"))
+        wreath_zs.act("rr", wreath.simple("a"), wreath.simple("a"))
     with pytest.raises(ValueError):
         zsm.act_word(wreath_zs, "rr", (wreath.simple("c"),), (wreath.simple("c"),))
 
@@ -183,9 +184,11 @@ def test_action_domain_errors_name_raw_ids(wreath, wreath_zs):
     zs = wreath_zs
     a = wreath.simple("a")
     cases = [
-        (lambda: zs.act_rr(10**6, 0), r"got \(simple id 1000000, '1'\)$"),
-        (lambda: zs.act_rr(-1, a), r"got \(simple id -1, 'a'\)$"),
-        (lambda: zs.act_ll(a, 8), r"got \('a', simple id 8\)$"),
+        (lambda: zs.act("rr", 10**6, 0), r"got \(simple id 1000000, '1'\)$"),
+        (lambda: zs.act("rr", -1, a), r"got \(simple id -1, 'a'\)$"),
+        (lambda: zs.act("ll", a, 8), r"got \('a', simple id 8\)$"),
+        (lambda: zs.act("lr-inv", a, a), r"^action argument outside its simple set: "
+                                         r"expected \(G-simple, H-simple\), got \('a', 'a'\)$"),
         (lambda: zsm.act_word(zs, "rr", (10**6,), ()), r"^simple id 1000000 is not a H-simple$"),
         (lambda: zsm.act_word(zs, "rr", (-1,), ()), r"^simple id -1 is not a H-simple$"),
         (lambda: zsm.act_word(zs, "lr", (a,), (0, -8)), r"^simple id -8 is not a H-simple$"),
@@ -193,6 +196,29 @@ def test_action_domain_errors_name_raw_ids(wreath, wreath_zs):
     for call, message in cases:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("name", ["xx", "", "r", "rr-", "RR", "rr_inv"])
+def test_unknown_action_name_is_refused(wreath, wreath_zs, name):
+    message = (f"^unknown action {re.escape(repr(name))}: expected one of "
+               "rr, rl, lr, ll, rr-inv, rl-inv, lr-inv, ll-inv$")
+    a, c = wreath.simple("a"), wreath.simple("c")
+    for call in (lambda: wreath_zs.act(name, 0, 0), lambda: wreath_zs.act(name, c, a),
+                 lambda: zsm.act_word(wreath_zs, name, (), ()),
+                 lambda: zsm.act_word(wreath_zs, name, (c,), (a,))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
+def test_simple_and_word_actions_share_their_argument_order(spec, left):
+    zs = _closure_zs(spec, left)
+    G, H = zs.g_simples, zs.h_simples
+    for name in zsm.ACTIONS:
+        first, second = (H, G) if name[0] == "r" else (G, H)
+        for x in first:
+            for y in second:
+                assert zs.act(name, x, y) == zsm.act_word(zs, name, (x,), (y,))[0], (name, x, y)
 
 
 def test_word_actions(wreath, wreath_zs):
@@ -267,8 +293,8 @@ def test_noncommuting_action_permutes_generators():
             xs = {int(c) for c in x[1::2]} if x != "1" else set()
             image = {int(p[i - 1]) for i in xs} if p != "1" else xs
             expected = "".join(f"e{i}" for i in sorted(image)) or "1"
-            assert g.names[zs.act_rr(hs, gs)].split("*")[0] == expected
-            assert zs.act_rl(hs, gs) == hs
+            assert g.names[zs.act("rr", hs, gs)].split("*")[0] == expected
+            assert zs.act("rl", hs, gs) == hs
             moved += image != xs
     assert moved > 0
 
