@@ -219,9 +219,9 @@ def cmd_classes(args) -> int:
 
 def cmd_pure(args) -> int:
     g = _germ(args)
-    part = quasicenter.atom_classes(g)
-    print(f"delta-pure: {'true' if len(part) == 1 else 'false'}")
-    print(f"atom-classes: {len(part)}")
+    pure = quasicenter.is_delta_pure(g)
+    print(f"delta-pure: {'true' if pure else 'false'}")
+    print(f"atom-classes: {len(quasicenter.atom_classes(g))}")
     return 0
 
 

@@ -349,8 +349,16 @@ def rdivides(g: Germ, x: NormalWord, y: NormalWord) -> bool:
 # -- enumeration and balance ------------------------------------------------
 
 def _successors(g: Germ, alphabet: Sequence[int]) -> dict[int, list[int]]:
-    """The letters that may follow each letter in a normal word."""
-    return {s: [t for t in alphabet if g.normal_pair(s, t)] for s in alphabet}
+    """The letters that may follow each letter in a normal word, read off
+    the meet row of its complement; a gap raises normal_pair's GermError."""
+    succ = {}
+    for s in alphabet:
+        row = g._meet[c := g.complement(s)]
+        if -1 in row:
+            for t in alphabet:
+                g.meet(c, t)  # raises at the first missing meet in alphabet order
+        succ[s] = [t for t in alphabet if row[t] == g.unit]
+    return succ
 
 
 def normal_words(g: Germ, alphabet: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:

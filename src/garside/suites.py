@@ -8,10 +8,13 @@ word-level variants with a seeded generator.  `lattice-laws`,
 `complements-lemma`, `normal-form-criteria`, `join-complement`,
 `poset-product` and the `join-compatible` law of `quasicenter` write
 each law once, as a row of cases (over simples, or over pairs of factor
-simples) compared with one list equality, so `complements-lemma` on
-braid:6 (45.7M cases) takes seconds.  A row that differs is reported
-column by column in the law's own failure line; a meet or join row that
-a law reads raw is checked once per suite for a missing entry.
+simples) compared with one list equality.  The germ suites read whole
+tables: a column is a row of one transpose, and a composition of table
+lookups one itemgetter gather per row, so `complements-lemma` on braid:6
+(45.7M cases) takes seconds.  A row that differs is reported column by
+column in the law's own failure line; a meet, join or rjoin row that a
+law reads raw is checked once per suite, and one missing entry raises
+the accessor's error, as the per-case law does.
 Normality is 2-local, so `action-preserves-nf` and `push-lemma` walk
 the reachable states of a letter-to-letter transducer; `factor-closure`
 checks the divisors of factor simples, and `decomposition-uniqueness`
@@ -29,6 +32,7 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import automata, element, normal_forms, quasicenter, zappa_szep
@@ -116,22 +120,28 @@ def _rand_element(g: Germ, rng: random.Random, max_len: int) -> NormalWord:
 
 class _Rows(dict):
     """
-    The rows of g's meet or join table, for laws that read them raw: each
-    row is checked once, on first use, and one holding a -1 (no meet or
-    join) raises the accessor's GermError.  `view` maps a checked row to
+    The rows of g's meet, join or rjoin table, for laws that read them raw:
+    each row is checked once, on first use, and one holding a -1 (no meet
+    or join) raises the accessor's GermError.  `view` maps a checked row to
     what the laws read.
     """
 
     def __init__(self, g: Germ, kind: str, view: Callable = lambda row: row):
         super().__init__()
         self.g, self.kind, self.view = g, kind, view
+        self.table = g.opposite()._join if kind == "rjoin" else getattr(g, "_" + kind)
 
     def __missing__(self, s: int):
-        row = getattr(self.g, "_" + self.kind)[s]
+        row = self.table[s]
         if -1 in row:
             self.g._not_a_lattice(self.kind, s, row.index(-1))
         out = self[s] = self.view(row)
         return out
+
+
+def _gather(row, indices: Sequence[int]) -> list:
+    """[row[i] for i in indices] in one call; itemgetter gives no tuple for one index."""
+    return list(itemgetter(*indices)(row)) if len(indices) > 1 else [row[i] for i in indices]
 
 
 def _compare_rows(r: _Run, laws: Sequence[tuple[str, list, list]],
@@ -158,18 +168,22 @@ def _compare_rows(r: _Run, laws: Sequence[tuple[str, list, list]],
 def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
     """Commutativity, absorption and associativity of the lattice ops; complement laws."""
     n = len(g)
-    rows = g.product_rows
+    rows, inv, op = g.product_rows, g._row_inverses(), g.opposite()
+    op_rows, op_inv = op.product_rows, op._row_inverses()
+    meet, join, rjoin = (list(map(_Rows(g, kind, list).__getitem__, range(n)))
+                         for kind in ("meet", "join", "rjoin"))
+    meet_t, join_t = ([list(col) for col in zip(*table)] for table in (meet, join))
     for s in range(n):
-        meet = [g.meet(s, t) for t in range(n)]
-        join = [g.join(s, t) for t in range(n)]
-        rjoin = [g.rjoin(s, t) for t in range(n)]
+        ms, js, rs = meet[s], join[s], rjoin[s]
+        # s\t = inv[s][s v t], and t/s is the u with u.s the right join
+        lc, rc = _gather(inv[s], js), _gather(op_inv[s], rs)
         _compare_rows(r, (
-            ("meet-comm", meet, [g.meet(t, s) for t in range(n)]),
-            ("join-comm", join, [g.join(t, s) for t in range(n)]),
-            ("absorb-meet", [meet[v] for v in join], [s] * n),
-            ("absorb-join", [join[v] for v in meet], [s] * n),
-            ("lcomp-join", [rows[s].get(g.lcomp(s, t)) for t in range(n)], join),
-            ("rcomp-rjoin", [rows[g.rcomp(s, t)].get(s) for t in range(n)], rjoin),
+            ("meet-comm", ms, meet_t[s]),
+            ("join-comm", js, join_t[s]),
+            ("absorb-meet", _gather(ms, js), [s] * n),
+            ("absorb-join", _gather(js, ms), [s] * n),
+            ("lcomp-join", list(map(rows[s].get, lc)), js),
+            ("rcomp-rjoin", list(map(op_rows[s].get, rc)), rs),
         ), lambda t: (s, t))
     for s in range(n):
         r.eq(g.rcomplement(g.complement(s)), s, "comp-inverse", s)
@@ -186,15 +200,14 @@ def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
 
 def suite_complements_lemma(r: _Run, g: Germ, opt: Options) -> None:
     """The two complement recursions, on simples and on random elements."""
-    n = len(g)
-    rows = g.product_rows
-    lc = [[g.lcomp(s, t) for t in range(n)] for s in range(n)]  # lc[s][t] = s\t
+    rows, join, inv = g.product_rows, _Rows(g, "join"), g._row_inverses()
+    lc = [_gather(inv[s], join[s]) for s in range(len(g))]  # lc[s][t] = s\t
     lc_t = [list(col) for col in zip(*lc)]  # lc_t[t][s] = s\t
-    for a in range(n):
+    for a in range(len(g)):
         for b, ab in rows[a].items():
             # for every c: (ab)\c = b\(a\c) and c\(ab) = (c\a).((a\c)\b)
             _compare_rows(r, (
-                ("under-product", lc[ab], [lc[b][x] for x in lc[a]]),
+                ("under-product", lc[ab], _gather(lc[b], lc[a])),
                 ("over-product", lc_t[ab],
                  [rows[x].get(lc_t[b][y]) for x, y in zip(lc_t[a], lc[a])]),
             ), lambda c: (a, b, c))

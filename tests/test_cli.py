@@ -38,6 +38,12 @@ def test_pure(capsys):
     assert out == "delta-pure: true\natom-classes: 1\n"
 
 
+def test_pure_refuses_a_germ_with_no_atoms(capsys):
+    # the answer of quasicenter.is_delta_pure, which has none to give here
+    code, out, err = run(capsys, "pure", "--germ", "abelian:0")
+    assert (code, out, err) == (1, "", "error: delta-purity needs at least one atom\n")
+
+
 def test_nf(capsys):
     code, out, _ = run(capsys, "nf", "--germ", "wreath", "a.bc")
     assert code == 0 and out == "D^1\n"

@@ -1,10 +1,11 @@
 """
 The set-up of a decomposition against its references in oracles.py: the
 simples a set of atom classes generates, read from one atom stripping, and
-the quasi-central closures, computed one simple at a time on request.
+the quasi-central closures, walked on request from the simples asked for.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -43,14 +44,31 @@ def test_closures_on_request_match_the_eager_table(germ):
 
 
 def test_build_computes_the_closures_of_the_atoms_only(monkeypatch):
-    calls = []
-    compute = quasicenter._compute_delta
-
-    def counted(g, s, atom_order):
-        calls.append(s)
-        return compute(g, s, atom_order)
-
-    monkeypatch.setattr(quasicenter, "_compute_delta", counted)
+    # build asks for the atoms' closures; the walks that answer start at
+    # atoms, complete the closures of what they reach (27 of 144 simples)
+    # and read the atom successors of each of those once
     g = germ_from_spec("prod:braid:4,braid:3")
+    reached, frontier = set(g.atoms), list(g.atoms)
+    while frontier:
+        x = frontier.pop()
+        for a in g.atoms:
+            if (y := g.lcomp(a, x)) not in reached:
+                reached.add(y)
+                frontier.append(y)
+    roots, reads = [], Counter()
+    walk, lcomp = quasicenter._walk_closures, g.lcomp
+
+    def rooted(g, root, closures):
+        roots.append(root)
+        walk(g, root, closures)
+
+    def counted(a, x):
+        reads[x] += 1
+        return lcomp(a, x)
+
+    monkeypatch.setattr(quasicenter, "_walk_closures", rooted)
+    monkeypatch.setattr(g, "lcomp", counted)
     build(g, [g.simple(nm) for nm in ("1243*1", "1324*1", "2134*1")])
-    assert sorted(calls) == sorted(g.atoms) and len(g.atoms) == 5
+    assert set(roots) <= set(g.atoms) and len(g.atoms) == 5
+    assert set(g._memo["qz_delta"]) == set(reads) == reached and len(reached) == 27
+    assert set(reads.values()) == {len(g.atoms)}

@@ -4,7 +4,7 @@ import pytest
 
 from garside import GermError, parse_germ, element as el
 from garside.element import NormalWord
-from garside.germ import make_germ
+from garside.germ import format_germ, make_germ
 
 from oracles import (AbelianModel, BraidModel, FixpointArithmetic, ProductModel,
                      WreathModel, model_check)
@@ -317,3 +317,24 @@ def test_sweep_keeps_germ_errors():
                   [("a", "c", "D"), ("b", "c", "D"), ("c", "a", "D")])
     with pytest.raises(GermError, match="not a bijection"):
         el.multiply(g, el.simple(g, g.simple("b")), el.delta_power(g, 1))
+
+
+@pytest.mark.parametrize("tamper, error", [
+    ("meet", "no meet of '3421' and '2134': germ is not a lattice"),
+    ("complement", "simple '1243' has no right completion to delta")])
+def test_successors_raise_the_error_of_normal_pair(b4, tamper, error):
+    # a fresh braid:4 in which 1243 or its complement 3421 can no longer be read
+    g = parse_germ(format_germ(b4))
+    s = g.simple("1243")
+    if tamper == "meet":
+        g._meet[g.complement(s)][g.simple("2134")] = -1
+    else:
+        g._comp[s] = -1
+    alphabet = [t for t in range(len(g)) if t != g.unit]
+    with pytest.raises(GermError) as by_pairs:
+        for x in alphabet:
+            for y in alphabet:
+                g.normal_pair(x, y)
+    with pytest.raises(GermError) as by_rows:
+        el._successors(g, alphabet)
+    assert str(by_rows.value) == str(by_pairs.value) == error

@@ -1,10 +1,76 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from garside import (atom_classes, delta_of_simple, free_abelian_germ,
-                     is_delta_pure, quasi_center_basis)
+from garside import (GermError, Options, atom_classes, delta_of_simple, free_abelian_germ,
+                     germ_from_spec, is_delta_pure, parse_germ, quasi_center_basis, run_suite)
 from garside.quasicenter import _compute_delta
+
+from oracles import abelian_by_braid3_germ, closure_table
+
+CLOSURE_SPECS = (["wreath"] + [f"braid:{n}" for n in range(2, 7)]
+                 + [f"abelian:{k}" for k in range(10)] + ["A2_B3", "N3_B3"])
+
+
+def _fresh(spec):
+    if spec == "A2_B3":
+        return parse_germ((Path(__file__).parent / "golden" / "a2_b3.germ").read_text())
+    return abelian_by_braid3_germ() if spec == "N3_B3" else germ_from_spec(spec)
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_memoised_closures_match_the_eager_table_in_any_query_order(spec):
+    # a fresh germ per order, so what one walk memoises cannot hide another's answer
+    expected = closure_table(_fresh(spec))
+    for seed in range(3):
+        g = _fresh(spec)
+        order = list(range(len(g)))
+        random.Random(seed).shuffle(order)
+        assert {s: delta_of_simple(g, s) for s in order} == dict(enumerate(expected))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except GermError as e:
+        return str(e)
+
+
+def _unset_join(g, row, col):
+    g._join[g.simple(row)][g.simple(col)] = -1
+
+
+def test_closures_read_no_join_that_only_the_suite_reads():
+    # the braid:4-2143-no-join tamper of test_suites: the closures are the
+    # untampered ones, and the suite raises for its join-compatible law
+    g = germ_from_spec("braid:4")
+    _unset_join(g, "2143", "1324")
+    order = list(range(len(g)))
+    random.Random(0).shuffle(order)
+    expected = closure_table(germ_from_spec("braid:4"))
+    assert [delta_of_simple(g, s) for s in order] == [expected[s] for s in order]
+    with pytest.raises(GermError) as raised:
+        run_suite("quasicenter", g, Options(samples=40, seed=3))
+    assert str(raised.value) == "no join of '2143' and '1324': germ is not a lattice"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_closure_walk_raises_for_a_missing_atom_join_as_one_closure_does(seed):
+    # lcomp(2134, 1324) is unreadable: a closure that reaches 1324 raises
+    # for it, one that does not is answered, whatever was asked before
+    def tampered():
+        g = germ_from_spec("braid:4")
+        _unset_join(g, "2134", "1324")
+        return g
+
+    ref, g = tampered(), tampered()
+    order = list(range(len(g)))
+    random.Random(seed).shuffle(order)
+    outcomes = [_outcome(lambda: delta_of_simple(g, s)) for s in order]
+    assert outcomes == [_outcome(lambda: _compute_delta(ref, s, ref.atoms)) for s in order]
+    assert "no join of '2134' and '1324': germ is not a lattice" in outcomes
+    assert any(isinstance(out, int) for out in outcomes)
 
 
 def test_delta_of_simple_examples(wreath):
