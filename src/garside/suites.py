@@ -4,24 +4,25 @@ suites: named property suites over germs and decompositions.
 Each suite exhaustively enumerates the simple-level quantifiers of one
 family of structural identities (action laws, order isomorphisms,
 complement formulas, normal-form criteria, ...) and samples the
-word-level variants with a seeded generator.  `lattice-laws`,
-`complements-lemma`, `normal-form-criteria`, `join-complement`,
-`poset-product` and the `join-compatible` law of `quasicenter` write
-each law once, as a row of cases (over simples, or over pairs of factor
-simples) compared with one list equality.  The germ suites read whole
-tables: a column is a row of one transpose, and a composition of table
-lookups one itemgetter gather per row, so `complements-lemma` on braid:6
-(45.7M cases) takes seconds.  A row that differs is reported column by
-column in the law's own failure line; a meet, join or rjoin row that a
-law reads raw is checked once per suite, and one missing entry raises
-the accessor's error, as the per-case law does.
-Normality is 2-local, so `action-preserves-nf` and `push-lemma` walk
-the reachable states of a letter-to-letter transducer; `factor-closure`
-checks the divisors of factor simples, and `decomposition-uniqueness`
-the two factorisation maps on pairs of them, all four exact at every
-length.  Only `translation-roundtrip` enumerates words up to
-`--max-len`, exponentially many.  A suite records its cases and
-failures in the run it is given; run_suite, the one path of the CLI
+word-level variants with a seeded generator.  A law of the actions that
+mirrors when G and H swap is stated once and read in both orientations.
+`lattice-laws`, `complements-lemma`, `normal-form-criteria`,
+`join-complement`, `poset-product` and the `join-compatible` law of
+`quasicenter` write each law once, as a row of cases (over simples, or
+over pairs of factor simples) compared with one list equality.  The germ
+suites read whole tables: a column is a row of one transpose, and a
+composition of lookups one itemgetter gather per row, so
+`complements-lemma` on braid:6 (45.7M cases) takes seconds.  A row that
+differs is reported column by column in the law's own failure line; a
+meet, join or rjoin row that a law reads raw is checked once per suite,
+and one missing entry raises the accessor's error, as the per-case law
+does.  Normality is 2-local, so `action-preserves-nf` and `push-lemma`
+walk the reachable states of a letter-to-letter transducer;
+`factor-closure` checks the divisors of factor simples, and
+`decomposition-uniqueness` the two factorisation maps on pairs of them,
+all four exact at every length.  Only `translation-roundtrip` enumerates
+words up to `--max-len`, exponentially many.  A suite records its cases
+and failures in the run it is given; run_suite, the one path of the CLI
 `check` and of the tests, makes the run, times it and names the report.
 """
 
@@ -330,55 +331,44 @@ def _closed_products(g: Germ, simples: Sequence[int],
             if (k := g.product(x, y)) is not None and member(k)]
 
 
+def _orientations(zs: ZSStructure) -> tuple[tuple, tuple]:
+    """
+    K = G |><| H is also H |><| G, with rr and lr, rl and ll swapped.  So a
+    mirrored law is stated once, for x in an acting factor X and y in the
+    acted one Y, and read for H acting on G, then G on H: each orientation
+    is (X-simples, Y-simples, X's membership test, the ACTIONS renamed).
+    """
+    return ((zs.h_simples, zs.g_simples, zs.member_h, zappa_szep.ACTIONS),
+            (zs.g_simples, zs.h_simples, zs.member_g,
+             ("lr", "ll", "rr", "rl", "lr-inv", "ll-inv", "rr-inv", "rl-inv")))
+
+
 def suite_action_laws(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Associativity and product rules of the four actions, plus word forms."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for h1, h2, k in _closed_products(g, H, zs.member_h):
-        for gs in G:
-            r.eq(zs.act("rr", k, gs), zs.act("rr", h1, zs.act("rr", h2, gs)),
-                 "rr-assoc", h1, h2, gs)
-            r.eq(zs.act("rl", k, gs),
-                 g.product(zs.act("rl", h1, zs.act("rr", h2, gs)), zs.act("rl", h2, gs)),
-                 "rl-product", h1, h2, gs)
-            r.eq(zs.act("ll", gs, k),
-                 zs.act("ll", zs.act("ll", gs, h1), h2), "ll-assoc", gs, h1, h2)
-            r.eq(zs.act("lr", gs, k),
-                 g.product(zs.act("lr", gs, h1), zs.act("lr", zs.act("ll", gs, h1), h2)),
-                 "lr-product", gs, h1, h2)
-    for g1, g2, k in _closed_products(g, G, zs.member_g):
-        for hs in H:
-            r.eq(zs.act("lr", k, hs), zs.act("lr", g1, zs.act("lr", g2, hs)),
-                 "lr-assoc", g1, g2, hs)
-            r.eq(zs.act("rl", hs, k),
-                 zs.act("rl", zs.act("rl", hs, g1), g2), "rl-assoc", hs, g1, g2)
-            r.eq(zs.act("rr", hs, k),
-                 g.product(zs.act("rr", hs, g1), zs.act("rr", zs.act("rl", hs, g1), g2)),
-                 "rr-product", hs, g1, g2)
-            r.eq(zs.act("ll", k, hs),
-                 g.product(zs.act("ll", g1, zs.act("lr", g2, hs)), zs.act("ll", g2, hs)),
-                 "ll-product", g1, g2, hs)
-    rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
+    g, act = zs.germ, zs.act
+    orientations = _orientations(zs)
+    for X, Y, member, (a, b, c, d, *_) in orientations:
+        labels = f"{a}-assoc", f"{b}-product", f"{d}-assoc", f"{c}-product"
+        for x1, x2, k in _closed_products(g, X, member):
+            for y in Y:
+                r.eq(act(a, k, y), act(a, x1, act(a, x2, y)), labels[0], x1, x2, y)
+                r.eq(act(b, k, y), g.product(act(b, x1, act(a, x2, y)), act(b, x2, y)),
+                     labels[1], x1, x2, y)
+                r.eq(act(d, y, k), act(d, act(d, y, x1), x2), labels[2], y, x1, x2)
+                r.eq(act(c, y, k), g.product(act(c, y, x1), act(c, act(d, y, x1), x2)),
+                     labels[3], y, x1, x2)
+    words = [(a, b, f"{a}-word-assoc", f"word-defining-{a}") for *_, (a, b, *_) in orientations]
+    rng, act, nf = opt.rng(), partial(zappa_szep.act_word, zs), partial(element.normal_form, g)
     for _ in range(opt.samples):
-        hw = _rand_word(rng, H, opt.max_len)
-        hw2 = _rand_word(rng, H, opt.max_len)
-        gw = _rand_word(rng, G, opt.max_len)
-        gw2 = _rand_word(rng, G, opt.max_len)
-        r.eq(act("rr", hw + hw2, gw), act("rr", hw, act("rr", hw2, gw)),
-             "rr-word-assoc", hw, hw2, gw)
-        r.eq(act("lr", gw + gw2, hw), act("lr", gw, act("lr", gw2, hw)),
-             "lr-word-assoc", gw, gw2, hw)
-        # the defining equation at word level: h.g = (h |> g)(h <| g)
-        he = element.normal_form(g, hw)
-        ge = element.normal_form(g, gw)
-        r.eq(element.multiply(g, he, ge),
-             element.multiply(g, element.normal_form(g, act("rr", hw, gw)),
-                              element.normal_form(g, act("rl", hw, gw))),
-             "word-defining-rr", hw, gw)
-        r.eq(element.multiply(g, ge, he),
-             element.multiply(g, element.normal_form(g, act("lr", gw, hw)),
-                              element.normal_form(g, act("ll", gw, hw))),
-             "word-defining-lr", gw, hw)
+        hw, hw2, gw, gw2 = (_rand_word(rng, S, opt.max_len)
+                            for S in (zs.h_simples, zs.h_simples, zs.g_simples, zs.g_simples))
+        he, ge = nf(hw), nf(gw)
+        for (xw, xw2, yw, xe, ye), (a, b, assoc, defining) in zip(
+                ((hw, hw2, gw, he, ge), (gw, gw2, hw, ge, he)), words):
+            r.eq(act(a, xw + xw2, yw), act(a, xw, act(a, xw2, yw)), assoc, xw, xw2, yw)
+            # the defining equation at word level: h.g = (h |> g)(h <| g)
+            r.eq(element.multiply(g, xe, ye),
+                 element.multiply(g, nf(act(a, xw, yw)), nf(act(b, xw, yw))), defining, xw, yw)
 
 
 def suite_identity_detection(r: _Run, zs: ZSStructure, opt: Options) -> None:
@@ -393,83 +383,58 @@ def suite_identity_detection(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 
 def suite_round_trip(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """Rewriting GH to HG and back is the identity."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for gs in G:
-        for hs in H:
-            h2 = zs.act("lr", gs, hs)
-            g2 = zs.act("ll", gs, hs)
-            r.eq(zs.act("rr", h2, g2), gs, "gh-hg-gh-g", gs, hs)
-            r.eq(zs.act("rl", h2, g2), hs, "gh-hg-gh-h", gs, hs)
-            g3 = zs.act("rr", hs, gs)
-            h3 = zs.act("rl", hs, gs)
-            r.eq(zs.act("lr", g3, h3), hs, "hg-gh-hg-h", hs, gs)
-            r.eq(zs.act("ll", g3, h3), gs, "hg-gh-hg-g", hs, gs)
+    """Rewriting GH to HG and back is the identity, and so is HG to GH and back."""
+    act = zs.act
+    laws = [(*names[:4], *labels) for (*_, names), labels in zip(_orientations(zs), (
+        ("gh-hg-gh-g", "gh-hg-gh-h"), ("hg-gh-hg-h", "hg-gh-hg-g")))]
+    for gs in zs.g_simples:
+        for hs in zs.h_simples:
+            for (y, x), (a, b, c, d, to_y, to_x) in zip(((gs, hs), (hs, gs)), laws):
+                x2, y2 = act(c, y, x), act(d, y, x)  # y.x = x2.y2
+                r.eq(act(a, x2, y2), y, to_y, y, x)
+                r.eq(act(b, x2, y2), x, to_x, y, x)
 
 
 def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Identities mixing the actions with their inverse permutations."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for gs in G:
-        for hs in H:
-            r.eq(zs.act("rl", hs, zs.act("rr-inv", hs, gs)), zs.act("lr-inv", gs, hs),
-                 "inv-mix-1", hs, gs)
-            r.eq(zs.act("rr", zs.act("rl-inv", hs, gs), gs), zs.act("ll-inv", gs, hs),
-                 "inv-mix-2", hs, gs)
-            r.eq(zs.act("ll", gs, zs.act("lr-inv", gs, hs)), zs.act("rr-inv", hs, gs),
-                 "inv-mix-3", gs, hs)
-            r.eq(zs.act("lr", zs.act("ll-inv", gs, hs), hs), zs.act("rl-inv", hs, gs),
-                 "inv-mix-4", gs, hs)
-    for h1, h2, k in _closed_products(g, H, zs.member_h):
-        for gs in G:
-            r.eq(zs.act("rr-inv", k, gs),
-                 zs.act("rr-inv", h2, zs.act("rr-inv", h1, gs)), "inv-rr-assoc", h1, h2, gs)
-            r.eq(zs.act("ll-inv", gs, k),
-                 zs.act("ll-inv", zs.act("ll-inv", gs, h2), h1), "inv-ll-assoc", gs, h1, h2)
-            r.eq(zs.act("lr-inv", gs, k),
-                 g.product(zs.act("lr-inv", gs, h1),
-                           zs.act("lr-inv", zs.act("rr-inv", h1, gs), h2)),
-                 "inv-lr-product", gs, h1, h2)
-            r.eq(zs.act("rl-inv", k, gs),
-                 g.product(zs.act("rl-inv", h1, zs.act("ll-inv", gs, h2)),
-                           zs.act("rl-inv", h2, gs)),
-                 "inv-rl-product", h1, h2, gs)
-    for g1, g2, k in _closed_products(g, G, zs.member_g):
-        for hs in H:
-            r.eq(zs.act("lr-inv", k, hs),
-                 zs.act("lr-inv", g2, zs.act("lr-inv", g1, hs)), "inv-lr-assoc", g1, g2, hs)
-            r.eq(zs.act("rl-inv", hs, k),
-                 zs.act("rl-inv", zs.act("rl-inv", hs, g2), g1), "inv-rl-assoc", hs, g1, g2)
-            r.eq(zs.act("rr-inv", hs, k),
-                 g.product(zs.act("rr-inv", hs, g1),
-                           zs.act("rr-inv", zs.act("lr-inv", g1, hs), g2)),
-                 "inv-rr-product", hs, g1, g2)
-            r.eq(zs.act("ll-inv", k, hs),
-                 g.product(zs.act("ll-inv", g1, zs.act("rl-inv", hs, g2)),
-                           zs.act("ll-inv", g2, hs)),
-                 "inv-ll-product", g1, g2, hs)
+    g, act = zs.germ, zs.act
+    orientations = _orientations(zs)
+    mixes = [(*names, *mix) for (*_, names), mix in zip(orientations, (
+        ("inv-mix-1", "inv-mix-2"), ("inv-mix-3", "inv-mix-4")))]
+    for gs in zs.g_simples:
+        for hs in zs.h_simples:
+            for (x, y), (a, b, _, _, ai, bi, ci, di, *mix) in zip(((hs, gs), (gs, hs)), mixes):
+                r.eq(act(b, x, act(ai, x, y)), act(ci, y, x), mix[0], x, y)
+                r.eq(act(a, act(bi, x, y), y), act(di, y, x), mix[1], x, y)
+    for X, Y, member, (a, b, c, d, ai, bi, ci, di) in orientations:
+        labels = f"inv-{a}-assoc", f"inv-{d}-assoc", f"inv-{c}-product", f"inv-{b}-product"
+        for x1, x2, k in _closed_products(g, X, member):
+            for y in Y:
+                r.eq(act(ai, k, y), act(ai, x2, act(ai, x1, y)), labels[0], x1, x2, y)
+                r.eq(act(di, y, k), act(di, act(di, y, x2), x1), labels[1], y, x1, x2)
+                r.eq(act(ci, y, k), g.product(act(ci, y, x1), act(ci, act(ai, x1, y), x2)),
+                     labels[2], y, x1, x2)
+                r.eq(act(bi, k, y), g.product(act(bi, x1, act(di, y, x2)), act(bi, x2, y)),
+                     labels[3], x1, x2, y)
+    words = [(a, b, ai, bi, f"word-{a}-roundtrip", f"word-{b}-roundtrip")
+             for *_, (a, b, _, _, ai, bi, _, _) in orientations]
     rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
     for _ in range(opt.samples):
-        hw = _rand_word(rng, H, opt.max_len)
-        gw = _rand_word(rng, G, opt.max_len)
-        r.eq(act("rr-inv", hw, act("rr", hw, gw)), gw, "word-rr-roundtrip", hw, gw)
-        r.eq(act("rl-inv", act("rl", hw, gw), gw), hw, "word-rl-roundtrip", hw, gw)
-        r.eq(act("lr-inv", gw, act("lr", gw, hw)), hw, "word-lr-roundtrip", gw, hw)
-        r.eq(act("ll-inv", act("ll", gw, hw), hw), gw, "word-ll-roundtrip", gw, hw)
+        hw, gw = (_rand_word(rng, S, opt.max_len) for S in (zs.h_simples, zs.g_simples))
+        for (xw, yw), (a, b, ai, bi, *labels) in zip(((hw, gw), (gw, hw)), words):
+            r.eq(act(ai, xw, act(a, xw, yw)), yw, labels[0], xw, yw)
+            r.eq(act(bi, act(b, xw, yw), yw), xw, labels[1], xw, yw)
 
 
 def suite_order_isomorphism(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Left actions preserve prefix order; right actions preserve suffix order."""
     g = zs.germ
-    for actors, acted, laws in ((zs.h_simples, zs.g_simples, (("rr", "prefix"), ("ll", "suffix"))),
-                                (zs.g_simples, zs.h_simples, (("lr", "prefix"), ("rl", "suffix")))):
+    for actors, acted, _, (a, _, _, d, *_) in _orientations(zs):
+        laws = (a, "prefix", g.left_divides), (d, "suffix", g.right_divides)
         for c in actors:
             for x in acted:
                 for y in acted:
-                    for name, order in laws:
-                        divides = g.left_divides if order == "prefix" else g.right_divides
+                    for name, order, divides in laws:
                         step = zs.steps[name][c]  # step[x][0] is the action of c on x
                         r.check(divides(x, y) == divides(step[x][0], step[y][0]),
                                 lambda: f"{name} not a {order} iso at "
@@ -477,20 +442,19 @@ def suite_order_isomorphism(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 
 def suite_complement_transport(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """How the actions move lattice complements between factors."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for hs in H:
-        for g1 in G:
-            for g2 in G:
-                r.eq(zs.act("rr", hs, g.lcomp(g1, g2)),
-                     g.lcomp(zs.act("ll-inv", g1, hs),
-                             zs.act("rr", zs.act("rl-inv", hs, g1), g2)),
-                     "transport-fwd", hs, g1, g2)
-                r.eq(zs.act("rr-inv", hs, g.lcomp(g1, g2)),
-                     g.lcomp(zs.act("ll", g1, hs),
-                             zs.act("rr-inv", zs.act("lr", g1, hs), g2)),
-                     "transport-inv", hs, g1, g2)
+    """How the actions move complements in the acted factor: h |> g1\\g2, h^-1 |> g1\\g2."""
+    g, act = zs.germ, zs.act
+    for X, Y, _, (a, b, c, d, ai, bi, _, di) in _orientations(zs):
+        for x in X:
+            for y1 in Y:
+                fwd, fwd_actor = act(di, y1, x), act(bi, x, y1)  # the parts free of y2
+                inv, inv_actor = act(d, y1, x), act(c, y1, x)
+                for y2 in Y:
+                    under = g.lcomp(y1, y2)
+                    r.eq(act(a, x, under), g.lcomp(fwd, act(a, fwd_actor, y2)),
+                         "transport-fwd", x, y1, y2)
+                    r.eq(act(ai, x, under), g.lcomp(inv, act(ai, inv_actor, y2)),
+                         "transport-inv", x, y1, y2)
 
 
 def suite_lcm_formula(r: _Run, zs: ZSStructure, opt: Options) -> None:
@@ -505,10 +469,9 @@ def suite_lcm_formula(r: _Run, zs: ZSStructure, opt: Options) -> None:
             r.eq(g.product(hs, zs.act("rr-inv", hs, gs)), j, "lcm-hg", gs, hs)
             r.eq(g.rjoin(zs.act("rr-inv", hs, gs), zs.act("lr-inv", gs, hs)), j,
                  "lcm-suffix", gs, hs)
-            r.check(seen.setdefault(j, (gs, hs)) == (gs, hs),
-                    lambda gs=gs, hs=hs, j=j:
-                    f"join {g.names[j]} reached from both {seen[j]} and "
-                    f"({g.names[gs]}, {g.names[hs]})")
+            first = seen.setdefault(j, (gs, hs))
+            r.check(first == (gs, hs), lambda: "join {} reached from both ({}, {}) and ({}, {})"
+                    .format(*(g.names[s] for s in (j, *first, gs, hs))))
     r.check(len(seen) == len(G) * len(H),
             lambda: "(g, h) -> join(g, h) is not injective")
 
@@ -556,40 +519,34 @@ def suite_join_complement(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 def suite_delta_invariance(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """The factor Garside elements are fixed and simples map to simples."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for hs in H:
-        r.eq(zs.act("rr", hs, zs.delta_g), zs.delta_g, "rr-fixes-deltaG", hs)
-        r.eq(zs.act("ll", zs.delta_g, hs), zs.delta_g, "ll-fixes-deltaG", hs)
-    for gs in G:
-        r.eq(zs.act("rl", zs.delta_h, gs), zs.delta_h, "rl-fixes-deltaH", gs)
-        r.eq(zs.act("lr", gs, zs.delta_h), zs.delta_h, "lr-fixes-deltaH", gs)
-    for hs in H:
-        for gs in G:
-            r.check(zs.member_g(zs.act("rr", hs, gs)) and zs.member_g(zs.act("rr-inv", hs, gs))
-                    and zs.member_g(zs.act("ll", gs, hs))
-                    and zs.member_g(zs.act("ll-inv", gs, hs)),
-                    lambda hs=hs, gs=gs: f"G-simples not preserved at ({g.names[hs]}, {g.names[gs]})")
-            r.check(zs.member_h(zs.act("rl", hs, gs)) and zs.member_h(zs.act("rl-inv", hs, gs))
-                    and zs.member_h(zs.act("lr", gs, hs))
-                    and zs.member_h(zs.act("lr-inv", gs, hs)),
-                    lambda hs=hs, gs=gs: f"H-simples not preserved at ({g.names[hs]}, {g.names[gs]})")
+    g, act = zs.germ, zs.act
+    laws = []
+    for (X, _, _, (a, _, _, d, ai, _, _, di)), (side, delta, member) in zip(_orientations(zs), (
+            ("G", zs.delta_g, zs.member_g), ("H", zs.delta_h, zs.member_h))):
+        fixes = f"{a}-fixes-delta{side}", f"{d}-fixes-delta{side}"
+        for x in X:
+            r.eq(act(a, x, delta), delta, fixes[0], x)
+            r.eq(act(d, delta, x), delta, fixes[1], x)
+        laws.append((a, ai, d, di, member, f"{side}-simples not preserved at "))
+    for hs in zs.h_simples:
+        for gs in zs.g_simples:
+            for (x, y), (a, ai, d, di, member, fails) in zip(((hs, gs), (gs, hs)), laws):
+                r.check(member(act(a, x, y)) and member(act(ai, x, y))
+                        and member(act(d, y, x)) and member(act(di, y, x)),
+                        lambda: f"{fails}({g.names[hs]}, {g.names[gs]})")
 
 
 def suite_complement_action(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Factor complements of acted simples."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for hs in H:
-        for gs in G:
-            r.eq(zs.comp_g(zs.act("rr", hs, gs)),
-                 zs.act("rr", zs.act("rl", hs, gs), zs.comp_g(gs)), "compG-rr", hs, gs)
-            r.eq(zs.comp_g(zs.act("ll", gs, hs)),
-                 zs.act("rr-inv", hs, zs.comp_g(gs)), "compG-ll", gs, hs)
-            r.eq(zs.comp_h(zs.act("lr", gs, hs)),
-                 zs.act("lr", zs.act("ll", gs, hs), zs.comp_h(hs)), "compH-lr", gs, hs)
-            r.eq(zs.comp_h(zs.act("rl", hs, gs)),
-                 zs.act("lr-inv", gs, zs.comp_h(hs)), "compH-rl", hs, gs)
+    act = zs.act
+    laws = [(a, b, d, ai, comp, f"comp{side}-{a}", f"comp{side}-{d}")
+            for (*_, (a, b, _, d, ai, *_)), (side, comp) in zip(_orientations(zs), (
+                ("G", zs.comp_g), ("H", zs.comp_h)))]
+    for hs in zs.h_simples:
+        for gs in zs.g_simples:
+            for (x, y), (a, b, d, ai, comp, *labels) in zip(((hs, gs), (gs, hs)), laws):
+                r.eq(comp(act(a, x, y)), act(a, act(b, x, y), comp(y)), labels[0], x, y)
+                r.eq(comp(act(d, y, x)), act(ai, x, comp(y)), labels[1], y, x)
 
 
 def suite_complement_of_join(r: _Run, zs: ZSStructure, opt: Options) -> None:

@@ -788,6 +788,198 @@ def normal_form_criteria_by_cases(r, zs, opt):
                                 f"({','.join(g.names[x] for x in xs)})")
 
 
+# -- the mirrored decomposition laws, one orientation at a time -------------------------
+
+def action_laws_by_cases(r, zs, opt):
+    """The action-laws suite with each law written out for H acting on G and
+    for G acting on H: the reference for the laws stated once per orientation."""
+    from functools import partial
+
+    from garside import element, zappa_szep
+    from garside.suites import _closed_products, _rand_word
+
+    g = zs.germ
+    G, H = zs.g_simples, zs.h_simples
+    for h1, h2, k in _closed_products(g, H, zs.member_h):
+        for gs in G:
+            r.eq(zs.act("rr", k, gs), zs.act("rr", h1, zs.act("rr", h2, gs)),
+                 "rr-assoc", h1, h2, gs)
+            r.eq(zs.act("rl", k, gs),
+                 g.product(zs.act("rl", h1, zs.act("rr", h2, gs)), zs.act("rl", h2, gs)),
+                 "rl-product", h1, h2, gs)
+            r.eq(zs.act("ll", gs, k),
+                 zs.act("ll", zs.act("ll", gs, h1), h2), "ll-assoc", gs, h1, h2)
+            r.eq(zs.act("lr", gs, k),
+                 g.product(zs.act("lr", gs, h1), zs.act("lr", zs.act("ll", gs, h1), h2)),
+                 "lr-product", gs, h1, h2)
+    for g1, g2, k in _closed_products(g, G, zs.member_g):
+        for hs in H:
+            r.eq(zs.act("lr", k, hs), zs.act("lr", g1, zs.act("lr", g2, hs)),
+                 "lr-assoc", g1, g2, hs)
+            r.eq(zs.act("rl", hs, k),
+                 zs.act("rl", zs.act("rl", hs, g1), g2), "rl-assoc", hs, g1, g2)
+            r.eq(zs.act("rr", hs, k),
+                 g.product(zs.act("rr", hs, g1), zs.act("rr", zs.act("rl", hs, g1), g2)),
+                 "rr-product", hs, g1, g2)
+            r.eq(zs.act("ll", k, hs),
+                 g.product(zs.act("ll", g1, zs.act("lr", g2, hs)), zs.act("ll", g2, hs)),
+                 "ll-product", g1, g2, hs)
+    rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
+    for _ in range(opt.samples):
+        hw = _rand_word(rng, H, opt.max_len)
+        hw2 = _rand_word(rng, H, opt.max_len)
+        gw = _rand_word(rng, G, opt.max_len)
+        gw2 = _rand_word(rng, G, opt.max_len)
+        r.eq(act("rr", hw + hw2, gw), act("rr", hw, act("rr", hw2, gw)),
+             "rr-word-assoc", hw, hw2, gw)
+        r.eq(act("lr", gw + gw2, hw), act("lr", gw, act("lr", gw2, hw)),
+             "lr-word-assoc", gw, gw2, hw)
+        # the defining equation at word level: h.g = (h |> g)(h <| g)
+        he = element.normal_form(g, hw)
+        ge = element.normal_form(g, gw)
+        r.eq(element.multiply(g, he, ge),
+             element.multiply(g, element.normal_form(g, act("rr", hw, gw)),
+                              element.normal_form(g, act("rl", hw, gw))),
+             "word-defining-rr", hw, gw)
+        r.eq(element.multiply(g, ge, he),
+             element.multiply(g, element.normal_form(g, act("lr", gw, hw)),
+                              element.normal_form(g, act("ll", gw, hw))),
+             "word-defining-lr", gw, hw)
+
+
+def inverse_interplay_by_cases(r, zs, opt):
+    """The inverse-interplay suite with each law written out for H acting on G
+    and for G acting on H: the reference for the laws stated once per orientation."""
+    from functools import partial
+
+    from garside import element, zappa_szep
+    from garside.suites import _closed_products, _rand_word
+
+    g = zs.germ
+    G, H = zs.g_simples, zs.h_simples
+    for gs in G:
+        for hs in H:
+            r.eq(zs.act("rl", hs, zs.act("rr-inv", hs, gs)), zs.act("lr-inv", gs, hs),
+                 "inv-mix-1", hs, gs)
+            r.eq(zs.act("rr", zs.act("rl-inv", hs, gs), gs), zs.act("ll-inv", gs, hs),
+                 "inv-mix-2", hs, gs)
+            r.eq(zs.act("ll", gs, zs.act("lr-inv", gs, hs)), zs.act("rr-inv", hs, gs),
+                 "inv-mix-3", gs, hs)
+            r.eq(zs.act("lr", zs.act("ll-inv", gs, hs), hs), zs.act("rl-inv", hs, gs),
+                 "inv-mix-4", gs, hs)
+    for h1, h2, k in _closed_products(g, H, zs.member_h):
+        for gs in G:
+            r.eq(zs.act("rr-inv", k, gs),
+                 zs.act("rr-inv", h2, zs.act("rr-inv", h1, gs)), "inv-rr-assoc", h1, h2, gs)
+            r.eq(zs.act("ll-inv", gs, k),
+                 zs.act("ll-inv", zs.act("ll-inv", gs, h2), h1), "inv-ll-assoc", gs, h1, h2)
+            r.eq(zs.act("lr-inv", gs, k),
+                 g.product(zs.act("lr-inv", gs, h1),
+                           zs.act("lr-inv", zs.act("rr-inv", h1, gs), h2)),
+                 "inv-lr-product", gs, h1, h2)
+            r.eq(zs.act("rl-inv", k, gs),
+                 g.product(zs.act("rl-inv", h1, zs.act("ll-inv", gs, h2)),
+                           zs.act("rl-inv", h2, gs)),
+                 "inv-rl-product", h1, h2, gs)
+    for g1, g2, k in _closed_products(g, G, zs.member_g):
+        for hs in H:
+            r.eq(zs.act("lr-inv", k, hs),
+                 zs.act("lr-inv", g2, zs.act("lr-inv", g1, hs)), "inv-lr-assoc", g1, g2, hs)
+            r.eq(zs.act("rl-inv", hs, k),
+                 zs.act("rl-inv", zs.act("rl-inv", hs, g2), g1), "inv-rl-assoc", hs, g1, g2)
+            r.eq(zs.act("rr-inv", hs, k),
+                 g.product(zs.act("rr-inv", hs, g1),
+                           zs.act("rr-inv", zs.act("lr-inv", g1, hs), g2)),
+                 "inv-rr-product", hs, g1, g2)
+            r.eq(zs.act("ll-inv", k, hs),
+                 g.product(zs.act("ll-inv", g1, zs.act("rl-inv", hs, g2)),
+                           zs.act("ll-inv", g2, hs)),
+                 "inv-ll-product", g1, g2, hs)
+    rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
+    for _ in range(opt.samples):
+        hw = _rand_word(rng, H, opt.max_len)
+        gw = _rand_word(rng, G, opt.max_len)
+        r.eq(act("rr-inv", hw, act("rr", hw, gw)), gw, "word-rr-roundtrip", hw, gw)
+        r.eq(act("rl-inv", act("rl", hw, gw), gw), hw, "word-rl-roundtrip", hw, gw)
+        r.eq(act("lr-inv", gw, act("lr", gw, hw)), hw, "word-lr-roundtrip", gw, hw)
+        r.eq(act("ll-inv", act("ll", gw, hw), hw), gw, "word-ll-roundtrip", gw, hw)
+
+
+def round_trip_by_cases(r, zs, opt):
+    """The round-trip suite with GH -> HG -> GH and HG -> GH -> HG written out:
+    the reference for the law stated once per orientation."""
+    g = zs.germ
+    G, H = zs.g_simples, zs.h_simples
+    for gs in G:
+        for hs in H:
+            h2 = zs.act("lr", gs, hs)
+            g2 = zs.act("ll", gs, hs)
+            r.eq(zs.act("rr", h2, g2), gs, "gh-hg-gh-g", gs, hs)
+            r.eq(zs.act("rl", h2, g2), hs, "gh-hg-gh-h", gs, hs)
+            g3 = zs.act("rr", hs, gs)
+            h3 = zs.act("rl", hs, gs)
+            r.eq(zs.act("lr", g3, h3), hs, "hg-gh-hg-h", hs, gs)
+            r.eq(zs.act("ll", g3, h3), gs, "hg-gh-hg-g", hs, gs)
+
+
+def delta_invariance_by_cases(r, zs, opt):
+    """The delta-invariance suite with its laws on G and on H written out: the
+    reference for the laws stated once per orientation."""
+    g = zs.germ
+    G, H = zs.g_simples, zs.h_simples
+    for hs in H:
+        r.eq(zs.act("rr", hs, zs.delta_g), zs.delta_g, "rr-fixes-deltaG", hs)
+        r.eq(zs.act("ll", zs.delta_g, hs), zs.delta_g, "ll-fixes-deltaG", hs)
+    for gs in G:
+        r.eq(zs.act("rl", zs.delta_h, gs), zs.delta_h, "rl-fixes-deltaH", gs)
+        r.eq(zs.act("lr", gs, zs.delta_h), zs.delta_h, "lr-fixes-deltaH", gs)
+    for hs in H:
+        for gs in G:
+            r.check(zs.member_g(zs.act("rr", hs, gs)) and zs.member_g(zs.act("rr-inv", hs, gs))
+                    and zs.member_g(zs.act("ll", gs, hs))
+                    and zs.member_g(zs.act("ll-inv", gs, hs)),
+                    lambda hs=hs, gs=gs: f"G-simples not preserved at ({g.names[hs]}, {g.names[gs]})")
+            r.check(zs.member_h(zs.act("rl", hs, gs)) and zs.member_h(zs.act("rl-inv", hs, gs))
+                    and zs.member_h(zs.act("lr", gs, hs))
+                    and zs.member_h(zs.act("lr-inv", gs, hs)),
+                    lambda hs=hs, gs=gs: f"H-simples not preserved at ({g.names[hs]}, {g.names[gs]})")
+
+
+def complement_action_by_cases(r, zs, opt):
+    """The complement-action suite with its compG and compH laws written out:
+    the reference for the laws stated once per orientation."""
+    g = zs.germ
+    G, H = zs.g_simples, zs.h_simples
+    for hs in H:
+        for gs in G:
+            r.eq(zs.comp_g(zs.act("rr", hs, gs)),
+                 zs.act("rr", zs.act("rl", hs, gs), zs.comp_g(gs)), "compG-rr", hs, gs)
+            r.eq(zs.comp_g(zs.act("ll", gs, hs)),
+                 zs.act("rr-inv", hs, zs.comp_g(gs)), "compG-ll", gs, hs)
+            r.eq(zs.comp_h(zs.act("lr", gs, hs)),
+                 zs.act("lr", zs.act("ll", gs, hs), zs.comp_h(hs)), "compH-lr", gs, hs)
+            r.eq(zs.comp_h(zs.act("rl", hs, gs)),
+                 zs.act("lr-inv", gs, zs.comp_h(hs)), "compH-rl", hs, gs)
+
+
+def complement_transport_by_cases(r, zs, opt):
+    """The complement-transport laws for H acting on G-complements alone: the
+    reference for the suite's first orientation, whose cases come first."""
+    g = zs.germ
+    G, H = zs.g_simples, zs.h_simples
+    for hs in H:
+        for g1 in G:
+            for g2 in G:
+                r.eq(zs.act("rr", hs, g.lcomp(g1, g2)),
+                     g.lcomp(zs.act("ll-inv", g1, hs),
+                             zs.act("rr", zs.act("rl-inv", hs, g1), g2)),
+                     "transport-fwd", hs, g1, g2)
+                r.eq(zs.act("rr-inv", hs, g.lcomp(g1, g2)),
+                     g.lcomp(zs.act("ll", g1, hs),
+                             zs.act("rr-inv", zs.act("lr", g1, hs), g2)),
+                     "transport-inv", hs, g1, g2)
+
+
 # -- factor closure by products of elements -------------------------------------------
 
 def factor_closure_by_pairs(r, zs, opt):

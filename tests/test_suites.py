@@ -1,20 +1,25 @@
 import dataclasses
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from garside import (GermError, Options, SuiteReport, build, germ_from_spec, parse_germ,
-                     run_suite, validate_germ)
+                     run_suite, validate_germ, wreath_example_germ)
 from garside import element as el
 from garside import suites
 from garside.suites import _Run
+from garside.zappa_szep import ACTIONS
 
-from oracles import (ACTION_NF_SHAPES, abelian_by_braid3_germ, action_nf_failures,
-                     complements_lemma_by_cases, decomposition_uniqueness_by_pairs,
-                     factor_closure_by_pairs, join_complement_by_cases, lattice_laws_by_cases,
+from oracles import (ACTION_NF_SHAPES, abelian_by_braid3_germ, action_laws_by_cases,
+                     action_nf_failures, complement_action_by_cases,
+                     complement_transport_by_cases, complements_lemma_by_cases,
+                     decomposition_uniqueness_by_pairs, delta_invariance_by_cases,
+                     factor_closure_by_pairs, inverse_interplay_by_cases,
+                     join_complement_by_cases, lattice_laws_by_cases,
                      normal_form_criteria_by_cases, poset_product_by_cases,
-                     push_lemma_failures, quasicenter_by_cases)
+                     push_lemma_failures, quasicenter_by_cases, round_trip_by_cases)
 
 # The monoid <a, b | a.a = b.b.b>: a valid germ on which atom lengths are
 # not additive, so the length law reports counterexamples.
@@ -418,6 +423,89 @@ def test_fourfold_suites_walk_no_row_of_a_valid_decomposition(spec, left, monkey
     for suite in FOURFOLD:
         assert run_suite(suite, zs).ok
     assert rows == [True] * (3 * len(zs.g_simples) * len(zs.h_simples))
+
+
+
+# -- the mirrored decomposition laws against their one-orientation-at-a-time oracles --------
+
+MIRRORED = {"action-laws": action_laws_by_cases,
+            "inverse-interplay": inverse_interplay_by_cases,
+            "round-trip": round_trip_by_cases,
+            "delta-invariance": delta_invariance_by_cases,
+            "complement-action": complement_action_by_cases,
+            # H acting on G-complements only: the suite's first orientation
+            "complement-transport": complement_transport_by_cases}
+STEP_SWAPPED = [CLOSURE[0], CLOSURE[3], CLOSURE[6]]
+
+
+def _mirrored_outcomes(zs, opt):
+    """Per mirrored suite, (cases, sorted failures) or the type and text of the
+    error raised, of the suite and of its oracle."""
+    def outcome(run):
+        try:
+            cases, failures = run()
+        except (GermError, ValueError) as e:
+            return type(e), str(e)
+        return cases, sorted(failures)
+
+    def suite(name):
+        report = run_suite(name, zs, opt)
+        return report.cases, report.failures
+
+    def by_cases(name):
+        r = _Run(zs.germ)
+        MIRRORED[name](r, zs, opt)
+        return r.cases, r.failures
+
+    return {name: (outcome(lambda: suite(name)), outcome(lambda: by_cases(name)))
+            for name in MIRRORED}
+
+
+def _agrees(name, outcomes):
+    """The suite's outcome is its oracle's; complement-transport's holds the
+    oracle's cases and failures among its own."""
+    new, old = outcomes
+    if name == "complement-transport" and isinstance(new[0], int) and isinstance(old[0], int):
+        return new[0] >= old[0] and not Counter(old[1]) - Counter(new[1])
+    return new == old
+
+
+@pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
+def test_mirrored_suites_agree_with_one_orientation_at_a_time(spec, left):
+    zs = _closure_zs(spec, left)
+    for name, outcomes in _mirrored_outcomes(zs, Options()).items():
+        assert _agrees(name, outcomes) and outcomes[0][1] == [], name
+    # complement-transport reads both orientations: |H||G|^2 + |G||H|^2 pairs of laws
+    G, H = len(zs.g_simples), len(zs.h_simples)
+    assert run_suite("complement-transport", zs).cases == 2 * (H * G * G + G * H * H)
+
+
+@pytest.mark.parametrize("step", ACTIONS)
+@pytest.mark.parametrize("spec, left", STEP_SWAPPED, ids=[s for s, _ in STEP_SWAPPED])
+def test_mirrored_suites_agree_with_one_orientation_at_a_time_on_swapped_steps(spec, left, step):
+    zs = _closure_zs(spec, left)
+    swaps = 0
+    for carry, row in zs.steps[step].items():
+        letters = sorted(row)
+        for a, b in zip(letters, letters[1:]):
+            swaps += 1
+            outcomes = _mirrored_outcomes(_tampered(zs, step, carry, a, b), Options(samples=20))
+            assert all(_agrees(name, pair) for name, pair in outcomes.items()), (carry, a, b)
+            new, old = outcomes["complement-transport"]
+            # the two orientations catch every swap, and on these four tables
+            # G acting on H-complements finds failures that H on G does not
+            assert new[1] and (step not in ("rl", "lr", "rl-inv", "lr-inv") or new[1] != old[1])
+    assert swaps > 0
+
+
+def test_lcm_formula_names_both_pairs_that_reach_one_join():
+    g = wreath_example_germ()  # a fresh germ, as its join table is edited below
+    s = g.simple
+    zs = build(g, [s("a"), s("b")])
+    g._join[s("a")][s("c")] = g._join[s("b")][s("c")]
+    report = run_suite("lcm-formula", zs)
+    assert "join bc reached from both (a, c) and (b, c)" in report.failures
+    assert report.failures[-1] == "(g, h) -> join(g, h) is not injective"
 
 
 # -- quasicenter's row law against its per-case oracle ---------------------------------
