@@ -25,7 +25,8 @@ equal rows, in O(S*L + n*R^2) for S states, L letters and R classes.
 
 translate_pair_to_product rebuilds the product monoid's acceptor from the
 two factor acceptors and the action tables alone, without consulting the
-product lattice; project_product_to_pair is the inverse restriction.
+product lattice; letters whose acted parts have equal factor rows share
+one row, read once.  project_product_to_pair is the inverse restriction.
 """
 
 from __future__ import annotations
@@ -173,34 +174,35 @@ def translate_pair_to_product(zs: ZSStructure, a_g: NFAutomaton,
                               a_h: NFAutomaton) -> NFAutomaton:
     """
     The product monoid's acceptor, assembled from full-variant factor
-    acceptors.  Letters are the joins of factor-letter pairs; liveness is
-    decided by the factor acceptors and the action tables only.
+    acceptors.  Letters are the joins of factor-letter pairs.  (g1, h1)
+    may precede (g2, h2) iff rr-inv(h1, g1) may precede g2 in a_g and
+    lr-inv(g1, h1) may precede h2 in a_h, so letters whose acted parts
+    have equal rows there share one row, read once.
     """
-    g = zs.germ
-    unit = g.unit
+    g, unit = zs.germ, zs.germ.unit
     if set(a_g.letters) != {s for s in zs.g_simples if s != unit}:
         raise ValueError("a_g must be the full-variant G acceptor")
     if set(a_h.letters) != {s for s in zs.h_simples if s != unit}:
         raise ValueError("a_h must be the full-variant H acceptor")
 
-    pair_of: dict[int, tuple[int, int]] = {}
-    for gs in (unit,) + a_g.letters:
-        for hs in (unit,) + a_h.letters:
-            if gs == unit and hs == unit:
-                continue
-            pair_of[zs.join_gh(gs, hs)] = (gs, hs)
+    # the letter of (g, h) is their join, factor-side: g.(g^-1 |>> h)
+    pair_of = {g.product(gs, zs.act("lr-inv", gs, hs)): (gs, hs) for gs in (unit,) + a_g.letters
+               for hs in (unit,) + a_h.letters if gs != unit or hs != unit}
     letters = tuple(sorted(pair_of))
-
+    acted = {k: (zs.act("rr-inv", h1, g1), zs.act("lr-inv", g1, h1))
+             for k, (g1, h1) in pair_of.items()}
     g_live, h_live = _live_in(a_g, unit), _live_in(a_h, unit)
 
     def live(k1: int, k2: int) -> bool:
-        g1, h1 = pair_of[k1]
-        g2, h2 = pair_of[k2]
-        return (g_live(zs.act("rr-inv", h1, g1), g2)
-                and h_live(zs.act("lr-inv", g1, h1), h2))
+        (x, y), (g2, h2) = acted[k1], pair_of[k2]
+        return g_live(x, g2) and h_live(y, h2)
 
-    return _build_from_liveness(
-        letters, tuple(g.names[s] for s in letters), live)
+    def key(k1: int) -> tuple:  # the rows of the acted parts, True for the unit
+        x, y = acted[k1]
+        return (x == unit or a_g.transitions[1 + a_g.position[x]],
+                y == unit or a_h.transitions[1 + a_h.position[y]])
+
+    return _build_from_liveness(letters, tuple(g.names[s] for s in letters), live, key)
 
 
 def _live_in(a: NFAutomaton, unit: int):

@@ -6,24 +6,24 @@ family of structural identities (action laws, order isomorphisms,
 complement formulas, normal-form criteria, ...) and samples the
 word-level variants with a seeded generator.  A law of the actions that
 mirrors when G and H swap is stated once and read in both orientations.
-`lattice-laws`, `complements-lemma`, `normal-form-criteria`,
-`join-complement`, `poset-product` and the `join-compatible` law of
-`quasicenter` write each law once, as a row of cases (over simples, or
-over pairs of factor simples) compared with one list equality.  The germ
-suites read whole tables: a column is a row of one transpose, and a
-composition of lookups one itemgetter gather per row, so
-`complements-lemma` on braid:6 (45.7M cases) takes seconds.  A row that
-differs is reported column by column in the law's own failure line; a
-meet, join or rjoin row that a law reads raw is checked once per suite,
-and one missing entry raises the accessor's error, as the per-case law
-does.  Normality is 2-local, so `action-preserves-nf` and `push-lemma`
-walk the reachable states of a letter-to-letter transducer;
-`factor-closure` checks the divisors of factor simples, and
-`decomposition-uniqueness` the two factorisation maps on pairs of them,
-all four exact at every length.  Only `translation-roundtrip` enumerates
-words up to `--max-len`, exponentially many.  A suite records its cases
-and failures in the run it is given; run_suite, the one path of the CLI
-`check` and of the tests, makes the run, times it and names the report.
+`lattice-laws`, `complements-lemma`, `quasicenter`'s `join-compatible`,
+`normal-form-criteria`, `join-complement`, `poset-product`, and the
+simple-level laws of `action-laws`, `inverse-interplay`,
+`order-isomorphism` and `complement-transport` are rows of cases, each
+compared with one list equality and read from whole tables: a column is
+a row of one transpose, a composition of lookups one itemgetter gather,
+an action a row or column of its step table.  A row that differs is
+reported column by column in the law's own failure line; a meet, join or
+rjoin row that a law reads raw is checked once per suite, and one
+missing entry raises the accessor's error, as the per-case law does.
+Normality is 2-local, so `action-preserves-nf` and `push-lemma` walk the
+reachable states of a letter-to-letter transducer; `factor-closure`
+checks the divisors of factor simples, and `decomposition-uniqueness`
+the two factorisation maps on pairs of them, all four exact at every
+length.  Only `translation-roundtrip` enumerates words up to
+`--max-len`, exponentially many.  run_suite, the one path of the CLI
+`check` and of the tests, gives a suite a run to record its cases and
+failures in, times it and names the report.
 """
 
 from __future__ import annotations
@@ -145,25 +145,24 @@ def _gather(row, indices: Sequence[int]) -> list:
     return list(itemgetter(*indices)(row)) if len(indices) > 1 else [row[i] for i in indices]
 
 
-def _compare_rows(r: _Run, laws: Sequence[tuple[str, list, list]],
-                  case: Callable[[int], tuple]) -> None:
-    """
-    One case per law and column: laws holds (label, lhs row, rhs row), and
-    case(c) gives the arguments of column c.  Equal rows count their cases
-    at once; a row that differs is checked column by column, law by law.
-    A label with {} fields is the failure line, filled with the names of
-    the arguments; any other is an r.eq label.
-    """
-    if all(lhs == rhs for _, lhs, rhs in laws):
+def _compare_rows(r: _Run, laws: Sequence[tuple], case: Callable[[int], tuple]) -> None:
+    """One case per law and column: laws holds (label, lhs row, rhs row), and
+    case(c) gives the arguments of column c; a law may add a fourth entry,
+    the order in which it names them.  Equal rows count their cases at
+    once; a row that differs is checked column by column, law by law.  A
+    label with {} fields is the failure line, filled with the names of the
+    arguments; any other is an r.eq label."""
+    if all(law[1] == law[2] for law in laws):
         r.cases += len(laws) * len(laws[0][1])
         return
     for c in range(len(laws[0][1])):
         xs = case(c)
-        for label, lhs, rhs in laws:
+        for label, lhs, rhs, *order in laws:
+            args = [xs[i] for i in order[0]] if order else xs
             if "{" in label:
-                r.check(lhs[c] == rhs[c], lambda: label.format(*map(r._show, xs)))
+                r.check(lhs[c] == rhs[c], lambda: label.format(*map(r._show, args)))
             else:
-                r.eq(lhs[c], rhs[c], label, *xs)
+                r.eq(lhs[c], rhs[c], label, *args)
 
 
 def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
@@ -261,16 +260,16 @@ def suite_element_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
         x = _rand_element(g, rng, opt.max_len)
         y = _rand_element(g, rng, opt.max_len)
         z = _rand_element(g, rng, opt.max_len)
-        r.eq(element.gcd(g, x, y), element.gcd(g, y, x), "gcd-comm", x, y)
-        r.eq(element.lcm(g, x, y), element.lcm(g, y, x), "lcm-comm", x, y)
-        r.check(element.divides(g, element.gcd(g, x, y), x),
+        gcd, lcm = element.gcd(g, x, y), element.lcm(g, x, y)
+        r.eq(gcd, element.gcd(g, y, x), "gcd-comm", x, y)
+        r.eq(lcm, element.lcm(g, y, x), "lcm-comm", x, y)
+        r.check(element.divides(g, gcd, x),
                 lambda: f"gcd does not divide: {r._show(x)}, {r._show(y)}")
-        r.check(element.divides(g, x, element.lcm(g, x, y)),
+        r.check(element.divides(g, x, lcm),
                 lambda: f"lcm not a multiple: {r._show(x)}, {r._show(y)}")
-        r.eq(element.gcd(g, x, element.lcm(g, x, y)), x, "gcd-absorb", x, y)
-        r.eq(element.lcm(g, x, element.gcd(g, x, y)), x, "lcm-absorb", x, y)
-        r.eq(element.gcd(g, element.gcd(g, x, y), z),
-             element.gcd(g, x, element.gcd(g, y, z)), "gcd-assoc", x, y, z)
+        r.eq(element.gcd(g, x, lcm), x, "gcd-absorb", x, y)
+        r.eq(element.lcm(g, x, gcd), x, "lcm-absorb", x, y)
+        r.eq(element.gcd(g, gcd, z), element.gcd(g, x, element.gcd(g, y, z)), "gcd-assoc", x, y, z)
         r.eq(element.gcd(g, x, unit), unit, "gcd-unit", x)
         r.eq(element.left_complement(g, x, x), unit, "self-complement", x)
         r.check(element.rdivides(g, x, element.rlcm(g, x, y)),
@@ -324,13 +323,6 @@ GERM_SUITES: dict[str, Callable[[_Run, Germ, Options], None]] = {
 # decomposition-level suites
 # ---------------------------------------------------------------------------
 
-def _closed_products(g: Germ, simples: Sequence[int],
-                     member: Callable[[int], bool]) -> list[tuple[int, int, int]]:
-    """The triples (x, y, x.y) of factor simples whose product is a simple of the factor."""
-    return [(x, y, k) for x in simples for y in simples
-            if (k := g.product(x, y)) is not None and member(k)]
-
-
 def _orientations(zs: ZSStructure) -> tuple[tuple, tuple]:
     """
     K = G |><| H is also H |><| G, with rr and lr, rl and ll swapped.  So a
@@ -343,20 +335,38 @@ def _orientations(zs: ZSStructure) -> tuple[tuple, tuple]:
              ("lr", "ll", "rr", "rl", "lr-inv", "ll-inv", "rr-inv", "rl-inv")))
 
 
+def _act_table(zs: ZSStructure, name: str, X: Sequence[int], Y: Sequence[int]) -> dict:
+    """table[x][y], in Y's order: the action `name` between x in X and y in Y, a row of its
+    step table where x is the carry (rr, ll and their inverses carry H-simples), else a column."""
+    step, by_row = zs.steps[name], (name[0] == name[1]) == (X == zs.h_simples)
+    return {x: {y: (step[x][y] if by_row else step[y][x])[0] for y in Y} for x in X}
+
+
+def _product_laws(r: _Run, zs: ZSStructure, X, Y, member, tables, laws) -> None:
+    """A row over Y per product x1.x2 = k in X of the forms A[k] = A[x1] A[x2], B[k] y =
+    B[x1](A[x2] y).B[x2] y, D[k] = D[x2] D[x1] and C[k] y = C[x1] y.C[x2](D[x1] y) of
+    tables (A, B, C, D), compared as laws (label, form index, [argument order])."""
+    pr, (A, B, C, D) = zs.germ.product_rows, tables
+    for x1, x2, k in [(x1, x2, k) for x1 in X for x2 in X
+                      if (k := pr[x1].get(x2)) is not None and member(k)]:
+        a2, d1 = A[x2].values(), D[x1].values()
+        forms = (([*A[k].values()], _gather(A[x1], a2)),
+                 ([*B[k].values()], list(map(dict.get, _gather(pr, _gather(B[x1], a2)),
+                                             B[x2].values()))),
+                 ([*D[k].values()], _gather(D[x2], d1)),
+                 ([*C[k].values()], list(map(dict.get, _gather(pr, C[x1].values()),
+                                             _gather(C[x2], d1)))))
+        _compare_rows(r, [(label, *forms[i], *order) for label, i, *order in laws],
+                      lambda j: (x1, x2, Y[j]))
+
+
 def suite_action_laws(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Associativity and product rules of the four actions, plus word forms."""
-    g, act = zs.germ, zs.act
-    orientations = _orientations(zs)
+    g, orientations = zs.germ, _orientations(zs)
     for X, Y, member, (a, b, c, d, *_) in orientations:
-        labels = f"{a}-assoc", f"{b}-product", f"{d}-assoc", f"{c}-product"
-        for x1, x2, k in _closed_products(g, X, member):
-            for y in Y:
-                r.eq(act(a, k, y), act(a, x1, act(a, x2, y)), labels[0], x1, x2, y)
-                r.eq(act(b, k, y), g.product(act(b, x1, act(a, x2, y)), act(b, x2, y)),
-                     labels[1], x1, x2, y)
-                r.eq(act(d, y, k), act(d, act(d, y, x1), x2), labels[2], y, x1, x2)
-                r.eq(act(c, y, k), g.product(act(c, y, x1), act(c, act(d, y, x1), x2)),
-                     labels[3], y, x1, x2)
+        _product_laws(r, zs, X, Y, member, [_act_table(zs, name, X, Y) for name in (a, b, c, d)],
+                      [(f"{a}-assoc", 0), (f"{b}-product", 1), (f"{d}-assoc", 2, (2, 0, 1)),
+                       (f"{c}-product", 3, (2, 0, 1))])
     words = [(a, b, f"{a}-word-assoc", f"word-defining-{a}") for *_, (a, b, *_) in orientations]
     rng, act, nf = opt.rng(), partial(zappa_szep.act_word, zs), partial(element.normal_form, g)
     for _ in range(opt.samples):
@@ -372,8 +382,7 @@ def suite_action_laws(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 
 def suite_identity_detection(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    g = zs.germ
-    u = g.unit
+    g, u = zs.germ, zs.germ.unit
     for hs in zs.h_simples:
         for gs in zs.g_simples:
             for name, (x, y), acted in (("rr", (hs, gs), gs), ("rl", (hs, gs), hs),
@@ -396,26 +405,24 @@ def suite_round_trip(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 
 def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """Identities mixing the actions with their inverse permutations."""
-    g, act = zs.germ, zs.act
-    orientations = _orientations(zs)
-    mixes = [(*names, *mix) for (*_, names), mix in zip(orientations, (
-        ("inv-mix-1", "inv-mix-2"), ("inv-mix-3", "inv-mix-4")))]
-    for gs in zs.g_simples:
-        for hs in zs.h_simples:
-            for (x, y), (a, b, _, _, ai, bi, ci, di, *mix) in zip(((hs, gs), (gs, hs)), mixes):
-                r.eq(act(b, x, act(ai, x, y)), act(ci, y, x), mix[0], x, y)
-                r.eq(act(a, act(bi, x, y), y), act(di, y, x), mix[1], x, y)
-    for X, Y, member, (a, b, c, d, ai, bi, ci, di) in orientations:
-        labels = f"inv-{a}-assoc", f"inv-{d}-assoc", f"inv-{c}-product", f"inv-{b}-product"
-        for x1, x2, k in _closed_products(g, X, member):
-            for y in Y:
-                r.eq(act(ai, k, y), act(ai, x2, act(ai, x1, y)), labels[0], x1, x2, y)
-                r.eq(act(di, y, k), act(di, act(di, y, x2), x1), labels[1], y, x1, x2)
-                r.eq(act(ci, y, k), g.product(act(ci, y, x1), act(ci, act(ai, x1, y), x2)),
-                     labels[2], y, x1, x2)
-                r.eq(act(bi, k, y), g.product(act(bi, x1, act(di, y, x2)), act(bi, x2, y)),
-                     labels[3], x1, x2, y)
+    """Identities mixing the actions with their inverse permutations; the
+    inverses' product rules are action-laws' for (d, b, c, a)^-1."""
+    H, orientations = zs.h_simples, _orientations(zs)
+    tables = [[_act_table(zs, name, X, Y) for name in names] for X, Y, _, names in orientations]
+    # per orientation, both sides of its two mixed laws as [x][y] over X and Y
+    mixes = [[[_gather(b[x], ai[x].values()) for x in X], [[*ci[x].values()] for x in X],
+              [[a[v][y] for v, y in zip(bi[x].values(), Y)] for x in X],
+              [[*di[x].values()] for x in X]]
+             for (X, Y, *_), (a, b, _, _, ai, bi, ci, di) in zip(orientations, tables)]
+    mixes[0] = [list(zip(*side)) for side in mixes[0]]  # H acts on G there: G-simple first
+    for i, gs in enumerate(zs.g_simples):
+        (m1, n1, m2, n2), (m3, n3, m4, n4) = ([side[i] for side in sides] for sides in mixes)
+        _compare_rows(r, (("inv-mix-1", m1, n1, (1, 0)), ("inv-mix-2", m2, n2, (1, 0)),
+                          ("inv-mix-3", m3, n3), ("inv-mix-4", m4, n4)), lambda j: (gs, H[j]))
+    for (X, Y, member, (a, b, c, d, *_)), (*_, ai, bi, ci, di) in zip(orientations, tables):
+        _product_laws(r, zs, X, Y, member, (di, bi, ci, ai),
+                      [(f"inv-{a}-assoc", 2), (f"inv-{d}-assoc", 0, (2, 0, 1)),
+                       (f"inv-{c}-product", 3, (2, 0, 1)), (f"inv-{b}-product", 1)])
     words = [(a, b, ai, bi, f"word-{a}-roundtrip", f"word-{b}-roundtrip")
              for *_, (a, b, _, _, ai, bi, _, _) in orientations]
     rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
@@ -429,38 +436,44 @@ def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
 def suite_order_isomorphism(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Left actions preserve prefix order; right actions preserve suffix order."""
     g = zs.germ
-    for actors, acted, _, (a, _, _, d, *_) in _orientations(zs):
-        laws = (a, "prefix", g.left_divides), (d, "suffix", g.right_divides)
-        for c in actors:
-            for x in acted:
-                for y in acted:
-                    for name, order, divides in laws:
-                        step = zs.steps[name][c]  # step[x][0] is the action of c on x
-                        r.check(divides(x, y) == divides(step[x][0], step[y][0]),
-                                lambda: f"{name} not a {order} iso at "
-                                        f"({g.names[c]}; {g.names[x]}, {g.names[y]})")
+    for X, Y, _, (a, _, _, d, *_) in _orientations(zs):
+        # per law, the action's table and div[x][y], from lupper: x is a prefix (suffix) of y
+        laws = [(f"{name} not a {order} iso at ({{0}}; {{1}}, {{2}})", _act_table(zs, name, X, Y),
+                 {x: {y: (upper[x] >> y) & 1 for y in Y} for x in Y})
+                for name, order, upper in ((a, "prefix", g.lupper),
+                                           (d, "suffix", g.opposite().lupper))]
+        for c in X:
+            for x in Y:
+                rows = [(label, [*div[x].values()], _gather(div[t[c][x]], t[c].values()))
+                        for label, t, div in laws]
+                _compare_rows(r, rows, lambda j: (c, x, Y[j]))
 
 
 def suite_complement_transport(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """How the actions move complements in the acted factor: h |> g1\\g2, h^-1 |> g1\\g2."""
-    g, act = zs.germ, zs.act
+    g, act, inverses = zs.germ, zs.act, zs.germ._row_inverses()
     for X, Y, _, (a, b, c, d, ai, bi, _, di) in _orientations(zs):
+        tables = (("transport-fwd", _act_table(zs, a, X, Y)),
+                  ("transport-inv", _act_table(zs, ai, X, Y)))
+        under = {}  # under[y1][y2] = y1\y2, from y1's join row and row inverse
+        for y1 in Y:
+            joins = _gather(g._join[y1], Y)
+            row = -1 not in joins and _gather(inverses[y1], joins)
+            if not row or not set(row).issubset(Y):
+                for y2 in Y:  # raises the error of the first case that cannot be read
+                    act(a, X[0], g.lcomp(y1, y2))
+            under[y1] = dict(zip(Y, row))
         for x in X:
-            for y1 in Y:
-                fwd, fwd_actor = act(di, y1, x), act(bi, x, y1)  # the parts free of y2
-                inv, inv_actor = act(d, y1, x), act(c, y1, x)
-                for y2 in Y:
-                    under = g.lcomp(y1, y2)
-                    r.eq(act(a, x, under), g.lcomp(fwd, act(a, fwd_actor, y2)),
-                         "transport-fwd", x, y1, y2)
-                    r.eq(act(ai, x, under), g.lcomp(inv, act(ai, inv_actor, y2)),
-                         "transport-inv", x, y1, y2)
+            for y1 in Y:  # per law, the parts free of y2: a left side under and an actor
+                parts = (act(di, y1, x), act(bi, x, y1)), (act(d, y1, x), act(c, y1, x))
+                rows = [(label, _gather(t[x], under[y1].values()), _gather(under[v], t[u].values()))
+                        for (label, t), (v, u) in zip(tables, parts)]
+                _compare_rows(r, rows, lambda j: (x, y1, Y[j]))
 
 
 def suite_lcm_formula(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """lcm(g, h) = g.(g^-1 |>> h) = h.(h^-1 |> g), injectively."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
+    g, G, H = zs.germ, zs.g_simples, zs.h_simples
     seen: dict[int, tuple[int, int]] = {}
     for gs in G:
         for hs in H:
@@ -551,8 +564,7 @@ def suite_complement_action(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 def suite_complement_of_join(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """The ambient complement of a join from the factor complements."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
+    g, G, H = zs.germ, zs.g_simples, zs.h_simples
     for gs in G:
         for hs in H:
             r.eq(g.complement(g.join(gs, hs)),

@@ -106,12 +106,6 @@ class ZSStructure:
         raise ValueError("action argument outside its simple set: "
                          f"expected ({want}), got ({_quoted(g, first)}, {_quoted(g, second)})")
 
-    def join_gh(self, g: int, h: int) -> int:
-        """lcm(g, h) computed factor-side: g.(g^-1 |>> h)."""
-        k = self.germ.product(g, self.act("lr-inv", g, h))
-        assert k is not None
-        return k
-
 
 def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
     """
@@ -210,14 +204,6 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
 
 
 # -- element-level decompositions -------------------------------------------
-
-def element_in_g(zs: ZSStructure, w: NormalWord) -> bool:
-    return w.deltas == 0 and all(zs.member_g(f) for f in w.factors)
-
-
-def element_in_h(zs: ZSStructure, w: NormalWord) -> bool:
-    return w.deltas == 0 and all(zs.member_h(f) for f in w.factors)
-
 
 def gh_decompose(zs: ZSStructure, x: NormalWord) -> tuple[NormalWord, NormalWord]:
     """

@@ -790,13 +790,19 @@ def normal_form_criteria_by_cases(r, zs, opt):
 
 # -- the mirrored decomposition laws, one orientation at a time -------------------------
 
+def _closed_products(g, simples, member):
+    """The triples (x, y, x.y) of factor simples whose product is a simple of the factor."""
+    return [(x, y, k) for x in simples for y in simples
+            if (k := g.product(x, y)) is not None and member(k)]
+
+
 def action_laws_by_cases(r, zs, opt):
     """The action-laws suite with each law written out for H acting on G and
     for G acting on H: the reference for the laws stated once per orientation."""
     from functools import partial
 
     from garside import element, zappa_szep
-    from garside.suites import _closed_products, _rand_word
+    from garside.suites import _rand_word
 
     g = zs.germ
     G, H = zs.g_simples, zs.h_simples
@@ -853,7 +859,7 @@ def inverse_interplay_by_cases(r, zs, opt):
     from functools import partial
 
     from garside import element, zappa_szep
-    from garside.suites import _closed_products, _rand_word
+    from garside.suites import _rand_word
 
     g = zs.germ
     G, H = zs.g_simples, zs.h_simples
@@ -963,8 +969,9 @@ def complement_action_by_cases(r, zs, opt):
 
 
 def complement_transport_by_cases(r, zs, opt):
-    """The complement-transport laws for H acting on G-complements alone: the
-    reference for the suite's first orientation, whose cases come first."""
+    """The complement-transport laws written out, H acting on G-complements
+    and then G on H-complements: the reference for the law stated once per
+    orientation, case by case in the suite's order."""
     g = zs.germ
     G, H = zs.g_simples, zs.h_simples
     for hs in H:
@@ -978,24 +985,92 @@ def complement_transport_by_cases(r, zs, opt):
                      g.lcomp(zs.act("ll", g1, hs),
                              zs.act("rr-inv", zs.act("lr", g1, hs), g2)),
                      "transport-inv", hs, g1, g2)
+    for gs in G:
+        for h1 in H:
+            for h2 in H:
+                r.eq(zs.act("lr", gs, g.lcomp(h1, h2)),
+                     g.lcomp(zs.act("rl-inv", h1, gs),
+                             zs.act("lr", zs.act("ll-inv", gs, h1), h2)),
+                     "transport-fwd", gs, h1, h2)
+                r.eq(zs.act("lr-inv", gs, g.lcomp(h1, h2)),
+                     g.lcomp(zs.act("rl", h1, gs),
+                             zs.act("lr-inv", zs.act("rr", h1, gs), h2)),
+                     "transport-inv", gs, h1, h2)
+
+
+def order_isomorphism_by_cases(r, zs, opt):
+    """The order-isomorphism suite one zs.steps read and one divisibility test
+    per case: the reference for its rows of divisibility bits."""
+    from garside.suites import _orientations
+
+    g = zs.germ
+    for actors, acted, _, (a, _, _, d, *_) in _orientations(zs):
+        laws = (a, "prefix", g.left_divides), (d, "suffix", g.right_divides)
+        for c in actors:
+            for x in acted:
+                for y in acted:
+                    for name, order, divides in laws:
+                        step = zs.steps[name][c]  # step[x][0] is the action of c on x
+                        r.check(divides(x, y) == divides(step[x][0], step[y][0]),
+                                lambda: f"{name} not a {order} iso at "
+                                        f"({g.names[c]}; {g.names[x]}, {g.names[y]})")
+
+
+# -- the product acceptor, one liveness read per pair of letters ----------------------
+
+def translate_pair_to_product_by_letters(zs, a_g, a_h):
+    """translate_pair_to_product reading live(k1, k2) for every pair of
+    letters, with no rows shared by key: the reference for the keyed one."""
+    from garside.automata import _build_from_liveness, _live_in
+
+    g = zs.germ
+    unit = g.unit
+    pair_of = {}
+    for gs in (unit,) + a_g.letters:
+        for hs in (unit,) + a_h.letters:
+            if gs != unit or hs != unit:
+                k = g.product(gs, zs.act("lr-inv", gs, hs))  # the join, factor-side
+                assert k is not None
+                pair_of[k] = (gs, hs)
+    letters = tuple(sorted(pair_of))
+    g_live, h_live = _live_in(a_g, unit), _live_in(a_h, unit)
+
+    def live(k1, k2):
+        g1, h1 = pair_of[k1]
+        g2, h2 = pair_of[k2]
+        return (g_live(zs.act("rr-inv", h1, g1), g2)
+                and h_live(zs.act("lr-inv", g1, h1), h2))
+
+    return _build_from_liveness(letters, tuple(g.names[s] for s in letters), live)
+
+
+# -- factor membership of elements -----------------------------------------------------
+
+def element_in_g(zs, w) -> bool:
+    """Whether the element w lies in G: no Delta power and G-simple factors."""
+    return w.deltas == 0 and all(zs.member_g(f) for f in w.factors)
+
+
+def element_in_h(zs, w) -> bool:
+    return w.deltas == 0 and all(zs.member_h(f) for f in w.factors)
 
 
 # -- factor closure by products of elements -------------------------------------------
 
 def factor_closure_by_pairs(r, zs, opt):
     """A product landing in a factor forces both terms into that factor."""
-    from garside import element, zappa_szep
+    from garside import element
 
     g = zs.germ
     elems = list(element.iter_elements(g, opt.max_len))
     for x in elems:
         for y in elems:
             xy = element.multiply(g, x, y)
-            if zappa_szep.element_in_g(zs, xy):
-                r.check(zappa_szep.element_in_g(zs, x) and zappa_szep.element_in_g(zs, y),
+            if element_in_g(zs, xy):
+                r.check(element_in_g(zs, x) and element_in_g(zs, y),
                         lambda x=x, y=y: f"G-closure fails at {r._show(x)}, {r._show(y)}")
-            if zappa_szep.element_in_h(zs, xy):
-                r.check(zappa_szep.element_in_h(zs, x) and zappa_szep.element_in_h(zs, y),
+            if element_in_h(zs, xy):
+                r.check(element_in_h(zs, x) and element_in_h(zs, y),
                         lambda x=x, y=y: f"H-closure fails at {r._show(x)}, {r._show(y)}")
 
 
@@ -1009,8 +1084,8 @@ def decomposition_uniqueness_by_pairs(r, zs, opt):
 
     g = zs.germ
     elems = list(element.iter_elements(g, opt.max_len))
-    g_elems = [x for x in elems if zappa_szep.element_in_g(zs, x)]
-    h_elems = [x for x in elems if zappa_szep.element_in_h(zs, x)]
+    g_elems = [x for x in elems if element_in_g(zs, x)]
+    h_elems = [x for x in elems if element_in_h(zs, x)]
     gh_count = {}
     hg_count = {}
     for ge in g_elems:

@@ -11,8 +11,10 @@ from garside import (NFAutomaton, automata, build, build_factor_automaton,
                      translate_pair_to_product)
 from garside.automata import _build_from_liveness
 from garside.germ import GermError, make_germ, parse_germ
-from oracles import abelian_by_braid3_germ, count_accepted_by_states
+from oracles import (abelian_by_braid3_germ, count_accepted_by_states,
+                     translate_pair_to_product_by_letters)
 from test_germ import CYCLIC_FILE
+from test_suites import CLOSURE, STEP_SWAPPED, _closure_zs, _tampered
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -150,6 +152,41 @@ def test_translation_suite_on_a_large_product():
     zs = build(g, [g.simple(nm) for nm in ("1243*1", "1324*1", "2134*1")])
     report = run_suite("automata-translation", zs)
     assert report.ok, str(report)
+
+
+# -- the translation keyed by factor rows, against one read per pair of letters ---------
+
+def _translations(zs):
+    a_g = build_factor_automaton(zs, "G", "full")
+    a_h = build_factor_automaton(zs, "H", "full")
+    return (translate_pair_to_product(zs, a_g, a_h),
+            translate_pair_to_product_by_letters(zs, a_g, a_h))
+
+
+DECOMPOSITIONS = CLOSURE + [("prod:braid:5,braid:3", "1*132,1*213")]
+
+
+@pytest.mark.parametrize("spec, left", DECOMPOSITIONS, ids=[f"{s}[{l}]" for s, l in DECOMPOSITIONS])
+def test_translation_keyed_by_factor_rows_equals_the_per_letter_one(spec, left):
+    zs = _closure_zs(spec, left)
+    keyed, by_letters = _translations(zs)
+    assert keyed == by_letters == build_nf_automaton(zs.germ, "full")
+
+
+@pytest.mark.parametrize("step", ["rr-inv", "lr-inv"])
+@pytest.mark.parametrize("spec, left", STEP_SWAPPED, ids=[s for s, _ in STEP_SWAPPED])
+def test_translation_keyed_by_factor_rows_on_swapped_steps(spec, left, step):
+    # the two step tables that the translation reads, every adjacent swap of
+    # outputs in a row: the key is exact whatever the tables hold
+    zs = _closure_zs(spec, left)
+    direct, differ = build_nf_automaton(zs.germ, "full"), 0
+    for carry, row in zs.steps[step].items():
+        letters = sorted(row)
+        for a, b in zip(letters, letters[1:]):
+            keyed, by_letters = _translations(_tampered(zs, step, carry, a, b))
+            assert keyed == by_letters, (carry, a, b)
+            differ += keyed != direct
+    assert differ > 0
 
 
 def _tampered_translation(monkeypatch, tamper):

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,8 +17,9 @@ from oracles import (ACTION_NF_SHAPES, abelian_by_braid3_germ, action_laws_by_ca
                      decomposition_uniqueness_by_pairs, delta_invariance_by_cases,
                      factor_closure_by_pairs, inverse_interplay_by_cases,
                      join_complement_by_cases, lattice_laws_by_cases,
-                     normal_form_criteria_by_cases, poset_product_by_cases,
-                     push_lemma_failures, quasicenter_by_cases, round_trip_by_cases)
+                     normal_form_criteria_by_cases, order_isomorphism_by_cases,
+                     poset_product_by_cases, push_lemma_failures, quasicenter_by_cases,
+                     round_trip_by_cases)
 
 # The monoid <a, b | a.a = b.b.b>: a valid germ on which atom lengths are
 # not additive, so the length law reports counterexamples.
@@ -433,20 +433,24 @@ MIRRORED = {"action-laws": action_laws_by_cases,
             "round-trip": round_trip_by_cases,
             "delta-invariance": delta_invariance_by_cases,
             "complement-action": complement_action_by_cases,
-            # H acting on G-complements only: the suite's first orientation
-            "complement-transport": complement_transport_by_cases}
+            "complement-transport": complement_transport_by_cases,
+            "order-isomorphism": order_isomorphism_by_cases}
+# oracles that list their cases in the suite's own order, so the failure
+# lines must agree in order too
+IN_ORDER = {"complement-transport", "order-isomorphism"}
 STEP_SWAPPED = [CLOSURE[0], CLOSURE[3], CLOSURE[6]]
 
 
 def _mirrored_outcomes(zs, opt):
-    """Per mirrored suite, (cases, sorted failures) or the type and text of the
-    error raised, of the suite and of its oracle."""
-    def outcome(run):
+    """Per mirrored suite, (cases, failures) or the type and text of the error
+    raised, of the suite and of its oracle; failures are sorted unless the
+    oracle lists its cases in the suite's order."""
+    def outcome(name, run):
         try:
             cases, failures = run()
         except (GermError, ValueError) as e:
             return type(e), str(e)
-        return cases, sorted(failures)
+        return cases, failures if name in IN_ORDER else sorted(failures)
 
     def suite(name):
         report = run_suite(name, zs, opt)
@@ -457,24 +461,15 @@ def _mirrored_outcomes(zs, opt):
         MIRRORED[name](r, zs, opt)
         return r.cases, r.failures
 
-    return {name: (outcome(lambda: suite(name)), outcome(lambda: by_cases(name)))
+    return {name: (outcome(name, lambda: suite(name)), outcome(name, lambda: by_cases(name)))
             for name in MIRRORED}
-
-
-def _agrees(name, outcomes):
-    """The suite's outcome is its oracle's; complement-transport's holds the
-    oracle's cases and failures among its own."""
-    new, old = outcomes
-    if name == "complement-transport" and isinstance(new[0], int) and isinstance(old[0], int):
-        return new[0] >= old[0] and not Counter(old[1]) - Counter(new[1])
-    return new == old
 
 
 @pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
 def test_mirrored_suites_agree_with_one_orientation_at_a_time(spec, left):
     zs = _closure_zs(spec, left)
-    for name, outcomes in _mirrored_outcomes(zs, Options()).items():
-        assert _agrees(name, outcomes) and outcomes[0][1] == [], name
+    for name, (new, old) in _mirrored_outcomes(zs, Options()).items():
+        assert new == old and new[1] == [], name
     # complement-transport reads both orientations: |H||G|^2 + |G||H|^2 pairs of laws
     G, H = len(zs.g_simples), len(zs.h_simples)
     assert run_suite("complement-transport", zs).cases == 2 * (H * G * G + G * H * H)
@@ -484,18 +479,42 @@ def test_mirrored_suites_agree_with_one_orientation_at_a_time(spec, left):
 @pytest.mark.parametrize("spec, left", STEP_SWAPPED, ids=[s for s, _ in STEP_SWAPPED])
 def test_mirrored_suites_agree_with_one_orientation_at_a_time_on_swapped_steps(spec, left, step):
     zs = _closure_zs(spec, left)
+    actors = set()  # the actors of complement-transport's failure lines, over all swaps
     swaps = 0
     for carry, row in zs.steps[step].items():
         letters = sorted(row)
         for a, b in zip(letters, letters[1:]):
             swaps += 1
             outcomes = _mirrored_outcomes(_tampered(zs, step, carry, a, b), Options(samples=20))
-            assert all(_agrees(name, pair) for name, pair in outcomes.items()), (carry, a, b)
-            new, old = outcomes["complement-transport"]
-            # the two orientations catch every swap, and on these four tables
-            # G acting on H-complements finds failures that H on G does not
-            assert new[1] and (step not in ("rl", "lr", "rl-inv", "lr-inv") or new[1] != old[1])
+            assert all(new == old for new, old in outcomes.values()), (carry, a, b)
+            failures = outcomes["complement-transport"][0][1]
+            assert failures, (carry, a, b)  # the two orientations catch every swap
+            actors |= {zs.germ.simple(re.match(r"transport-\w+\[([^,]+),", line).group(1))
+                       for line in failures}
     assert swaps > 0
+    # on these four tables the second orientation, G acting on H-complements,
+    # reports failures of its own
+    if step in ("rl", "lr", "rl-inv", "lr-inv"):
+        assert actors & (set(zs.g_simples) - {zs.germ.unit})
+
+
+# the lattice tampers of the four-fold suites, with the error complement-transport
+# raises: a complement in H that leaves H is refused by the action that reads it,
+# and a missing join of two H-simples by the join accessor
+TRANSPORT_TAMPERS = [(name, tamper, error if error is ValueError else None)
+                     for name, tamper, error in ERROR_TAMPERS] + [
+    ("no-h-join", lambda g, s: _unset(g._join, s("1*321"), s("1*213")), GermError)]
+
+
+@pytest.mark.parametrize("tamper, error", [t[1:] for t in TRANSPORT_TAMPERS],
+                         ids=[t[0] for t in TRANSPORT_TAMPERS])
+def test_mirrored_suites_agree_with_one_orientation_at_a_time_on_tampered_lattice(tamper, error):
+    zs = _closure_zs(*PROD)
+    tamper(zs.germ, zs.germ.simple)
+    outcomes = _mirrored_outcomes(zs, Options(samples=20))
+    assert all(new == old for new, old in outcomes.values())
+    new = outcomes["complement-transport"][0]
+    assert new[0] is error if error else isinstance(new[0], int)
 
 
 def test_lcm_formula_names_both_pairs_that_reach_one_join():

@@ -11,7 +11,7 @@ from garside import normal_forms
 from garside import zappa_szep as zsm
 from garside.suites import _split_by_gcd
 
-from oracles import abelian_by_braid3_germ, zs_actions
+from oracles import abelian_by_braid3_germ, element_in_g, element_in_h, zs_actions
 from test_suites import CLOSURE, _closure_zs
 
 # Germs built from a model in the tests, by the spec DECOMPOSITIONS gives them.
@@ -100,8 +100,8 @@ def test_gh_decompose_examples(wreath, wreath_zs):
 
     hp2, gp2 = zsm.hg_decompose(wreath_zs, aac)
     assert el.multiply(wreath, hp2, gp2) == aac
-    assert zsm.element_in_h(wreath_zs, hp2)
-    assert zsm.element_in_g(wreath_zs, gp2)
+    assert element_in_h(wreath_zs, hp2)
+    assert element_in_g(wreath_zs, gp2)
 
 
 def test_simple_actions(wreath, wreath_zs):
@@ -233,8 +233,8 @@ def test_word_actions(wreath, wreath_zs):
 
 def test_delta_powers_not_factor_elements(wreath, wreath_zs):
     d = el.normal_form(wreath, [wreath.delta])
-    assert not zsm.element_in_g(wreath_zs, d)
-    assert not zsm.element_in_h(wreath_zs, d)
+    assert not element_in_g(wreath_zs, d)
+    assert not element_in_h(wreath_zs, d)
     gp, hp = zsm.gh_decompose(wreath_zs, d)
     assert el.format_nf(wreath, gp) == "ab"
     assert el.format_nf(wreath, hp) == "c"
