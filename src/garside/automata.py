@@ -16,26 +16,29 @@ adjacent pairs are live.  Two acceptors built here therefore accept the
 same words at every length exactly when their alphabets and transition
 tables are equal.
 
-Rows are built once per atom set of the complement.  In a germ that
-validate accepts, y may follow x iff no atom lies below both the
-complement of x and y, so a row is fixed by the atoms below that
-complement: braid:6 has 718 letters but 30 distinct letter rows,
-braid:7 5,038 letters and 62 rows.  count_accepted runs over classes of states with
-equal rows, in O(S*L + n*R^2) for S states, L letters and R classes.
+Every builder reads a whole row at a time, once per key: a table row
+gathered at the alphabet in one itemgetter call and turned into a
+transition row in one comprehension, so a build costs one key per letter
+and O(K*L) for K keys and L letters.  In a germ that validate accepts, y
+may follow x iff no atom lies below both the complement of x and y, so
+the key is the set of atoms below that complement and the row is its
+meet row: braid:6 has 718 letters but 30 keys, braid:7 5,038 letters
+and 62.  count_accepted runs over classes of states with equal rows, in
+O(S + R*L + n*R^2) for S states and R classes.
 
 translate_pair_to_product rebuilds the product monoid's acceptor from the
 two factor acceptors and the action tables alone, without consulting the
-product lattice; letters whose acted parts have equal factor rows share
-one row, read once.  project_product_to_pair is the inverse restriction.
+product lattice: letters whose acted parts have equal factor rows share
+one row.  project_product_to_pair is the inverse restriction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .germ import Germ
+from .germ import Germ, _gather
 from .zappa_szep import ZSStructure
 
 
@@ -104,12 +107,14 @@ def _variant_alphabet(simples, unit: int, delta: int, variant: str) -> tuple[int
     return tuple(s for s in simples if s != unit and (variant == "full" or s != delta))
 
 
-def _build_from_liveness(letters, names, live, key=None) -> NFAutomaton:
+def _build_from_rows(letters, names, row_of, key=None) -> NFAutomaton:
     """
-    The acceptor in which letter y may follow letter x iff live(x, y).
-    Letters with equal key(x) must have equal rows: live is read only for
-    the first letter of each key, right after key(x), and the rest share
-    its row.  Without a key every letter is read.
+    The acceptor in which letter y may follow letter x iff row_of(x) is
+    false at y's position in the alphabet: a meet row, say, holds the
+    unit, simple 0, exactly at the letters that meet x's complement
+    trivially.  Letters with equal key(x) must have equal rows: row_of is
+    called only for the first letter of each key, right after key(x), and
+    the rest share its row.  Without a key every letter is read.
     """
     dead = len(letters) + 1
     # One int object per state, and one tuple per distinct row: letters
@@ -122,7 +127,7 @@ def _build_from_liveness(letters, names, live, key=None) -> NFAutomaton:
         k = x if key is None else key(x)
         row = by_key.get(k)
         if row is None:
-            row = tuple(t if live(x, y) else dead for y, t in zip(letters, states))
+            row = tuple([dead if barred else t for barred, t in zip(row_of(x), states)])
             row = by_key[k] = distinct.setdefault(row, row)
         rows.append(row)
     rows.append((dead,) * len(letters))
@@ -135,21 +140,21 @@ def _build_by_complement(g: Germ, letters, comp) -> NFAutomaton:
     unit.  In a germ that validate accepts every non-unit simple has an
     atom prefix, so that holds iff no atom divides both: the row of x
     depends only on the atoms below comp(x).  It is read once per atom
-    set, from the meet row of the first complement with that set; a
-    missing meet there raises "germ is not a lattice".
+    set, as the meet row of the first complement with that set gathered
+    at the alphabet; a missing meet there raises "germ is not a lattice"
+    at its first letter.
     """
     atom_mask = sum(1 << a for a in g.atoms)
-    unit, meets = g.unit, g._meet
-    complement = lru_cache(maxsize=1)(comp)  # key(x), then live(x, y) for each y
 
-    def live(x: int, y: int) -> bool:
-        c = complement(x)
-        m = meets[c][y]
-        return m == unit if m >= 0 else g._not_a_lattice("meet", c, y)
+    def row_of(x: int) -> list[int]:
+        c = comp(x)
+        meets = _gather(g._meet[c], letters)
+        if -1 in meets:
+            g._not_a_lattice("meet", c, letters[meets.index(-1)])
+        return meets
 
-    return _build_from_liveness(
-        letters, tuple(g.names[s] for s in letters), live,
-        key=lambda x: g.ldiv[complement(x)] & atom_mask)
+    return _build_from_rows(letters, tuple(g.names[s] for s in letters), row_of,
+                            key=lambda x: g.ldiv[comp(x)] & atom_mask)
 
 
 def build_factor_automaton(zs: ZSStructure, side: str, variant: str = "full") -> NFAutomaton:
@@ -177,7 +182,8 @@ def translate_pair_to_product(zs: ZSStructure, a_g: NFAutomaton,
     acceptors.  Letters are the joins of factor-letter pairs.  (g1, h1)
     may precede (g2, h2) iff rr-inv(h1, g1) may precede g2 in a_g and
     lr-inv(g1, h1) may precede h2 in a_h, so letters whose acted parts
-    have equal rows there share one row, read once.
+    have equal rows there share one row, the two factor rows gathered at
+    the factor parts of every letter.
     """
     g, unit = zs.germ, zs.germ.unit
     if set(a_g.letters) != {s for s in zs.g_simples if s != unit}:
@@ -189,35 +195,25 @@ def translate_pair_to_product(zs: ZSStructure, a_g: NFAutomaton,
     pair_of = {g.product(gs, zs.act("lr-inv", gs, hs)): (gs, hs) for gs in (unit,) + a_g.letters
                for hs in (unit,) + a_h.letters if gs != unit or hs != unit}
     letters = tuple(sorted(pair_of))
-    acted = {k: (zs.act("rr-inv", h1, g1), zs.act("lr-inv", g1, h1))
-             for k, (g1, h1) in pair_of.items()}
-    g_live, h_live = _live_in(a_g, unit), _live_in(a_h, unit)
 
-    def live(k1: int, k2: int) -> bool:
-        (x, y), (g2, h2) = acted[k1], pair_of[k2]
-        return g_live(x, g2) and h_live(y, h2)
+    def row(a: NFAutomaton, x: int) -> tuple[int, ...]:  # only the unit may follow the unit
+        return a.transitions[a.dead if x == unit else 1 + a.position[x]]
 
-    def key(k1: int) -> tuple:  # the rows of the acted parts, True for the unit
-        x, y = acted[k1]
-        return (x == unit or a_g.transitions[1 + a_g.position[x]],
-                y == unit or a_h.transitions[1 + a_h.position[y]])
+    key_of = {k: (row(a_g, zs.act("rr-inv", h1, g1)), row(a_h, zs.act("lr-inv", g1, h1)))
+              for k, (g1, h1) in pair_of.items()}
+    # each letter's factor parts as positions in a factor row with the unit
+    # put in front, at 0: the unit may follow anything
+    g_at = [0 if gs == unit else 1 + a_g.position[gs] for gs, _ in map(pair_of.get, letters)]
+    h_at = [0 if hs == unit else 1 + a_h.position[hs] for _, hs in map(pair_of.get, letters)]
+    g_dead, h_dead = a_g.dead, a_h.dead
 
-    return _build_from_liveness(letters, tuple(g.names[s] for s in letters), live, key)
+    def row_of(k1: int) -> list[bool]:
+        g_row, h_row = key_of[k1]
+        return [s == g_dead or t == h_dead for s, t in
+                zip(_gather((0, *g_row), g_at), _gather((0, *h_row), h_at))]
 
-
-def _live_in(a: NFAutomaton, unit: int):
-    """
-    Whether simple y may follow simple x, read off the acceptor a.  The
-    unit stands for an empty factor: anything may precede it, and only the
-    unit may follow it.
-    """
-    pos, rows, dead = a.position, a.transitions, a.dead
-
-    def live(x: int, y: int) -> bool:
-        if x == unit:
-            return y == unit
-        return y == unit or rows[1 + pos[x]][pos[y]] != dead
-    return live
+    return _build_from_rows(letters, tuple(g.names[s] for s in letters), row_of,
+                            key_of.__getitem__)
 
 
 def project_product_to_pair(zs: ZSStructure,
@@ -225,14 +221,16 @@ def project_product_to_pair(zs: ZSStructure,
     """
     Restrict a product-monoid acceptor to the letters of each factor.
     Words over one factor are normal in the product iff normal in the
-    factor, so the restrictions are the factor acceptors.
+    factor, so the restrictions are the factor acceptors: each row is
+    a_k's, gathered at the factor's letters.
     """
     g = zs.germ
-    live = _live_in(a_k, g.unit)
 
     def restrict(members) -> NFAutomaton:
         letters = tuple(s for s in a_k.letters if members(s))
-        return _build_from_liveness(letters, tuple(g.names[s] for s in letters), live)
+        at = [a_k.position[s] for s in letters]
+        return _build_from_rows(letters, tuple(g.names[s] for s in letters), lambda x: map(
+            a_k.dead.__eq__, _gather(a_k.transitions[1 + a_k.position[x]], at)))
 
     return restrict(zs.member_g), restrict(zs.member_h)
 
@@ -241,11 +239,12 @@ def count_accepted(a: NFAutomaton, n: int) -> int:
     """
     Number of accepted words of length exactly n.  States with equal rows
     move their words alike, so counts are kept per class of equal rows:
-    the R x R class moves are read once, in O(S*L) for S states and L
-    letters, and then applied n times, in O(n*R^2).  The builders here
-    make one row per atom set of the complement, so R is small (32 of
-    720 states on braid:6).  The dead state is a class of its own, since
-    a letter state may share its all-dead row but accepts.
+    each distinct row object is hashed once and the R x R class moves are
+    read once, in O(S + R*L) for S states and L letters when equal rows
+    are shared objects, as the builders here make them, and then applied
+    n times, in O(n*R^2).  The builders make one row per key, so R is
+    small (32 of 720 states on braid:6).  The dead state is a class of its
+    own, since a letter state may share its all-dead row but accepts.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

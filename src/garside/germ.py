@@ -22,7 +22,8 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn
+from operator import itemgetter
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 # Characters that would collide with word syntax ('.'-words, '|'-normal
 # forms, "D^k" prefixes) or the file format ('#' comments).
@@ -107,6 +108,11 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask &= mask - 1
+
+
+def _gather(row, indices: Sequence[int]) -> list:
+    """[row[i] for i in indices] in one call; itemgetter gives no tuple for one index."""
+    return list(itemgetter(*indices)(row)) if len(indices) > 1 else [row[i] for i in indices]
 
 
 class Germ:

@@ -33,12 +33,11 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import automata, element, normal_forms, quasicenter, zappa_szep
 from .element import NormalWord
-from .germ import Germ, _bits
+from .germ import Germ, _bits, _gather
 from .zappa_szep import ZSStructure
 
 
@@ -140,11 +139,6 @@ class _Rows(dict):
         return out
 
 
-def _gather(row, indices: Sequence[int]) -> list:
-    """[row[i] for i in indices] in one call; itemgetter gives no tuple for one index."""
-    return list(itemgetter(*indices)(row)) if len(indices) > 1 else [row[i] for i in indices]
-
-
 def _compare_rows(r: _Run, laws: Sequence[tuple], case: Callable[[int], tuple]) -> None:
     """One case per law and column: laws holds (label, lhs row, rhs row), and
     case(c) gives the arguments of column c; a law may add a fourth entry,
@@ -204,12 +198,12 @@ def suite_complements_lemma(r: _Run, g: Germ, opt: Options) -> None:
     lc = [_gather(inv[s], join[s]) for s in range(len(g))]  # lc[s][t] = s\t
     lc_t = [list(col) for col in zip(*lc)]  # lc_t[t][s] = s\t
     for a in range(len(g)):
+        left = _gather(rows, lc_t[a])  # the product rows of c\a, for every c
         for b, ab in rows[a].items():
             # for every c: (ab)\c = b\(a\c) and c\(ab) = (c\a).((a\c)\b)
             _compare_rows(r, (
                 ("under-product", lc[ab], _gather(lc[b], lc[a])),
-                ("over-product", lc_t[ab],
-                 [rows[x].get(lc_t[b][y]) for x, y in zip(lc_t[a], lc[a])]),
+                ("over-product", lc_t[ab], list(map(dict.get, left, _gather(lc_t[b], lc[a])))),
             ), lambda c: (a, b, c))
     rng = opt.rng()
     for _ in range(opt.samples):

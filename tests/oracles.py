@@ -1016,13 +1016,36 @@ def order_isomorphism_by_cases(r, zs, opt):
                                         f"({g.names[c]}; {g.names[x]}, {g.names[y]})")
 
 
-# -- the product acceptor, one liveness read per pair of letters ----------------------
+# -- acceptors, one liveness read per pair of letters ---------------------------------
+
+def build_from_liveness_by_pairs(letters, names, live):
+    """The acceptor in which letter y may follow letter x iff live(x, y),
+    read for every pair of letters with no rows shared: the reference for
+    the row builders of the automata module."""
+    from garside import NFAutomaton
+
+    dead = len(letters) + 1
+    rows = [tuple(range(1, dead))]  # start: every letter is live
+    rows += [tuple(t if live(x, y) else dead for t, y in enumerate(letters, 1))
+             for x in letters]
+    rows.append((dead,) * len(letters))
+    return NFAutomaton(tuple(letters), tuple(names), tuple(rows))
+
+
+def live_in(a, unit):
+    """Whether simple y may follow simple x, read off the acceptor a.  The
+    unit stands for an empty factor: anything may precede it, and only the
+    unit may follow it."""
+    def live(x, y):
+        if x == unit:
+            return y == unit
+        return y == unit or a.step(a.step(0, x), y) != a.dead
+    return live
+
 
 def translate_pair_to_product_by_letters(zs, a_g, a_h):
     """translate_pair_to_product reading live(k1, k2) for every pair of
     letters, with no rows shared by key: the reference for the keyed one."""
-    from garside.automata import _build_from_liveness, _live_in
-
     g = zs.germ
     unit = g.unit
     pair_of = {}
@@ -1033,7 +1056,7 @@ def translate_pair_to_product_by_letters(zs, a_g, a_h):
                 assert k is not None
                 pair_of[k] = (gs, hs)
     letters = tuple(sorted(pair_of))
-    g_live, h_live = _live_in(a_g, unit), _live_in(a_h, unit)
+    g_live, h_live = live_in(a_g, unit), live_in(a_h, unit)
 
     def live(k1, k2):
         g1, h1 = pair_of[k1]
@@ -1041,7 +1064,7 @@ def translate_pair_to_product_by_letters(zs, a_g, a_h):
         return (g_live(zs.act("rr-inv", h1, g1), g2)
                 and h_live(zs.act("lr-inv", g1, h1), h2))
 
-    return _build_from_liveness(letters, tuple(g.names[s] for s in letters), live)
+    return build_from_liveness_by_pairs(letters, tuple(g.names[s] for s in letters), live)
 
 
 # -- factor membership of elements -----------------------------------------------------

@@ -9,10 +9,9 @@ from garside import (NFAutomaton, automata, build, build_factor_automaton,
                      count_accepted, export, free_abelian_germ,
                      germ_from_spec, project_product_to_pair, run_suite,
                      translate_pair_to_product)
-from garside.automata import _build_from_liveness
 from garside.germ import GermError, make_germ, parse_germ
-from oracles import (abelian_by_braid3_germ, count_accepted_by_states,
-                     translate_pair_to_product_by_letters)
+from oracles import (abelian_by_braid3_germ, build_from_liveness_by_pairs,
+                     count_accepted_by_states, translate_pair_to_product_by_letters)
 from test_germ import CYCLIC_FILE
 from test_suites import CLOSURE, STEP_SWAPPED, _closure_zs, _tampered
 
@@ -216,8 +215,8 @@ def test_translation_suite_names_a_dropped_letter(monkeypatch, wreath, wreath_zs
 
     def drop(a):
         letters = tuple(s for s in a.letters if s != c)
-        return _build_from_liveness(letters, tuple(wreath.names[s] for s in letters),
-                                    lambda x, y: a.step(a.step(0, x), y) != a.dead)
+        return build_from_liveness_by_pairs(letters, tuple(wreath.names[s] for s in letters),
+                                            lambda x, y: a.step(a.step(0, x), y) != a.dead)
 
     _tampered_translation(monkeypatch, drop)
     report = run_suite("automata-translation", wreath_zs)
@@ -246,7 +245,7 @@ def _germ(spec):
 def test_nf_automaton_equals_pair_table(spec, variant):
     g = _germ(spec)
     a = build_nf_automaton(g, variant)
-    assert a == _build_from_liveness(a.letters, a.letter_names, g.normal_pair)
+    assert a == build_from_liveness_by_pairs(a.letters, a.letter_names, g.normal_pair)
     assert a.letters == tuple(s for s in range(len(g)) if s != g.unit
                               and (variant == "full" or s != g.delta))
 
@@ -265,9 +264,24 @@ def test_factor_automaton_equals_pair_table(spec, left, variant):
                                 ("H", zs.h_simples, zs.comp_h)):
         a = build_factor_automaton(zs, side, variant)
         assert set(a.letters) <= set(simples)
-        assert a == _build_from_liveness(
+        assert a == build_from_liveness_by_pairs(
             a.letters, a.letter_names,
             lambda x, y, comp=comp: g.meet(comp(x), y) == g.unit)
+
+
+@pytest.mark.parametrize("spec, left", FACTORS, ids=[spec for spec, _ in FACTORS])
+def test_translation_and_projection_equal_pair_tables(spec, left):
+    g = _germ(spec)
+    zs = build(g, [g.simple(nm) for nm in left])
+    a_g, a_h = (build_factor_automaton(zs, side, "full") for side in "GH")
+    a_k = build_nf_automaton(g, "full")
+    by_pairs = build_from_liveness_by_pairs(a_k.letters, a_k.letter_names, g.normal_pair)
+    assert translate_pair_to_product(zs, a_g, a_h) == by_pairs
+    assert translate_pair_to_product_by_letters(zs, a_g, a_h) == by_pairs
+    # the product's own pairs, restricted to each factor's letters
+    assert project_product_to_pair(zs, a_k) == tuple(
+        build_from_liveness_by_pairs(a.letters, a.letter_names, g.normal_pair)
+        for a in (a_g, a_h))
 
 
 def test_nf_automaton_rejects_a_missing_meet():
@@ -325,6 +339,14 @@ def test_count_of_a_dead_row_letter_stops_at_it():
 def test_equal_rows_are_distinct_objects():
     a = HAND_MADE["equal-rows"]
     assert a.transitions[1] == a.transitions[2] and a.transitions[1] is not a.transitions[2]
+
+
+@pytest.mark.parametrize("spec, variant, count", [
+    ("braid:6", "proper", 28881794703107893283419358194922),
+    ("prod:braid:4,braid:3", "full", 2758248643005636025),
+])
+def test_count_of_length_16_on_the_benchmark_germs(spec, variant, count):
+    assert count_accepted(build_nf_automaton(germ_from_spec(spec), variant), 16) == count
 
 
 def test_count_rejects_negative_length(wreath):
