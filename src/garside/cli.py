@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import sys
 
 from . import automata, element, normal_forms, quasicenter, suites, zappa_szep
@@ -116,6 +117,7 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache  # built once per process, with the cmd_* functions bound then
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="garside",
@@ -179,7 +181,7 @@ def cmd_validate(args) -> int:
         # show the report of an invalid germ file rather than one line
         print(str(e), file=sys.stderr)
         return 1
-    report = validate_germ(g)
+    report = g._memo.get("validation") or validate_germ(g)  # a file was validated as parsed
     print(report)
     return 0 if report.ok else 1
 

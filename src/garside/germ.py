@@ -22,7 +22,8 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import and_, itemgetter
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 # Characters that would collide with word syntax ('.'-words, '|'-normal
@@ -327,13 +328,6 @@ def _atom_lengths(g: Germ, atoms: Iterable[int]) -> list[int]:
     return lens
 
 
-def _join_all(g: Germ, simples: Iterable[int]) -> int:
-    j = g.unit
-    for s in simples:
-        j = g.join(j, s)
-    return j
-
-
 def make_germ(names: Iterable[str], delta_name: str,
               products: Iterable[tuple[str, str, str]],
               validate: bool = False) -> Germ:
@@ -343,7 +337,7 @@ def make_germ(names: Iterable[str], delta_name: str,
     must agree with the implied ones.  With validate=True the full axiom
     check runs and a failure raises GermValidationError.
     """
-    names = list(names)
+    names, products = list(names), list(products)
     seen: set[str] = set()
     for nm in names:
         check_name(nm)
@@ -354,20 +348,20 @@ def make_germ(names: Iterable[str], delta_name: str,
         raise GermError('the unit simple "1" is missing')
     if delta_name not in seen:
         raise GermError(f"delta {delta_name!r} is not a listed simple")
+    defined: set[tuple[str, str]] = set()
+    for sn, tn, un in products:
+        _check_entry(defined, seen, sn, tn, un)
+    return _assemble(names, delta_name, products, validate)
 
+
+def _assemble(names: list[str], delta_name: str, products, validate: bool) -> Germ:
+    """make_germ past its checks; a product is (s, t, s.t) or longer."""
     ordered = ["1"] + [nm for nm in names if nm != "1"]
     index = {nm: i for i, nm in enumerate(ordered)}
     n = len(ordered)
-    rows: list[dict[int, int]] = [dict() for _ in range(n)]
-    for s in range(n):
-        rows[0][s] = s
-        rows[s][0] = s
-    defined: set[tuple[str, str]] = set()
-    for sn, tn, un in products:
-        for nm in (sn, tn, un):
-            if nm not in index:
-                raise GermError(f"unknown simple name {nm!r} in product")
-        _check_entry(defined, sn, tn, un)
+    rows: list[dict[int, int]] = [{0: s} for s in range(n)]
+    rows[0] = {s: s for s in range(n)}
+    for sn, tn, un, *_ in products:
         if "1" not in (sn, tn):
             rows[index[sn]][index[tn]] = index[un]
     g = Germ(tuple(ordered), index[delta_name], tuple(rows))
@@ -375,11 +369,15 @@ def make_germ(names: Iterable[str], delta_name: str,
         report = validate_germ(g)
         if not report.ok:
             raise GermValidationError(report)
+        g._memo["validation"] = report  # what `validate` prints, not worked out twice
     return g
 
 
-def _check_entry(defined: set[tuple[str, str]], sn: str, tn: str, un: str) -> None:
-    """Refuse a product entry that breaks the unit law or repeats one in `defined`; add it there."""
+def _check_entry(defined: set[tuple[str, str]], known: set[str], sn: str, tn: str, un: str) -> None:
+    """Refuse an entry naming no `known` simple, breaking the unit law or repeating one in `defined`."""
+    for nm in (sn, tn, un):
+        if nm not in known:
+            raise GermError(f"unknown simple name {nm!r}")
     if "1" in (sn, tn) and un != (tn if sn == "1" else sn):
         raise GermError(f"product {sn}.{tn} = {un} conflicts with the unit law")
     if "1" not in (sn, tn) and (sn, tn) in defined:
@@ -426,8 +424,11 @@ def parse_germ(text: str) -> Germ:
                 raise GermSyntaxError(lineno, f"expected 'germ v1' header, got {line!r}")
             header_seen = True
             continue
-        if line.startswith("simples:"):
-            for nm in line[len("simples:"):].split():
+        head, *words = line.split()
+        directive, colon, glued = head.partition(":")  # "delta:ab" reads as "delta: ab"
+        directive, words = directive + colon, [glued, *words] if glued else words
+        if directive == "simples:":
+            for nm in words:
                 try:
                     check_name(nm)
                 except GermError as e:
@@ -436,20 +437,18 @@ def parse_germ(text: str) -> Germ:
                     raise GermSyntaxError(lineno, f"duplicate simple name {nm!r}")
                 name_set.add(nm)
                 names.append(nm)
-        elif line.startswith("delta:"):
+        elif directive == "delta:":
             if delta_name is not None:
                 raise GermSyntaxError(lineno, "delta given twice")
-            parts = line[len("delta:"):].split()
-            if len(parts) != 1:
+            if len(words) != 1:
                 raise GermSyntaxError(lineno, "delta: expects exactly one name")
-            delta_name = parts[0]
-        elif line.startswith("prod "):
-            parts = line.split()
-            if len(parts) != 4:
+            delta_name = words[0]
+        elif directive == "prod":
+            if len(words) != 3:
                 raise GermSyntaxError(lineno, "prod expects exactly three names")
-            triples.append((parts[1], parts[2], parts[3], lineno))
+            triples.append((*words, lineno))
         else:
-            raise GermSyntaxError(lineno, f"unrecognised directive {line.split()[0]!r}")
+            raise GermSyntaxError(lineno, f"unrecognised directive {head!r}")
 
     if not header_seen:
         raise GermSyntaxError(1, "empty germ file")
@@ -462,26 +461,19 @@ def parse_germ(text: str) -> Germ:
 
     defined: set[tuple[str, str]] = set()
     for sn, tn, un, lineno in triples:
-        for nm in (sn, tn, un):
-            if nm not in name_set:
-                raise GermSyntaxError(lineno, f"unknown simple name {nm!r}")
         try:
-            _check_entry(defined, sn, tn, un)
+            _check_entry(defined, name_set, sn, tn, un)
         except GermError as e:
             raise GermSyntaxError(lineno, str(e)) from None
-    return make_germ(names, delta_name, [t[:3] for t in triples], validate=True)
+    return _assemble(names, delta_name, triples, validate=True)
 
 
 def format_germ(g: Germ) -> str:
     """Serialise a germ back to the `germ v1` format (canonical order)."""
-    lines = ["germ v1", "simples: " + " ".join(g.names), f"delta: {g.names[g.delta]}"]
-    for s, row in enumerate(g.product_rows):
-        if s == g.unit:
-            continue
-        for t in sorted(row):
-            if t == g.unit:
-                continue
-            lines.append(f"prod {g.names[s]} {g.names[t]} {g.names[row[t]]}")
+    nm = g.names
+    lines = ["germ v1", "simples: " + " ".join(nm), f"delta: {nm[g.delta]}"]
+    lines += [f"prod {nm[s]} {nm[t]} {nm[row[t]]}" for s, row in enumerate(g.product_rows)
+              if s != g.unit for t in sorted(row) if t != g.unit]
     return "\n".join(lines) + "\n"
 
 
@@ -493,17 +485,14 @@ def validate_germ(g: Germ) -> ValidationReport:
     associativity, cancellativity, the two complement bijections, the
     balanced Garside element, the lattice property of both divisibility
     orders, and atom generation.  Failures carry witnesses; nothing raises.
+    Associativity skips triples with a unit letter when the unit laws hold.
+    The lattice check asks for meets only (_is_lattice); if delta is not
+    on top, or the order or a meet fails, it scans all four kinds of bound.
     """
-    checks = [
-        CheckResult("identity", *_check_identity(g)),
-        CheckResult("associativity", *_check_associativity(g)),
-        CheckResult("cancellativity", *_check_cancellativity(g)),
-        CheckResult("complements", *_check_complements(g)),
-        CheckResult("balanced-delta", *_check_balanced(g)),
-        CheckResult("lattice", *_check_lattice(g)),
-        CheckResult("atoms", *_check_atoms(g)),
-    ]
-    return ValidationReport(checks)
+    return ValidationReport([CheckResult(axiom, *check(g)) for axiom, check in (
+        ("identity", _check_identity), ("associativity", _check_associativity),
+        ("cancellativity", _check_cancellativity), ("complements", _check_complements),
+        ("balanced-delta", _check_balanced), ("lattice", _check_lattice), ("atoms", _check_atoms))])
 
 
 def _check_identity(g: Germ) -> tuple[bool, str | None]:
@@ -517,31 +506,30 @@ def _check_identity(g: Germ) -> tuple[bool, str | None]:
 
 def _check_associativity(g: Germ) -> tuple[bool, str | None]:
     nm = g.names
-    for s, row_s in enumerate(g.product_rows):
+    rows, cols = g.product_rows, g.opposite().product_rows  # cols[v][s] = s.v, s ascending
+    # where the unit laws hold, so does every triple with a unit letter
+    unit = g.unit if _check_identity(g)[0] else -1
+    for s, row_s in enumerate(rows):
+        at_s = row_s.get
         for t, st in row_s.items():
-            for u, st_u in g.product_rows[st].items():
+            if unit in (s, t):
+                continue
+            at_t = rows[t].get
+            for u, st_u in rows[st].items():
                 # (s.t).u defined; if t.u is defined, s.(t.u) must be too
-                tu = g.product(t, u)
-                if tu is None:
+                if u == unit or (tu := at_t(u)) is None:
                     continue
-                s_tu = g.product(s, tu)
+                s_tu = at_s(tu)
                 if s_tu is None:
                     return False, f"({nm[s]}.{nm[t]}).{nm[u]} defined but {nm[s]}.({nm[t]}.{nm[u]}) is not"
                 if s_tu != st_u:
                     return False, f"({nm[s]}.{nm[t]}).{nm[u]} != {nm[s]}.({nm[t]}.{nm[u]})"
-    # cols[v]: every (s, s.v), s ascending; no inverse map, which would keep
-    # one s per value on a non-cancellative table and could hide a witness
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(len(g))]
-    for s, row_s in enumerate(g.product_rows):
-        for v, sv in row_s.items():
-            cols[v].append((s, sv))
-    for t, row_t in enumerate(g.product_rows):
+    for t, row_t in enumerate(rows):
         for u, tu in row_t.items():
-            for s, s_tu in cols[tu]:
-                st = g.product(s, t)
-                if st is None:
-                    continue
-                if g.product(st, u) != s_tu:
+            if unit in (t, u):
+                continue
+            for s, s_tu in cols[tu].items():
+                if s != unit and (st := rows[s].get(t)) is not None and rows[st].get(u) != s_tu:
                     return False, f"{nm[s]}.({nm[t]}.{nm[u]}) defined but disagrees with ({nm[s]}.{nm[t]}).{nm[u]}"
     return True, None
 
@@ -590,13 +578,23 @@ def _check_balanced(g: Germ) -> tuple[bool, str | None]:
     return True, None
 
 
+def _is_lattice(h: Germ, top: int) -> bool:
+    """Divisibility, already reflexive, is a partial order with `top` above
+    all and a meet for any two simples.  Joins follow: that of s and t is
+    the meet of their common upper bounds, a set holding `top`."""
+    ld, lu, n = h.ldiv, h.lupper, len(h)
+    return (all(ld[t] & lu[t] == 1 << t for t in range(n)) and ld[top] == (1 << n) - 1
+            and not any(ld[s] & ~ld[v] for s, row in enumerate(h.product_rows) for v in row.values())
+            and all(h._by_ldiv.keys() >= set(map(and_, repeat(m), ld[s:])) for s, m in enumerate(ld)))
+
+
 def _check_lattice(g: Germ) -> tuple[bool, str | None]:
-    nm = g.names
-    n = len(g)
-    op = g.opposite()
+    nm, n, op = g.names, len(g), g.opposite()
     for s in range(n):
         if not (g.ldiv[s] >> s) & 1 or not (op.ldiv[s] >> s) & 1:
             return False, f"divisibility is not reflexive at {nm[s]}"
+    if _is_lattice(g, g.delta) and _is_lattice(op, g.delta):
+        return True, None
     sides = ((g, "prefix"), (op, "suffix"))
     for t in range(n):
         for h, side in sides:
@@ -621,9 +619,7 @@ def _check_atoms(g: Germ) -> tuple[bool, str | None]:
         for t, u in row.items():
             if u == g.unit and (s != g.unit or t != g.unit):
                 return False, f"{nm[s]}.{nm[t]} = 1 with a non-trivial factor"
-    for s in range(len(g)):
-        if s == g.unit:
-            continue
+    for s in range(1, len(g)):  # every simple but the unit, index 0
         if not any((g.ldiv[s] >> a) & 1 for a in g.atoms):
             return False, f"{nm[s]} has no atom as a prefix"
         if g.atom_len[s] < 0:

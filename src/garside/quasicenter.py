@@ -15,10 +15,11 @@ asked for: all n of them cost n.|atoms| lcomp reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator
 
 from . import element
-from .germ import Germ, GermError, _join_all
+from .germ import Germ, GermError
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ def _walk_closures(g: Germ, root: int, closures: dict[int, int]) -> None:
             if low[x] == number[x]:
                 component = unfinished[i:]
                 del unfinished[i:]
-                d = _join_all(g, {closures[y] for z in component for y in succ[z]
-                                  if y in closures} | set(component))
+                d = reduce(g.join, {closures[y] for z in component for y in succ[z]
+                                    if y in closures} | set(component), g.unit)
                 closures.update(dict.fromkeys(component, d))
 
 
@@ -95,7 +96,7 @@ def _compute_delta(g: Germ, s: int, atom_order: tuple[int, ...]) -> int:
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return _join_all(g, seen)
+    return reduce(g.join, seen, g.unit)
 
 
 def is_delta_pure(g: Germ) -> bool:

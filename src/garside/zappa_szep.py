@@ -32,11 +32,12 @@ a failure raises DecompositionFailure with a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 from . import element, quasicenter
 from .element import NormalWord
-from .germ import Germ, _atom_lengths, _join_all
+from .germ import Germ, _atom_lengths
 
 
 class ZSError(Exception):
@@ -135,12 +136,13 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
     g_simples, h_simples = (tuple(s for s, k in enumerate(_atom_lengths(germ, side)) if k >= 0)
                             for side in (left, right))
 
-    delta_g = _join_all(germ, g_simples)
-    delta_h = _join_all(germ, h_simples)
+    delta_g = reduce(germ.join, g_simples, germ.unit)
+    delta_h = reduce(germ.join, h_simples, germ.unit)
 
     # The class-wise construction must give the same Garside elements.
-    class_g = _join_all(germ, (part.class_delta[i] for i in chosen))
-    class_h = _join_all(germ, (d for i, d in enumerate(part.class_delta) if i not in chosen))
+    class_g = reduce(germ.join, (part.class_delta[i] for i in chosen), germ.unit)
+    class_h = reduce(germ.join, (d for i, d in enumerate(part.class_delta) if i not in chosen),
+                     germ.unit)
     if (class_g, class_h) != (delta_g, delta_h):
         raise DecompositionFailure(
             "join of generated simples disagrees with the join of the "

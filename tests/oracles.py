@@ -1160,3 +1160,73 @@ def germ_spec_by_splits(text: str):
             return GermSpec("prod", (left, right))
         raise ValueError(f"cannot split product spec {text!r}")
     raise ValueError(f"unknown germ spec {text!r}")
+
+
+# -- germ validation, every table scanned in full ---------------------------------
+
+def validate_germ_by_scans(g):
+    """validate_germ as it was before its row-at-a-time checks: associativity
+    and the lattice axioms scanned triple by triple and pair by pair, with
+    every product read through g.product and every join looked up."""
+    from garside import germ
+
+    checks = (("identity", germ._check_identity), ("associativity", _associativity_by_triples),
+              ("cancellativity", germ._check_cancellativity),
+              ("complements", germ._check_complements), ("balanced-delta", germ._check_balanced),
+              ("lattice", _lattice_by_pairs), ("atoms", germ._check_atoms))
+    return germ.ValidationReport([germ.CheckResult(axiom, *check(g)) for axiom, check in checks])
+
+
+def _associativity_by_triples(g):
+    nm = g.names
+    for s, row_s in enumerate(g.product_rows):
+        for t, st in row_s.items():
+            for u, st_u in g.product_rows[st].items():
+                tu = g.product(t, u)
+                if tu is None:
+                    continue
+                s_tu = g.product(s, tu)
+                if s_tu is None:
+                    return False, f"({nm[s]}.{nm[t]}).{nm[u]} defined but {nm[s]}.({nm[t]}.{nm[u]}) is not"
+                if s_tu != st_u:
+                    return False, f"({nm[s]}.{nm[t]}).{nm[u]} != {nm[s]}.({nm[t]}.{nm[u]})"
+    cols = [[] for _ in range(len(g))]
+    for s, row_s in enumerate(g.product_rows):
+        for v, sv in row_s.items():
+            cols[v].append((s, sv))
+    for t, row_t in enumerate(g.product_rows):
+        for u, tu in row_t.items():
+            for s, s_tu in cols[tu]:
+                st = g.product(s, t)
+                if st is None:
+                    continue
+                if g.product(st, u) != s_tu:
+                    return False, f"{nm[s]}.({nm[t]}.{nm[u]}) defined but disagrees with ({nm[s]}.{nm[t]}).{nm[u]}"
+    return True, None
+
+
+def _lattice_by_pairs(g):
+    from garside.germ import _bits
+
+    nm = g.names
+    n = len(g)
+    op = g.opposite()
+    for s in range(n):
+        if not (g.ldiv[s] >> s) & 1 or not (op.ldiv[s] >> s) & 1:
+            return False, f"divisibility is not reflexive at {nm[s]}"
+    sides = ((g, "prefix"), (op, "suffix"))
+    for t in range(n):
+        for h, side in sides:
+            for s in _bits(h.ldiv[t]):
+                if s != t and (h.ldiv[s] >> t) & 1:
+                    return False, f"{side} order not antisymmetric: {nm[s]}, {nm[t]}"
+                if h.ldiv[s] & h.ldiv[t] != h.ldiv[s]:
+                    return False, f"{side} order not transitive below {nm[t]} at {nm[s]}"
+    for s in range(n):
+        for t in range(s, n):
+            for h, side in sides:
+                if h.ldiv[s] & h.ldiv[t] not in h._by_ldiv:
+                    return False, f"{nm[s]} and {nm[t]} have no {side} meet"
+                if h.lupper[s] & h.lupper[t] not in h._by_lupper:
+                    return False, f"{nm[s]} and {nm[t]} have no {side} join"
+    return True, None

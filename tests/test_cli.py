@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from garside import automata, cli, element, germ_from_spec
+from garside import automata, cli, element, germ_from_spec, validate_germ
 from garside import builtins as germ_builtins
 from garside.builtins import GermSpec
 
@@ -222,6 +222,33 @@ def test_invalid_germ_file_is_domain_error(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--germ", f"file:{path}")
     assert code == 1
     assert "cancellativity" in err
+
+
+def test_validate_of_a_germ_file_validates_it_once(tmp_path, capsys, monkeypatch):
+    from garside import germ
+    from garside.germ import GermValidationError, make_germ
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate_germ(g)
+
+    monkeypatch.setattr(germ, "validate_germ", counted)
+    monkeypatch.setattr(cli, "validate_germ", counted)
+    good, bad = tmp_path / "wreath.germ", tmp_path / "bad.germ"
+    good.write_text(WREATH_FILE)
+    bad.write_text("germ v1\nsimples: 1 a\ndelta: a\nprod a a a\n")
+    expected = str(validate_germ(germ_from_spec("wreath"))) + "\n"
+    assert run(capsys, "validate", "--germ", f"file:{good}") == (0, expected, "")
+    assert len(calls) == 1
+    code, out, err = run(capsys, "validate", "--germ", f"file:{bad}")
+    assert (code, out) == (1, "")
+    assert err == str(GermValidationError(validate_germ(make_germ(["1", "a"], "a", [("a", "a", "a")])))) + "\n"
+    assert len(calls) == 2
+    # a product with a file part is a new germ, validated after its part
+    assert run(capsys, "validate", "--germ", f"prod:file:{good},abelian:1")[0] == 0
+    assert len(calls) == 4
 
 
 def test_usage_errors(capsys):

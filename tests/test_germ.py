@@ -1,14 +1,15 @@
 import gc
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
 from garside import (GermError, GermSyntaxError, GermValidationError, braid_germ,
-                     format_germ, parse_germ, validate_germ)
-from garside.germ import make_germ
+                     format_germ, germ_from_spec, parse_germ, validate_germ)
+from garside.germ import Germ, make_germ
 
-from oracles import LatticeOracle
+from oracles import LatticeOracle, validate_germ_by_scans
 
 WREATH_FILE = """\
 germ v1
@@ -99,6 +100,17 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(GermSyntaxError):
         parse_germ("germ v1\nsimples: 1 a.b\ndelta: 1\n")  # bad name
+
+
+def test_parse_reads_each_line_by_its_first_word():
+    # any whitespace splits a line, and a name may follow its directive's colon
+    g = parse_germ("germ v1\nsimples:1 a\tb ab\ndelta:ab\nprod\ta b ab\nprod b  a ab\n")
+    assert g.names == ("1", "a", "b", "ab") and g.product(g.simple("a"), g.simple("b")) == g.delta
+    for line, message in (("prod", "line 4: prod expects exactly three names"),
+                          ("prod:a b ab", "line 4: unrecognised directive 'prod:a'"),
+                          ("simples 1", "line 4: unrecognised directive 'simples'")):
+        with pytest.raises(GermSyntaxError, match=f"^{message}$"):
+            parse_germ(f"germ v1\nsimples: 1 a\ndelta: a\n{line}\n")
 
 
 def test_format_round_trip(wreath):
@@ -404,3 +416,65 @@ def test_lattice_above_256_simples(prod_b4a4):
         for kind in ("meet", "join", "rmeet", "rjoin"):
             assert getattr(g, kind)(s, t) == getattr(oracle, kind)(s, t), \
                 (kind, g.names[s], g.names[t])
+
+
+# -- validate_germ against its table scans -----------------------------------------
+
+HAND_MADE_TABLES = [
+    (["1", "a"], "a", [("a", "a", "a")]),
+    (["1", "a", "b", "c", "d"], "d", [("a", "b", "d"), ("c", "a", "d")]),
+    (["1", "a", "b", "c", "x", "y"], "x",
+     [("a", "b", "x"), ("b", "a", "x"), ("a", "c", "y"), ("b", "c", "y")]),
+    *(table for table, _ in ASSOCIATIVITY_FAILURES + LEFT_COMPLETION_FAILURES + SUFFIX_SIDE_FAILURES),
+]
+GERM_TEXTS = [WREATH_FILE, TRIVIAL_FILE, CYCLIC_FILE,
+              *(p.read_text() for p in sorted((Path(__file__).parent / "golden").glob("*.germ")))]
+SPECS = ["wreath", *(f"braid:{n}" for n in range(2, 6)), *(f"abelian:{k}" for k in range(5)),
+         "prod:braid:3,braid:3"]
+
+
+def _germs_to_compare():
+    yield from (make_germ(*table) for table in HAND_MADE_TABLES)
+    yield from map(parse_germ, GERM_TEXTS)
+    yield from map(germ_from_spec, SPECS)
+
+
+def test_validate_matches_its_table_scans():
+    germs = list(_germs_to_compare())
+    assert len(germs) == len(HAND_MADE_TABLES) + len(GERM_TEXTS) + len(SPECS) == 29
+    for g in germs:
+        assert str(validate_germ(g)) == str(validate_germ_by_scans(g)), g
+
+
+def _tampered(g: Germ, rng: random.Random) -> Germ:
+    """g with one product entry changed, dropped or added, as a raw table."""
+    rows = [dict(row) for row in g.product_rows]
+    s, kind = rng.randrange(len(g)), rng.randrange(3)
+    if kind < 2 and rows[s]:
+        t = rng.choice(list(rows[s]))
+        if kind == 0:
+            rows[s][t] = rng.randrange(len(g))
+        else:
+            del rows[s][t]
+    else:
+        rows[s][rng.randrange(len(g))] = rng.randrange(len(g))
+    return Germ(g.names, g.delta, tuple(rows))
+
+
+@pytest.mark.parametrize("spec", ["wreath", "braid:3", "braid:4", "abelian:3",
+                                  "prod:braid:3,abelian:1"])
+def test_validate_matches_its_table_scans_on_tampered_tables(spec):
+    # Among the reports: a failed identity, under which associativity walks
+    # the triples with a unit letter too; a failed balanced-delta, which
+    # sends the lattice check to its scan without the meet test; and a
+    # lattice failure with delta on top, which the row test finds first.
+    g, rng = germ_from_spec(spec), random.Random(spec)
+    seen = set()
+    for _ in range(80):
+        bad = _tampered(g, rng)
+        report = validate_germ(bad)
+        assert str(report) == str(validate_germ_by_scans(bad)), format_germ(bad)
+        seen.add(tuple(c.axiom for c in report.failures()))
+    failed = {axiom for axioms in seen for axiom in axioms}
+    assert {"identity", "associativity", "balanced-delta", "lattice"} <= failed, seen
+    assert any("lattice" in axioms and "balanced-delta" not in axioms for axioms in seen)
