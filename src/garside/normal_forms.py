@@ -37,40 +37,33 @@ def _letters(delta: int, w: NormalWord) -> tuple[int, ...]:
 
 # -- pairwise normality from factor data -------------------------------------
 
-def is_normal_gh_gh(zs: ZSStructure, g1: int, h1: int, g2: int, h2: int) -> bool:
-    """Whether the pair g1.h1, g2.h2 is left weighted with g2.h2 non-trivial."""
-    g = zs.germ
+def _is_normal(zs: ZSStructure, shapes: str, g1: int, h1: int, g2: int, h2: int) -> bool:
+    """Normality of the pair of `shapes` ("gh|hg": g1.h1, h2.g2), the second non-trivial:
+    comp_G and comp_H of the first pair's G- and H-sides meet the second's in the unit.
+    Each public is_normal_<shapes> takes the two pairs in their own order."""
+    g, act, gh1, gh2 = zs.germ, zs.act, shapes[0] == "g", shapes[3] == "g"
     if g2 == g.unit and h2 == g.unit:
         return False
-    return (g.meet(zs.comp_g(zs.act("ll", g1, h1)), g2) == g.unit
-            and g.meet(zs.comp_h(h1), zs.act("lr", g2, h2)) == g.unit)
+    return (g.meet(zs.comp_g(act("ll", g1, h1) if gh1 else g1),
+                   g2 if gh2 else act("rr", h2, g2)) == g.unit
+            and g.meet(zs.comp_h(h1 if gh1 else act("rl", h1, g1)),
+                       act("lr", g2, h2) if gh2 else h2) == g.unit)
+
+
+def is_normal_gh_gh(zs: ZSStructure, g1: int, h1: int, g2: int, h2: int) -> bool:
+    return _is_normal(zs, "gh|gh", g1, h1, g2, h2)
 
 
 def is_normal_gh_hg(zs: ZSStructure, g1: int, h1: int, h2: int, g2: int) -> bool:
-    """Normality of the pair g1.h1, h2.g2."""
-    g = zs.germ
-    if g2 == g.unit and h2 == g.unit:
-        return False
-    return (g.meet(zs.comp_g(zs.act("ll", g1, h1)), zs.act("rr", h2, g2)) == g.unit
-            and g.meet(zs.comp_h(h1), h2) == g.unit)
+    return _is_normal(zs, "gh|hg", g1, h1, g2, h2)
 
 
 def is_normal_hg_gh(zs: ZSStructure, h1: int, g1: int, g2: int, h2: int) -> bool:
-    """Normality of the pair h1.g1, g2.h2."""
-    g = zs.germ
-    if g2 == g.unit and h2 == g.unit:
-        return False
-    return (g.meet(zs.comp_g(g1), g2) == g.unit
-            and g.meet(zs.comp_h(zs.act("rl", h1, g1)), zs.act("lr", g2, h2)) == g.unit)
+    return _is_normal(zs, "hg|gh", g1, h1, g2, h2)
 
 
 def is_normal_hg_hg(zs: ZSStructure, h1: int, g1: int, h2: int, g2: int) -> bool:
-    """Normality of the pair h1.g1, h2.g2."""
-    g = zs.germ
-    if g2 == g.unit and h2 == g.unit:
-        return False
-    return (g.meet(zs.comp_g(g1), zs.act("rr", h2, g2)) == g.unit
-            and g.meet(zs.comp_h(zs.act("rl", h1, g1)), h2) == g.unit)
+    return _is_normal(zs, "hg|hg", g1, h1, g2, h2)
 
 
 # -- the two translation loops ------------------------------------------------

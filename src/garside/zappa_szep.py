@@ -271,10 +271,10 @@ def _quoted(g: Germ, s: int) -> str:
 
 def _check_words(zs: ZSStructure, sides: str, *words: Sequence[int]) -> None:
     for side, word in zip(sides, words):
-        ok = zs.member_g if side == "G" else zs.member_h
+        # the divisors of delta_G or delta_H; an id past the last simple is no bit
+        mask = zs.germ.ldiv[zs.delta_g if side == "G" else zs.delta_h]
         for s in word:
-            # an id past the last simple divides nothing, so only s < 0 needs a test
-            if s < 0 or not ok(s):
+            if s < 0 or not (mask >> s) & 1:
                 raise ValueError(f"{_quoted(zs.germ, s)} is not a {side}-simple")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 from pathlib import Path
 
@@ -173,14 +174,33 @@ def _swap_join(g, s, a=1, b=2):
     row[a], row[b] = row[b], row[a]
 
 
+def _agrees_with_oracle(suite, g, opt):
+    """
+    The suite's report or GermError text, checked against the per-case
+    oracle's.  lattice-laws must match it case for case.  complements-lemma
+    compares only the cases its inductions cannot carry, so its case count
+    is its own: it must give the oracle's verdict, failure lines among the
+    oracle's, the same sampled element lines, and the same GermError.
+    """
+    report = _raised_or(lambda: run_suite(suite, g, opt))
+    oracle = _raised_or(lambda: _by_cases(suite, g, opt))
+    if suite != "complements-lemma" or isinstance(report, str) or isinstance(oracle, str):
+        assert (report if isinstance(report, str) else (report.cases, report.failures)) == oracle
+        return report
+    failures = oracle[1]
+    assert report.ok == (not failures)
+    assert set(report.failures) <= set(failures)
+    sampled = [line for line in failures if line.startswith("element-")]
+    assert [line for line in report.failures if line.startswith("element-")] == sampled
+    return report
+
+
 @pytest.mark.parametrize("suite", BY_CASES)
 @pytest.mark.parametrize("spec", ["wreath", "braid:3", "braid:4", "abelian:3",
                                   "prod:braid:4,braid:3", "A2_B3"])
 def test_row_suites_agree_with_per_case_oracle(spec, suite):
     g = parse_germ(A2_B3) if spec == "A2_B3" else germ_from_spec(spec)
-    opt = Options(samples=40, seed=3)
-    report = run_suite(suite, g, opt)
-    assert (report.cases, report.failures) == _by_cases(suite, g, opt)
+    _agrees_with_oracle(suite, g, Options(samples=40, seed=3))
 
 
 def _unset(table, row, col):
@@ -213,18 +233,94 @@ def test_row_suites_agree_with_per_case_oracle_on_tampered_tables(spec, row, tam
     g = germ_from_spec(spec)
     tamper(g, g.simple(row))
     # the element-level half is left out: it may not survive a broken table
-    opt = Options(samples=0)
+    report = _agrees_with_oracle(suite, g, Options(samples=0))
     if tamper in (_unset_meet, _unset_join):
         # one unreadable entry: the accessor's error wherever the suite reads it
-        report = _raised_or(lambda: run_suite(suite, g, opt))
-        raised = isinstance(report, str)
-        assert raised == (tamper is _unset_join or suite == "lattice-laws")
-        assert (report if raised else (report.cases, report.failures)) \
-            == _raised_or(lambda: _by_cases(suite, g, opt))
-        return
-    report = run_suite(suite, g, opt)
+        assert isinstance(report, str) == (tamper is _unset_join or suite == "lattice-laws")
+    else:
+        assert report.failures
+
+
+def _edit_product(g, rng):
+    """Point one product a.b at a random simple, drop it, or define one more."""
+    g._row_inverses()  # the inverted rows keep the old products
+    row = g.product_rows[rng.randrange(len(g))]
+    b = rng.randrange(len(g))
+    if b in row and rng.random() < 0.3:
+        del row[b]
+    else:
+        row[b] = rng.randrange(len(g))
+
+
+def _swap_random_row_inv(g, rng):
+    row = g._row_inverses()[rng.randrange(len(g))]
+    if len(row) > 1:
+        v, w = rng.sample(sorted(row), 2)
+        row[v], row[w] = row[w], row[v]
+
+
+def _swap_random_join(g, rng):
+    _swap_join(g, rng.randrange(len(g)), *rng.sample(range(len(g)), 2))
+
+
+# Each table gets one or two of these edits, drawn from its seed; the
+# product edits break the premises of the suite's inductions, so its
+# fallback to a direct comparison runs.
+SEEDED_TAMPERS = (_edit_product, _edit_product, _swap_random_row_inv, _swap_random_join)
+
+
+@pytest.mark.parametrize("spec", ["wreath", "braid:3", "braid:4", "abelian:3",
+                                  "prod:braid:3,braid:2"])
+def test_complements_lemma_agrees_with_per_case_oracle_on_seeded_tampers(spec):
+    failed = 0
+    for seed in range(40):
+        rng = random.Random(f"{spec}/{seed}")
+        g = germ_from_spec(spec)
+        for _ in range(rng.randint(1, 2)):
+            rng.choice(SEEDED_TAMPERS)(g, rng)
+        report = _agrees_with_oracle("complements-lemma", g, Options(samples=0))
+        failed += not report.ok
+    assert 0 < failed < 40  # the set holds tables that pass and tables that fail
+
+
+@pytest.mark.parametrize("spec", ["wreath", "braid:3", "braid:4", "abelian:3",
+                                  "prod:braid:4,braid:3"])
+def test_complements_lemma_compares_what_its_inductions_cannot_carry(spec):
+    # On a germ every simple but 1 and the atoms splits and every premise
+    # holds, so the cases compared are: under-product at every column for
+    # the pairs whose right factor is 1 or an atom; over-product at the
+    # columns 1 and the atoms for every pair, and at the other columns for
+    # the pairs (x, s'') that split them, one pair per simple s.
+    g = germ_from_spec(spec)
+    n, base = len(g), {g.unit, *g.atoms}
+    under = n * sum(b in base for row in g.product_rows for b in row)
+    over = sum(map(len, g.product_rows)) * len(base) + (n - len(base)) ** 2
+    assert run_suite("complements-lemma", g, Options(samples=0)).cases == under + over
+
+
+def _set_complements(g, table):
+    """Make s\\t read table[s][t]: each join entry of s names a new key of
+    the inverted row of s, past the simples, that maps to the complement."""
+    n, inv = len(g), g._row_inverses()
+    for s, row in enumerate(table):
+        for t, u in enumerate(row):
+            g._join[s][t] = n + t
+            inv[s][n + t] = u
+
+
+def test_complements_lemma_compares_a_row_whose_induction_premise_fails():
+    # 1.e1e2 is made e2 while 1.e1 = e1 and e1.e2 = e1e2, so the premise
+    # (1.e1).e2 = 1.e1e2 fails and under-product at (1, e1e2) does not follow
+    # from the rows (1, e1) and (e1, e2).  With these complements that row
+    # fails and every other case the suite compares holds: a suite that
+    # trusted the split without its premise would report ok.
+    g = germ_from_spec("abelian:2")
+    g._row_inverses()
+    g.product_rows[0][3] = 2
+    _set_complements(g, [[0, 1, 2, 3], [0, 0, 2, 2], [0, 1, 2, 3], [0, 0, 2, 2]])
+    report = _agrees_with_oracle("complements-lemma", g, Options(samples=0))
     assert report.failures
-    assert (report.cases, report.failures) == _by_cases(suite, g, opt)
+    assert all(line.startswith("under-product[1, e1e2, ") for line in report.failures)
 
 
 # -- factor closure against products of elements ------------------------------------

@@ -198,6 +198,32 @@ def test_action_domain_errors_name_raw_ids(wreath, wreath_zs):
             call()
 
 
+@pytest.mark.parametrize("bad", [-1, -5, "len", 10**6])
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("name", zsm.ACTIONS)
+def test_act_word_names_the_first_letter_outside_its_factor(wreath, wreath_zs, name, bad,
+                                                            position):
+    zs = wreath_zs
+    bad = len(wreath) if bad == "len" else bad
+    sides = "HG" if name[0] == "r" else "GH"
+    unit_word = {"G": (wreath.unit, zs.delta_g), "H": (wreath.unit, zs.delta_h)}
+    words = [unit_word[side] for side in sides]
+    # a letter of the other factor follows the bad one, and the other word
+    # is broken too if it comes later: the first bad letter is the one named
+    other = zs.delta_h if sides[position] == "G" else zs.delta_g
+    words[position] = words[position][:1] + (bad, other)
+    if position == 0:
+        words[1] = words[1] + (-7,)
+    message = f"^simple id {bad} is not a {sides[position]}-simple$"
+    with pytest.raises(ValueError, match=message):
+        zsm.act_word(zs, name, *words)
+    # and a letter of the wrong factor is named by its name
+    words[position] = (other,)
+    message = f"^'{wreath.names[other]}' is not a {sides[position]}-simple$"
+    with pytest.raises(ValueError, match=message):
+        zsm.act_word(zs, name, *words)
+
+
 @pytest.mark.parametrize("name", ["xx", "", "r", "rr-", "RR", "rr_inv"])
 def test_unknown_action_name_is_refused(wreath, wreath_zs, name):
     message = (f"^unknown action {re.escape(repr(name))}: expected one of "
