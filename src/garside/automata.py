@@ -145,15 +145,8 @@ def _build_by_complement(g: Germ, letters, comp) -> NFAutomaton:
     at its first letter.
     """
     atom_mask = sum(1 << a for a in g.atoms)
-
-    def row_of(x: int) -> list[int]:
-        c = comp(x)
-        meets = _gather(g._meet[c], letters)
-        if -1 in meets:
-            g._not_a_lattice("meet", c, letters[meets.index(-1)])
-        return meets
-
-    return _build_from_rows(letters, tuple(g.names[s] for s in letters), row_of,
+    return _build_from_rows(letters, tuple(g.names[s] for s in letters),
+                            lambda x: g.lattice_row("meet", comp(x), letters),
                             key=lambda x: g.ldiv[comp(x)] & atom_mask)
 
 

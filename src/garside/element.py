@@ -117,7 +117,7 @@ def _sweep(g: Germ, f: list[int], b: int) -> int:
         u = meet[c][b]
         if u == unit:
             break
-        if u < 0:
+        if u < 0:  # hot path: one entry checked, where a row check would scan n
             g.meet(c, b)  # raises: germ is not a lattice
         f[j] = inv[u][b]
         b = prod[a][u]
@@ -238,7 +238,7 @@ def _under(g: Germ, s: int, word: list[int]) -> list[int]:
             out.extend(word[i:])
             break
         v = join[s][y]
-        if v < 0:
+        if v < 0:  # hot path: one entry checked, where a row check would scan n
             g.join(s, y)  # raises: germ is not a lattice
         t = inv[s][v]
         if t != unit:
@@ -353,11 +353,8 @@ def _successors(g: Germ, alphabet: Sequence[int]) -> dict[int, list[int]]:
     the meet row of its complement; a gap raises normal_pair's GermError."""
     succ = {}
     for s in alphabet:
-        row = g._meet[c := g.complement(s)]
-        if -1 in row:
-            for t in alphabet:
-                g.meet(c, t)  # raises at the first missing meet in alphabet order
-        succ[s] = [t for t in alphabet if row[t] == g.unit]
+        row = g.lattice_row("meet", g.complement(s), alphabet)
+        succ[s] = [t for t, m in zip(alphabet, row) if m == g.unit]
     return succ
 
 

@@ -8,7 +8,9 @@ again a simple), the identity and Delta.  Prefix divisibility, atoms and
 complements are derived at construction time.  Meets and joins in the
 prefix order live in one table per operation whose rows are filled from
 the divisibility bitmasks the first time they are used, so every lattice
-query is an O(1) array lookup.  The suffix order of a germ is the prefix
+query is an O(1) array lookup.  Germ.lattice_row is the one checked read
+of a whole row, or of its entries at some columns: a missing meet or join
+raises the accessor's GermError.  The suffix order of a germ is the prefix
 order of its opposite germ, whose tables answer every suffix query.
 
 Simples are identified by small integers.  Index 0 is always the identity,
@@ -87,7 +89,8 @@ class _LatticeRows(dict):
     full on first access; building it twice gives an equal row, so a race
     between threads is harmless.  Rows are arrays of C ints, half the
     memory of lists of Python ints.  A key that is no simple is refused
-    with KeyError, so a -1 entry read back as a row index fails loudly.
+    with KeyError, so a -1 entry read back as a row index fails loudly;
+    Germ.lattice_row is the checked read of rows outside this module.
     """
 
     def __init__(self, masks: list[int], by_mask: dict[int, int]):
@@ -240,6 +243,17 @@ class Germ:
             f"no {kind} of {self.names[s]!r} and {self.names[t]!r}: "
             "germ is not a lattice")
 
+    def lattice_row(self, kind: str, s: int, at: Sequence[int] | None = None):
+        """Row s of the meet, join or rjoin table, read in place, or a list of its entries
+        at the columns `at`; the first missing entry read raises the accessor's GermError."""
+        table = self.opposite()._join if kind == "rjoin" else getattr(self, "_" + kind)
+        row = table[s] if at is None else _gather(table[s], at)
+        if -1 in row:
+            i = row.index(-1)
+            self._not_a_lattice(kind, s, i if at is None else at[i])
+        return row
+
+    # The four accessors read one entry each: a row check would scan n.
     def meet(self, s: int, t: int) -> int:
         """Greatest common prefix of two simples."""
         r = self._meet[s][t]

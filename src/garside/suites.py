@@ -9,10 +9,10 @@ other suites enumerate theirs.  A law of the actions that mirrors when G
 and H swap is stated once and read in both orientations.  Most
 simple-level laws are rows of cases read from whole tables (a
 composition of lookups is one itemgetter gather, an action a row or
-column of its step table) and compared by _compare_rows with one list
-equality; a row that differs is reported case by case in the law's own
-failure line.  A meet, join or rjoin row that a law reads raw is checked
-once per suite, and a missing entry raises the accessor's error.
+column of its step table) and compared by _compare_rows with one list or
+array equality; a row that differs is reported case by case in the law's
+own failure line.  Meet, join and rjoin rows are the germ's, read in
+place by Germ.lattice_row: a missing entry raises the accessor's error.
 Normality is 2-local, so `action-preserves-nf` and `push-lemma` walk the
 reachable states of a letter-to-letter transducer; `factor-closure` and
 `decomposition-uniqueness` check the divisors and factorisations of
@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from . import automata, element, normal_forms, quasicenter, zappa_szep
@@ -113,34 +114,14 @@ def _rand_element(g: Germ, rng: random.Random, max_len: int) -> NormalWord:
 # germ-level suites
 # ---------------------------------------------------------------------------
 
-class _Rows(dict):
-    """
-    The rows of g's meet, join or rjoin table, for laws that read them raw:
-    each row is checked once, on first use, and one holding a -1 (no meet
-    or join) raises the accessor's GermError.  `view` maps a checked row to
-    what the laws read.
-    """
-
-    def __init__(self, g: Germ, kind: str, view: Callable = lambda row: row):
-        super().__init__()
-        self.g, self.kind, self.view = g, kind, view
-        self.table = g.opposite()._join if kind == "rjoin" else getattr(g, "_" + kind)
-
-    def __missing__(self, s: int):
-        row = self.table[s]
-        if -1 in row:
-            self.g._not_a_lattice(self.kind, s, row.index(-1))
-        out = self[s] = self.view(row)
-        return out
-
-
 def _compare_rows(r: _Run, laws: Sequence[tuple], case: Callable[[int], tuple]) -> None:
     """One case per law and column: laws holds (label, lhs row, rhs row), and
     case(c) gives the arguments of column c; a law may add a fourth entry,
-    the order in which it names them.  Equal rows count their cases at
-    once; a row that differs is checked column by column, law by law.  A
-    label with {} fields is the failure line, filled with the names of the
-    arguments; any other is an r.eq label."""
+    the order in which it names them.  Both rows are lists or both arrays
+    (else they differ).  Equal rows count their cases at once; a row that
+    differs is checked column by column, law by law.  A label with {}
+    fields is the failure line, filled with the names of the arguments;
+    any other is an r.eq label."""
     if all(law[1] == law[2] for law in laws):
         r.cases += sum(len(law[1]) for law in laws)
         return
@@ -159,9 +140,9 @@ def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
     n = len(g)
     rows, inv, op = g.product_rows, g._row_inverses(), g.opposite()
     op_rows, op_inv = op.product_rows, op._row_inverses()
-    meet, join, rjoin = (list(map(_Rows(g, kind, list).__getitem__, range(n)))
+    meet, join, rjoin = ([g.lattice_row(kind, s) for s in range(n)]
                          for kind in ("meet", "join", "rjoin"))
-    meet_t, join_t = ([list(col) for col in zip(*table)] for table in (meet, join))
+    meet_t, join_t = ([array("i", col) for col in zip(*table)] for table in (meet, join))
     for s in range(n):
         ms, js, rs = meet[s], join[s], rjoin[s]
         # s\t = inv[s][s v t], and t/s is the u with u.s the right join
@@ -171,8 +152,8 @@ def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
             ("join-comm", js, join_t[s]),
             ("absorb-meet", _gather(ms, js), [s] * n),
             ("absorb-join", _gather(js, ms), [s] * n),
-            ("lcomp-join", list(map(rows[s].get, lc)), js),
-            ("rcomp-rjoin", list(map(op_rows[s].get, rc)), rs),
+            ("lcomp-join", list(map(rows[s].get, lc)), js.tolist()),
+            ("rcomp-rjoin", list(map(op_rows[s].get, rc)), rs.tolist()),
         ), lambda t: (s, t))
     for s in range(n):
         r.eq(g.rcomplement(g.complement(s)), s, "comp-inverse", s)
@@ -203,8 +184,8 @@ def suite_complements_lemma(r: _Run, g: Germ, opt: Options) -> None:
     columns that do not split are compared for every pair, the rest for (y, c'').
     """
     n, rows, inv, lens = len(g), g.product_rows, g._row_inverses(), g.atom_len
-    join, split = _Rows(g, "join"), {}  # split[s] = (x, s'')
-    lc = [_gather(inv[s], join[s]) for s in range(n)]  # lc[s][t] = s\t
+    split = {}  # split[s] = (x, s'')
+    lc = [_gather(inv[s], g.lattice_row("join", s)) for s in range(n)]  # lc[s][t] = s\t
     for s in set(range(n)) - {g.unit, *g.atoms}:
         for x in g.atoms:
             if rows[x].get(t := inv[x].get(s)) == s and 0 <= lens[t] < lens[s]:
@@ -291,9 +272,9 @@ def suite_quasicenter(r: _Run, g: Germ, opt: Options) -> None:
                 lambda a=a: f"{g.names[a]} does not divide its closure")
         r.check(g.left_divides(delta_of[a], g.delta),
                 lambda a=a: f"closure of {g.names[a]} is not simple-bounded")
-    join = _Rows(g, "join")
+    join = cache(partial(g.lattice_row, "join"))  # each row checked once
     for s in range(n):
-        js, jd = join[s], join[delta_of[s]]
+        js, jd = join(s), join(delta_of[s])
         _compare_rows(r, (("join-compatible", [delta_of[j] for j in js],
                            [jd[d] for d in delta_of]),), lambda t: (s, t))
     if g.atoms:
@@ -458,7 +439,7 @@ def suite_complement_transport(r: _Run, zs: ZSStructure, opt: Options) -> None:
                   ("transport-inv", _act_table(zs, ai, X, Y)))
         under = {}  # under[y1][y2] = y1\y2, from y1's join row and row inverse
         for y1 in Y:
-            joins = _gather(g._join[y1], Y)
+            joins = _gather(g._join[y1], Y)  # raw: a -1 goes to the cases, which pick the error
             row = -1 not in joins and _gather(inverses[y1], joins)
             if not row or not set(row).issubset(Y):
                 for y2 in Y:  # raises the error of the first case that cannot be read
@@ -519,13 +500,13 @@ def suite_poset_product(r: _Run, zs: ZSStructure, opt: Options) -> None:
 def suite_join_complement(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """The complement of one join under another, factor by factor."""
     g, G, H = zs.germ, zs.g_simples, zs.h_simples
-    join = _Rows(g, "join")
+    join = cache(partial(g.lattice_row, "join"))  # each row checked once
 
     def rows(g1, h1, joins):
         x, y, j1 = zs.act("lr-inv", g1, h1), zs.act("rr-inv", h1, g1), g.join(g1, h1)
-        a = [join[zs.act("rr-inv", x, g.lcomp(g1, g2))] for g2 in G]
+        a = [join(zs.act("rr-inv", x, g.lcomp(g1, g2))) for g2 in G]
         b = [zs.act("lr-inv", y, g.lcomp(h1, h2)) for h2 in H]
-        under, jr = g._row_inverses()[j1], join[j1]  # j1\j = under[jr[j]]
+        under, jr = g._row_inverses()[j1], join(j1)  # j1\j = under[jr[j]]
         return [("join-under", [under[jr[j]] for j in joins], [row[v] for row in a for v in b])]
 
     _factor_rows(r, zs, rows)
@@ -671,13 +652,13 @@ def suite_normal_form_criteria(r: _Run, zs: ZSStructure, opt: Options) -> None:
     hg = [g.product(h2, g2) for g2 in G for h2 in H]
     lr = [[zs.act("lr", g2, h2) for h2 in H] for g2 in G]  # a list per g2
     rr = [zs.act("rr", h2, g2) for g2 in G for h2 in H]
-    # one[s][t] is 1 if meet(s, t) is the unit, 0 if not
-    one = _Rows(g, "meet", lambda row: bytes(map(u.__eq__, row)))
+    # one(s)[t] is 1 if meet(s, t) is the unit, 0 if not; each row checked once
+    one = cache(lambda s: bytes(map(u.__eq__, g.lattice_row("meet", s))))
 
     def rows(g1, h1, joins):
         # complements: of join(g1, h1) and its factor parts, as in complement-of-join;
         # the criteria's, as in normal_forms.is_normal_*; of g1.h1 and h1.g1
-        c, a, b, p, q, s, t, k, m = [one[x] for x in (
+        c, a, b, p, q, s, t, k, m = [one(x) for x in (
             g.complement(g.join(g1, h1)), zs.comp_g(zs.act("rr-inv", h1, g1)),
             zs.comp_h(zs.act("lr-inv", g1, h1)), zs.comp_g(zs.act("ll", g1, h1)),
             zs.comp_h(h1), zs.comp_g(g1), zs.comp_h(zs.act("rl", h1, g1)),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from garside import GermError, parse_germ, element as el
+from garside import GermError, automata, parse_germ, element as el
 from garside.element import NormalWord
 from garside.germ import format_germ, make_germ
 
@@ -338,3 +338,21 @@ def test_successors_raise_the_error_of_normal_pair(b4, tamper, error):
     with pytest.raises(GermError) as by_rows:
         el._successors(g, alphabet)
     assert str(by_rows.value) == str(by_pairs.value) == error
+
+
+def test_successors_and_acceptors_read_no_meet_outside_their_letters(b4):
+    # A missing meet in a column that no letter reads raises nothing: at
+    # 2134 for the successors over an alphabet without it, and at delta in
+    # every complement's row for the proper acceptor, whose letters skip
+    # delta; the full acceptor reads that column and raises.
+    g = parse_germ(format_germ(b4))
+    skipped = g.simple("2134")
+    g._meet[g.complement(g.simple("1243"))][skipped] = -1
+    alphabet = [t for t in range(len(g)) if t not in (g.unit, skipped)]
+    assert el._successors(g, alphabet) == el._successors(b4, alphabet)
+    g = parse_germ(format_germ(b4))
+    for s in range(len(g)):
+        g._meet[g.complement(s)][g.delta] = -1
+    assert automata.build_nf_automaton(g, "proper") == automata.build_nf_automaton(b4, "proper")
+    with pytest.raises(GermError, match="germ is not a lattice$"):
+        automata.build_nf_automaton(g, "full")

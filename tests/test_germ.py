@@ -375,12 +375,22 @@ def test_make_germ_rejects_bad_input():
         make_germ(["1", "a|b"], "1", [])  # reserved character
 
 
-def test_lattice_accessors_reject_non_lattice():
+def _non_lattice():
     # Unvalidated: x = a.b = b.a and y = a.c = b.c both lie above a and b,
     # so x, y have no meet and a, b no join.  In the opposite germ these
     # become a missing suffix meet and suffix join.
-    g = make_germ(["1", "a", "b", "c", "x", "y"], "x",
-                  [("a", "b", "x"), ("b", "a", "x"), ("a", "c", "y"), ("b", "c", "y")])
+    return make_germ(["1", "a", "b", "c", "x", "y"], "x",
+                     [("a", "b", "x"), ("b", "a", "x"), ("a", "c", "y"), ("b", "c", "y")])
+
+
+def _error_text(read):
+    with pytest.raises(GermError) as raised:
+        read()
+    return str(raised.value)
+
+
+def test_lattice_accessors_reject_non_lattice():
+    g = _non_lattice()
     op = g.opposite()
     for germ, kind, s, t in ((g, "meet", "x", "y"), (g, "join", "a", "b"),
                              (op, "rmeet", "x", "y"), (op, "rjoin", "a", "b")):
@@ -394,6 +404,26 @@ def test_lattice_accessors_reject_non_lattice():
     assert g.meet(x, a) == a
     assert g.join(a, y) == y
     assert op.rjoin(a, x) == x
+    # lattice_row, whole or gathered, raises the accessor's text at the first
+    # missing entry in the order read: a second one, at column u, is set by
+    # hand, so the whole row stops at the lower index and a gather at the
+    # column it names first.  Columns that avoid both read without error.
+    for opposite, kind, s, t, u in ((False, "meet", "x", "y", "c"),
+                                    (False, "join", "a", "b", "c"),
+                                    (True, "rjoin", "a", "b", "c")):
+        h = _non_lattice()
+        germ = h.opposite() if opposite else h
+        s, t, u = (germ.simple(nm) for nm in (s, t, u))
+        (h._meet if kind == "meet" else h._join)[s][u] = -1
+        accessor = getattr(germ, kind)
+        low, high = sorted((t, u))
+        assert (_error_text(lambda: germ.lattice_row(kind, s))
+                == _error_text(lambda: accessor(s, low)))
+        assert (_error_text(lambda: germ.lattice_row(kind, s, [germ.unit, high, low]))
+                == _error_text(lambda: accessor(s, high)))
+        rest = [v for v in range(len(germ)) if v not in (t, u)]
+        assert germ.lattice_row(kind, s, rest[::-1]) == [accessor(s, v) for v in rest[::-1]]
+    assert g.lattice_row("meet", a) is g._meet[a]  # a whole row is the table's own
 
 
 def test_lattice_rows_refuse_an_index_outside_the_simples():

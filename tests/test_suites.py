@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,22 @@ def _agrees_with_oracle(suite, g, opt):
     sampled = [line for line in failures if line.startswith("element-")]
     assert [line for line in report.failures if line.startswith("element-")] == sampled
     return report
+
+
+def test_lattice_laws_read_the_germs_rows_in_place():
+    # 384 simples, so most entries are no cached small int: a list copy of
+    # the meet, join and rjoin tables and their two transposes holds an int
+    # object per entry, where the germ's rows hold C ints.  Traced, the copies
+    # peaked at about 15 MB and rows read in place at about 3.3 MB.
+    g = germ_from_spec("prod:braid:4,abelian:4")
+    g._row_inverses(), g.opposite()._row_inverses()
+    tracemalloc.start()
+    try:
+        assert run_suite("lattice-laws", g, Options(samples=0)).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7_000_000
 
 
 @pytest.mark.parametrize("suite", BY_CASES)
@@ -507,10 +524,11 @@ def test_fourfold_suites_agree_with_per_case_oracle_on_tampered_lattice(tamper, 
 
 def test_normal_form_criteria_raises_for_another_entry_than_its_oracle_on_two_missing():
     # A known difference, kept on purpose until ROADMAP item 14 settles it:
-    # _Rows checks a whole meet or join row on first use, where the per-case
-    # oracle reads one entry at a time, so with two unreadable entries the
-    # suite reports the meet that its row check meets first and the oracle
-    # the join that its first case reads.  Every single missing entry agrees.
+    # the suite checks a whole meet or join row through Germ.lattice_row when
+    # it first reads it, where the per-case oracle reads one entry at a time,
+    # so with two unreadable entries the suite reports the meet that its row
+    # check meets first and the oracle the join that its first case reads.
+    # Every single missing entry agrees.
     zs = _closure_zs("abelian:3", "e1")
     s = zs.germ.simple
     _unset(zs.germ._join, s("e2e3"), s("e2e3"))
