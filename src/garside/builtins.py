@@ -79,18 +79,9 @@ def free_abelian_germ(k: int) -> Germ:
     if not 0 <= k <= ABELIAN_MAX:
         raise ValueError(f"free_abelian_germ expects 0 <= k <= {ABELIAN_MAX}")
 
-    def name(mask: int) -> str:
-        if mask == 0:
-            return "1"
-        return "".join(f"e{i + 1}" for i in range(k) if (mask >> i) & 1)
-
     n = 1 << k
-    names = [name(m) for m in range(n)]
-    rows: list[dict[int, int]] = [dict() for _ in range(n)]
-    for s in range(n):
-        for t in range(n):
-            if s & t == 0:
-                rows[s][t] = s | t
+    names = ["".join(f"e{i + 1}" for i in range(k) if (m >> i) & 1) or "1" for m in range(n)]
+    rows = [{t: s | t for t in range(n) if s & t == 0} for s in range(n)]
     return Germ(tuple(names), n - 1, tuple(rows))
 
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from operator import and_, itemgetter
+from functools import reduce
+from itertools import combinations, repeat
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 # Characters that would collide with word syntax ('.'-words, '|'-normal
@@ -91,18 +92,26 @@ class _LatticeRows(dict):
     memory of lists of Python ints.  A key that is no simple is refused
     with KeyError, so a -1 entry read back as a row index fails loudly;
     Germ.lattice_row is the checked read of rows outside this module.
+    Given no lookup, as for joins, the first row reverses the byte order of
+    the masks and makes their lookup: an upper set holds delta, last in the
+    builtins, so two unreversed ones AND to a wide int, slow to hash.
     """
 
-    def __init__(self, masks: list[int], by_mask: dict[int, int]):
+    def __init__(self, masks: list[int], by_mask: dict[int, int] | None = None):
         super().__init__()
         self.masks = masks
-        self.by_mask = by_mask
+        self.tables = None if by_mask is None else (masks, by_mask)
 
     def __missing__(self, s: int) -> array:
         if not 0 <= s < len(self.masks):
             raise KeyError(s)
-        m = self.masks[s]
-        row = self[s] = array("i", [self.by_mask.get(m & x, -1) for x in self.masks])
+        if self.tables is None:  # one assignment, so a racing thread sees none or both
+            k = (len(self.masks) + 7) // 8
+            masks = [int.from_bytes(m.to_bytes(k, "big"), "little") for m in self.masks]
+            self.tables = masks, {m: i for i, m in enumerate(masks)}
+        masks, by_mask = self.tables
+        m = masks[s]
+        row = self[s] = array("i", [by_mask.get(m & x, -1) for x in masks])
         return row
 
 
@@ -141,10 +150,7 @@ class Germ:
             raise GermError("the unit must be present and be index 0, named '1'")
         if not 0 <= delta < n:
             raise GermError("delta index out of range")
-        self.names = names
-        self.unit = 0
-        self.delta = delta
-        self.product_rows = product_rows
+        self.names, self.unit, self.delta, self.product_rows = names, 0, delta, product_rows
         self.name_index: dict[str, int] = {nm: i for i, nm in enumerate(names)}
 
         # Divisibility bitmasks.  ldiv[t] holds s iff s.u = t for some u;
@@ -158,25 +164,19 @@ class Germ:
                 ldiv[u] |= bit
                 above |= 1 << u
             lupper[s] = above
-        self.ldiv = ldiv
-        self.lupper = lupper
-
-        unit_mask = 1 << 0
-        self.atoms: tuple[int, ...] = tuple(
-            s for s in range(1, n) if ldiv[s] == unit_mask | (1 << s)
-        )
+        self.ldiv, self.lupper = ldiv, lupper
+        self.atoms: tuple[int, ...] = tuple(s for s in range(1, n) if ldiv[s] == 1 | 1 << s)
 
         # Inverted product rows, _row_inv[s][v] = t with s.t = v, are built
         # on first use by _row_inverses().  Cancellativity makes them well
         # defined; validation flags germs where they are not.
         self._row_inv: list[dict[int, int]] | None = None
 
-        comp = [-1] * n
+        self._comp = comp = [-1] * n
         for s, row in enumerate(product_rows):
             for t, v in row.items():
                 if v == delta:
                     comp[s] = t
-        self._comp = comp
 
         # A simple is pinned down by its divisor set, so meets and joins
         # are mask-intersection lookups.
@@ -190,7 +190,7 @@ class Germ:
         self._memo: dict = {}  # cross-module caches (quasi-central closures etc.)
 
         self._meet = _LatticeRows(ldiv, self._by_ldiv)
-        self._join = _LatticeRows(lupper, self._by_lupper)
+        self._join = _LatticeRows(lupper)
 
     def _row_inverses(self) -> list[dict[int, int]]:
         """
@@ -430,6 +430,9 @@ def parse_germ(text: str) -> Germ:
 
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if header_seen and raw.startswith("prod ") and "#" not in raw and len(w := raw.split()) == 4:
+            triples.append((w[1], w[2], w[3], lineno))  # a plain product line, checked in bulk below
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -473,12 +476,15 @@ def parse_germ(text: str) -> Germ:
     if delta_name not in name_set:
         raise GermSyntaxError(1, f"delta {delta_name!r} is not a listed simple")
 
-    defined: set[tuple[str, str]] = set()
-    for sn, tn, un, lineno in triples:
-        try:
-            _check_entry(defined, name_set, sn, tn, un)
-        except GermError as e:
-            raise GermSyntaxError(lineno, str(e)) from None
+    left, right, out, _ = zip(*triples) if triples else ((),) * 4
+    if ("1" in left or "1" in right or len(set(zip(left, right))) < len(triples)
+            or not name_set.issuperset(left + right + out)):
+        defined: set[tuple[str, str]] = set()  # the entries one by one, for the first error's line
+        for sn, tn, un, lineno in triples:
+            try:
+                _check_entry(defined, name_set, sn, tn, un)
+            except GermError as e:
+                raise GermSyntaxError(lineno, str(e)) from None
     return _assemble(names, delta_name, triples, validate=True)
 
 
@@ -499,9 +505,11 @@ def validate_germ(g: Germ) -> ValidationReport:
     associativity, cancellativity, the two complement bijections, the
     balanced Garside element, the lattice property of both divisibility
     orders, and atom generation.  Failures carry witnesses; nothing raises.
-    Associativity skips triples with a unit letter when the unit laws hold.
-    The lattice check asks for meets only (_is_lattice); if delta is not
-    on top, or the order or a meet fails, it scans all four kinds of bound.
+    Associativity skips triples with a unit letter when the unit laws hold;
+    cancellativity scans only a table with a repeated value in a row of g
+    or of its opposite.  The lattice check asks for meets only, of pairs of
+    lower covers where it can (_is_lattice); if delta is not on top, or the
+    order or a meet fails, it scans all four kinds of bound.
     """
     return ValidationReport([CheckResult(axiom, *check(g)) for axiom, check in (
         ("identity", _check_identity), ("associativity", _check_associativity),
@@ -549,6 +557,9 @@ def _check_associativity(g: Germ) -> tuple[bool, str | None]:
 
 
 def _check_cancellativity(g: Germ) -> tuple[bool, str | None]:
+    # distinct values in each row of g and of its opposite, else a scan for the witness
+    if all(len(set(row.values())) == len(row) for h in (g, g.opposite()) for row in h.product_rows):
+        return True, None
     nm = g.names
     for s, row in enumerate(g.product_rows):
         seen: dict[int, int] = {}
@@ -595,11 +606,24 @@ def _check_balanced(g: Germ) -> tuple[bool, str | None]:
 def _is_lattice(h: Germ, top: int) -> bool:
     """Divisibility, already reflexive, is a partial order with `top` above
     all and a meet for any two simples.  Joins follow: that of s and t is
-    the meet of their common upper bounds, a set holding `top`."""
+    the meet of their common upper bounds, a set holding `top`.  With the
+    unit below all too, only two lower covers of one simple need a meet (the
+    dual of Lemma 2.1 in Bjorner, Edelman and Ziegler, Discrete Comput.
+    Geom. 5, 1990): the d with d.a = z for an atom a hold those of z, and no
+    simple outside its strict down-set, if their down-sets make that set."""
     ld, lu, n = h.ldiv, h.lupper, len(h)
-    return (all(ld[t] & lu[t] == 1 << t for t in range(n)) and ld[top] == (1 << n) - 1
-            and not any(ld[s] & ~ld[v] for s, row in enumerate(h.product_rows) for v in row.values())
-            and all(h._by_ldiv.keys() >= set(map(and_, repeat(m), ld[s:])) for s, m in enumerate(ld)))
+    if not (all(ld[t] & lu[t] == 1 << t for t in range(n)) and ld[top] == (1 << n) - 1
+            and not any(ld[s] & ~ld[v] for s, row in enumerate(h.product_rows) for v in row.values())):
+        return False
+    below: list[list[int]] = [[] for _ in ld]
+    for d, row in enumerate(h.product_rows):
+        for a in h.atoms:
+            if (z := row.get(a)) is not None:
+                below[z].append(d)
+    if all(m & 1 for m in ld) and all(reduce(or_, map(ld.__getitem__, ds), 0) == ld[z] ^ 1 << z
+                                      for z, ds in enumerate(below)):
+        return all(ld[c] & ld[d] in h._by_ldiv for ds in below for c, d in combinations(ds, 2))
+    return all(h._by_ldiv.keys() >= set(map(and_, repeat(m), ld[s:])) for s, m in enumerate(ld))
 
 
 def _check_lattice(g: Germ) -> tuple[bool, str | None]:

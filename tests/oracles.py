@@ -1167,11 +1167,12 @@ def germ_spec_by_splits(text: str):
 def validate_germ_by_scans(g):
     """validate_germ as it was before its row-at-a-time checks: associativity
     and the lattice axioms scanned triple by triple and pair by pair, with
-    every product read through g.product and every join looked up."""
+    every product read through g.product and every join looked up, and
+    cancellativity scanned row by row and column by column."""
     from garside import germ
 
     checks = (("identity", germ._check_identity), ("associativity", _associativity_by_triples),
-              ("cancellativity", germ._check_cancellativity),
+              ("cancellativity", _cancellativity_by_scans),
               ("complements", germ._check_complements), ("balanced-delta", germ._check_balanced),
               ("lattice", _lattice_by_pairs), ("atoms", germ._check_atoms))
     return germ.ValidationReport([germ.CheckResult(axiom, *check(g)) for axiom, check in checks])
@@ -1203,6 +1204,32 @@ def _associativity_by_triples(g):
                 if g.product(st, u) != s_tu:
                     return False, f"{nm[s]}.({nm[t]}.{nm[u]}) defined but disagrees with ({nm[s]}.{nm[t]}).{nm[u]}"
     return True, None
+
+
+def _cancellativity_by_scans(g):
+    nm = g.names
+    for s, row in enumerate(g.product_rows):
+        seen = {}
+        for t, u in row.items():
+            if u in seen:
+                return False, f"{nm[s]}.{nm[seen[u]]} = {nm[s]}.{nm[t]} = {nm[u]}"
+            seen[u] = t
+    cols = [{} for _ in range(len(g))]
+    for t, row in enumerate(g.product_rows):
+        for s, u in row.items():
+            if u in cols[s]:
+                return False, f"{nm[cols[s][u]]}.{nm[s]} = {nm[t]}.{nm[s]} = {nm[u]}"
+            cols[s][u] = t
+    return True, None
+
+
+def is_lattice_by_meets(h, top):
+    """germ._is_lattice before its lower-cover test: the order tests, then a
+    meet for every pair of simples, one row of mask intersections at a time."""
+    ld, lu, n = h.ldiv, h.lupper, len(h)
+    return (all(ld[t] & lu[t] == 1 << t for t in range(n)) and ld[top] == (1 << n) - 1
+            and not any(ld[s] & ~ld[v] for s, row in enumerate(h.product_rows) for v in row.values())
+            and all(h._by_ldiv.keys() >= {m & x for x in ld[s:]} for s, m in enumerate(ld)))
 
 
 def _lattice_by_pairs(g):
