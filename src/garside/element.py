@@ -211,7 +211,9 @@ def multiply(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
 
 
 def atom_length(g: Germ, w: NormalWord) -> int:
-    """Length of w as a product of atoms (germs here are homogeneous)."""
+    """The atom_len of w's letters, summed.  In a homogeneous germ, where atom_len
+    adds up over the product table, every atom word of w has this length; otherwise
+    the atom words of one element may differ in length, as a.a and b.b.b."""
     return w.deltas * g.atom_len[g.delta] + sum(g.atom_len[f] for f in w.factors)
 
 
@@ -307,9 +309,13 @@ def gcd(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
 
 
 def _divide_head(g: Germ, x: NormalWord, h: int, a: int) -> NormalWord:
-    """a^-1.x for a prefix a of the head h of x: (a\\h) times the rest of x."""
+    """a^-1.x for a prefix a of the head h of x: (a\\h) times the rest of x.  In a
+    valid germ a\\h has fewer atoms than h, as atom_len counts the longest atom word."""
     rest = NormalWord(x.deltas - 1, x.factors) if x.deltas else NormalWord(0, x.factors[1:])
-    return multiply(g, simple(g, g.lcomp(a, h)), rest)
+    if g.atom_len[t := g.lcomp(a, h)] >= g.atom_len[h]:
+        raise GermError(f"{g.names[a]}\\{g.names[h]} is {g.names[t]}, no shorter than "
+                        f"{g.names[h]}: germ is not valid")
+    return multiply(g, simple(g, t), rest)
 
 
 def divides(g: Germ, x: NormalWord, y: NormalWord) -> bool:

@@ -3,9 +3,11 @@ suites: named property suites over germs and decompositions.
 
 Each suite checks the simple-level quantifiers of one family of
 structural identities and samples the word-level variants with a seeded
-generator.  `complements-lemma` compares only the cases that an
-induction on atoms cannot carry, for the verdict of all of them; the
-other suites enumerate theirs.  A law of the actions that mirrors when G
+generator.  A suite compares two independent code paths: a law that holds
+by construction of the tables it reads, or that another suite states, is
+not compared, and the suite's docstring says why.  `complements-lemma`
+compares only the cases that an induction on atoms cannot carry, for the
+verdict of all of them; the other suites enumerate theirs.  A law of the actions that mirrors when G
 and H swap is stated once and read in both orientations.  Most
 simple-level laws are rows of cases read from whole tables (a
 composition of lookups is one itemgetter gather, an action a row or
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 import random
 import time
-from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cache, partial
+from operator import getitem
 from typing import Callable, Sequence
 
 from . import automata, element, normal_forms, quasicenter, zappa_szep
@@ -136,36 +138,29 @@ def _compare_rows(r: _Run, laws: Sequence[tuple], case: Callable[[int], tuple]) 
 
 
 def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
-    """Commutativity, absorption and associativity of the lattice ops; complement laws."""
-    n = len(g)
+    """Absorption and the complement laws, a row at a time: meet rows (prefix masks)
+    against join rows (upper-set masks) at both arguments of the join, join and rjoin
+    rows against the product rows through their inverses.  Commutativity and
+    associativity are not compared: an entry is the simple of an AND of two masks,
+    so they hold for any table.  Rows are read whole: a missing entry raises."""
+    n, cols = len(g), list(range(len(g)))
     rows, inv, op = g.product_rows, g._row_inverses(), g.opposite()
     op_rows, op_inv = op.product_rows, op._row_inverses()
-    meet, join, rjoin = ([g.lattice_row(kind, s) for s in range(n)]
+    meet, join, rjoin = ([g.lattice_row(kind, s) for s in cols]
                          for kind in ("meet", "join", "rjoin"))
-    meet_t, join_t = ([array("i", col) for col in zip(*table)] for table in (meet, join))
-    for s in range(n):
+    for s in cols:
         ms, js, rs = meet[s], join[s], rjoin[s]
         # s\t = inv[s][s v t], and t/s is the u with u.s the right join
         lc, rc = _gather(inv[s], js), _gather(op_inv[s], rs)
         _compare_rows(r, (
-            ("meet-comm", ms, meet_t[s]),
-            ("join-comm", js, join_t[s]),
             ("absorb-meet", _gather(ms, js), [s] * n),
+            ("absorb-meet-right", list(map(getitem, _gather(meet, js), cols)), cols),
             ("absorb-join", _gather(js, ms), [s] * n),
             ("lcomp-join", list(map(rows[s].get, lc)), js.tolist()),
             ("rcomp-rjoin", list(map(op_rows[s].get, rc)), rs.tolist()),
         ), lambda t: (s, t))
-    for s in range(n):
+    for s in cols:
         r.eq(g.rcomplement(g.complement(s)), s, "comp-inverse", s)
-    if n <= 24:
-        triples = [(s, t, u) for s in range(n) for t in range(n) for u in range(n)]
-    else:
-        rng = opt.rng()
-        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(opt.samples)]
-    for s, t, u in triples:
-        r.eq(g.meet(g.meet(s, t), u), g.meet(s, g.meet(t, u)), "meet-assoc", s, t, u)
-        r.eq(g.join(g.join(s, t), u), g.join(s, g.join(t, u)), "join-assoc", s, t, u)
 
 
 def suite_complements_lemma(r: _Run, g: Germ, opt: Options) -> None:
@@ -237,9 +232,10 @@ def suite_normal_form_confluence(r: _Run, g: Germ, opt: Options) -> None:
 
 
 def suite_element_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
-    """gcd/lcm laws at element level, plus suffix-order sanity."""
-    rng = opt.rng()
-    unit = element.UNIT
+    """gcd/lcm laws of elements, suffix-order sanity, and length-additive if homogeneous."""
+    rng, unit, lens = opt.rng(), element.UNIT, g.atom_len
+    homogeneous = all(lens[st] == lens[s] + lens[t]
+                      for s, row in enumerate(g.product_rows) for t, st in row.items())
     for _ in range(opt.samples):
         x, y, z = (_rand_element(g, rng, opt.max_len) for _ in range(3))
         gcd, lcm = element.gcd(g, x, y), element.lcm(g, x, y)
@@ -257,10 +253,10 @@ def suite_element_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
         r.check(element.rdivides(g, x, element.rlcm(g, x, y)),
                 lambda: f"rlcm not a right multiple: {r._show(x)}, {r._show(y)}")
         r.eq(element.rgcd(g, x, unit), unit, "rgcd-unit", x)
-        xy = element.multiply(g, x, y)
-        r.eq(element.atom_length(g, xy),
-             element.atom_length(g, x) + element.atom_length(g, y),
-             "length-additive", x, y, show=str)
+        if homogeneous:
+            r.eq(element.atom_length(g, element.multiply(g, x, y)),
+                 element.atom_length(g, x) + element.atom_length(g, y),
+                 "length-additive", x, y, show=str)
 
 
 def suite_quasicenter(r: _Run, g: Germ, opt: Options) -> None:
@@ -327,40 +323,40 @@ def _act_table(zs: ZSStructure, name: str, X: Sequence[int], Y: Sequence[int]) -
 def _product_laws(r: _Run, zs: ZSStructure, X, Y, member, tables, laws) -> None:
     """A row over Y per product x1.x2 = k in X of the forms A[k] = A[x1] A[x2], B[k] y =
     B[x1](A[x2] y).B[x2] y, D[k] = D[x2] D[x1] and C[k] y = C[x1] y.C[x2](D[x1] y) of
-    tables (A, B, C, D), compared as laws (label, form index, [argument order])."""
+    tables (A, B, C, D), each gathered if a law (label, form index, [order]) names it."""
     pr, (A, B, C, D) = zs.germ.product_rows, tables
     for x1, x2, k in [(x1, x2, k) for x1 in X for x2 in X
                       if (k := pr[x1].get(x2)) is not None and member(k)]:
         a2, d1 = A[x2].values(), D[x1].values()
-        forms = (([*A[k].values()], _gather(A[x1], a2)),
-                 ([*B[k].values()], list(map(dict.get, _gather(pr, _gather(B[x1], a2)),
-                                             B[x2].values()))),
-                 ([*D[k].values()], _gather(D[x2], d1)),
-                 ([*C[k].values()], list(map(dict.get, _gather(pr, C[x1].values()),
-                                             _gather(C[x2], d1)))))
-        _compare_rows(r, [(label, *forms[i], *order) for label, i, *order in laws],
+        forms = (lambda: ([*A[k].values()], _gather(A[x1], a2)),
+                 lambda: ([*B[k].values()], list(map(dict.get, _gather(pr, _gather(B[x1], a2)),
+                                                     B[x2].values()))),
+                 lambda: ([*D[k].values()], _gather(D[x2], d1)),
+                 lambda: ([*C[k].values()], list(map(dict.get, _gather(pr, C[x1].values()),
+                                                     _gather(C[x2], d1)))))
+        _compare_rows(r, [(label, *forms[i](), *order) for label, i, *order in laws],
                       lambda j: (x1, x2, Y[j]))
 
 
 def suite_action_laws(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """Associativity and product rules of the four actions, plus word forms."""
+    """Associativity and product rules of the four actions: a product's row of
+    its step table against its factors' rows and the product table; at word
+    level, act_word against element.multiply in h.g = (h |> g)(h <| g).  Word
+    associativity is not compared: act_word on xw + xw2 reads the steps that it
+    reads on xw after xw2, in the same order."""
     g, orientations = zs.germ, _orientations(zs)
     for X, Y, member, (a, b, c, d, *_) in orientations:
         _product_laws(r, zs, X, Y, member, [_act_table(zs, name, X, Y) for name in (a, b, c, d)],
                       [(f"{a}-assoc", 0), (f"{b}-product", 1), (f"{d}-assoc", 2, (2, 0, 1)),
                        (f"{c}-product", 3, (2, 0, 1))])
-    words = [(a, b, f"{a}-word-assoc", f"word-defining-{a}") for *_, (a, b, *_) in orientations]
     rng, act, nf = opt.rng(), partial(zappa_szep.act_word, zs), partial(element.normal_form, g)
     for _ in range(opt.samples):
-        hw, hw2, gw, gw2 = (_rand_word(rng, S, opt.max_len)
-                            for S in (zs.h_simples, zs.h_simples, zs.g_simples, zs.g_simples))
+        hw, gw = (_rand_word(rng, S, opt.max_len) for S in (zs.h_simples, zs.g_simples))
         he, ge = nf(hw), nf(gw)
-        for (xw, xw2, yw, xe, ye), (a, b, assoc, defining) in zip(
-                ((hw, hw2, gw, he, ge), (gw, gw2, hw, ge, he)), words):
-            r.eq(act(a, xw + xw2, yw), act(a, xw, act(a, xw2, yw)), assoc, xw, xw2, yw)
-            # the defining equation at word level: h.g = (h |> g)(h <| g)
-            r.eq(element.multiply(g, xe, ye),
-                 element.multiply(g, nf(act(a, xw, yw)), nf(act(b, xw, yw))), defining, xw, yw)
+        for (xw, yw, xe, ye), (*_, (a, b, *_)) in zip(((hw, gw, he, ge), (gw, hw, ge, he)),
+                                                      orientations):
+            r.eq(element.multiply(g, xe, ye), element.multiply(
+                g, nf(act(a, xw, yw)), nf(act(b, xw, yw))), f"word-defining-{a}", xw, yw)
 
 
 def suite_identity_detection(r: _Run, zs: ZSStructure, opt: Options) -> None:
@@ -374,21 +370,27 @@ def suite_identity_detection(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 
 def suite_round_trip(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """Rewriting GH to HG and back is the identity, and so is HG to GH and back."""
-    act = zs.act
+    """GH to HG and back, and HG to GH and back, give the words again, for
+    opt.samples seeded pairs: act_word's rightward carry (rr, lr) against its
+    leftward one (rl, ll).  On simples the round trip is not compared: the step
+    tables are read off gh_pair and hg_pair, inverse maps of the product."""
     laws = [(*names[:4], *labels) for (*_, names), labels in zip(_orientations(zs), (
         ("gh-hg-gh-g", "gh-hg-gh-h"), ("hg-gh-hg-h", "hg-gh-hg-g")))]
-    for gs in zs.g_simples:
-        for hs in zs.h_simples:
-            for (y, x), (a, b, c, d, to_y, to_x) in zip(((gs, hs), (hs, gs)), laws):
-                x2, y2 = act(c, y, x), act(d, y, x)  # y.x = x2.y2
-                r.eq(act(a, x2, y2), y, to_y, y, x)
-                r.eq(act(b, x2, y2), x, to_x, y, x)
+    rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
+    for _ in range(opt.samples):
+        gw, hw = (_rand_word(rng, S, opt.max_len) for S in (zs.g_simples, zs.h_simples))
+        for (y, x), (a, b, c, d, to_y, to_x) in zip(((gw, hw), (hw, gw)), laws):
+            x2, y2 = act(c, y, x), act(d, y, x)  # y.x = x2.y2
+            r.eq(act(a, x2, y2), y, to_y, y, x)
+            r.eq(act(b, x2, y2), x, to_x, y, x)
 
 
 def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """Identities mixing the actions with their inverse permutations; the
-    inverses' product rules are action-laws' for (d, b, c, a)^-1."""
+    """The inverse step tables, which build inverts row by row, against the
+    forward ones: the mixes, the inverses' product rules (action-laws' for
+    (d, b, c, a)^-1), and word round trips through act_word's actor order.  The
+    inverses' associativity is not compared: it is action-laws' {a}-assoc and
+    {d}-assoc with the permutations inverted."""
     H, orientations = zs.h_simples, _orientations(zs)
     tables = [[_act_table(zs, name, X, Y) for name in names] for X, Y, _, names in orientations]
     # per orientation, both sides of its two mixed laws as [x][y] over X and Y
@@ -403,8 +405,7 @@ def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
                           ("inv-mix-3", m3, n3), ("inv-mix-4", m4, n4)), lambda j: (gs, H[j]))
     for (X, Y, member, (a, b, c, d, *_)), (*_, ai, bi, ci, di) in zip(orientations, tables):
         _product_laws(r, zs, X, Y, member, (di, bi, ci, ai),
-                      [(f"inv-{a}-assoc", 2), (f"inv-{d}-assoc", 0, (2, 0, 1)),
-                       (f"inv-{c}-product", 3, (2, 0, 1)), (f"inv-{b}-product", 1)])
+                      [(f"inv-{c}-product", 3, (2, 0, 1)), (f"inv-{b}-product", 1)])
     words = [(a, b, ai, bi, f"word-{a}-roundtrip", f"word-{b}-roundtrip")
              for *_, (a, b, _, _, ai, bi, _, _) in orientations]
     rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
@@ -454,21 +455,18 @@ def suite_complement_transport(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 
 def suite_lcm_formula(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """lcm(g, h) = g.(g^-1 |>> h) = h.(h^-1 |> g), injectively."""
-    g, G, H = zs.germ, zs.g_simples, zs.h_simples
-    seen: dict[int, tuple[int, int]] = {}
-    for gs in G:
-        for hs in H:
+    """lcm(g, h) = g.(g^-1 |>> h) = h.(h^-1 |> g): the join and rjoin tables
+    against the product and inverse step tables.  Injectivity of (g, h) -> join
+    is not compared: poset-product makes it an order isomorphism onto its image,
+    injective by antisymmetry, which validate checks."""
+    g = zs.germ
+    for gs in zs.g_simples:
+        for hs in zs.h_simples:
             j = g.join(gs, hs)
             r.eq(g.product(gs, zs.act("lr-inv", gs, hs)), j, "lcm-gh", gs, hs)
             r.eq(g.product(hs, zs.act("rr-inv", hs, gs)), j, "lcm-hg", gs, hs)
             r.eq(g.rjoin(zs.act("rr-inv", hs, gs), zs.act("lr-inv", gs, hs)), j,
                  "lcm-suffix", gs, hs)
-            first = seen.setdefault(j, (gs, hs))
-            r.check(first == (gs, hs), lambda: "join {} reached from both ({}, {}) and ({}, {})"
-                    .format(*(g.names[s] for s in (j, *first, gs, hs))))
-    r.check(len(seen) == len(G) * len(H),
-            lambda: "(g, h) -> join(g, h) is not injective")
 
 
 def _factor_rows(r: _Run, zs: ZSStructure, rows: Callable) -> None:
@@ -513,22 +511,16 @@ def suite_join_complement(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 
 def suite_delta_invariance(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """The factor Garside elements are fixed and simples map to simples."""
-    g, act = zs.germ, zs.act
-    laws = []
-    for (X, _, _, (a, _, _, d, ai, _, _, di)), (side, delta, member) in zip(_orientations(zs), (
-            ("G", zs.delta_g, zs.member_g), ("H", zs.delta_h, zs.member_h))):
-        fixes = f"{a}-fixes-delta{side}", f"{d}-fixes-delta{side}"
+    """Each action fixes the delta of the factor it acts on: the step tables against
+    delta_G and delta_H, joins of factor simples.  That simples map to simples is not
+    compared: a step output is part of a gh_pair or hg_pair entry, drawn from G x H, or
+    a forward row's key, and build checks that delta_G and delta_H divide just those."""
+    act = zs.act
+    for (X, _, _, (a, _, _, d, *_)), side, delta in zip(_orientations(zs), "GH",
+                                                        (zs.delta_g, zs.delta_h)):
         for x in X:
-            r.eq(act(a, x, delta), delta, fixes[0], x)
-            r.eq(act(d, delta, x), delta, fixes[1], x)
-        laws.append((a, ai, d, di, member, f"{side}-simples not preserved at "))
-    for hs in zs.h_simples:
-        for gs in zs.g_simples:
-            for (x, y), (a, ai, d, di, member, fails) in zip(((hs, gs), (gs, hs)), laws):
-                r.check(member(act(a, x, y)) and member(act(ai, x, y))
-                        and member(act(d, y, x)) and member(act(di, y, x)),
-                        lambda: f"{fails}({g.names[hs]}, {g.names[gs]})")
+            r.eq(act(a, x, delta), delta, f"{a}-fixes-delta{side}", x)
+            r.eq(act(d, delta, x), delta, f"{d}-fixes-delta{side}", x)
 
 
 def suite_complement_action(r: _Run, zs: ZSStructure, opt: Options) -> None:

@@ -640,13 +640,15 @@ def elements_by_levels(g, max_len: int):
 # -- the germ-level laws, one case at a time ----------------------------------------
 
 def lattice_laws_by_cases(r, g, opt):
-    """The lattice-laws suite with one r.eq per case: the reference for its rows."""
+    """Every lattice law with one r.eq per case, commutativity and associativity
+    included: the reference for the lattice-laws suite's verdict and failure lines."""
     n = len(g)
     for s in range(n):
         for t in range(n):
             r.eq(g.meet(s, t), g.meet(t, s), "meet-comm", s, t)
             r.eq(g.join(s, t), g.join(t, s), "join-comm", s, t)
             r.eq(g.meet(s, g.join(s, t)), s, "absorb-meet", s, t)
+            r.eq(g.meet(g.join(s, t), t), t, "absorb-meet-right", s, t)
             r.eq(g.join(s, g.meet(s, t)), s, "absorb-join", s, t)
             r.eq(g.product(s, g.lcomp(s, t)), g.join(s, t), "lcomp-join", s, t)
             pr = g.product(g.rcomp(s, t), s)
@@ -833,13 +835,7 @@ def action_laws_by_cases(r, zs, opt):
     rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
     for _ in range(opt.samples):
         hw = _rand_word(rng, H, opt.max_len)
-        hw2 = _rand_word(rng, H, opt.max_len)
         gw = _rand_word(rng, G, opt.max_len)
-        gw2 = _rand_word(rng, G, opt.max_len)
-        r.eq(act("rr", hw + hw2, gw), act("rr", hw, act("rr", hw2, gw)),
-             "rr-word-assoc", hw, hw2, gw)
-        r.eq(act("lr", gw + gw2, hw), act("lr", gw, act("lr", gw2, hw)),
-             "lr-word-assoc", gw, gw2, hw)
         # the defining equation at word level: h.g = (h |> g)(h <| g)
         he = element.normal_form(g, hw)
         ge = element.normal_form(g, gw)
@@ -875,10 +871,6 @@ def inverse_interplay_by_cases(r, zs, opt):
                  "inv-mix-4", gs, hs)
     for h1, h2, k in _closed_products(g, H, zs.member_h):
         for gs in G:
-            r.eq(zs.act("rr-inv", k, gs),
-                 zs.act("rr-inv", h2, zs.act("rr-inv", h1, gs)), "inv-rr-assoc", h1, h2, gs)
-            r.eq(zs.act("ll-inv", gs, k),
-                 zs.act("ll-inv", zs.act("ll-inv", gs, h2), h1), "inv-ll-assoc", gs, h1, h2)
             r.eq(zs.act("lr-inv", gs, k),
                  g.product(zs.act("lr-inv", gs, h1),
                            zs.act("lr-inv", zs.act("rr-inv", h1, gs), h2)),
@@ -889,10 +881,6 @@ def inverse_interplay_by_cases(r, zs, opt):
                  "inv-rl-product", h1, h2, gs)
     for g1, g2, k in _closed_products(g, G, zs.member_g):
         for hs in H:
-            r.eq(zs.act("lr-inv", k, hs),
-                 zs.act("lr-inv", g2, zs.act("lr-inv", g1, hs)), "inv-lr-assoc", g1, g2, hs)
-            r.eq(zs.act("rl-inv", hs, k),
-                 zs.act("rl-inv", zs.act("rl-inv", hs, g2), g1), "inv-rl-assoc", hs, g1, g2)
             r.eq(zs.act("rr-inv", hs, k),
                  g.product(zs.act("rr-inv", hs, g1),
                            zs.act("rr-inv", zs.act("lr-inv", g1, hs), g2)),
@@ -912,43 +900,35 @@ def inverse_interplay_by_cases(r, zs, opt):
 
 
 def round_trip_by_cases(r, zs, opt):
-    """The round-trip suite with GH -> HG -> GH and HG -> GH -> HG written out:
-    the reference for the law stated once per orientation."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for gs in G:
-        for hs in H:
-            h2 = zs.act("lr", gs, hs)
-            g2 = zs.act("ll", gs, hs)
-            r.eq(zs.act("rr", h2, g2), gs, "gh-hg-gh-g", gs, hs)
-            r.eq(zs.act("rl", h2, g2), hs, "gh-hg-gh-h", gs, hs)
-            g3 = zs.act("rr", hs, gs)
-            h3 = zs.act("rl", hs, gs)
-            r.eq(zs.act("lr", g3, h3), hs, "hg-gh-hg-h", hs, gs)
-            r.eq(zs.act("ll", g3, h3), gs, "hg-gh-hg-g", hs, gs)
+    """The round-trip suite with GH -> HG -> GH and HG -> GH -> HG written out
+    for each sampled pair of words: the reference for the law stated once per
+    orientation."""
+    from functools import partial
+
+    from garside import zappa_szep
+    from garside.suites import _rand_word
+
+    rng, act = opt.rng(), partial(zappa_szep.act_word, zs)
+    for _ in range(opt.samples):
+        gw = _rand_word(rng, zs.g_simples, opt.max_len)
+        hw = _rand_word(rng, zs.h_simples, opt.max_len)
+        h2, g2 = act("lr", gw, hw), act("ll", gw, hw)
+        r.eq(act("rr", h2, g2), gw, "gh-hg-gh-g", gw, hw)
+        r.eq(act("rl", h2, g2), hw, "gh-hg-gh-h", gw, hw)
+        g3, h3 = act("rr", hw, gw), act("rl", hw, gw)
+        r.eq(act("lr", g3, h3), hw, "hg-gh-hg-h", hw, gw)
+        r.eq(act("ll", g3, h3), gw, "hg-gh-hg-g", hw, gw)
 
 
 def delta_invariance_by_cases(r, zs, opt):
     """The delta-invariance suite with its laws on G and on H written out: the
     reference for the laws stated once per orientation."""
-    g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    for hs in H:
+    for hs in zs.h_simples:
         r.eq(zs.act("rr", hs, zs.delta_g), zs.delta_g, "rr-fixes-deltaG", hs)
         r.eq(zs.act("ll", zs.delta_g, hs), zs.delta_g, "ll-fixes-deltaG", hs)
-    for gs in G:
+    for gs in zs.g_simples:
         r.eq(zs.act("rl", zs.delta_h, gs), zs.delta_h, "rl-fixes-deltaH", gs)
         r.eq(zs.act("lr", gs, zs.delta_h), zs.delta_h, "lr-fixes-deltaH", gs)
-    for hs in H:
-        for gs in G:
-            r.check(zs.member_g(zs.act("rr", hs, gs)) and zs.member_g(zs.act("rr-inv", hs, gs))
-                    and zs.member_g(zs.act("ll", gs, hs))
-                    and zs.member_g(zs.act("ll-inv", gs, hs)),
-                    lambda hs=hs, gs=gs: f"G-simples not preserved at ({g.names[hs]}, {g.names[gs]})")
-            r.check(zs.member_h(zs.act("rl", hs, gs)) and zs.member_h(zs.act("rl-inv", hs, gs))
-                    and zs.member_h(zs.act("lr", gs, hs))
-                    and zs.member_h(zs.act("lr-inv", gs, hs)),
-                    lambda hs=hs, gs=gs: f"H-simples not preserved at ({g.names[hs]}, {g.names[gs]})")
 
 
 def complement_action_by_cases(r, zs, opt):

@@ -1,10 +1,11 @@
 import random
+import signal
 
 import pytest
 
-from garside import GermError, automata, parse_germ, element as el
+from garside import GermError, automata, build, parse_germ, wreath_example_germ, element as el
 from garside.element import NormalWord
-from garside.germ import format_germ, make_germ
+from garside.germ import Germ, format_germ, make_germ
 
 from oracles import (AbelianModel, BraidModel, FixpointArithmetic, ProductModel,
                      WreathModel, model_check)
@@ -318,6 +319,30 @@ def test_sweep_keeps_germ_errors():
     with pytest.raises(GermError, match="not a bijection"):
         el.multiply(g, el.simple(g, g.simple("b")), el.delta_power(g, 1))
 
+
+
+def test_gcd_ends_on_a_germ_that_is_not_cancellative():
+    # Unvalidated: the wreath germ with ab.ab = ab, which build accepts and
+    # validate rejects.  ab\ab is ab again, so dividing the head ab out of ab
+    # would leave ab for ever; an alarm turns such a loop into a failure.
+    w = wreath_example_germ()
+    rows = [dict(row) for row in w.product_rows]
+    ab = w.simple("ab")
+    rows[ab][ab] = ab
+    g = Germ(w.names, w.delta, tuple(rows))
+    build(g, [g.simple("a"), g.simple("b")])
+
+    def stop(*_):
+        raise TimeoutError("gcd did not end")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(2)
+    try:
+        with pytest.raises(GermError, match=r"^ab\\ab is ab, no shorter than ab: "):
+            el.gcd(g, el.simple(g, ab), el.simple(g, ab))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 @pytest.mark.parametrize("tamper, error", [
     ("meet", "no meet of '3421' and '2134': germ is not a lattice"),
