@@ -536,6 +536,123 @@ def push_lemma_failures(zs, pairs: int) -> list[tuple[str, int]]:
     return found
 
 
+# -- the two walked suites over every state, not classes of states -------------------
+
+def push_lemma_by_states(r, zs, opt):
+    """The push-lemma walk keyed by the last output itself, not its class of
+    successors: the reference for the suite's verdict and failure lines."""
+    from garside import element
+    from garside.suites import _walk
+
+    g = zs.germ
+    u = g.unit
+    pair = zs.gh_pair
+    alphabet = [k for k in range(len(g)) if k != u]
+    succ = element._successors(g, alphabet)
+    lr = zs.steps["lr"]
+
+    def moves(state):
+        k, out = state
+        if k is None:           # a root: out is the pushed h
+            for k1 in alphabet:
+                g1, h1 = pair[k1]
+                if g.meet(zs.comp_h(out), lr[g1][h1][0]) == u:
+                    y = g.product(out, g1)
+                    yield k1, y != u, (k1, y)
+            return
+        carry = pair[k][1]
+        if carry != u:
+            yield None, g.normal_pair(out, carry), None
+        for k1 in succ[k]:
+            y = g.product(carry, pair[k1][0])
+            yield k1, y != u and g.normal_pair(out, y), (k1, y)
+
+    def describe(root, word) -> str:
+        pairs = [tuple(g.names[x] for x in pair[k]) for k in word]
+        return f"push lemma fails at h={g.names[root[1]]}, word {pairs}"
+
+    _walk(r, [(None, h) for h in zs.h_simples], moves, describe)
+
+
+def action_preserves_nf_by_states(r, zs, opt):
+    """The action-preserves-nf walk keyed by the last input and output
+    themselves: the reference for the suite's verdict and failure lines."""
+    from garside import element
+    from garside.suites import _walk
+
+    g = zs.germ
+    for name, actors, acted in (("rr", zs.h_simples, zs.g_simples),
+                                ("rr-inv", zs.h_simples, zs.g_simples),
+                                ("lr", zs.g_simples, zs.h_simples),
+                                ("lr-inv", zs.g_simples, zs.h_simples)):
+        step = zs.steps[name]
+        alphabet = [s for s in acted if s != g.unit]
+        succ = element._successors(g, alphabet)
+
+        def moves(state, step=step, alphabet=alphabet, succ=succ):
+            c, last, out = state
+            for x in (alphabet if last is None else succ[last]):
+                y, c1 = step[c][x]
+                yield x, out is None or g.normal_pair(out, y), (c1, x, y)
+
+        def describe(root, word, shape=ACTION_NF_SHAPES[name]) -> str:
+            return shape.format(g.names[root[0]], r._show(word))
+
+        _walk(r, [(c, None, None) for c in actors], moves, describe)
+
+
+# -- translation-roundtrip by enumeration of normal words -----------------------------
+
+def translation_roundtrip_by_enumeration(r, zs, opt):
+    """split/merge and the bijections against the element-level oracles on
+    every normal word of K, and every pair of factor normal words, of at most
+    opt.max_len atoms, with injectivity and the counts by atom length."""
+    from collections import Counter
+
+    from garside import element, normal_forms
+    from garside.suites import _split_by_gcd
+
+    g = zs.germ
+    full = tuple(s for s in range(len(g)) if s != g.unit)
+    g_alpha = tuple(s for s in zs.g_simples if s != g.unit)
+    h_alpha = tuple(s for s in zs.h_simples if s != g.unit)
+
+    k_words = list(element.normal_words(g, full, opt.max_len))
+    images = set()
+    for letters in k_words:
+        w = element._from_letters(letters, g.delta)
+        p = normal_forms.split_nf(zs, w)
+        r.eq(normal_forms.merge_nf(zs, p), w, "merge-after-split", w)
+        gpart, hpart = _split_by_gcd(zs, w, zs.delta_g)
+        r.eq(element.normal_form(g, normal_forms._letters(zs.delta_g, p.nf_g)), gpart,
+             "split-g-oracle", w)
+        r.eq(element.normal_form(g, normal_forms._letters(zs.delta_h, p.nf_h)), hpart,
+             "split-h-oracle", w)
+
+    pair_count = 0
+    by_length: dict[int, int] = {}
+    for gl in element.normal_words(g, g_alpha, opt.max_len):
+        glen = sum(g.atom_len[s] for s in gl)
+        for hl in element.normal_words(g, h_alpha, opt.max_len - glen):
+            pair_count += 1
+            p = normal_forms.NFPair(
+                element._from_letters(gl, zs.delta_g),
+                element._from_letters(hl, zs.delta_h))
+            w = normal_forms.merge_nf(zs, p)
+            r.eq(normal_forms.split_nf(zs, w), p, "split-after-merge", w)
+            r.eq(w, element.normal_form(g, gl + hl), "merge-oracle", gl, hl)
+            images.add(w)
+            total = glen + sum(g.atom_len[s] for s in hl)
+            by_length[total] = by_length.get(total, 0) + 1
+            ge = element.normal_form(g, gl)
+            he = element.normal_form(g, hl)
+            r.eq(normal_forms.psi(zs, p), element.lcm(g, ge, he), "psi-oracle", gl, hl)
+    r.check(len(images) == pair_count,
+            lambda: f"phi is not injective: {pair_count} pairs, {len(images)} images")
+    k_by_length = dict(Counter(sum(g.atom_len[s] for s in letters) for letters in k_words))
+    r.eq(by_length, k_by_length, "phi-counts")
+
+
 # -- acceptor word counts ------------------------------------------------------------
 
 def count_accepted_by_states(a, n: int) -> int:

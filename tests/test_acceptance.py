@@ -13,8 +13,10 @@ from garside import (GermValidationError, Options, build, cli, divisor_germ,
                      quasicenter as qc, run_suite)
 from garside import automata
 from garside.element import normal_words
+from garside.suites import _Run
 
-from oracles import AbelianModel, BraidModel, WreathModel, model_check
+from oracles import (AbelianModel, BraidModel, WreathModel, model_check,
+                     translation_roundtrip_by_enumeration)
 
 
 def timed(n, desc, budget_s, fn):
@@ -122,8 +124,12 @@ def test_criterion_5_translation_algorithms():
         for tag, zs in decomposable_structures():
             report = run_suite("translation-roundtrip", zs, opt)
             assert report.ok, f"{tag}: {report}"
+            r = _Run(zs.germ)
+            translation_roundtrip_by_enumeration(r, zs, opt)
+            assert r.cases and r.failures == [], f"{tag}: {r.failures}"
 
-    timed(5, "split/merge round trips and oracles, length <= 5", 60.0, body)
+    timed(5, "split/merge round trips and oracles, every word and 200 samples of length <= 5",
+          60.0, body)
 
 
 def test_criterion_6_bijections():
