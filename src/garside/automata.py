@@ -16,15 +16,14 @@ adjacent pairs are live.  Two acceptors built here therefore accept the
 same words at every length exactly when their alphabets and transition
 tables are equal.
 
-Every builder reads a whole row at a time, once per key: a table row
-gathered at the alphabet in one itemgetter call and turned into a
-transition row in one comprehension, so a build costs one key per letter
-and O(K*L) for K keys and L letters.  In a germ that validate accepts, y
-may follow x iff no atom lies below both the complement of x and y, so
-the key is the set of atoms below that complement and the row is its
-meet row: braid:6 has 718 letters but 30 keys, braid:7 5,038 letters
-and 62.  count_accepted runs over classes of states with equal rows, in
-O(S + R*L + n*R^2) for S states and R classes.
+Every builder fills one transition row per key at the live positions that
+the key gives, so a build costs one key per letter and O(K*L) for K keys
+and L letters.  The acceptors of a germ and of its factors take their keys
+and rows from element._successors, one per class of letters with equal
+successors, which reads one meet row per atom set: braid:6 has 718 letters
+but 30 meet rows read, braid:7 5,038 letters and 62.  count_accepted runs
+over classes of states with equal rows, in O(S + R*L + n*R^2) for S states
+and R classes, and refuses n above a stated budget.
 
 translate_pair_to_product rebuilds the product monoid's acceptor from the
 two factor acceptors and the action tables alone, without consulting the
@@ -37,7 +36,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 
+from . import element
 from .germ import Germ, _gather
 from .zappa_szep import ZSStructure
 
@@ -91,30 +92,18 @@ class NFAutomaton:
 
 
 def build_nf_automaton(g: Germ, variant: str = "proper") -> NFAutomaton:
+    """Acceptor of the normal-form language of a germ over its proper simples, or
+    with variant="full" over Delta too."""
+    return _build_by_complement(g, range(len(g)), g.delta, variant)
+
+
+def _build_from_rows(g: Germ, letters, live_of, key=None) -> NFAutomaton:
     """
-    Acceptor of the normal-form language of a germ.  variant="proper"
-    uses the proper simples as alphabet; variant="full" additionally
-    admits Delta.
-    """
-    letters = _variant_alphabet(range(len(g)), g.unit, g.delta, variant)
-    return _build_by_complement(g, letters, g.complement)
-
-
-def _variant_alphabet(simples, unit: int, delta: int, variant: str) -> tuple[int, ...]:
-    """The simples but the unit, and in the proper variant but delta too."""
-    if variant not in ("proper", "full"):
-        raise ValueError(f"unknown automaton variant {variant!r}")
-    return tuple(s for s in simples if s != unit and (variant == "full" or s != delta))
-
-
-def _build_from_rows(letters, names, row_of, key=None) -> NFAutomaton:
-    """
-    The acceptor in which letter y may follow letter x iff row_of(x) is
-    false at y's position in the alphabet: a meet row, say, holds the
-    unit, simple 0, exactly at the letters that meet x's complement
-    trivially.  Letters with equal key(x) must have equal rows: row_of is
-    called only for the first letter of each key, right after key(x), and
-    the rest share its row.  Without a key every letter is read.
+    The acceptor over letters of g in which letter y may follow letter x iff
+    y's position in the alphabet is among live_of(x).  Letters with equal
+    key(x) must have equal rows: live_of is called only for the first letter
+    of each key, right after key(x), and the rest share its row.  Without a
+    key every letter is read.
     """
     dead = len(letters) + 1
     # One int object per state, and one tuple per distinct row: letters
@@ -127,45 +116,36 @@ def _build_from_rows(letters, names, row_of, key=None) -> NFAutomaton:
         k = x if key is None else key(x)
         row = by_key.get(k)
         if row is None:
-            row = tuple([dead if barred else t for barred, t in zip(row_of(x), states)])
+            row = [dead] * len(letters)
+            for i in live_of(x):
+                row[i] = states[i]
+            row = tuple(row)
             row = by_key[k] = distinct.setdefault(row, row)
         rows.append(row)
     rows.append((dead,) * len(letters))
-    return NFAutomaton(tuple(letters), tuple(names), tuple(rows))
+    return NFAutomaton(tuple(letters), tuple(g.names[s] for s in letters), tuple(rows))
 
 
-def _build_by_complement(g: Germ, letters, comp) -> NFAutomaton:
-    """
-    The acceptor in which y may follow x iff comp(x) and y meet in the
-    unit.  In a germ that validate accepts every non-unit simple has an
-    atom prefix, so that holds iff no atom divides both: the row of x
-    depends only on the atoms below comp(x).  It is read once per atom
-    set, as the meet row of the first complement with that set gathered
-    at the alphabet; a missing meet there raises "germ is not a lattice"
-    at its first letter.
-    """
-    atom_mask = sum(1 << a for a in g.atoms)
-    return _build_from_rows(letters, tuple(g.names[s] for s in letters),
-                            lambda x: g.lattice_row("meet", comp(x), letters),
-                            key=lambda x: g.ldiv[comp(x)] & atom_mask)
+def _build_by_complement(g: Germ, simples, top: int, variant: str) -> NFAutomaton:
+    """The acceptor over the simples but the unit, and in the proper variant but top too,
+    in which y may follow x iff x\\top and y meet in the unit: one row per class of
+    element._successors, its letters live."""
+    if variant not in ("proper", "full"):
+        raise ValueError(f"unknown automaton variant {variant!r}")
+    letters = tuple(s for s in simples if s != g.unit and (variant == "full" or s != top))
+    succ, at = element._successors(g, letters, top), {s: i for i, s in enumerate(letters)}
+    return _build_from_rows(g, letters, lambda x: map(at.__getitem__, succ[x]), succ.get)
 
 
 def build_factor_automaton(zs: ZSStructure, side: str, variant: str = "full") -> NFAutomaton:
     """
     Acceptor for the normal-form language of the parabolic factor G or H,
-    over its own simples, using the factor complement.  The atoms below a
-    factor simple are atoms of the factor, so the rows go by atom sets as
-    in build_nf_automaton.
+    over its own simples, using the factor complement.
     """
-    g = zs.germ
-    if side == "G":
-        simples, delta, comp = zs.g_simples, zs.delta_g, zs.comp_g
-    elif side == "H":
-        simples, delta, comp = zs.h_simples, zs.delta_h, zs.comp_h
-    else:
+    if side not in ("G", "H"):
         raise ValueError("side must be 'G' or 'H'")
-    letters = _variant_alphabet(simples, g.unit, delta, variant)
-    return _build_by_complement(g, letters, comp)
+    simples, top = (zs.g_simples, zs.delta_g) if side == "G" else (zs.h_simples, zs.delta_h)
+    return _build_by_complement(zs.germ, simples, top, variant)
 
 
 def translate_pair_to_product(zs: ZSStructure, a_g: NFAutomaton,
@@ -200,13 +180,12 @@ def translate_pair_to_product(zs: ZSStructure, a_g: NFAutomaton,
     h_at = [0 if hs == unit else 1 + a_h.position[hs] for _, hs in map(pair_of.get, letters)]
     g_dead, h_dead = a_g.dead, a_h.dead
 
-    def row_of(k1: int) -> list[bool]:
+    def live_of(k1: int) -> compress:
         g_row, h_row = key_of[k1]
-        return [s == g_dead or t == h_dead for s, t in
-                zip(_gather((0, *g_row), g_at), _gather((0, *h_row), h_at))]
+        return compress(count(), [s != g_dead and t != h_dead for s, t in
+                                  zip(_gather((0, *g_row), g_at), _gather((0, *h_row), h_at))])
 
-    return _build_from_rows(letters, tuple(g.names[s] for s in letters), row_of,
-                            key_of.__getitem__)
+    return _build_from_rows(g, letters, live_of, key_of.__getitem__)
 
 
 def project_product_to_pair(zs: ZSStructure,
@@ -222,10 +201,13 @@ def project_product_to_pair(zs: ZSStructure,
     def restrict(members) -> NFAutomaton:
         letters = tuple(s for s in a_k.letters if members(s))
         at = [a_k.position[s] for s in letters]
-        return _build_from_rows(letters, tuple(g.names[s] for s in letters), lambda x: map(
-            a_k.dead.__eq__, _gather(a_k.transitions[1 + a_k.position[x]], at)))
+        return _build_from_rows(g, letters, lambda x: compress(count(), map(
+            a_k.dead.__ne__, _gather(a_k.transitions[1 + a_k.position[x]], at))))
 
     return restrict(zs.member_g), restrict(zs.member_h)
+
+
+COUNT_BUDGET = 3 * 10**10  # n^2*R^2 for count_accepted
 
 
 def count_accepted(a: NFAutomaton, n: int) -> int:
@@ -237,7 +219,9 @@ def count_accepted(a: NFAutomaton, n: int) -> int:
     are shared objects, as the builders here make them, and then applied
     n times, in O(n*R^2).  The builders make one row per key, so R is
     small (32 of 720 states on braid:6).  The dead state is a class of its
-    own, since a letter state may share its all-dead row but accepts.
+    own, since a letter state may share its all-dead row but accepts.  The counts
+    have O(n) digits, so n with n^2*R^2 above COUNT_BUDGET is refused with a
+    ValueError: at the budget braid:7 (R = 64, n = 2,706) takes about 4.6 s.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -253,6 +237,9 @@ def count_accepted(a: NFAutomaton, n: int) -> int:
                 c = by_id[id(row)] = by_row.setdefault(row, len(by_row))
             class_of[state] = c
     class_of[dead] = len(by_row)
+    if (cost := (n * (len(by_row) + 1)) ** 2) > COUNT_BUDGET:
+        raise ValueError(f"n = {n} with R = {len(by_row) + 1} row classes is above the count "
+                         f"budget: n^2*R^2 = {cost:,} > {COUNT_BUDGET:,}")
     moves = [Counter(map(class_of.__getitem__, row))
              for row in (*by_row, a.transitions[dead])]
 

@@ -16,10 +16,15 @@ the complements finish with it.  Delta powers stay a counter: with
 tau = comp^2, s.Delta = Delta.tau(s), so a Delta moves to the front by
 twisting what it passes, and no Delta enters a sweep.
 
-One walk enumerates: normal_words lists the normal words over an
-alphabet up to an atom length, depth first on an explicit stack (so no
-recursion limit applies), and iter_elements reads it over every simple
-but the unit as elements.  Both grow exponentially with the length.
+One table says which letter may follow which: y may follow x iff only the
+unit lies below both comp x and y.  In a germ that validate accepts every
+other simple has an atom prefix, so that depends only on the atoms below
+comp x, and _successors reads one meet row per such atom set, letters with
+equal successors sharing one object, their class.  normal_words lists the
+normal words over an alphabet up to an atom length from it, depth first on
+an explicit stack (so no recursion limit applies), and iter_elements reads
+those over every simple but the unit as elements.  Both grow exponentially
+with the length.
 """
 
 from __future__ import annotations
@@ -354,13 +359,30 @@ def rdivides(g: Germ, x: NormalWord, y: NormalWord) -> bool:
 
 # -- enumeration and balance ------------------------------------------------
 
-def _successors(g: Germ, alphabet: Sequence[int]) -> dict[int, list[int]]:
-    """The letters that may follow each letter in a normal word, read off
-    the meet row of its complement; a gap raises normal_pair's GermError."""
-    succ = {}
+class _Follow(dict):
+    """The letters that may follow one class of letters, as keys in alphabet order."""
+    __hash__ = object.__hash__  # one object per class, so a walk's state may hold it
+
+
+def _successors(g: Germ, alphabet: Sequence[int], top: int | None = None) -> dict[int, _Follow]:
+    """Per letter x, the letters y of the alphabet with meet(x\\top, y) the unit, top delta
+    unless given: the meet row of the first complement with the atom set of x\\top, gathered
+    at the alphabet; its first gap raises normal_pair's GermError.  The germ's memo keeps
+    the table, and every caller gets that one object: read it, never change it."""
+    memo, key = g._memo.setdefault("successors", {}), (tuple(alphabet), top)
+    if key in memo:
+        return memo[key]
+    comp = g.complement if top in (None, g.delta) else lambda s: g.lcomp(s, top)
+    atoms, unit = sum(1 << a for a in g.atoms), g.unit
+    by_atoms, by_list, succ = {}, {}, {}
     for s in alphabet:
-        row = g.lattice_row("meet", g.complement(s), alphabet)
-        succ[s] = [t for t, m in zip(alphabet, row) if m == g.unit]
+        c = comp(s)
+        if (below := g.ldiv[c] & atoms) not in by_atoms:
+            row = g.lattice_row("meet", c, alphabet)
+            ts = tuple([t for t, m in zip(alphabet, row) if m == unit])
+            by_atoms[below] = by_list.setdefault(ts, _Follow.fromkeys(ts))
+        succ[s] = by_atoms[below]
+    memo[key] = succ
     return succ
 
 

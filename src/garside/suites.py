@@ -16,7 +16,9 @@ array equality; a row that differs is reported case by case in the law's
 own failure line.  Meet, join and rjoin rows are the germ's, read in
 place by Germ.lattice_row: a missing entry raises the accessor's error.
 Normality is 2-local, so `action-preserves-nf` and `push-lemma` walk the
-reachable classes of states of a letter-to-letter transducer;
+reachable classes of states of a letter-to-letter transducer: letters with
+one element._successors, which says what may follow, are one class, so no
+pair is looked up and each failure line is one the walk over letters shows;
 `factor-closure` and `decomposition-uniqueness` check the divisors and
 factorisations of factor simples, all four exact at every length.
 run_suite, the one path of `check` and the tests, runs, times and names
@@ -699,25 +701,14 @@ def _walk(r: _Run, roots: Sequence, moves: Callable, describe: Callable) -> None
                 queue.append(nxt)
 
 
-def _classes(succ: dict[int, list[int]]) -> dict[int, int]:
-    """Per letter, the first with its successors.  A walk that reads a letter only
-    by g.normal_pair(letter, y), y in the alphabet, may keep this class instead:
-    moves and verdicts stay, and it reaches each class first by the word that the
-    walk over letters reaches it by, so its failure lines are some of that walk's."""
-    first: dict[tuple, int] = {}
-    return {s: first.setdefault(tuple(ts), s) for s, ts in succ.items()}
-
-
 def suite_push_lemma(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """
     Pushing an H-simple through a normal word of GH-factors, exact at every
     length: a walk over the states (last letter, class of the last output).
     """
-    g, pair, lr = zs.germ, zs.gh_pair, zs.steps["lr"]
-    u = g.unit
+    g, pair, lr, u = zs.germ, zs.gh_pair, zs.steps["lr"], zs.germ.unit
     alphabet = [k for k in range(len(g)) if k != u]
     succ = element._successors(g, alphabet)
-    rep = _classes(succ)
 
     def moves(state):
         k, out = state
@@ -726,14 +717,14 @@ def suite_push_lemma(r: _Run, zs: ZSStructure, opt: Options) -> None:
                 g1, h1 = pair[k1]
                 if g.meet(zs.comp_h(out), lr[g1][h1][0]) == u:
                     y = g.product(out, g1)
-                    yield k1, y != u, (k1, rep.get(y, y))
+                    yield k1, y != u, (k1, succ.get(y))
             return
         carry = pair[k][1]
         if carry != u:
-            yield None, g.normal_pair(out, carry), None
+            yield None, carry in out, None
         for k1 in succ[k]:
             y = g.product(carry, pair[k1][0])
-            yield k1, y != u and g.normal_pair(out, y), (k1, rep.get(y, y))
+            yield k1, y in out, (k1, succ.get(y))
 
     def describe(root, word) -> str:
         pairs = [tuple(g.names[x] for x in pair[k]) for k in word]
@@ -746,9 +737,10 @@ def suite_action_preserves_nf(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """
     Acting on a normal factor word gives a normal word, both ways, exact at
     every length: a walk over the states (carry, class of the last input,
-    class of the last output).  The classes are exact: build keeps each step
-    output y, read by g.normal_pair(out, y), in the acted factor (its tests
-    check that), and g.normal_pair(s, 1) holds for every s.
+    class of the last output), over the acted factor.  The classes are exact:
+    build keeps each step output in the acted factor (its tests check that),
+    and a unit output, which may follow any letter and be followed only by
+    the unit, has the empty class.
     """
     g = zs.germ
     for name, actors, acted, shape in (
@@ -756,15 +748,14 @@ def suite_action_preserves_nf(r: _Run, zs: ZSStructure, opt: Options) -> None:
             ("rr-inv", zs.h_simples, zs.g_simples, "{}^-1 |> {} is not normal"),
             ("lr", zs.g_simples, zs.h_simples, "{} |>> {} is not normal"),
             ("lr-inv", zs.g_simples, zs.h_simples, "{}^-1 |>> {} is not normal")):
-        step = zs.steps[name]
-        alphabet = [s for s in acted if s != g.unit]
-        rep = _classes(succ := element._successors(g, alphabet))
+        step, alphabet = zs.steps[name], [s for s in acted if s != g.unit]
+        succ = element._successors(g, alphabet)
 
-        def moves(state, step=step, alphabet=alphabet, succ=succ, rep=rep):
+        def moves(state, step=step, alphabet=alphabet, succ=succ):
             c, last, out = state
-            for x in (alphabet if last is None else succ[last]):
+            for x in (alphabet if last is None else last):
                 y, c1 = step[c][x]
-                yield x, out is None or g.normal_pair(out, y), (c1, rep[x], rep.get(y, y))
+                yield x, out is None or y == g.unit or y in out, (c1, succ[x], succ.get(y, ()))
 
         def describe(root, word, shape=shape) -> str:
             return shape.format(g.names[root[0]], r._show(word))

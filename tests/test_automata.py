@@ -354,3 +354,13 @@ def test_count_rejects_negative_length(wreath):
     for n in (-1, -5):
         with pytest.raises(ValueError, match="^n must be non-negative$"):
             count_accepted(a, n)
+
+
+def test_count_refuses_n_above_its_budget(monkeypatch):
+    # braid:4's proper acceptor has R = 8 row classes, the dead one included
+    a = build_nf_automaton(germ_from_spec("braid:4"), "proper")
+    monkeypatch.setattr(automata, "COUNT_BUDGET", (100 * 8) ** 2)
+    assert count_accepted(a, 100) == count_accepted_by_states(a, 100)
+    with pytest.raises(ValueError, match=r"^n = 101 with R = 8 row classes is above the count "
+                                         r"budget: n\^2\*R\^2 = 652,864 > 640,000$"):
+        count_accepted(a, 101)

@@ -1,5 +1,6 @@
 import decimal
 import random
+import time
 
 import pytest
 
@@ -284,6 +285,17 @@ def test_count_prints_every_digit(capsys):
     digits = out.strip()
     assert digits.isdigit() and len(digits) > 4300
     assert decimal.Decimal(digits) == expected
+
+
+def test_count_refuses_a_length_above_its_budget(capsys):
+    # braid:7 has 64 row classes: n^2*R^2 = 4.1e13, far above the budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--germ", "braid:7", "--variant", "proper",
+                         "--n", "100000")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (1, "")
+    assert err == ("error: n = 100000 with R = 64 row classes is above the count budget: "
+                   "n^2*R^2 = 40,960,000,000,000 > 30,000,000,000\n")
 
 
 def test_oversized_product_spec_is_refused_unbuilt(capsys, monkeypatch):

@@ -3,12 +3,14 @@ import signal
 
 import pytest
 
-from garside import GermError, automata, build, parse_germ, wreath_example_germ, element as el
+from garside import (GermError, automata, build, germ_from_spec, parse_germ,
+                     wreath_example_germ, element as el)
 from garside.element import NormalWord
 from garside.germ import Germ, format_germ, make_germ
 
 from oracles import (AbelianModel, BraidModel, FixpointArithmetic, ProductModel,
-                     WreathModel, model_check)
+                     WreathModel, model_check, successors_by_letters)
+from test_suites import CLOSURE, _closure_zs
 
 
 def nf_names(g, w):
@@ -381,3 +383,40 @@ def test_successors_and_acceptors_read_no_meet_outside_their_letters(b4):
     assert automata.build_nf_automaton(g, "proper") == automata.build_nf_automaton(b4, "proper")
     with pytest.raises(GermError, match="germ is not a lattice$"):
         automata.build_nf_automaton(g, "full")
+
+
+# -- the successor table against its per-letter scan ------------------------------
+
+def _alphabets(spec, left):
+    """The alphabets and tops to compare.  For a germ: its letters but the unit,
+    and those without its first atom as a prefix, over which atom sets that
+    differ only in that atom give one list.  For a decomposition: the letters
+    of K, and each factor's with the factor's delta."""
+    if left is None:
+        g = germ_from_spec(spec)
+        return g, [([s for s in range(1, len(g))], None),
+                   ([s for s in range(1, len(g)) if not g.left_divides(g.atoms[0], s)], None)]
+    zs = _closure_zs(spec, left)
+    return zs.germ, [([s for s in range(1, len(zs.germ))], None)] + [
+        ([s for s in simples if s != zs.germ.unit], top)
+        for simples, top in ((zs.g_simples, zs.delta_g), (zs.h_simples, zs.delta_h))]
+
+
+@pytest.mark.parametrize("spec, left", [("braid:4", None), ("braid:6", None)] + CLOSURE,
+                         ids=["braid:4", "braid:6"] + [f"{s}[{l}]" for s, l in CLOSURE])
+def test_successor_table_matches_the_per_letter_scan(spec, left):
+    g, alphabets = _alphabets(spec, left)
+    for alphabet, top in alphabets:
+        scan = successors_by_letters(g, alphabet)
+        for table in (el._successors(g, alphabet), el._successors(g, alphabet, top)):
+            assert {s: list(follow) for s, follow in table.items()} == scan
+            # letters with equal successors share one object, and only they do
+            assert len({id(f) for f in table.values()}) == len({tuple(f) for f in table.values()})
+        assert el._successors(g, alphabet) is el._successors(g, tuple(alphabet))  # kept
+
+
+def test_successor_table_reads_one_meet_row_per_atom_set():
+    # the proper acceptor of a fresh braid:6 reads 30 meet rows for its 718 letters
+    g = germ_from_spec("braid:6")
+    automata.build_nf_automaton(g, "proper")
+    assert len(g._meet) == 30

@@ -821,6 +821,19 @@ def test_walked_suites_walk_fewer_states_on_a_product_of_braids():
         "push-lemma": (7528, 10434), "action-preserves-nf": (1752, 3384)}
 
 
+def test_walked_suites_read_no_normal_pair(monkeypatch):
+    # both walks read normality off the class of the last output, never per pair
+    zs = _closure_zs(*PROD)
+    calls = []
+    pair = Germ.normal_pair
+    monkeypatch.setattr(Germ, "normal_pair", lambda g, s, t: calls.append(1) or pair(g, s, t))
+    for name in WALKS:
+        assert run_suite(name, zs).ok
+    assert calls == []
+    zs.germ.normal_pair(zs.germ.unit, zs.germ.unit)
+    assert calls == [1]  # the counter sees a call
+
+
 # -- translation-roundtrip sampled against its enumeration --------------------------
 
 def _caught(run) -> bool:
