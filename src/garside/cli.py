@@ -89,9 +89,11 @@ def _germ(args) -> Germ:
         raise GermError(f"cannot read germ file: {e}") from None
 
 
-def _zs(args, g: Germ) -> ZSStructure:
+def _zs(args) -> ZSStructure:
+    """The decomposition of --left; a missing --left is refused before the germ is built."""
     if not args.left:
         raise UsageError("this command needs --left with a comma-separated atom list")
+    g = _germ(args)
     atoms = []
     for nm in args.left.split(","):
         nm = nm.strip()
@@ -228,8 +230,8 @@ def cmd_pure(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _germ(args)
-    zs = _zs(args, g)
+    zs = _zs(args)
+    g = zs.germ
     print(f"delta_G: {g.names[zs.delta_g]}")
     print(f"delta_H: {g.names[zs.delta_h]}")
     print(f"delta_G*delta_H: {g.names[g.product(zs.delta_g, zs.delta_h)]}")
@@ -246,8 +248,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_factor_word(args) -> int:
-    g = _germ(args)
-    zs = _zs(args, g)
+    zs = _zs(args)
+    g = zs.germ
     x = parse_element(g, args.word)
     kind = "hg" if args.command == "hg" else "gh"  # split-nf: GH-parts are factor normal forms
     for side, part in zip(kind.upper(), getattr(zappa_szep, f"{kind}_decompose")(zs, x)):
@@ -256,8 +258,8 @@ def cmd_factor_word(args) -> int:
 
 
 def cmd_act(args) -> int:
-    g = _germ(args)
-    zs = _zs(args, g)
+    zs = _zs(args)
+    g = zs.germ
     # Delta lies in neither factor: D^k (k > 0) stays one letter, which the action rejects
     hw, gw = (tuple(s for s, k in parse_word(g, w) if k) for w in (args.hword, args.gword))
     words = (hw, gw) if args.op[0] == "r" else (gw, hw)
@@ -266,8 +268,8 @@ def cmd_act(args) -> int:
 
 
 def cmd_merge_nf(args) -> int:
-    g = _germ(args)
-    zs = _zs(args, g)
+    zs = _zs(args)
+    g = zs.germ
     pair = normal_forms.NFPair(
         element._from_letters(parse_nf_letters(g, args.gword), zs.delta_g),
         element._from_letters(parse_nf_letters(g, args.hword), zs.delta_h))
@@ -275,32 +277,28 @@ def cmd_merge_nf(args) -> int:
     return 0
 
 
-def _automaton(args, g: Germ):
+def _automaton(args):
     if args.lang == "K":
-        return automata.build_nf_automaton(g, args.variant)
-    zs = _zs(args, g)
-    return automata.build_factor_automaton(zs, args.lang, args.variant)
+        return automata.build_nf_automaton(_germ(args), args.variant)
+    return automata.build_factor_automaton(_zs(args), args.lang, args.variant)
 
 
 def cmd_automaton(args) -> int:
-    g = _germ(args)
-    sys.stdout.write(automata.export(_automaton(args, g), args.fmt))
+    sys.stdout.write(automata.export(_automaton(args), args.fmt))
     return 0
 
 
 def cmd_count(args) -> int:
-    g = _germ(args)
     if args.n < 0:
         raise UsageError("--n must be non-negative")
     # Decimal prints every digit; str() of an int stops at 4,300 by default
-    print(decimal.Decimal(automata.count_accepted(_automaton(args, g), args.n)))
+    print(decimal.Decimal(automata.count_accepted(_automaton(args), args.n)))
     return 0
 
 
 def cmd_check(args) -> int:
     if args.max_len < 0 or args.samples < 0:
         raise UsageError("--max-len and --samples must be non-negative")
-    g = _germ(args)
     opt = Options(max_len=args.max_len, samples=args.samples, seed=args.seed)
     if args.suite == "all":
         names = list(GERM_SUITES) + (list(ZS_SUITES) if args.left else [])
@@ -309,7 +307,7 @@ def cmd_check(args) -> int:
             raise UsageError(f"unknown suite {args.suite!r}; available: "
                              + ", ".join(sorted(GERM_SUITES) + sorted(ZS_SUITES)))
         names = [args.suite]
-    target = _zs(args, g) if any(n in ZS_SUITES for n in names) else g
+    target = _zs(args) if any(n in ZS_SUITES for n in names) else _germ(args)
     bad = 0
     for name in names:
         report = suites.run_suite(name, target, opt)

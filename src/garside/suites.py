@@ -13,8 +13,8 @@ simple-level laws are rows of cases read from whole tables (a
 composition of lookups is one itemgetter gather, an action a row or
 column of its step table) and compared by _compare_rows with one list or
 array equality; a row that differs is reported case by case in the law's
-own failure line.  Meet, join and rjoin rows are the germ's, read in
-place by Germ.lattice_row: a missing entry raises the accessor's error.
+own failure line.  Meet and join rows are the germ's, read in place
+by Germ.lattice_row: a missing entry raises the accessor's error.
 Normality is 2-local, so `action-preserves-nf` and `push-lemma` walk the
 reachable classes of states of a letter-to-letter transducer: letters with
 one element._successors, which says what may follow, are one class, so no
@@ -140,26 +140,21 @@ def _compare_rows(r: _Run, laws: Sequence[tuple], case: Callable[[int], tuple]) 
 
 
 def suite_lattice_laws(r: _Run, g: Germ, opt: Options) -> None:
-    """Absorption and the complement laws, a row at a time: meet rows (prefix masks)
-    against join rows (upper-set masks) at both arguments of the join, join and rjoin
-    rows against the product rows through their inverses.  Commutativity and
+    """Absorption, a row at a time: meet rows (prefix masks) against join rows
+    (upper-set masks) at both arguments of the join.  Commutativity and
     associativity are not compared: an entry is the simple of an AND of two masks,
-    so they hold for any table.  Rows are read whole: a missing entry raises."""
+    so they hold for any table.  Nor is s.(s\\t) = s v t, or its suffix mirror:
+    s\\t is read from the inverse of s's product row at s v t, which the unit law
+    puts among s's products, so s.(s\\t) gives s v t back on any table.  Rows are
+    read whole: a missing entry raises."""
     n, cols = len(g), list(range(len(g)))
-    rows, inv, op = g.product_rows, g._row_inverses(), g.opposite()
-    op_rows, op_inv = op.product_rows, op._row_inverses()
-    meet, join, rjoin = ([g.lattice_row(kind, s) for s in cols]
-                         for kind in ("meet", "join", "rjoin"))
+    meet, join = ([g.lattice_row(kind, s) for s in cols] for kind in ("meet", "join"))
     for s in cols:
-        ms, js, rs = meet[s], join[s], rjoin[s]
-        # s\t = inv[s][s v t], and t/s is the u with u.s the right join
-        lc, rc = _gather(inv[s], js), _gather(op_inv[s], rs)
+        ms, js = meet[s], join[s]
         _compare_rows(r, (
             ("absorb-meet", _gather(ms, js), [s] * n),
             ("absorb-meet-right", list(map(getitem, _gather(meet, js), cols)), cols),
             ("absorb-join", _gather(js, ms), [s] * n),
-            ("lcomp-join", list(map(rows[s].get, lc)), js.tolist()),
-            ("rcomp-rjoin", list(map(op_rows[s].get, rc)), rs.tolist()),
         ), lambda t: (s, t))
     for s in cols:
         r.eq(g.rcomplement(g.complement(s)), s, "comp-inverse", s)
@@ -394,23 +389,16 @@ def suite_round_trip(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 def suite_inverse_interplay(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """The inverse step tables, which build inverts row by row, against the
-    forward ones: the mixes, the inverses' product rules (action-laws' for
-    (d, b, c, a)^-1), and word round trips through act_word's actor order.  The
-    inverses' associativity is not compared: it is action-laws' {a}-assoc and
-    {d}-assoc with the permutations inverted."""
-    H, orientations = zs.h_simples, _orientations(zs)
-    tables = [[_act_table(zs, name, X, Y) for name in names] for X, Y, _, names in orientations]
-    # per orientation, both sides of its two mixed laws as [x][y] over X and Y
-    mixes = [[[_gather(b[x], ai[x].values()) for x in X], [[*ci[x].values()] for x in X],
-              [[a[v][y] for v, y in zip(bi[x].values(), Y)] for x in X],
-              [[*di[x].values()] for x in X]]
-             for (X, Y, *_), (a, b, _, _, ai, bi, ci, di) in zip(orientations, tables)]
-    mixes[0] = [list(zip(*side)) for side in mixes[0]]  # H acts on G there: G-simple first
-    for i, gs in enumerate(zs.g_simples):
-        (m1, n1, m2, n2), (m3, n3, m4, n4) = ([side[i] for side in sides] for sides in mixes)
-        _compare_rows(r, (("inv-mix-1", m1, n1, (1, 0)), ("inv-mix-2", m2, n2, (1, 0)),
-                          ("inv-mix-3", m3, n3), ("inv-mix-4", m4, n4)), lambda j: (gs, H[j]))
-    for (X, Y, member, (a, b, c, d, *_)), (*_, ai, bi, ci, di) in zip(orientations, tables):
+    forward ones: the inverses' product rules (action-laws' for (d, b, c, a)^-1),
+    and word round trips through act_word's actor order.  The inverses'
+    associativity is not compared: it is action-laws' {a}-assoc and {d}-assoc
+    with the permutations inverted.  Nor are the mixes, such as
+    h <| (h^-1 |> g) = g^-1 |>> h: each inverse table is a row inversion of a
+    forward one, and gh_pair and hg_pair factor the same products, so they hold
+    on any table that build returns."""
+    orientations = _orientations(zs)
+    for X, Y, member, (_, b, c, _, *inverses) in orientations:
+        ai, bi, ci, di = (_act_table(zs, name, X, Y) for name in inverses)
         _product_laws(r, zs, X, Y, member, (di, bi, ci, ai),
                       [(f"inv-{c}-product", 3, (2, 0, 1)), (f"inv-{b}-product", 1)])
     words = [(a, b, ai, bi, f"word-{a}-roundtrip", f"word-{b}-roundtrip")

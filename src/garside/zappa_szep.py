@@ -132,28 +132,19 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
             "the bipartition must be non-empty and proper on both sides")
     right = tuple(a for a in germ.atoms if a not in set(left))
 
-    # The simples of a factor are those its atoms strip down to the unit.
-    g_simples, h_simples = (tuple(s for s, k in enumerate(_atom_lengths(germ, side)) if k >= 0)
-                            for side in (left, right))
-
-    delta_g = reduce(germ.join, g_simples, germ.unit)
-    delta_h = reduce(germ.join, h_simples, germ.unit)
-
-    # The class-wise construction must give the same Garside elements.
-    class_g = reduce(germ.join, (part.class_delta[i] for i in chosen), germ.unit)
-    class_h = reduce(germ.join, (d for i, d in enumerate(part.class_delta) if i not in chosen),
-                     germ.unit)
-    if (class_g, class_h) != (delta_g, delta_h):
-        raise DecompositionFailure(
-            "join of generated simples disagrees with the join of the "
-            "atom-class values")
-
-    # Parabolicity: the divisors of delta_G are exactly the simples in G.
-    for delta, simples, side in ((delta_g, g_simples, "left"), (delta_h, h_simples, "right")):
-        if set(germ.left_divisors(delta)) != set(simples):
+    # A factor's delta is the join of its classes' closures, and its simples are
+    # that delta's divisors.  Parabolicity: they are exactly the simples its atoms
+    # strip down to the unit, whose join delta then is.
+    delta_g, delta_h = (reduce(germ.join, (d for i, d in enumerate(part.class_delta)
+                                           if (i in chosen) == in_g), germ.unit)
+                        for in_g in (True, False))
+    for delta, atoms, side in ((delta_g, left, "left"), (delta_h, right, "right")):
+        if germ.left_divisors(delta) != [s for s, k in enumerate(_atom_lengths(germ, atoms))
+                                         if k >= 0]:
             raise DecompositionFailure(
                 f"divisors of {germ.names[delta]} are not the simples "
                 f"generated by the {side} atoms")
+    g_simples, h_simples = (tuple(germ.left_divisors(d)) for d in (delta_g, delta_h))
 
     if germ.product(delta_g, delta_h) != germ.delta or \
             germ.product(delta_h, delta_g) != germ.delta:

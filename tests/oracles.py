@@ -767,7 +767,9 @@ def elements_by_levels(g, max_len: int):
 
 def lattice_laws_by_cases(r, g, opt):
     """Every lattice law with one r.eq per case, commutativity and associativity
-    included: the reference for the lattice-laws suite's verdict and failure lines."""
+    included: the reference for the lattice-laws suite's verdict and failure lines.
+    The complement laws s.(s\\t) = s v t and its suffix mirror are left out, as
+    in the suite: a complement is read through the inverse of the product row."""
     n = len(g)
     for s in range(n):
         for t in range(n):
@@ -776,9 +778,6 @@ def lattice_laws_by_cases(r, g, opt):
             r.eq(g.meet(s, g.join(s, t)), s, "absorb-meet", s, t)
             r.eq(g.meet(g.join(s, t), t), t, "absorb-meet-right", s, t)
             r.eq(g.join(s, g.meet(s, t)), s, "absorb-join", s, t)
-            r.eq(g.product(s, g.lcomp(s, t)), g.join(s, t), "lcomp-join", s, t)
-            pr = g.product(g.rcomp(s, t), s)
-            r.eq(pr, g.rjoin(s, t), "rcomp-rjoin", s, t)
     for s in range(n):
         r.eq(g.rcomplement(g.complement(s)), s, "comp-inverse", s)
     if n <= 24:
@@ -977,24 +976,16 @@ def action_laws_by_cases(r, zs, opt):
 
 def inverse_interplay_by_cases(r, zs, opt):
     """The inverse-interplay suite with each law written out for H acting on G
-    and for G acting on H: the reference for the laws stated once per orientation."""
+    and for G acting on H: the reference for the laws stated once per orientation.
+    The mixes of a forward and an inverse action are left out, as in the suite:
+    build inverts the forward tables row by row."""
     from functools import partial
 
-    from garside import element, zappa_szep
+    from garside import zappa_szep
     from garside.suites import _rand_word
 
     g = zs.germ
     G, H = zs.g_simples, zs.h_simples
-    for gs in G:
-        for hs in H:
-            r.eq(zs.act("rl", hs, zs.act("rr-inv", hs, gs)), zs.act("lr-inv", gs, hs),
-                 "inv-mix-1", hs, gs)
-            r.eq(zs.act("rr", zs.act("rl-inv", hs, gs), gs), zs.act("ll-inv", gs, hs),
-                 "inv-mix-2", hs, gs)
-            r.eq(zs.act("ll", gs, zs.act("lr-inv", gs, hs)), zs.act("rr-inv", hs, gs),
-                 "inv-mix-3", gs, hs)
-            r.eq(zs.act("lr", zs.act("ll-inv", gs, hs), hs), zs.act("rl-inv", hs, gs),
-                 "inv-mix-4", gs, hs)
     for h1, h2, k in _closed_products(g, H, zs.member_h):
         for gs in G:
             r.eq(zs.act("lr-inv", gs, k),

@@ -7,6 +7,7 @@ import pytest
 from garside import automata, cli, element, germ_from_spec, validate_germ
 from garside import builtins as germ_builtins
 from garside.builtins import GermSpec
+from garside.suites import GERM_SUITES, ZS_SUITES
 
 WREATH_FILE = """\
 germ v1
@@ -259,6 +260,26 @@ def test_usage_errors(capsys):
     assert code == 2 and "unknown simple" in err
     code, _, err = run(capsys, "gh", "--germ", "wreath", "a.b")
     assert code == 2 and "--left" in err
+
+
+NEEDS_LEFT = "usage error: this command needs --left with a comma-separated atom list\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("count", "--n", "-1"), "usage error: --n must be non-negative\n"),
+    (("count", "--lang", "G", "--n", "3"), NEEDS_LEFT),
+    (("automaton", "--lang", "H"), NEEDS_LEFT),
+    (("check", "--suite", "push-lemma"), NEEDS_LEFT),
+    (("check", "--suite", "nosuch"), "usage error: unknown suite 'nosuch'; available: "
+     + ", ".join(sorted(GERM_SUITES) + sorted(ZS_SUITES)) + "\n"),
+    (("gh", "a"), NEEDS_LEFT),
+], ids=["count-n", "count-lang", "automaton-lang", "check-no-left", "check-suite", "gh"])
+def test_usage_errors_are_refused_before_the_germ_is_built(capsys, monkeypatch, argv, err):
+    def no_germ(spec):
+        raise AssertionError(f"{spec} was built for a refused command")
+
+    monkeypatch.setattr(cli, "germ_from_spec", no_germ)
+    assert run(capsys, argv[0], "--germ", "braid:7", *argv[1:]) == (2, "", err)
 
 
 def test_domain_errors(capsys):

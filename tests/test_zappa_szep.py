@@ -75,6 +75,23 @@ def test_build_rejects_an_action_that_is_not_a_bijection(wreath, wreath_zs):
         build(g, [s("a"), s("b")])
 
 
+@pytest.mark.parametrize("dropped, message", [
+    ((("a", "b"), ("b", "a")), "divisors of ab are not the simples generated by the left atoms"),
+    ((("c", "1"),), "divisors of c are not the simples generated by the right atoms"),
+], ids=["left", "right"])
+def test_build_rejects_a_factor_its_atoms_do_not_generate(wreath, wreath_zs, dropped, message):
+    # Products dropped from a copy's rows leave its divisibility masks and the
+    # atom classes that building wreath_zs found, so delta_G is ab and delta_H
+    # is c again, but the atoms no longer strip one of their divisors to 1.
+    s = wreath.simple
+    g = copy.copy(wreath)
+    g.product_rows = [dict(row) for row in wreath.product_rows]
+    for x, y in dropped:
+        del g.product_rows[s(x)][s(y)]
+    with pytest.raises(DecompositionFailure, match=f"^{message}$"):
+        build(g, [s("a"), s("b")])
+
+
 def test_member(wreath_zs, wreath):
     s = wreath.simple
     assert wreath_zs.member_g(s("ab"))
