@@ -97,13 +97,12 @@ def build_nf_automaton(g: Germ, variant: str = "proper") -> NFAutomaton:
     return _build_by_complement(g, range(len(g)), g.delta, variant)
 
 
-def _build_from_rows(g: Germ, letters, live_of, key=None) -> NFAutomaton:
+def _build_from_rows(g: Germ, letters, live_of, key) -> NFAutomaton:
     """
     The acceptor over letters of g in which letter y may follow letter x iff
     y's position in the alphabet is among live_of(x).  Letters with equal
     key(x) must have equal rows: live_of is called only for the first letter
-    of each key, right after key(x), and the rest share its row.  Without a
-    key every letter is read.
+    of each key, right after key(x), and the rest share its row.
     """
     dead = len(letters) + 1
     # One int object per state, and one tuple per distinct row: letters
@@ -113,7 +112,7 @@ def _build_from_rows(g: Germ, letters, live_of, key=None) -> NFAutomaton:
     by_key: dict = {}
     rows = [states]  # start: every letter is live
     for x in letters:
-        k = x if key is None else key(x)
+        k = key(x)
         row = by_key.get(k)
         if row is None:
             row = [dead] * len(letters)
@@ -194,15 +193,16 @@ def project_product_to_pair(zs: ZSStructure,
     Restrict a product-monoid acceptor to the letters of each factor.
     Words over one factor are normal in the product iff normal in the
     factor, so the restrictions are the factor acceptors: each row is
-    a_k's, gathered at the factor's letters.
+    a_k's, gathered at the factor's letters, once per row object of a_k.
     """
     g = zs.germ
 
     def restrict(members) -> NFAutomaton:
         letters = tuple(s for s in a_k.letters if members(s))
         at = [a_k.position[s] for s in letters]
+        row_of = {s: a_k.transitions[1 + a_k.position[s]] for s in letters}
         return _build_from_rows(g, letters, lambda x: compress(count(), map(
-            a_k.dead.__ne__, _gather(a_k.transitions[1 + a_k.position[x]], at))))
+            a_k.dead.__ne__, _gather(row_of[x], at))), lambda x: id(row_of[x]))
 
     return restrict(zs.member_g), restrict(zs.member_h)
 

@@ -9,9 +9,9 @@ complements are derived at construction time.  Meets and joins in the
 prefix order live in one table per operation whose rows are filled from
 the divisibility bitmasks the first time they are used, so every lattice
 query is an O(1) array lookup.  Germ.lattice_row is the one checked read
-of a whole row, or of its entries at some columns: a missing meet or join
-raises the accessor's GermError.  The suffix order of a germ is the prefix
-order of its opposite germ, whose tables answer every suffix query.
+of a row of meets, joins or left complements, whole or at some columns: a
+missing meet or join raises the accessor's GermError.  A germ's suffix order
+is the prefix order of its opposite germ, whose tables answer suffix queries.
 
 Simples are identified by small integers.  Index 0 is always the identity,
 which must be named "1".  Divisibility relations are kept as bitmasks over
@@ -244,14 +244,16 @@ class Germ:
             "germ is not a lattice")
 
     def lattice_row(self, kind: str, s: int, at: Sequence[int] | None = None):
-        """Row s of the meet, join or rjoin table, read in place, or a list of its entries
-        at the columns `at`; the first missing entry read raises the accessor's GermError."""
-        table = self.opposite()._join if kind == "rjoin" else getattr(self, "_" + kind)
+        """Row s of the meet or join table, read in place, or of s\\t ("lcomp"), a list
+        read from s's join row and row inverse; or a list of its entries at the columns
+        `at`.  The first missing meet or join read raises its accessor's GermError."""
+        bound = "join" if kind == "lcomp" else kind
+        table = getattr(self, "_" + bound)
         row = table[s] if at is None else _gather(table[s], at)
         if -1 in row:
             i = row.index(-1)
-            self._not_a_lattice(kind, s, i if at is None else at[i])
-        return row
+            self._not_a_lattice(bound, s, i if at is None else at[i])
+        return row if kind == bound else _gather((self._row_inv or self._row_inverses())[s], row)
 
     # The four accessors read one entry each: a row check would scan n.
     def meet(self, s: int, t: int) -> int:

@@ -84,14 +84,13 @@ def _walk_closures(g: Germ, root: int, closures: dict[int, int]) -> None:
                 closures.update(dict.fromkeys(component, d))
 
 
-def _compute_delta(g: Germ, s: int, atom_order: tuple[int, ...]) -> int:
-    """The closure of s alone, atoms taken in atom_order: the quasicenter
-    suite's order-independent cross-check of the memoised walk."""
-    seen = {s}
-    frontier = [s]
+def _compute_delta(g: Germ, s: int) -> int:
+    """The closure of s alone, a set closed under y -> a\\y, so whatever the atom
+    order: the quasicenter suite's cross-check of the memoised walk."""
+    seen, frontier = {s}, [s]
     while frontier:
         x = frontier.pop()
-        for a in atom_order:
+        for a in g.atoms:
             y = g.lcomp(a, x)
             if y not in seen:
                 seen.add(y)

@@ -769,7 +769,8 @@ def lattice_laws_by_cases(r, g, opt):
     """Every lattice law with one r.eq per case, commutativity and associativity
     included: the reference for the lattice-laws suite's verdict and failure lines.
     The complement laws s.(s\\t) = s v t and its suffix mirror are left out, as
-    in the suite: a complement is read through the inverse of the product row."""
+    in the suite: a complement is read through the inverse of the product row.
+    So is rcomplement(complement(s)) = s, which validate's complements axiom decides."""
     n = len(g)
     for s in range(n):
         for t in range(n):
@@ -778,8 +779,6 @@ def lattice_laws_by_cases(r, g, opt):
             r.eq(g.meet(s, g.join(s, t)), s, "absorb-meet", s, t)
             r.eq(g.meet(g.join(s, t), t), t, "absorb-meet-right", s, t)
             r.eq(g.join(s, g.meet(s, t)), s, "absorb-join", s, t)
-    for s in range(n):
-        r.eq(g.rcomplement(g.complement(s)), s, "comp-inverse", s)
     if n <= 24:
         triples = [(s, t, u) for s in range(n) for t in range(n) for u in range(n)]
     else:
@@ -820,7 +819,9 @@ def complements_lemma_by_cases(r, g, opt):
 
 def quasicenter_by_cases(r, g, opt):
     """The quasicenter suite with one r.eq per pair of simples for its
-    join-compatible law: the reference for its rows."""
+    join-compatible law: the reference for its rows.  As in the suite, no
+    closure is checked to divide delta, and each atom's closure alone is
+    walked once, in the germ's atom order."""
     from garside import quasicenter
 
     n = len(g)
@@ -828,8 +829,6 @@ def quasicenter_by_cases(r, g, opt):
     for a in g.atoms:
         r.check(g.left_divides(a, delta_of[a]),
                 lambda a=a: f"{g.names[a]} does not divide its closure")
-        r.check(g.left_divides(delta_of[a], g.delta),
-                lambda a=a: f"closure of {g.names[a]} is not simple-bounded")
     for s in range(n):
         for t in range(n):
             r.eq(delta_of[g.join(s, t)], g.join(delta_of[s], delta_of[t]),
@@ -840,13 +839,8 @@ def quasicenter_by_cases(r, g, opt):
                 r.check(g.left_divides(s, c) == g.right_divides(s, c),
                         lambda s=s, c=c: f"{g.names[c]} prefix/suffix sets differ "
                                          f"at {g.names[s]}")
-    rng = opt.rng()
     for a in g.atoms:
-        for _ in range(3):
-            order = list(g.atoms)
-            rng.shuffle(order)
-            r.eq(quasicenter._compute_delta(g, a, tuple(order)), delta_of[a],
-                 "order-independent", a)
+        r.eq(quasicenter._compute_delta(g, a), delta_of[a], "walk-against-closure", a)
 
 
 # -- the four-fold decomposition laws, one case at a time -----------------------------

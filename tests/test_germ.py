@@ -419,13 +419,12 @@ def test_lattice_accessors_reject_non_lattice():
     # missing entry in the order read: a second one, at column u, is set by
     # hand, so the whole row stops at the lower index and a gather at the
     # column it names first.  Columns that avoid both read without error.
-    for opposite, kind, s, t, u in ((False, "meet", "x", "y", "c"),
-                                    (False, "join", "a", "b", "c"),
-                                    (True, "rjoin", "a", "b", "c")):
-        h = _non_lattice()
-        germ = h.opposite() if opposite else h
+    # A complement row raises for the join it reads, as lcomp does.
+    for kind, s, t, u in (("meet", "x", "y", "c"), ("join", "a", "b", "c"),
+                          ("lcomp", "a", "b", "c")):
+        germ = _non_lattice()
         s, t, u = (germ.simple(nm) for nm in (s, t, u))
-        (h._meet if kind == "meet" else h._join)[s][u] = -1
+        (germ._meet if kind == "meet" else germ._join)[s][u] = -1
         accessor = getattr(germ, kind)
         low, high = sorted((t, u))
         assert (_error_text(lambda: germ.lattice_row(kind, s))
@@ -485,6 +484,15 @@ def test_validate_matches_its_table_scans():
     assert len(germs) == len(HAND_MADE_TABLES) + len(GERM_TEXTS) + len(SPECS) == 29
     for g in germs:
         assert str(validate_germ(g)) == str(validate_germ_by_scans(g)), g
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_complement_rows_agree_with_lcomp(spec):
+    g = germ_from_spec(spec)
+    at = random.Random(spec).sample(range(len(g)), len(g) // 2 + 1)
+    for s in range(len(g)):
+        assert g.lattice_row("lcomp", s) == [g.lcomp(s, t) for t in range(len(g))]
+        assert g.lattice_row("lcomp", s, at) == [g.lcomp(s, t) for t in at]
 
 
 def _tampered(g: Germ, rng: random.Random) -> Germ:
