@@ -269,7 +269,7 @@ def left_complement(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
     if y.sup <= x.deltas:
         return UNIT
     e = y.deltas - x.deltas
-    rows = (g.delta,) * -e + x.factors
+    rows = (g.delta,) * max(-e, 0) + x.factors
     e = max(e, 0)
     word = list(y.factors)
     for s in rows:
@@ -328,24 +328,26 @@ def divides(g: Germ, x: NormalWord, y: NormalWord) -> bool:
     return left_complement(g, y, x) == UNIT
 
 
-# -- suffix-order variants, through the opposite germ ----------------------
+# -- the suffix order, through the complement to Delta^k -------------------------
+# For k >= sup x, sup y, x' = tau^-k(x\Delta^k) has x'.x = Delta^k, and y is a suffix of
+# x iff x' is a prefix of y': the prefix lattice answers, on germs validate accepts.
 
-def _reversed_in(op: Germ, w: NormalWord) -> NormalWord:
-    # Delta^k.x1...xm read backwards in the opposite germ is
-    # xm...x1.Delta^k = Delta^k.tau^k(xm)...tau^k(x1) there.
-    return _fold(op, w.deltas, _twist(op, w.deltas, reversed(w.factors)))
+def _duals(g: Germ, x: NormalWord, y: NormalWord) -> tuple[int, list[NormalWord]]:
+    k = max(x.sup, y.sup)
+    return k, [NormalWord(u.deltas, tuple(_twist(g, -k, u.factors)))
+               for u in (left_complement(g, w, NormalWord(k, ())) for w in (x, y))]
 
 
 def rgcd(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
-    """Greatest common suffix."""
-    op = g.opposite()
-    return _reversed_in(g, gcd(op, _reversed_in(op, x), _reversed_in(op, y)))
+    """Greatest common suffix: lcm(x', y')\\Delta^k."""
+    k, (xd, yd) = _duals(g, x, y)
+    return left_complement(g, lcm(g, xd, yd), NormalWord(k, ()))
 
 
 def right_complement(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
-    """The element y/x with (y/x).x = right-lcm(x, y)."""
-    op = g.opposite()
-    return _reversed_in(g, left_complement(op, _reversed_in(op, x), _reversed_in(op, y)))
+    """The element y/x with (y/x).x = right-lcm(x, y): gcd(x', y')\\x'."""
+    _, (xd, yd) = _duals(g, x, y)
+    return left_complement(g, gcd(g, xd, yd), xd)
 
 
 def rlcm(g: Germ, x: NormalWord, y: NormalWord) -> NormalWord:
@@ -443,9 +445,8 @@ def left_divisor_set(g: Germ, x: NormalWord) -> set[NormalWord]:
 
 
 def right_divisor_set(g: Germ, x: NormalWord) -> set[NormalWord]:
-    """All suffixes of x: its prefixes in the opposite germ, read backwards."""
-    op = g.opposite()
-    return {_reversed_in(g, d) for d in left_divisor_set(op, _reversed_in(op, x))}
+    """All suffixes of x: c\\x for each prefix c of x."""
+    return {left_complement(g, c, x) for c in left_divisor_set(g, x)}
 
 
 def balance_witness(g: Germ, x: NormalWord) -> NormalWord | None:

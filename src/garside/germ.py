@@ -1,22 +1,20 @@
 """
 germ: finite Garside structures presented by their simple-element tables.
 
-A germ is the complete combinatorial datum of a finite Garside structure:
-the set of divisors of the Garside element Delta ("simples"), the partial
-product on simples (defined exactly when the product of two simples is
-again a simple), the identity and Delta.  Prefix divisibility, atoms and
-complements are derived at construction time.  Meets and joins in the
-prefix order live in one table per operation whose rows are filled from
-the divisibility bitmasks the first time they are used, so every lattice
-query is an O(1) array lookup.  Germ.lattice_row is the one checked read
-of a row of meets, joins or left complements, whole or at some columns: a
-missing meet or join raises the accessor's GermError.  A germ's suffix order
-is the prefix order of its opposite germ, whose tables answer suffix queries.
+A germ is the complete combinatorial datum of a finite Garside structure: the set of
+divisors of the Garside element Delta ("simples"), the partial product on simples
+(defined exactly when the product of two simples is again a simple), the identity and
+Delta.  Prefix divisibility, atoms and complements are derived at construction time.
+Meets and joins in the prefix order live in one table per operation whose rows are
+filled from the divisibility bitmasks the first time they are used, so every lattice
+query is an O(1) array lookup.  Germ.lattice_row is the one checked read of a row of
+meets, joins or left complements, whole or at some columns: a missing meet or join
+raises the accessor's GermError.  Suffix queries read the same tables through the left
+completion to delta (see Germ); only validate builds the opposite germ.
 
-Simples are identified by small integers.  Index 0 is always the identity,
-which must be named "1".  Divisibility relations are kept as bitmasks over
-simple indices (one Python int per simple), which keeps germs of a few
-thousand simples cheap.
+Simples are identified by small integers.  Index 0 is always the identity, which must
+be named "1".  Divisibility relations are kept as bitmasks over simple indices (one
+Python int per simple), which keeps germs of a few thousand simples cheap.
 """
 
 from __future__ import annotations
@@ -130,17 +128,17 @@ def _gather(row, indices: Sequence[int]) -> list:
 
 class Germ:
     """
-    A finite Garside structure.  Construct via parse_germ(), the builtins
-    module, or make_germ(); the raw constructor expects the unit at index 0
-    and rows that already contain the implied unit products.
+    A finite Garside structure.  Construct via parse_germ(), the builtins module, or
+    make_germ(); the raw constructor expects the unit at index 0 and rows that already
+    contain the implied unit products.
 
-    Immutable after construction (by convention) apart from the lattice
-    tables, the row inverses of the product and the opposite germ, which
-    are built on first use, idempotently; safe to share between threads.
-    The suffix accessors (right_divides, rmeet, rjoin, rcomp, ...) read
-    the prefix tables of the opposite germ.  Equality is identity; compare
-    `names`, `delta` and `product_rows` directly when structural equality
-    is needed.
+    Immutable after construction (by convention) apart from the lattice tables, the row
+    inverses of the product and the opposite germ, which are built on first use,
+    idempotently; safe to share between threads.  The suffix accessors (right_divides,
+    rmeet, rjoin, rcomp) read the prefix tables at the left completions s* (s*.s = delta):
+    t is a suffix of u iff u* is a prefix of t*.  Their answers hold on germs that
+    validate accepts; only validate builds the opposite germ.  Equality is identity;
+    compare `names`, `delta` and `product_rows` directly for structural equality.
     """
 
     def __init__(self, names: tuple[str, ...], delta: int,
@@ -172,11 +170,11 @@ class Germ:
         # defined; validation flags germs where they are not.
         self._row_inv: list[dict[int, int]] | None = None
 
-        self._comp = comp = [-1] * n
+        self._comp, self._rcomp = comp, rcomp = [-1] * n, [-1] * n  # s.comp[s] = delta = rcomp[s].s
         for s, row in enumerate(product_rows):
             for t, v in row.items():
                 if v == delta:
-                    comp[s] = t
+                    comp[s], rcomp[t] = t, s
 
         # A simple is pinned down by its divisor set, so meets and joins
         # are mask-intersection lookups.
@@ -232,8 +230,8 @@ class Germ:
         return bool((self.ldiv[t] >> s) & 1)
 
     def right_divides(self, s: int, t: int) -> bool:
-        """s is a suffix of t: some u satisfies u.s = t."""
-        return bool((self.opposite().ldiv[t] >> s) & 1)
+        """s is a suffix of t: t* is a prefix of s*, * the left completion."""
+        return bool((self.ldiv[self.rcomplement(s)] >> self.rcomplement(t)) & 1)
 
     def left_divisors(self, t: int) -> list[int]:
         return list(_bits(self.ldiv[t]))
@@ -255,7 +253,7 @@ class Germ:
             self._not_a_lattice(bound, s, i if at is None else at[i])
         return row if kind == bound else _gather((self._row_inv or self._row_inverses())[s], row)
 
-    # The four accessors read one entry each: a row check would scan n.
+    # The accessors read one entry each: a row check would scan n.
     def meet(self, s: int, t: int) -> int:
         """Greatest common prefix of two simples."""
         r = self._meet[s][t]
@@ -266,15 +264,21 @@ class Germ:
         r = self._join[s][t]
         return r if r >= 0 else self._not_a_lattice("join", s, t)
 
+    def _dual(self, kind: str, s: int, t: int) -> int:
+        """rmeet or rjoin (kind): the complement of the prefix join or meet of s* and t*.
+        A missing completion or entry raises kind's GermError: no -1 is read."""
+        a, b = self._rcomp[s], self._rcomp[t]
+        v = (self._join if kind == "rmeet" else self._meet)[a][b] if a >= 0 and b >= 0 else -1
+        u = self._comp[v] if v >= 0 else -1
+        return u if u >= 0 else self._not_a_lattice(kind, s, t)
+
     def rmeet(self, s: int, t: int) -> int:
-        """Greatest common suffix of two simples."""
-        r = self.opposite()._meet[s][t]
-        return r if r >= 0 else self._not_a_lattice("rmeet", s, t)
+        """Greatest common suffix: the complement of join(s*, t*), * the left completion."""
+        return self._dual("rmeet", s, t)
 
     def rjoin(self, s: int, t: int) -> int:
-        """Least common upper bound of two simples in the suffix order."""
-        r = self.opposite()._join[s][t]
-        return r if r >= 0 else self._not_a_lattice("rjoin", s, t)
+        """Least common upper bound in the suffix order: the complement of meet(s*, t*)."""
+        return self._dual("rjoin", s, t)
 
     def lcomp(self, s: int, t: int) -> int:
         """The left complement s\\t: the simple u with s.u = s v t."""
@@ -284,21 +288,18 @@ class Germ:
         return (self._row_inv or self._row_inverses())[s][v]
 
     def rcomp(self, s: int, t: int) -> int:
-        """The right complement t/s: the simple u with u.s = right-join."""
-        op = self.opposite()
-        return (op._row_inv or op._row_inverses())[s][self.rjoin(s, t)]
+        """The right complement t/s: the simple u with u.s = right-join v, so v*.u = s*."""
+        return (self._row_inv or self._row_inverses())[self._rcomp[self.rjoin(s, t)]][self._rcomp[s]]
 
     def complement(self, s: int) -> int:
         """The simple u with s.u = delta."""
-        u = self._comp[s]
-        if u < 0:
+        if (u := self._comp[s]) < 0:
             raise GermError(f"simple {self.names[s]!r} has no right completion to delta")
         return u
 
     def rcomplement(self, s: int) -> int:
         """The simple u with u.s = delta."""
-        u = self.opposite()._comp[s]
-        if u < 0:
+        if (u := self._rcomp[s]) < 0:
             raise GermError(f"simple {self.names[s]!r} has no left completion to delta")
         return u
 

@@ -8,21 +8,20 @@ its own code path or validate already decides, or that another suite states, is 
 compared, and the suite's docstring says why.  `complements-lemma` compares only the
 cases that an induction on atoms cannot carry, for the verdict of all of them; the
 other suites enumerate theirs.  A law of the actions that mirrors when G and H swap is
-stated once and read in both orientations.  Most
-simple-level laws are rows of cases read from whole tables (a
-composition of lookups is one itemgetter gather, an action a row or
-column of its step table) and compared by _compare_rows with one list or
-array equality; a row that differs is reported case by case in the law's
-own failure line.  Meet, join and complement rows are read by Germ.lattice_row,
-meets and joins in place: a missing entry raises the accessor's error.
-Normality is 2-local, so `action-preserves-nf` and `push-lemma` walk the
-reachable classes of states of a letter-to-letter transducer: letters with
-one element._successors, which says what may follow, are one class, so no
+stated once and read in both orientations.  Most simple-level laws are rows of cases
+read from whole tables (a composition of lookups is one itemgetter gather, an action a
+row or column of its step table) and compared by _compare_rows with one list or array
+equality; a row that differs is reported case by case in the law's own failure line.
+Meet, join and complement rows are read by Germ.lattice_row, meets and joins in place:
+a missing entry raises the accessor's error.  Suffix divisibility is read from the
+prefix tables through the left completions to delta, as Germ's suffix accessors do: no
+suite builds the opposite germ.  Normality is 2-local, so `action-preserves-nf` and
+`push-lemma` walk the reachable classes of states of a letter-to-letter transducer:
+letters with one element._successors, which says what may follow, are one class, so no
 pair is looked up and each failure line is one the walk over letters shows;
-`factor-closure` and `decomposition-uniqueness` check the divisors and
-factorisations of factor simples, all four exact at every length.
-run_suite, the one path of `check` and the tests, runs, times and names
-a suite.
+`factor-closure` and `decomposition-uniqueness` check the divisors and factorisations
+of factor simples, all four exact at every length.  run_suite, the one path of `check`
+and the tests, runs, times and names a suite.
 """
 
 from __future__ import annotations
@@ -408,11 +407,10 @@ def suite_order_isomorphism(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """Left actions preserve prefix order; right actions preserve suffix order."""
     g = zs.germ
     for X, Y, _, (a, _, _, d, *_) in _orientations(zs):
-        # per law, the action's table and div[x][y], from lupper: x is a prefix (suffix) of y
+        # per law, the action's table and div[x][y]: x is a prefix (suffix) of y
         laws = [(f"{name} not a {order} iso at ({{0}}; {{1}}, {{2}})", _act_table(zs, name, X, Y),
-                 {x: {y: (upper[x] >> y) & 1 for y in Y} for x in Y})
-                for name, order, upper in ((a, "prefix", g.lupper),
-                                           (d, "suffix", g.opposite().lupper))]
+                 {x: {y: divides(x, y) for y in Y} for x in Y})
+                for name, order, divides in ((a, "prefix", g.left_divides), (d, "suffix", g.right_divides))]
         for c in X:
             for x in Y:
                 rows = [(label, [*div[x].values()], _gather(div[t[c][x]], t[c].values()))
@@ -545,11 +543,11 @@ def suite_factor_closure(r: _Run, zs: ZSStructure, opt: Options) -> None:
     is a product of G-simples: induction on sup(x) puts x and x^-1.z in G.
     Conversely a divisor d of s outside G gives d.(d\\s) = s or (s/d).d = s.
     """
-    g, op = zs.germ, zs.germ.opposite()
+    g = zs.germ
     for side, delta in (("G", zs.delta_g), ("H", zs.delta_h)):
         inside = g.ldiv[delta]
-        for s in _bits(inside):
-            divisors = g.ldiv[s] | op.ldiv[s]
+        for s in _bits(inside):  # the suffixes of s are the complements of the v above s*
+            divisors = g.ldiv[s] | sum(1 << g.complement(v) for v in _bits(g.lupper[g.rcomplement(s)]))
             r.cases += divisors.bit_count()
             for d in _bits(divisors & ~inside):
                 x, y = (d, g.lcomp(d, s)) if (g.ldiv[s] >> d) & 1 else (g.rcomp(d, s), d)

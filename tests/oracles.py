@@ -371,6 +371,41 @@ class FixpointArithmetic:
         return self.multiply(self.right_complement(x, y), x) == y
 
 
+# -- the suffix order through the opposite germ --------------------------------
+# The opposite germ's prefix order is the suffix order, so an element read
+# backwards there answers a suffix query with the prefix code path: the
+# library's route before it read the prefix tables through the complement to
+# Delta^k.  It builds and fills a second germ's tables.
+
+def reversed_in(op, w):
+    """Delta^k.x1...xm read backwards in the opposite germ op:
+    xm...x1.Delta^k = Delta^k.tau^k(xm)...tau^k(x1) there."""
+    from garside.element import _fold, _twist
+
+    return _fold(op, w.deltas, _twist(op, w.deltas, reversed(w.factors)))
+
+
+def rgcd_by_opposite(g, x, y):
+    from garside import element as el
+
+    op = g.opposite()
+    return reversed_in(g, el.gcd(op, reversed_in(op, x), reversed_in(op, y)))
+
+
+def right_complement_by_opposite(g, x, y):
+    from garside import element as el
+
+    op = g.opposite()
+    return reversed_in(g, el.left_complement(op, reversed_in(op, x), reversed_in(op, y)))
+
+
+def right_divisor_set_by_opposite(g, x):
+    from garside import element as el
+
+    op = g.opposite()
+    return {reversed_in(g, d) for d in el.left_divisor_set(op, reversed_in(op, x))}
+
+
 def _inversions(p) -> int:
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 

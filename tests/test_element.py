@@ -9,8 +9,9 @@ from garside.element import NormalWord
 from garside.germ import Germ, format_germ, make_germ
 
 from oracles import (AbelianModel, BraidModel, FixpointArithmetic, ProductModel,
-                     WreathModel, model_check, successors_by_letters)
-from test_suites import CLOSURE, _closure_zs
+                     WreathModel, model_check, rgcd_by_opposite, right_complement_by_opposite,
+                     right_divisor_set_by_opposite, successors_by_letters)
+from test_suites import A2_B3, CLOSURE, _closure_zs
 
 
 def nf_names(g, w):
@@ -81,7 +82,7 @@ def test_divides_examples(wreath):
 def test_right_variants(wreath, ab2):
     x = el.normal_form(wreath, word(wreath, "c.a"))
     assert el.rgcd(wreath, x, el.UNIT) == el.UNIT
-    # right complement of c under delta mirrors the opposite-germ lookup
+    # the right complement of c under delta completes c to delta
     c = el.simple(wreath, wreath.simple("c"))
     d = el.normal_form(wreath, [wreath.delta])
     rc = el.right_complement(wreath, c, d)
@@ -92,6 +93,34 @@ def test_right_variants(wreath, ab2):
         for y in elems:
             assert el.rgcd(ab2, x, y) == el.gcd(ab2, x, y)
             assert el.rlcm(ab2, x, y) == el.lcm(ab2, x, y)
+
+
+SUFFIX_SPECS = ["wreath", "braid:4", "abelian:3", "prod:braid:3,braid:3",
+                "prod:braid:4,abelian:1", "A2_B3"]
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["germ", "opposite"])
+@pytest.mark.parametrize("spec", SUFFIX_SPECS)
+def test_suffix_order_agrees_with_the_opposite_germ_route(spec, opposite):
+    # The suffix queries read the prefix tables through the complement to
+    # Delta^k; the oracle reads elements backwards in the opposite germ.  The
+    # opposite of a valid germ is valid too, as the axioms are symmetric.
+    g = parse_germ(A2_B3) if spec == "A2_B3" else germ_from_spec(spec)
+    if opposite:
+        g = parse_germ(format_germ(g.opposite()))
+    rng = random.Random(len(g))
+
+    def sample(deltas, letters):
+        w = [rng.randrange(len(g)) for _ in range(rng.randint(0, letters))]
+        return el.multiply(g, el.delta_power(g, rng.randint(0, deltas)), el.normal_form(g, w))
+
+    elems = [sample(3, 6) for _ in range(60)] + [el.delta_power(g, 2 ** 64 + 5),
+                                                 el.multiply(g, el.delta_power(g, 2 ** 70), sample(0, 3))]
+    for x, y in [*zip(elems, elems[1:] + elems[:1]), *zip(elems, elems[::-1])]:
+        assert el.rgcd(g, x, y) == rgcd_by_opposite(g, x, y), (x, y)
+        assert el.right_complement(g, x, y) == right_complement_by_opposite(g, x, y), (x, y)
+    for x in [sample(1, 2) for _ in range(8)]:
+        assert el.right_divisor_set(g, x) == right_divisor_set_by_opposite(g, x), x
 
 
 def test_normal_form_idempotent_and_confluent(wreath, b3):

@@ -124,7 +124,7 @@ def _word(rng: random.Random, names, seps: str, big_deltas: bool) -> str:
     def token():
         r = rng.random()
         if r < 0.15:
-            return f"D^{rng.randint(0, 10 ** 12 if big_deltas else 3)}"
+            return f"D^{rng.randint(0, rng.choice((10 ** 12, 10 ** 24)) if big_deltas else 3)}"
         return rng.choice(JUNK) if r < 0.25 else rng.choice(names)
     return rng.choice(seps).join(token() for _ in range(rng.randint(1, 5)))
 
@@ -160,6 +160,19 @@ def test_random_cli_words_exit_cleanly(seed, capsys):
             argv += [word() for _ in range(1 if command in ("nf", "split-nf") else 2)]
         assert _exit_code(argv) in (0, 1, 2), argv
         assert "Traceback" not in capsys.readouterr().err, argv
+
+
+HUGE = "D^99999999999999999999999"  # above 2^63, the largest index-sized int
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["lcm", "--germ", "braid:3", "1", HUGE], HUGE),
+    (["divides", "--germ", "braid:3", HUGE, "1"], "false"),
+    (["lcm", "--germ", "wreath", "D^5.a", HUGE + ".b"], "D^99999999999999999999999|b"),
+])
+def test_delta_power_above_an_index_sized_int_exits_cleanly(argv, out, capsys):
+    assert _exit_code(argv) == 0
+    assert capsys.readouterr().out == out + "\n"
 
 
 @pytest.mark.xfail(raises=MemoryError, strict=True,

@@ -321,7 +321,7 @@ def test_opposite_outlives_its_germ():
 
 
 def test_tau_duality_exhaustive(wreath, b3):
-    # the suffix accessors, read from the opposite germ, against brute force
+    # the suffix accessors, read through the left completions, against brute force
     for g in (wreath, b3):
         oracle = LatticeOracle(g)
         for s in range(len(g)):
@@ -402,9 +402,7 @@ def _error_text(read):
 
 def test_lattice_accessors_reject_non_lattice():
     g = _non_lattice()
-    op = g.opposite()
-    for germ, kind, s, t in ((g, "meet", "x", "y"), (g, "join", "a", "b"),
-                             (op, "rmeet", "x", "y"), (op, "rjoin", "a", "b")):
+    for germ, kind, s, t in ((g, "meet", "x", "y"), (g, "join", "a", "b")):
         for _ in range(2):  # again once the row is in the table
             with pytest.raises(GermError, match=f"^no {kind} of '{s}' and '{t}': "
                                                 "germ is not a lattice$"):
@@ -414,7 +412,6 @@ def test_lattice_accessors_reject_non_lattice():
         g.lcomp(a, b)
     assert g.meet(x, a) == a
     assert g.join(a, y) == y
-    assert op.rjoin(a, x) == x
     # lattice_row, whole or gathered, raises the accessor's text at the first
     # missing entry in the order read: a second one, at column u, is set by
     # hand, so the whole row stops at the lower index and a gather at the
@@ -434,6 +431,33 @@ def test_lattice_accessors_reject_non_lattice():
         rest = [v for v in range(len(germ)) if v not in (t, u)]
         assert germ.lattice_row(kind, s, rest[::-1]) == [accessor(s, v) for v in rest[::-1]]
     assert g.lattice_row("meet", a) is g._meet[a]  # a whole row is the table's own
+    # The suffix accessors read the prefix tables at the left completions s*
+    # and t*, which validate's complements axiom asks for.  The opposite germ
+    # fails it (c and y have none), and its lattice axiom too; on it rjoin(a, b)
+    # is the complement of meet(b, a) = 1, which is x.
+    op = g.opposite()
+    assert [str(c) for c in validate_germ(op).failures() if c.axiom in ("complements", "lattice")] == [
+        "complements: FAIL (c has 0 right completions to delta (expected 1))",
+        "lattice: FAIL (a and b have no suffix join)"]
+    assert op.rjoin(a, b) == op.rjoin(a, x) == x
+    # Each suffix accessor raises its own text at a gap in what it reads: a
+    # missing completion, never read as the index -1 (the last simple, y), or
+    # a missing prefix join (b and a in g) or meet (set by hand); rcomp reads
+    # rjoin's meet and raises its text, as lcomp raises join's.
+    cut = _non_lattice()
+    cut._meet[b][a] = -1
+    for germ, kind, s, t, text in ((op, "rmeet", "x", "y", "rmeet"), (g, "rmeet", "c", "a", "rmeet"),
+                                   (g, "rjoin", "a", "c", "rjoin"), (g, "rcomp", "c", "a", "rjoin"),
+                                   (g, "rmeet", "a", "b", "rmeet"), (cut, "rjoin", "a", "b", "rjoin"),
+                                   (cut, "rcomp", "a", "b", "rjoin")):
+        for _ in range(2):  # again once the row is in the table
+            with pytest.raises(GermError, match=f"^no {text} of '{s}' and '{t}': "
+                                                "germ is not a lattice$"):
+                getattr(germ, kind)(germ.simple(s), germ.simple(t))
+    c = g.simple("c")
+    for read in (lambda: g.rcomplement(c), lambda: g.right_divides(c, a), lambda: g.right_divides(a, c)):
+        with pytest.raises(GermError, match="^simple 'c' has no left completion to delta$"):
+            read()
 
 
 def test_lattice_rows_refuse_an_index_outside_the_simples():

@@ -244,6 +244,25 @@ def test_lattice_laws_read_no_rjoin_row_and_no_row_inverse():
     assert g._row_inv is None
 
 
+@pytest.mark.parametrize("spec, left", [("prod:braid:4,braid:3", "1243*1,1324*1,2134*1"),
+                                        ("prod:braid:5,abelian:1", "1*e1"), ("wreath", "a,b")])
+def test_suites_and_suffix_queries_build_no_opposite_germ(spec, left):
+    # Every suffix read outside validate goes through the completions to delta
+    # and the prefix tables.  The CI's `--suite all` decompositions but the
+    # 4,320-simple one, whose suites take about 30 s; a builtin germ is not
+    # validated as it is built, so nothing builds the opposite beforehand.
+    zs = _closure_zs(spec, left)
+    g = zs.germ
+    for name in [*suites.GERM_SUITES, *suites.ZS_SUITES]:
+        assert run_suite(name, zs).ok, name
+    rng = random.Random(5)
+    xs = [suites._rand_element(g, rng, 6) for _ in range(12)]
+    for x, y in zip(xs, xs[1:]):
+        el.rgcd(g, x, y), el.rlcm(g, x, y), el.rdivides(g, x, y)
+    el.right_divisor_set(g, suites._rand_element(g, rng, 2))  # a long element has many
+    assert g._opposite is None
+
+
 @pytest.mark.parametrize("suite", BY_CASES)
 @pytest.mark.parametrize("spec", ["wreath", "braid:3", "braid:4", "abelian:3",
                                   "prod:braid:4,braid:3", "A2_B3"])
