@@ -255,6 +255,11 @@ def count_accepted(a: NFAutomaton, n: int) -> int:
     return sum(counts) - counts[class_of[dead]]
 
 
+def _dot_id(name: str) -> str:
+    """name as a quoted DOT ID: a germ file allows quotes and backslashes in names."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export(a: NFAutomaton, fmt: str) -> str:
     """
     DOT digraph (live transitions only) or TSV transition table (complete,
@@ -265,14 +270,13 @@ def export(a: NFAutomaton, fmt: str) -> str:
         lines = ["digraph nf {", "  rankdir=LR;",
                  '  start [shape=diamond];', '  node [shape=doublecircle];']
         for i in range(1, len(a.letters) + 1):
-            lines.append(f'  "{a.state_name(i)}";')
+            lines.append(f"  {_dot_id(a.state_name(i))};")
         for state in range(len(a.letters) + 1):
             for pos, letter in enumerate(a.letters):
                 nxt = a.transitions[state][pos]
                 if nxt != a.dead:
-                    lines.append(
-                        f'  "{a.state_name(state)}" -> "{a.state_name(nxt)}"'
-                        f' [label="{a.letter_names[pos]}"];')
+                    lines.append(f"  {_dot_id(a.state_name(state))} -> {_dot_id(a.state_name(nxt))}"
+                                 f" [label={_dot_id(a.letter_names[pos])}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "tsv":

@@ -67,7 +67,7 @@ def simple(g: Germ, s: int) -> NormalWord:
 
 
 def delta_power(g: Germ, k: int) -> NormalWord:
-    return NormalWord(k, ())
+    return UNIT if g.delta == g.unit else NormalWord(k, ())  # a trivial germ's Delta is 1
 
 
 def letters(g: Germ, w: NormalWord) -> tuple[int, ...]:
@@ -86,7 +86,8 @@ def normal_form(g: Germ, word: Iterable[int]) -> NormalWord:
 
 def is_normal(g: Germ, w: NormalWord) -> bool:
     """Whether the stored word really is a left normal form."""
-    return w.deltas >= 0 and g.delta not in w.factors and _is_normal_word(g, w.factors)
+    return (w.deltas >= 0 and (w.deltas == 0 or g.delta != g.unit) and g.delta not in w.factors
+            and _is_normal_word(g, w.factors))
 
 
 def _is_normal_word(g: Germ, word: Sequence[int]) -> bool:

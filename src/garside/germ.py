@@ -10,7 +10,7 @@ filled from the divisibility bitmasks the first time they are used, so every lat
 query is an O(1) array lookup.  Germ.lattice_row is the one checked read of a row of
 meets, joins or left complements, whole or at some columns: a missing meet or join
 raises the accessor's GermError.  Suffix queries read the same tables through the left
-completion to delta (see Germ); only validate builds the opposite germ.
+completion to delta (see Germ); validate alone builds the opposite germ, once per call.
 
 Simples are identified by small integers.  Index 0 is always the identity, which must
 be named "1".  Divisibility relations are kept as bitmasks over simple indices (one
@@ -19,7 +19,6 @@ Python int per simple), which keeps germs of a few thousand simples cheap.
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from dataclasses import dataclass
 from functools import reduce
@@ -132,13 +131,13 @@ class Germ:
     make_germ(); the raw constructor expects the unit at index 0 and rows that already
     contain the implied unit products.
 
-    Immutable after construction (by convention) apart from the lattice tables, the row
-    inverses of the product and the opposite germ, which are built on first use,
-    idempotently; safe to share between threads.  The suffix accessors (right_divides,
-    rmeet, rjoin, rcomp) read the prefix tables at the left completions s* (s*.s = delta):
-    t is a suffix of u iff u* is a prefix of t*.  Their answers hold on germs that
-    validate accepts; only validate builds the opposite germ.  Equality is identity;
-    compare `names`, `delta` and `product_rows` directly for structural equality.
+    Immutable after construction (by convention) apart from the lattice tables and the
+    row inverses of the product, which are built on first use, idempotently; safe to
+    share between threads.  The suffix accessors (right_divides, rmeet, rjoin, rcomp) read
+    the prefix tables at the left completions s* (s*.s = delta): t is a suffix of u iff
+    u* is a prefix of t*.  Their answers hold on germs that validate accepts, which alone
+    builds the opposite germ.  Equality is identity; compare `names`, `delta` and
+    `product_rows` directly for structural equality.
     """
 
     def __init__(self, names: tuple[str, ...], delta: int,
@@ -183,8 +182,6 @@ class Germ:
 
         self.atom_len = _atom_lengths(self, self.atoms)
 
-        self._opposite: Germ | None = None
-        self._opposite_of: weakref.ref[Germ] | None = None  # set on an opposite
         self._memo: dict = {}  # cross-module caches (quasi-central closures etc.)
 
         self._meet = _LatticeRows(ldiv, self._by_ldiv)
@@ -310,21 +307,12 @@ class Germ:
     # -- the opposite germ ------------------------------------------------
 
     def opposite(self) -> Germ:
-        """The germ with reversed products; cached, an involution.  Its link
-        back is weak, so a germ and its opposite form no reference cycle."""
-        op = self._opposite
-        if op is None and self._opposite_of is not None:
-            op = self._opposite_of()
-        if op is None:
-            n = len(self.names)
-            rows: list[dict[int, int]] = [dict() for _ in range(n)]
-            for s, row in enumerate(self.product_rows):
-                for t, u in row.items():
-                    rows[t][s] = u
-            op = Germ(self.names, self.delta, tuple(rows))
-            op._opposite_of = weakref.ref(self)
-            self._opposite = op
-        return op
+        """The germ with reversed products, t.s there = s.t here; built anew on each call."""
+        rows: list[dict[int, int]] = [dict() for _ in self.names]
+        for s, row in enumerate(self.product_rows):
+            for t, u in row.items():
+                rows[t][s] = u
+        return Germ(self.names, self.delta, tuple(rows))
 
 
 def _atom_lengths(g: Germ, atoms: Iterable[int]) -> list[int]:
@@ -508,16 +496,21 @@ def validate_germ(g: Germ) -> ValidationReport:
     associativity, cancellativity, the two complement bijections, the
     balanced Garside element, the lattice property of both divisibility
     orders, and atom generation.  Failures carry witnesses; nothing raises.
+    The opposite germ, the suffix side of the table, is built once per call
+    for the associativity, cancellativity and lattice checks, and dropped on
+    return; balanced-delta reads the completions to delta instead.
     Associativity skips triples with a unit letter when the unit laws hold;
     cancellativity scans only a table with a repeated value in a row of g
     or of its opposite.  The lattice check asks for meets only, of pairs of
     lower covers where it can (_is_lattice); if delta is not on top, or the
     order or a meet fails, it scans all four kinds of bound.
     """
-    return ValidationReport([CheckResult(axiom, *check(g)) for axiom, check in (
-        ("identity", _check_identity), ("associativity", _check_associativity),
-        ("cancellativity", _check_cancellativity), ("complements", _check_complements),
-        ("balanced-delta", _check_balanced), ("lattice", _check_lattice), ("atoms", _check_atoms))])
+    op = g.opposite()
+    return ValidationReport([CheckResult(axiom, *result) for axiom, result in (
+        ("identity", _check_identity(g)), ("associativity", _check_associativity(g, op)),
+        ("cancellativity", _check_cancellativity(g, op)), ("complements", _check_complements(g)),
+        ("balanced-delta", _check_balanced(g)), ("lattice", _check_lattice(g, op)),
+        ("atoms", _check_atoms(g)))])
 
 
 def _check_identity(g: Germ) -> tuple[bool, str | None]:
@@ -529,9 +522,9 @@ def _check_identity(g: Germ) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_associativity(g: Germ) -> tuple[bool, str | None]:
+def _check_associativity(g: Germ, op: Germ) -> tuple[bool, str | None]:
     nm = g.names
-    rows, cols = g.product_rows, g.opposite().product_rows  # cols[v][s] = s.v, s ascending
+    rows, cols = g.product_rows, op.product_rows  # cols[v][s] = s.v, s ascending
     # where the unit laws hold, so does every triple with a unit letter
     unit = g.unit if _check_identity(g)[0] else -1
     for s, row_s in enumerate(rows):
@@ -559,9 +552,9 @@ def _check_associativity(g: Germ) -> tuple[bool, str | None]:
     return True, None
 
 
-def _check_cancellativity(g: Germ) -> tuple[bool, str | None]:
+def _check_cancellativity(g: Germ, op: Germ) -> tuple[bool, str | None]:
     # distinct values in each row of g and of its opposite, else a scan for the witness
-    if all(len(set(row.values())) == len(row) for h in (g, g.opposite()) for row in h.product_rows):
+    if all(len(set(row.values())) == len(row) for h in (g, op) for row in h.product_rows):
         return True, None
     nm = g.names
     for s, row in enumerate(g.product_rows):
@@ -599,10 +592,10 @@ def _check_complements(g: Germ) -> tuple[bool, str | None]:
 
 
 def _check_balanced(g: Germ) -> tuple[bool, str | None]:
-    for h, side in ((g, "prefix"), (g.opposite(), "suffix")):
-        if h.ldiv[g.delta] != (1 << len(g)) - 1:
-            missing = next(s for s in range(len(g)) if not (h.ldiv[g.delta] >> s) & 1)
-            return False, f"{g.names[missing]} is not a {side} of delta"
+    # s is a prefix (suffix) of delta iff s.t (t.s) is delta for some t
+    for comp, side in ((g._comp, "prefix"), (g._rcomp, "suffix")):
+        if -1 in comp:
+            return False, f"{g.names[comp.index(-1)]} is not a {side} of delta"
     return True, None
 
 
@@ -629,8 +622,8 @@ def _is_lattice(h: Germ, top: int) -> bool:
     return all(h._by_ldiv.keys() >= set(map(and_, repeat(m), ld[s:])) for s, m in enumerate(ld))
 
 
-def _check_lattice(g: Germ) -> tuple[bool, str | None]:
-    nm, n, op = g.names, len(g), g.opposite()
+def _check_lattice(g: Germ, op: Germ) -> tuple[bool, str | None]:
+    nm, n = g.names, len(g)
     for s in range(n):
         if not (g.ldiv[s] >> s) & 1 or not (op.ldiv[s] >> s) & 1:
             return False, f"divisibility is not reflexive at {nm[s]}"

@@ -11,6 +11,7 @@ in the monoid iff their model values coincide.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 
 def words_up_to(n_atoms: int, max_len: int):
@@ -303,6 +304,10 @@ class FixpointArithmetic:
     def __init__(self, g):
         self.g = g
 
+    @cached_property
+    def opposite(self):
+        return FixpointArithmetic(self.g.opposite())
+
     def letters(self, w):
         return (self.g.delta,) * w.deltas + w.factors
 
@@ -363,7 +368,7 @@ class FixpointArithmetic:
         return other.normal_form(tuple(reversed(self.letters(w))))
 
     def right_complement(self, x, y):
-        op = FixpointArithmetic(self.g.opposite())
+        op = self.opposite
         z = op.left_complement(self._reversed(x, op), self._reversed(y, op))
         return op._reversed(z, self)
 
@@ -375,7 +380,8 @@ class FixpointArithmetic:
 # The opposite germ's prefix order is the suffix order, so an element read
 # backwards there answers a suffix query with the prefix code path: the
 # library's route before it read the prefix tables through the complement to
-# Delta^k.  It builds and fills a second germ's tables.
+# Delta^k.  It builds and fills a second germ's tables: the caller builds the
+# opposite germ op of g once and hands it to each query.
 
 def reversed_in(op, w):
     """Delta^k.x1...xm read backwards in the opposite germ op:
@@ -385,24 +391,21 @@ def reversed_in(op, w):
     return _fold(op, w.deltas, _twist(op, w.deltas, reversed(w.factors)))
 
 
-def rgcd_by_opposite(g, x, y):
+def rgcd_by_opposite(g, op, x, y):
     from garside import element as el
 
-    op = g.opposite()
     return reversed_in(g, el.gcd(op, reversed_in(op, x), reversed_in(op, y)))
 
 
-def right_complement_by_opposite(g, x, y):
+def right_complement_by_opposite(g, op, x, y):
     from garside import element as el
 
-    op = g.opposite()
     return reversed_in(g, el.left_complement(op, reversed_in(op, x), reversed_in(op, y)))
 
 
-def right_divisor_set_by_opposite(g, x):
+def right_divisor_set_by_opposite(g, op, x):
     from garside import element as el
 
-    op = g.opposite()
     return {reversed_in(g, d) for d in el.left_divisor_set(op, reversed_in(op, x))}
 
 
@@ -1293,15 +1296,25 @@ def germ_spec_by_splits(text: str):
 def validate_germ_by_scans(g):
     """validate_germ as it was before its row-at-a-time checks: associativity
     and the lattice axioms scanned triple by triple and pair by pair, with
-    every product read through g.product and every join looked up, and
-    cancellativity scanned row by row and column by column."""
+    every product read through g.product and every join looked up,
+    cancellativity scanned row by row and column by column, and the suffix
+    side of balanced-delta read from the opposite germ's divisors of delta."""
     from garside import germ
 
-    checks = (("identity", germ._check_identity), ("associativity", _associativity_by_triples),
-              ("cancellativity", _cancellativity_by_scans),
-              ("complements", germ._check_complements), ("balanced-delta", germ._check_balanced),
-              ("lattice", _lattice_by_pairs), ("atoms", germ._check_atoms))
-    return germ.ValidationReport([germ.CheckResult(axiom, *check(g)) for axiom, check in checks])
+    op = g.opposite()
+    checks = (("identity", germ._check_identity(g)), ("associativity", _associativity_by_triples(g)),
+              ("cancellativity", _cancellativity_by_scans(g)),
+              ("complements", germ._check_complements(g)), ("balanced-delta", _balanced_by_divisors(g, op)),
+              ("lattice", _lattice_by_pairs(g, op)), ("atoms", germ._check_atoms(g)))
+    return germ.ValidationReport([germ.CheckResult(axiom, *result) for axiom, result in checks])
+
+
+def _balanced_by_divisors(g, op):
+    for h, side in ((g, "prefix"), (op, "suffix")):
+        if h.ldiv[g.delta] != (1 << len(g)) - 1:
+            missing = next(s for s in range(len(g)) if not (h.ldiv[g.delta] >> s) & 1)
+            return False, f"{g.names[missing]} is not a {side} of delta"
+    return True, None
 
 
 def _associativity_by_triples(g):
@@ -1358,12 +1371,11 @@ def is_lattice_by_meets(h, top):
             and all(h._by_ldiv.keys() >= {m & x for x in ld[s:]} for s, m in enumerate(ld)))
 
 
-def _lattice_by_pairs(g):
+def _lattice_by_pairs(g, op):
     from garside.germ import _bits
 
     nm = g.names
     n = len(g)
-    op = g.opposite()
     for s in range(n):
         if not (g.ldiv[s] >> s) & 1 or not (op.ldiv[s] >> s) & 1:
             return False, f"divisibility is not reflexive at {nm[s]}"

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,31 @@ def test_golden_exports(wreath, b3, ab2):
     ]
     for automaton, fmt, fname in cases:
         assert export(automaton, fmt) == (GOLDEN / fname).read_text()
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    # the germ format allows both in a name; each quoted ID reads back as it
+    p, q, d = 'x"y', "a\\", '\\"D\\'
+    g = parse_germ(f"germ v1\nsimples: 1 {p} {q} {d}\ndelta: {d}\nprod {p} {q} {d}\nprod {q} {p} {d}\n")
+    a = build_nf_automaton(g, "full")
+    assert sorted(a.letter_names) == sorted([p, q, d])
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+
+    def unquote(m):
+        return re.sub(r"\\(.)", r"\1", m)
+
+    nodes, edges = set(), set()
+    for line in export(a, "dot").splitlines()[4:-1]:
+        if m := re.fullmatch(f"  {quoted};", line):
+            nodes.add(unquote(m[1]))
+        else:
+            m = re.fullmatch(f"  {quoted} -> {quoted} \\[label={quoted}\\];", line)
+            assert m, line
+            edges.add(tuple(map(unquote, m.groups())))
+    assert nodes == set(a.letter_names)
+    assert edges == {(a.state_name(s), a.state_name(a.transitions[s][pos]), a.letter_names[pos])
+                     for s in range(len(a.letters) + 1) for pos in range(len(a.letters))
+                     if a.transitions[s][pos] != a.dead}
 
 
 def test_translation_suite_on_a_large_product():

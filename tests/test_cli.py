@@ -55,6 +55,17 @@ def test_nf(capsys):
     assert out == "1\n"
 
 
+def test_trivial_germ_gives_one_normal_form_to_each_element(capsys):
+    # Delta is the unit of abelian:0, so every Delta power is 1
+    for argv, answer in ((["nf", "D^3"], "1"), (["nf", "1.D^4.1"], "1"), (["lcm", "1", "D^2"], "1"),
+                         (["gcd", "D^2", "D^5"], "1"), (["divides", "D^3", "1"], "true"),
+                         (["divides", "1", "D^3"], "true")):
+        assert run(capsys, argv[0], "--germ", "abelian:0", *argv[1:]) == (0, answer + "\n", ""), argv
+    g = germ_from_spec("abelian:0")
+    assert element.delta_power(g, 3) == element.UNIT
+    assert not element.is_normal(g, element.NormalWord(3, ()))
+
+
 def test_gcd_lcm_divides(capsys):
     code, out, _ = run(capsys, "gcd", "--germ", "wreath", "ab", "ac")
     assert out == "a\n"

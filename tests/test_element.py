@@ -108,7 +108,7 @@ def test_suffix_order_agrees_with_the_opposite_germ_route(spec, opposite):
     g = parse_germ(A2_B3) if spec == "A2_B3" else germ_from_spec(spec)
     if opposite:
         g = parse_germ(format_germ(g.opposite()))
-    rng = random.Random(len(g))
+    op, rng = g.opposite(), random.Random(len(g))
 
     def sample(deltas, letters):
         w = [rng.randrange(len(g)) for _ in range(rng.randint(0, letters))]
@@ -117,10 +117,10 @@ def test_suffix_order_agrees_with_the_opposite_germ_route(spec, opposite):
     elems = [sample(3, 6) for _ in range(60)] + [el.delta_power(g, 2 ** 64 + 5),
                                                  el.multiply(g, el.delta_power(g, 2 ** 70), sample(0, 3))]
     for x, y in [*zip(elems, elems[1:] + elems[:1]), *zip(elems, elems[::-1])]:
-        assert el.rgcd(g, x, y) == rgcd_by_opposite(g, x, y), (x, y)
-        assert el.right_complement(g, x, y) == right_complement_by_opposite(g, x, y), (x, y)
+        assert el.rgcd(g, x, y) == rgcd_by_opposite(g, op, x, y), (x, y)
+        assert el.right_complement(g, x, y) == right_complement_by_opposite(g, op, x, y), (x, y)
     for x in [sample(1, 2) for _ in range(8)]:
-        assert el.right_divisor_set(g, x) == right_divisor_set_by_opposite(g, x), x
+        assert el.right_divisor_set(g, x) == right_divisor_set_by_opposite(g, op, x), x
 
 
 def test_normal_form_idempotent_and_confluent(wreath, b3):
