@@ -27,6 +27,14 @@ class UsageError(Exception):
     pass
 
 
+PEEL_BUDGET = 2000  # letters gh, hg, split-nf and merge-nf spell out (D^k as k): ~2 s on wreath
+
+
+def _within_peel_budget(letters: int) -> None:
+    if letters > PEEL_BUDGET:  # the peel and the merge are quadratic in the letters
+        raise ValueError(f"{letters:,} letters spelled out is above the peel budget of {PEEL_BUDGET:,}")
+
+
 def parse_word(g: Germ, text: str) -> list[tuple[int, int]]:
     """
     A '.'-separated word as (simple, power) pairs: a name is (s, 1) and D^k
@@ -251,6 +259,7 @@ def cmd_factor_word(args) -> int:
     zs = _zs(args)
     g = zs.germ
     x = parse_element(g, args.word)
+    _within_peel_budget(x.sup)
     kind = "hg" if args.command == "hg" else "gh"  # split-nf: GH-parts are factor normal forms
     for side, part in zip(kind.upper(), getattr(zappa_szep, f"{kind}_decompose")(zs, x)):
         print(f"{side}: {element.format_nf(g, part)}")
@@ -273,6 +282,7 @@ def cmd_merge_nf(args) -> int:
     pair = normal_forms.NFPair(
         element._from_letters(parse_nf_letters(g, args.gword), zs.delta_g),
         element._from_letters(parse_nf_letters(g, args.hword), zs.delta_h))
+    _within_peel_budget(pair.nf_g.sup + pair.nf_h.sup)
     print(element.format_nf(g, normal_forms.merge_nf(zs, pair)))
     return 0
 

@@ -37,33 +37,29 @@ def _letters(delta: int, w: NormalWord) -> tuple[int, ...]:
 
 # -- pairwise normality from factor data -------------------------------------
 
-def _is_normal(zs: ZSStructure, shapes: str, g1: int, h1: int, g2: int, h2: int) -> bool:
-    """Normality of the pair of `shapes` ("gh|hg": g1.h1, h2.g2), the second non-trivial:
-    comp_G and comp_H of the first pair's G- and H-sides meet the second's in the unit.
-    Each public is_normal_<shapes> takes the two pairs in their own order."""
-    g, act, gh1, gh2 = zs.germ, zs.act, shapes[0] == "g", shapes[3] == "g"
-    if g2 == g.unit and h2 == g.unit:
-        return False
-    return (g.meet(zs.comp_g(act("ll", g1, h1) if gh1 else g1),
-                   g2 if gh2 else act("rr", h2, g2)) == g.unit
-            and g.meet(zs.comp_h(h1 if gh1 else act("rl", h1, g1)),
-                       act("lr", g2, h2) if gh2 else h2) == g.unit)
-
-
 def is_normal_gh_gh(zs: ZSStructure, g1: int, h1: int, g2: int, h2: int) -> bool:
-    return _is_normal(zs, "gh|gh", g1, h1, g2, h2)
+    """Normality of the pair g1.h1 | g2.h2, the second not 1: g1 <<| h1, the G-part of
+    g1.h1 = h.g, completed in G, meets g2, and h1 completed in H meets g2 |>> h2, in 1."""
+    g, act = zs.germ, zs.act
+    return ((g2, h2) != (g.unit, g.unit) and g.meet(zs.comp_g(act("ll", g1, h1)), g2) == g.unit
+            and g.meet(zs.comp_h(h1), act("lr", g2, h2)) == g.unit)
+
+
+def _gh(zs: ZSStructure, h: int, g: int) -> tuple[int, int]:
+    """h.g as (h |> g)(h <| g), one read of rr: the other shapes are gh|gh at those factors."""
+    return zs.act("rr", h, g), zs.act("rl", h, g)
 
 
 def is_normal_gh_hg(zs: ZSStructure, g1: int, h1: int, h2: int, g2: int) -> bool:
-    return _is_normal(zs, "gh|hg", g1, h1, g2, h2)
+    return is_normal_gh_gh(zs, g1, h1, *_gh(zs, h2, g2))
 
 
 def is_normal_hg_gh(zs: ZSStructure, h1: int, g1: int, g2: int, h2: int) -> bool:
-    return _is_normal(zs, "hg|gh", g1, h1, g2, h2)
+    return is_normal_gh_gh(zs, *_gh(zs, h1, g1), g2, h2)
 
 
 def is_normal_hg_hg(zs: ZSStructure, h1: int, g1: int, h2: int, g2: int) -> bool:
-    return _is_normal(zs, "hg|hg", g1, h1, g2, h2)
+    return is_normal_gh_gh(zs, *_gh(zs, h1, g1), *_gh(zs, h2, g2))
 
 
 # -- the two translation loops ------------------------------------------------
@@ -86,13 +82,10 @@ def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
     HG-decompositions of its factors, staying normal at every step.
     """
     g = zs.germ
-    gw = list(_letters(zs.delta_g, p.nf_g))
-    hw = list(_letters(zs.delta_h, p.nf_h))
-    if not all(zs.member_g(x) for x in gw) or not element._is_normal_word(g, gw):
-        raise ValueError("nf_g is not a normal word over the G-simples")
-    if not all(zs.member_h(x) for x in hw) or not element._is_normal_word(g, hw):
-        raise ValueError("nf_h is not a normal word over the H-simples")
-    word = hw
+    gw, word = list(_letters(zs.delta_g, p.nf_g)), list(_letters(zs.delta_h, p.nf_h))
+    for side, w, member in (("g", gw, zs.member_g), ("h", word, zs.member_h)):
+        if not all(map(member, w)) or not element._is_normal_word(g, w):
+            raise ValueError(f"nf_{side} is not a normal word over the {side.upper()}-simples")
     while gw:
         # the last G-letter re-associates as a leading factor 1.last
         pairs = [(g.unit, gw.pop())] + [zs.hg_pair[x] for x in word]
@@ -109,9 +102,7 @@ def psi(zs: ZSStructure, p: NFPair) -> NormalWord:
     applying the inverse action of the G-part to the H-word (which stays
     normal) and then merging.
     """
-    g = zs.germ
-    gw = _letters(zs.delta_g, p.nf_g)
-    hw = _letters(zs.delta_h, p.nf_h)
+    gw, hw = _letters(zs.delta_g, p.nf_g), _letters(zs.delta_h, p.nf_h)
     acted = list(zappa_szep.act_word(zs, "lr-inv", gw, hw))
-    assert element._is_normal_word(g, acted), "inverse action broke normality of the H-word"
+    assert element._is_normal_word(zs.germ, acted), "inverse action broke normality of the H-word"
     return merge_nf(zs, NFPair(p.nf_g, element._from_letters(acted, zs.delta_h)))

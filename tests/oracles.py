@@ -922,29 +922,12 @@ def normal_form_criteria_by_cases(r, zs, opt):
     from garside import normal_forms
 
     g = zs.germ
-    G, H = zs.g_simples, zs.h_simples
-    u = g.unit
-    for g1 in G:
-        for h1 in H:
-            for g2 in G:
-                for h2 in H:
-                    lhs = (g.meet(g.complement(g.join(g1, h1)), g.join(g2, h2)) == u)
-                    rhs = (g.meet(zs.comp_g(zs.act("rr-inv", h1, g1)), g2) == u
-                           and g.meet(zs.comp_h(zs.act("lr-inv", g1, h1)), h2) == u)
-                    r.check(lhs == rhs,
-                            lambda g1=g1, h1=h1, g2=g2, h2=h2:
-                            f"join criterion fails at ({g.names[g1]},{g.names[h1]},"
-                            f"{g.names[g2]},{g.names[h2]})")
-
-                    for label, crit, xs in (
-                            ("gh|gh", normal_forms.is_normal_gh_gh, (g1, h1, g2, h2)),
-                            ("gh|hg", normal_forms.is_normal_gh_hg, (g1, h1, h2, g2)),
-                            ("hg|gh", normal_forms.is_normal_hg_gh, (h1, g1, g2, h2)),
-                            ("hg|hg", normal_forms.is_normal_hg_hg, (h1, g1, h2, g2))):
-                        k1, k2 = g.product(xs[0], xs[1]), g.product(xs[2], xs[3])
-                        r.check(crit(zs, *xs) == (g.normal_pair(k1, k2) and k2 != u),
-                                lambda label=label, xs=xs: f"{label} criterion fails at "
-                                f"({','.join(g.names[x] for x in xs)})")
+    for k1, (g1, h1) in enumerate(zs.gh_pair):
+        for k2, (g2, h2) in enumerate(zs.gh_pair):
+            r.check(normal_forms.is_normal_gh_gh(zs, g1, h1, g2, h2)
+                    == (g.normal_pair(k1, k2) and k2 != g.unit),
+                    lambda xs=(g1, h1, g2, h2): "gh|gh criterion fails at "
+                    f"({','.join(g.names[x] for x in xs)})")
 
 
 # -- the mirrored decomposition laws, one orientation at a time -------------------------

@@ -171,6 +171,19 @@ def test_dot_export_escapes_quotes_and_backslashes():
                      if a.transitions[s][pos] != a.dead}
 
 
+@pytest.mark.parametrize("name, refused", [("start", ("dot", "tsv")), ("dead", ("tsv",))])
+def test_export_refuses_a_simple_named_as_a_state(name, refused):
+    # the germ format allows both names; DOT draws no dead state
+    g = parse_germ(f"germ v1\nsimples: 1 {name} b D\ndelta: D\nprod {name} b D\nprod b {name} D\n")
+    a = build_nf_automaton(g, "proper")
+    for fmt in ("dot", "tsv"):
+        if fmt in refused:
+            with pytest.raises(ValueError, match=f"a simple is named '{name}'"):
+                export(a, fmt)
+        else:
+            assert f'"{name}"' in export(a, fmt)
+
+
 def test_translation_suite_on_a_large_product():
     # 144 product letters: millions of normal words of length 5
     g = germ_from_spec("prod:braid:4,braid:3")

@@ -307,6 +307,29 @@ def test_outputs_stable(capsys):
     assert first == second
 
 
+def test_decomposition_commands_refuse_more_letters_than_the_peel_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PEEL_BUDGET", 5)
+    for command in ("gh", "hg", "split-nf"):
+        code, out, _ = run(capsys, command, "--germ", "wreath", "--left", "a,b", "D^4.a")
+        assert code == 0 and out.startswith("G: ") == (command != "hg")
+        assert run(capsys, command, "--germ", "wreath", "--left", "a,b", "D^5.a") == (
+            1, "", "error: 6 letters spelled out is above the peel budget of 5\n")
+    assert run(capsys, "merge-nf", "--germ", "wreath", "--left", "a,b", "ab|ab|a", "c|c")[0] == 0
+    assert run(capsys, "merge-nf", "--germ", "wreath", "--left", "a,b", "ab|ab|a", "c|c|c") == (
+        1, "", "error: 6 letters spelled out is above the peel budget of 5\n")
+    code, _, err = run(capsys, "gh", "--germ", "wreath", "--left", "a,b", "D^99999999999999")
+    assert code == 1 and err.count("\n") == 1 and "99,999,999,999,999 letters" in err
+
+
+def test_export_of_a_simple_named_start_is_refused(tmp_path, capsys):
+    path = tmp_path / "start.germ"
+    path.write_text("germ v1\nsimples: 1 start b D\ndelta: D\nprod start b D\nprod b start D\n")
+    for fmt in ("dot", "tsv"):
+        code, out, err = run(capsys, "automaton", "--germ", f"file:{path}", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: a simple is named 'start', as the {fmt} export names its start state\n"
+
+
 def test_count_prints_every_digit(capsys):
     # above the interpreter's default limit of 4,300 digits for str(int)
     g = germ_from_spec("braid:4")

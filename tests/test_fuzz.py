@@ -175,7 +175,5 @@ def test_delta_power_above_an_index_sized_int_exits_cleanly(argv, out, capsys):
     assert capsys.readouterr().out == out + "\n"
 
 
-@pytest.mark.xfail(raises=MemoryError, strict=True,
-                   reason="gh and hg spell out a Delta power letter by letter")
 def test_huge_delta_power_on_a_decomposition_command_exits_cleanly(capsys):
     assert cli.main(["gh", "--germ", "wreath", "--left", "a,b", "D^99999999999999"]) in (0, 1, 2)

@@ -23,6 +23,16 @@ def test_is_normal_pair_variants(wreath, wreath_zs):
     assert not nfm.is_normal_hg_hg(zs, s("c"), s("a"), u, u)
 
 
+def test_criteria_refuse_a_first_g_simple_from_h(wreath, wreath_zs):
+    # the three shapes with an h.g letter re-factor it through rr, whose read refuses it too
+    s, zs = wreath.simple, wreath_zs
+    a, c = s("a"), s("c")
+    for criterion, args in ((nfm.is_normal_gh_gh, (c, c, a, c)), (nfm.is_normal_gh_hg, (c, c, c, a)),
+                            (nfm.is_normal_hg_gh, (c, c, a, c)), (nfm.is_normal_hg_hg, (c, c, c, a))):
+        with pytest.raises(ValueError, match="action argument outside its simple set"):
+            criterion(zs, *args)
+
+
 @pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
 def test_criteria_match_definition_exhaustively(spec, left):
     zs = _closure_zs(spec, left)
