@@ -261,9 +261,12 @@ def _dot_id(name: str) -> str:
 
 
 def export(a: NFAutomaton, fmt: str) -> str:
-    """DOT digraph (live transitions only) or TSV transition table (complete, including
-    the dead state), in state and alphabet order, so exports are stable.  A simple named
-    as a state that the format prints, start (or dead in TSV), is refused."""
+    """
+    DOT digraph (live transitions only) or TSV transition table (complete,
+    including the dead state).  Output order is fixed by state and
+    alphabet order, so exports are stable.  A simple named like a state
+    that the format prints, start (or dead in TSV), is refused.
+    """
     for name in ("start",) if fmt == "dot" else ("start", "dead"):
         if name in a.letter_names:
             raise ValueError(f"a simple is named {name!r}, as the {fmt} export names its {name} state")

@@ -82,10 +82,13 @@ def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
     HG-decompositions of its factors, staying normal at every step.
     """
     g = zs.germ
-    gw, word = list(_letters(zs.delta_g, p.nf_g)), list(_letters(zs.delta_h, p.nf_h))
-    for side, w, member in (("g", gw, zs.member_g), ("h", word, zs.member_h)):
-        if not all(map(member, w)) or not element._is_normal_word(g, w):
-            raise ValueError(f"nf_{side} is not a normal word over the {side.upper()}-simples")
+    gw = list(_letters(zs.delta_g, p.nf_g))
+    hw = list(_letters(zs.delta_h, p.nf_h))
+    if not all(zs.member_g(x) for x in gw) or not element._is_normal_word(g, gw):
+        raise ValueError("nf_g is not a normal word over the G-simples")
+    if not all(zs.member_h(x) for x in hw) or not element._is_normal_word(g, hw):
+        raise ValueError("nf_h is not a normal word over the H-simples")
+    word = hw
     while gw:
         # the last G-letter re-associates as a leading factor 1.last
         pairs = [(g.unit, gw.pop())] + [zs.hg_pair[x] for x in word]
@@ -102,7 +105,9 @@ def psi(zs: ZSStructure, p: NFPair) -> NormalWord:
     applying the inverse action of the G-part to the H-word (which stays
     normal) and then merging.
     """
-    gw, hw = _letters(zs.delta_g, p.nf_g), _letters(zs.delta_h, p.nf_h)
+    g = zs.germ
+    gw = _letters(zs.delta_g, p.nf_g)
+    hw = _letters(zs.delta_h, p.nf_h)
     acted = list(zappa_szep.act_word(zs, "lr-inv", gw, hw))
-    assert element._is_normal_word(zs.germ, acted), "inverse action broke normality of the H-word"
+    assert element._is_normal_word(g, acted), "inverse action broke normality of the H-word"
     return merge_nf(zs, NFPair(p.nf_g, element._from_letters(acted, zs.delta_h)))

@@ -453,44 +453,40 @@ def suite_lcm_formula(r: _Run, zs: ZSStructure, opt: Options) -> None:
             r.eq(g.rjoin(zs.act("rr-inv", hs, gs), x), j, "lcm-suffix", gs, hs)
 
 
-def _factor_rows(r: _Run, zs: ZSStructure, rows: Callable) -> None:
+def _factor_rows(zs: ZSStructure):
     """
-    A row per (g1, h1) of factor simples over the columns (g2, h2), whose
-    laws rows(g1, h1, joins) gives; joins is the column join(g2, h2), and a
-    case's arguments are (g1, h1, g2, h2).
+    (g1, h1, joins, case) per pair of factor simples, for a row over the
+    columns (g2, h2): joins is the row join(g2, h2), and case(c) gives the
+    arguments (g1, h1, g2, h2) of column c.
     """
     columns = [(g2, h2) for g2 in zs.g_simples for h2 in zs.h_simples]
     joins = [zs.germ.join(g2, h2) for g2, h2 in columns]
     for g1 in zs.g_simples:
         for h1 in zs.h_simples:
-            _compare_rows(r, rows(g1, h1, joins), lambda c: (g1, h1, *columns[c]))
+            yield g1, h1, joins, lambda c, g1=g1, h1=h1: (g1, h1, *columns[c])
 
 
 def suite_poset_product(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """(g, h) -> join(g, h) is an isomorphism of the product order."""
     g, G, H = zs.germ, zs.g_simples, zs.h_simples
-
-    def rows(g1, h1, joins):
+    for g1, h1, joins, case in _factor_rows(zs):
         up, ldiv = g.lupper[g.join(g1, h1)], g.ldiv  # up: what join(g1, h1) left-divides
         dg, dh = [(ldiv[g2] >> g1) & 1 for g2 in G], [(ldiv[h2] >> h1) & 1 for h2 in H]
-        return [("poset product fails at ({0},{1}) vs ({2},{3})",
-                 [a and b for a in dg for b in dh], [(up >> j) & 1 for j in joins])]
-
-    _factor_rows(r, zs, rows)
+        _compare_rows(r, [("poset product fails at ({0},{1}) vs ({2},{3})",
+                           [a and b for a in dg for b in dh], [(up >> j) & 1 for j in joins])],
+                      case)
 
 
 def suite_join_complement(r: _Run, zs: ZSStructure, opt: Options) -> None:
     """The complement of one join under another, factor by factor."""
     g, G, H = zs.germ, zs.g_simples, zs.h_simples
     join = cache(partial(g.lattice_row, "join"))  # each row checked once
-
-    def rows(g1, h1, joins):
+    for g1, h1, joins, case in _factor_rows(zs):
         x, y, j1 = zs.act("lr-inv", g1, h1), zs.act("rr-inv", h1, g1), g.join(g1, h1)
         a = [join(zs.act("rr-inv", x, g.lcomp(g1, g2))) for g2 in G]
         b = [zs.act("lr-inv", y, g.lcomp(h1, h2)) for h2 in H]
-        return [("join-under", g.lattice_row("lcomp", j1, joins), [row[v] for row in a for v in b])]
-
-    _factor_rows(r, zs, rows)
+        _compare_rows(r, [("join-under", g.lattice_row("lcomp", j1, joins),
+                           [row[v] for row in a for v in b])], case)
 
 
 def suite_delta_invariance(r: _Run, zs: ZSStructure, opt: Options) -> None:
