@@ -27,7 +27,7 @@ class UsageError(Exception):
     pass
 
 
-PEEL_BUDGET = 2000  # letters gh, hg, split-nf and merge-nf spell out (D^k as k): ~2 s on wreath
+PEEL_BUDGET = 2000  # letters gh, hg, split-nf and merge-nf spell out (D^k as k): ~1.3 s on wreath
 
 
 def _within_peel_budget(letters: int) -> None:

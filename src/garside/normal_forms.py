@@ -2,12 +2,11 @@
 normal_forms: translating between normal forms of the product monoid and
 pairs of normal forms of the two factors.
 
-split_nf peels the G-part off a normal word of K factor by factor (the
-GH-decomposition of zappa_szep); merge_nf pushes the G-factors of a pair
-back through the H-word.  Both loops produce only words that are already
-normal -- that invariant is the substance of their correctness, so it is
-asserted at every step rather than repaired.  The two are mutually inverse
-bijections; psi is the lcm variant, reduced to merge_nf by an inverse action.
+split_nf is the GH-decomposition of zappa_szep, a carry through rr; merge_nf
+carries each H-letter leftward through the G-word by ll.  Both produce only normal
+words -- the substance of their correctness, so it is asserted, not repaired -- and
+check each carry step against the product.  They are mutually inverse bijections;
+psi, the lcm variant, is merge_nf after an inverse action.
 """
 
 from __future__ import annotations
@@ -78,22 +77,23 @@ def split_nf(zs: ZSStructure, w: NormalWord) -> NFPair:
 def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
     """
     Normal form of g1..gm h1..hn from the factor normal forms, without any
-    renormalisation: the last G-factor is pushed through the word using
-    HG-decompositions of its factors, staying normal at every step.
+    renormalisation, a letter per round: the first H-letter c is carried
+    leftward through g2..gm by ll, (g2..gm).c = h.(g2..gm)', and g1.h is
+    appended.  The G-word is asserted normal every round, the output at the end.
     """
-    g = zs.germ
-    gw = list(_letters(zs.delta_g, p.nf_g))
-    hw = list(_letters(zs.delta_h, p.nf_h))
-    if not all(zs.member_g(x) for x in gw) or not element._is_normal_word(g, gw):
-        raise ValueError("nf_g is not a normal word over the G-simples")
-    if not all(zs.member_h(x) for x in hw) or not element._is_normal_word(g, hw):
-        raise ValueError("nf_h is not a normal word over the H-simples")
-    word = hw
-    while gw:
-        # the last G-letter re-associates as a leading factor 1.last
-        pairs = [(g.unit, gw.pop())] + [zs.hg_pair[x] for x in word]
-        word = zappa_szep.reassociate(g, pairs)
+    g, gw, hw = zs.germ, _letters(zs.delta_g, p.nf_g), _letters(zs.delta_h, p.nf_h)
+    for side, w, member in (("G", gw, zs.member_g), ("H", hw, zs.member_h)):
+        if not all(map(member, w)) or not element._is_normal_word(g, w):
+            raise ValueError(f"nf_{side.lower()} is not a normal word over the {side}-simples")
+    word, rest = [], list(reversed(gw))  # the G-word right to left, as ll carries
+    for c in hw:
+        a = rest.pop() if rest else g.unit
+        rest, h = zappa_szep._carry(zs.steps["ll"], c, rest, lambda x, y: g.product(y, x))
+        word.append(g.product(a, h))
+        assert element._is_normal_word(g, rest[::-1]), "merge_nf produced a non-normal G-word"
         assert element._is_normal_word(g, word), "merge_nf produced a non-normal word"
+    word += reversed(rest)
+    assert element._is_normal_word(g, word), "merge_nf produced a non-normal word"
     return element._from_letters(word, g.delta)
 
 
@@ -103,11 +103,12 @@ def psi(zs: ZSStructure, p: NFPair) -> NormalWord:
     """
     The normal form of lcm(product of nf_g, product of nf_h), computed by
     applying the inverse action of the G-part to the H-word (which stays
-    normal) and then merging.
+    normal) and then merging; asserted to be a common multiple of the two.
     """
-    g = zs.germ
-    gw = _letters(zs.delta_g, p.nf_g)
-    hw = _letters(zs.delta_h, p.nf_h)
-    acted = list(zappa_szep.act_word(zs, "lr-inv", gw, hw))
+    g, gw, hw = zs.germ, _letters(zs.delta_g, p.nf_g), _letters(zs.delta_h, p.nf_h)
+    acted = zappa_szep.act_word(zs, "lr-inv", gw, hw)
     assert element._is_normal_word(g, acted), "inverse action broke normality of the H-word"
-    return merge_nf(zs, NFPair(p.nf_g, element._from_letters(acted, zs.delta_h)))
+    out = merge_nf(zs, NFPair(p.nf_g, element._from_letters(acted, zs.delta_h)))
+    assert all(element.divides(g, element.normal_form(g, w), out) for w in (gw, hw)), \
+        "psi is not a common multiple of its two parts"
+    return out

@@ -739,8 +739,8 @@ def suite_translation_roundtrip(r: _Run, zs: ZSStructure, opt: Options) -> None:
     is not compared: _peel raises unless its parts multiply back, as the gcd route's do,
     so cancellativity makes them equal.  Nor is a split after a merge: the peel's parts
     multiply back to the merge, g.h, so unique GH-factorisation makes them g and h.  Nor
-    is injectivity: each re-association in merge_nf keeps the product (hg_pair[k]
-    factors k, and the leading pair is (1, g)), so two pairs with one image have one
+    is injectivity: each step of merge_nf's carry keeps the product (an ll step reads
+    hg_pair[g.h] = (g |>> h, g <<| h)), so two pairs with one image have one
     product g.h, and decomposition-uniqueness makes the pair unique.  Nor are the counts
     by atom length: they agree where it adds up over g.h (length-additive), and
     automata-translation compares the two languages.
@@ -782,11 +782,13 @@ def suite_automata_translation(r: _Run, zs: ZSStructure, opt: Options) -> None:
     r.check(translated.letters == direct.letters,
             lambda: f"alphabets differ: only translated {only(translated, direct)}, "
                     f"only direct {only(direct, translated)}")
+    def state(s: int) -> str:  # no simple's name holds a '#': #start and #dead are no letter's
+        return direct.state_name(s) if 0 < s < direct.dead else "#" + direct.state_name(s)
     if translated.letters == direct.letters:
-        for state, (got, want) in enumerate(zip(translated.transitions, direct.transitions)):
-            r.check(got == want, lambda state=state, got=got, want=want:
-                    f"transitions from {direct.state_name(state)} differ, translated != direct: "
-                    + ", ".join(f"{name} -> {direct.state_name(x)} != {direct.state_name(y)}"
+        for s, (got, want) in enumerate(zip(translated.transitions, direct.transitions)):
+            r.check(got == want, lambda s=s, got=got, want=want:
+                    f"transitions from {state(s)} differ, translated != direct: "
+                    + ", ".join(f"{name} -> {state(x)} != {state(y)}"
                                 for name, x, y in zip(direct.letter_names, got, want) if x != y))
     back_g, back_h = automata.project_product_to_pair(zs, translated)
     r.eq(back_g, a_g, "project-G")

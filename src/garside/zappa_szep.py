@@ -19,9 +19,9 @@ them one step table per action, a letter-to-letter transducer step
 
 An inverse table is the forward one with each row inverted on its output,
 e.g. rr-inv[h][g] = (h^-1 |> g, g^-1 |>> h).  An action on simples is one
-read of its table; an action of a word carries the actor letters through
-the acted word by the same steps.  The GH- and HG-decompositions of
-elements peel a normal form apart through gh_pair and hg_pair.
+read of its table; _carry takes a letter through a word by the same
+steps, for act_word, for the GH- (HG-) decomposition by rr (lr) and for
+normal_forms.merge_nf by ll.
 
 build() re-verifies every structural invariant (parabolicity, unique
 decompositions of all simples, and bijectivity of the actions, which is
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import element, quasicenter
 from .element import NormalWord
@@ -54,6 +54,7 @@ class DecompositionFailure(ZSError):
 
 ACTIONS = ("rr", "rl", "lr", "ll", "rr-inv", "rl-inv", "lr-inv", "ll-inv")  # build's steps
 _UNKNOWN_ACTION = "unknown action {!r}: expected one of " + ", ".join(ACTIONS)
+Step = dict[int, dict[int, tuple[int, int]]]  # carry -> letter -> (output letter, next carry)
 
 
 @dataclass(eq=False)
@@ -67,8 +68,7 @@ class ZSStructure:
     delta_h: int
     gh_pair: list[tuple[int, int]]        # k -> the unique (g, h) with g.h = k; (1, k) iff k in H
     hg_pair: list[tuple[int, int]]        # k -> the unique (h, g) with h.g = k; (1, k) iff k in G
-    # action name -> carry -> letter -> (output letter, next carry)
-    steps: dict[str, dict[int, dict[int, tuple[int, int]]]]
+    steps: dict[str, Step]                # action name -> its step table
 
     # -- membership ------------------------------------------------------
 
@@ -200,51 +200,38 @@ def build(g: Germ, left_atoms: Iterable[int]) -> ZSStructure:
 
 def gh_decompose(zs: ZSStructure, x: NormalWord) -> tuple[NormalWord, NormalWord]:
     """
-    The unique (g, h) with g.h = x, both as normal words of K.  The G-part
-    is peeled off one letter at a time: GH-factor every letter of the
-    normal form, take the leading G-part, and re-associate each H-part
-    with the following G-part.  Every intermediate word is already normal.
+    The unique (g, h) with g.h = x, both as normal words of K.  Each letter a.b
+    (gh_pair) of x, from the right, carries b through the G-word so far by rr; a is
+    prepended to it and the last carry to the H-word.  It raises unless each step keeps
+    the product, the G-word is normal every round, the H-word at the end, and g.h = x.
     """
-    return _peel(zs, x, zs.gh_pair, "GH")
+    return _peel(zs, x, zs.gh_pair, zs.steps["rr"], "GH")
 
 
 def hg_decompose(zs: ZSStructure, x: NormalWord) -> tuple[NormalWord, NormalWord]:
-    """The unique (h, g) with h.g = x: the same peel over HG-factorisations."""
-    return _peel(zs, x, zs.hg_pair, "HG")
+    """The unique (h, g) with h.g = x: the same peel over hg_pair and the lr steps."""
+    return _peel(zs, x, zs.hg_pair, zs.steps["lr"], "HG")
 
 
-def _peel(zs: ZSStructure, x: NormalWord, pair: list[tuple[int, int]],
+def _peel(zs: ZSStructure, x: NormalWord, pair: list[tuple[int, int]], step: Step,
           kind: str) -> tuple[NormalWord, NormalWord]:
     g = zs.germ
     assert element.is_normal(g, x), "decomposition expects a normal word"
-    word = list(element.letters(g, x))
-    first: list[int] = []
-    while word:
-        pairs = [pair[s] for s in word]
-        if pairs[0][0] == g.unit:
-            break
-        first.append(pairs[0][0])
-        word = reassociate(g, pairs)
-        assert element._is_normal_word(g, word), "peeling produced a non-normal word"
-    assert element._is_normal_word(g, first), "peeling produced a non-normal first factor"
+    first, rest = [], []  # rest: the carries, right to left
+    for s in reversed(element.letters(g, x)):
+        a, b = pair[s]
+        first, c = _carry(step, b, first, g.product)
+        if a != g.unit:
+            first.insert(0, a)
+        assert element._is_normal_word(g, first), "peeling produced a non-normal first factor"
+        rest.append(c)
+    rest = [c for c in reversed(rest) if c != g.unit]
+    assert element._is_normal_word(g, rest), "peeling produced a non-normal second factor"
     # Neither factor contains delta, so both letter lists are normal words.
-    lead, rest = NormalWord(0, tuple(first)), NormalWord(0, tuple(word))
-    if any(pair[s][0] != g.unit for s in word) or element.multiply(g, lead, rest) != x:
-        raise DecompositionFailure(
-            f"{kind}-decomposition failed for {element.format_nf(g, x)}")
-    return lead, rest
-
-
-def reassociate(g: Germ, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """
-    One re-association step over a word of factored letters a_i.b_i: the
-    letters b_i.a_(i+1), then b_n unless it is 1.
-    """
-    word = [g.product(b, a) for (_, b), (a, _) in zip(pairs, pairs[1:])]
-    assert None not in word, "re-associated factor left the simples"
-    if pairs[-1][1] != g.unit:
-        word.append(pairs[-1][1])
-    return word
+    lead, tail = NormalWord(0, tuple(first)), NormalWord(0, tuple(rest))
+    if any(pair[s][0] != g.unit for s in rest) or element.multiply(g, lead, tail) != x:
+        raise DecompositionFailure(f"{kind}-decomposition failed for {element.format_nf(g, x)}")
+    return lead, tail
 
 
 # -- actions on words --------------------------------------------------------
@@ -254,6 +241,19 @@ def reassociate(g: Germ, pairs: Sequence[tuple[int, int]]) -> list[int]:
 # and the next carry.  act_word takes its two words in the argument order
 # of zs.act: (h-word, g-word) for rr and rl and their inverses, (g-word,
 # h-word) for lr and ll and theirs.
+
+def _carry(step: Step, c: int, word: Iterable[int],
+           product: Callable[[int, int], int | None] | None = None) -> tuple[list[int], int]:
+    """The output word and last carry of c carried through word; product checks c.x = y.d."""
+    out = []
+    for x in word:
+        y, d = step[c][x]
+        if product and product(c, x) != product(y, d):
+            raise DecompositionFailure("a carry step does not keep the product")
+        out.append(y)
+        c = d
+    return out, c
+
 
 def _quoted(g: Germ, s: int) -> str:
     """The quoted name of simple s, or the raw id of an argument that is none."""
@@ -284,13 +284,9 @@ def act_word(zs: ZSStructure, name: str, first: Sequence[int],
         raise ValueError(_UNKNOWN_ACTION.format(name))
     _check_words(zs, "HG" if name[0] == "r" else "GH", first, second)
     rightward = name[1] == "r"
-    actors, out = (first, list(second)) if rightward else (second, list(first))
+    actors, out = (first, second) if rightward else (second, first[::-1])
     if rightward != name.endswith("-inv"):
         actors = actors[::-1]
     for c in actors:
-        new = []
-        for x in (out if rightward else reversed(out)):
-            y, c = step[c][x]
-            new.append(y)
-        out = new if rightward else new[::-1]
-    return tuple(out)
+        out, _ = _carry(step, c, out)
+    return tuple(out if rightward else out[::-1])

@@ -700,6 +700,84 @@ def translation_roundtrip_by_enumeration(r, zs, opt):
     r.eq(by_length, k_by_length, "phi-counts")
 
 
+# -- the peel and the merge by re-association ----------------------------------------
+#
+# The loops that zappa_szep and normal_forms used before their one carry: a
+# whole word is re-associated through gh_pair or hg_pair and Germ.product each
+# round, and re-checked normal.
+
+def reassociate(g, pairs):
+    """One re-association step over a word of factored letters a_i.b_i: the
+    letters b_i.a_(i+1), then b_n unless it is 1."""
+    word = [g.product(b, a) for (_, b), (a, _) in zip(pairs, pairs[1:])]
+    assert None not in word, "re-associated factor left the simples"
+    if pairs[-1][1] != g.unit:
+        word.append(pairs[-1][1])
+    return word
+
+
+def peel_by_reassociation(zs, x, pair):
+    """The two parts of x over gh_pair or hg_pair: factor every letter, take the
+    leading first part, re-associate each second part with the next first part."""
+    from garside import element
+
+    g = zs.germ
+    word = list(element.letters(g, x))
+    first = []
+    while word:
+        pairs = [pair[s] for s in word]
+        if pairs[0][0] == g.unit:
+            break
+        first.append(pairs[0][0])
+        word = reassociate(g, pairs)
+        assert element._is_normal_word(g, word), "peeling produced a non-normal word"
+    assert element._is_normal_word(g, first), "peeling produced a non-normal first factor"
+    return element.NormalWord(0, tuple(first)), element.NormalWord(0, tuple(word))
+
+
+def split_by_reassociation(zs, w):
+    from garside import element, normal_forms
+
+    gpart, hpart = peel_by_reassociation(zs, w, zs.gh_pair)
+    return normal_forms.NFPair(element._from_letters(gpart.factors, zs.delta_g),
+                               element._from_letters(hpart.factors, zs.delta_h))
+
+
+def merge_by_reassociation(zs, p):
+    """The normal form of g.h: the last G-letter re-associates through the word
+    as a leading factor 1.last, until no G-letter is left."""
+    from garside import element, normal_forms
+
+    g = zs.germ
+    gw = list(normal_forms._letters(zs.delta_g, p.nf_g))
+    word = list(normal_forms._letters(zs.delta_h, p.nf_h))
+    while gw:
+        pairs = [(g.unit, gw.pop())] + [zs.hg_pair[x] for x in word]
+        word = reassociate(g, pairs)
+        assert element._is_normal_word(g, word), "merge produced a non-normal word"
+    return element._from_letters(word, g.delta)
+
+
+def psi_by_reassociation(zs, p):
+    """psi through the re-association merge, the inverse action of each
+    G-letter c on the H-word solved letter by letter from hg_pair: the H-simple
+    x with c.x = y.d for the letter y in hand, d carried on."""
+    from garside import element, normal_forms
+
+    g = zs.germ
+    hw = list(normal_forms._letters(zs.delta_h, p.nf_h))
+    for c in normal_forms._letters(zs.delta_g, p.nf_g):
+        out = []
+        for y in hw:
+            solved = {zs.hg_pair[g.product(c, x)][0]: (x, zs.hg_pair[g.product(c, x)][1])
+                      for x in zs.h_simples}
+            x, c = solved[y]
+            out.append(x)
+        hw = out
+    return merge_by_reassociation(zs, normal_forms.NFPair(
+        p.nf_g, element._from_letters(hw, zs.delta_h)))
+
+
 # -- acceptor word counts ------------------------------------------------------------
 
 def count_accepted_by_states(a, n: int) -> int:

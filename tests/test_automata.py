@@ -263,6 +263,17 @@ def test_translation_suite_names_a_dropped_letter(monkeypatch, wreath, wreath_zs
     assert "alphabets differ: only translated -, only direct c" in report.failures
 
 
+def test_translation_suite_tells_the_start_state_from_a_letter_named_start():
+    # the letter state of the simple named start keeps that name; the start and
+    # dead states are #start and #dead, which no simple's name can be
+    g = parse_germ("germ v1\nsimples: 1 start b D\ndelta: D\nprod start b D\nprod b start D\n")
+    zs = build(g, [g.simple("start")])
+    report = run_suite("automata-translation",
+                       _tampered(zs, "lr-inv", g.simple("start"), g.unit, g.simple("b")))
+    assert report.failures[0] == ("transitions from start differ, translated != direct: "
+                                  "start -> #dead != start, D -> D != #dead")
+
+
 # -- acceptors against their per-pair tables, counts against the per-state loop
 
 GERM_SPECS = ["wreath", "braid:2", "braid:3", "braid:4", "braid:5",

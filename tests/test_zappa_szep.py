@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 import re
 
@@ -11,7 +12,9 @@ from garside import normal_forms
 from garside import zappa_szep as zsm
 from garside.suites import _split_by_gcd
 
-from oracles import abelian_by_braid3_germ, element_in_g, element_in_h, zs_actions
+from oracles import (abelian_by_braid3_germ, element_in_g, element_in_h, merge_by_reassociation,
+                     peel_by_reassociation, psi_by_reassociation, split_by_reassociation,
+                     zs_actions)
 from test_suites import CLOSURE, _closure_zs
 
 # Germs built from a model in the tests, by the spec DECOMPOSITIONS gives them.
@@ -350,3 +353,106 @@ def test_suites_noncommuting_action(suite):
     zs = build(g, [g.simple(nm) for nm in N3_LEFT])
     report = run_suite(suite, zs, SMOKE)
     assert report.ok, str(report)
+
+
+# The decompositions on which the one carry is compared with the re-association
+# loops it replaced: both orders of wreath and of N^3 x| B3+, and products whose
+# factors act trivially on each other.
+CARRY_DECOMPOSITIONS = [
+    ("wreath", ("a", "b")),
+    ("wreath", ("c",)),
+    ("prod:braid:4,braid:3", ("1243*1", "1324*1", "2134*1")),
+    ("prod:braid:5,abelian:1", ("1*e1",)),
+    ("abelian:3", ("e1",)),
+    ("prod:braid:3,abelian:2", ("1*e1",)),
+    ("abelian:3><braid:3", N3_LEFT),
+    ("abelian:3><braid:3", ("1*132", "1*213")),
+]
+CARRY_IDS = [f"{spec}[{','.join(left)}]" for spec, left in CARRY_DECOMPOSITIONS]
+
+
+def _carry_zs(spec, left):
+    g = MODEL_GERMS[spec]() if spec in MODEL_GERMS else germ_from_spec(spec)
+    return build(g, [g.simple(nm) for nm in left])
+
+
+def _carry_samples(zs, count, seed):
+    """count seeded elements under delta^0..3 in turn, and as many pairs of factor
+    normal forms under delta_G^0..3 and delta_H^0..3."""
+    g, rng = zs.germ, random.Random(seed)
+
+    def word(alphabet, k, top):
+        return [top] * k + [rng.choice(alphabet) for _ in range(rng.randint(0, 8))]
+
+    def factor(alphabet, k, top):
+        return el._from_letters(el.letters(g, el.normal_form(g, word(alphabet, k, top))), top)
+
+    elements = [el.normal_form(g, word(range(len(g)), i % 4, g.delta)) for i in range(count)]
+    pairs = [normal_forms.NFPair(factor(zs.g_simples, i % 4, zs.delta_g),
+                                 factor(zs.h_simples, (i // 4) % 4, zs.delta_h))
+             for i in range(count)]
+    return elements, pairs
+
+
+@pytest.mark.parametrize("spec, left", CARRY_DECOMPOSITIONS, ids=CARRY_IDS)
+def test_carry_matches_the_reassociation_loops(spec, left):
+    zs = _carry_zs(spec, left)
+    g = zs.germ
+    elements, pairs = _carry_samples(zs, 300, 11)
+    for x in elements:
+        assert zsm.gh_decompose(zs, x) == peel_by_reassociation(zs, x, zs.gh_pair), x
+        assert zsm.hg_decompose(zs, x) == peel_by_reassociation(zs, x, zs.hg_pair), x
+        p = normal_forms.split_nf(zs, x)
+        assert p == split_by_reassociation(zs, x), x
+        assert normal_forms.merge_nf(zs, p) == merge_by_reassociation(zs, p) == x
+    for p in pairs:
+        assert normal_forms.merge_nf(zs, p) == merge_by_reassociation(zs, p), p
+        psi = normal_forms.psi(zs, p)
+        assert psi == psi_by_reassociation(zs, p), p
+        gpart, hpart = (el.normal_form(g, normal_forms._letters(d, w))
+                        for d, w in ((zs.delta_g, p.nf_g), (zs.delta_h, p.nf_h)))
+        assert psi == el.lcm(g, gpart, hpart), p
+
+
+TAMPER_DECOMPOSITIONS = [CARRY_DECOMPOSITIONS[i] for i in (0, 2, 3)]
+TAMPER_IDS = [CARRY_IDS[i] for i in (0, 2, 3)]
+
+
+def _swapped_row(zs, name):
+    """A copy of zs whose step table `name` has the rows of its last two carries swapped."""
+    step = dict(zs.steps[name])
+    c1, c2 = sorted(step)[-2:]
+    step[c1], step[c2] = step[c2], step[c1]
+    return dataclasses.replace(zs, steps={**zs.steps, name: step})
+
+
+@pytest.mark.parametrize("name", ["rr", "lr", "ll"])
+@pytest.mark.parametrize("spec, left", TAMPER_DECOMPOSITIONS, ids=TAMPER_IDS)
+def test_a_swapped_step_row_never_gives_a_wrong_decomposition_or_merge(spec, left, name):
+    # the peel carries through rr (GH) and lr (HG), the merge through ll: each raises,
+    # or returns what the re-association loops return on the untampered tables
+    zs = _carry_zs(spec, left)
+    tampered = _swapped_row(zs, name)
+    elements, pairs = _carry_samples(zs, 100, 13)
+    calls = [(zsm.gh_decompose, x, peel_by_reassociation(zs, x, zs.gh_pair)) for x in elements]
+    calls += [(zsm.hg_decompose, x, peel_by_reassociation(zs, x, zs.hg_pair)) for x in elements]
+    calls += [(normal_forms.merge_nf, p, merge_by_reassociation(zs, p)) for p in pairs]
+    raised = 0
+    for fn, arg, want in calls:
+        try:
+            got = fn(tampered, arg)
+        except (DecompositionFailure, AssertionError):
+            raised += 1
+            continue
+        assert got == want, (fn, arg)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("spec, left", TAMPER_DECOMPOSITIONS, ids=TAMPER_IDS)
+def test_translation_roundtrip_catches_a_swapped_ll_row(spec, left):
+    tampered = _swapped_row(_carry_zs(spec, left), "ll")
+    try:
+        report = run_suite("translation-roundtrip", tampered, Options(samples=100, seed=1))
+    except (DecompositionFailure, AssertionError):
+        return
+    assert not report.ok
