@@ -372,10 +372,11 @@ def _successors(g: Germ, alphabet: Sequence[int], top: int | None = None) -> dic
     unless given: the meet row of the first complement with the atom set of x\\top, gathered
     at the alphabet; its first gap raises normal_pair's GermError.  The germ's memo keeps
     the table, and every caller gets that one object: read it, never change it."""
+    top = g.delta if top is None else top
     memo, key = g._memo.setdefault("successors", {}), (tuple(alphabet), top)
     if key in memo:
         return memo[key]
-    comp = g.complement if top in (None, g.delta) else lambda s: g.lcomp(s, top)
+    comp = g.complement if top == g.delta else lambda s: g.lcomp(s, top)
     atoms, unit = sum(1 << a for a in g.atoms), g.unit
     by_atoms, by_list, succ = {}, {}, {}
     for s in alphabet:

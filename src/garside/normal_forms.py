@@ -2,11 +2,11 @@
 normal_forms: translating between normal forms of the product monoid and
 pairs of normal forms of the two factors.
 
-split_nf is the GH-decomposition of zappa_szep, a carry through rr; merge_nf
-carries each H-letter leftward through the G-word by ll.  Both produce only normal
-words -- the substance of their correctness, so it is asserted, not repaired -- and
-check each carry step against the product.  They are mutually inverse bijections;
-psi, the lcm variant, is merge_nf after an inverse action.
+split_nf is the GH-decomposition of zappa_szep, a carry through rr; merge_nf carries
+each H-letter leftward through the G-word by ll.  Both check each carry step against
+the product and assert their result normal, not repair it; a normal word is the one
+normal form of its product, so merge_nf checks its output once.  They are mutually
+inverse bijections; psi, the lcm variant, is merge_nf after an inverse action.
 """
 
 from __future__ import annotations
@@ -76,10 +76,11 @@ def split_nf(zs: ZSStructure, w: NormalWord) -> NFPair:
 
 def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
     """
-    Normal form of g1..gm h1..hn from the factor normal forms, without any
-    renormalisation, a letter per round: the first H-letter c is carried
-    leftward through g2..gm by ll, (g2..gm).c = h.(g2..gm)', and g1.h is
-    appended.  The G-word is asserted normal every round, the output at the end.
+    Normal form of g1..gm h1..hn from the factor normal forms, a letter per round, without
+    renormalising: the first H-letter c is carried leftward through g2..gm by ll,
+    (g2..gm).c = h.(g2..gm)', and g1.h is appended.  Each checked step keeps the product,
+    so the output, which only grows, multiplies to g.h; it is asserted normal once, at the
+    end, as a non-normal G-word in some round leaves a non-normal pair in it or is harmless.
     """
     g, gw, hw = zs.germ, _letters(zs.delta_g, p.nf_g), _letters(zs.delta_h, p.nf_h)
     for side, w, member in (("G", gw, zs.member_g), ("H", hw, zs.member_h)):
@@ -90,8 +91,6 @@ def merge_nf(zs: ZSStructure, p: NFPair) -> NormalWord:
         a = rest.pop() if rest else g.unit
         rest, h = zappa_szep._carry(zs.steps["ll"], c, rest, lambda x, y: g.product(y, x))
         word.append(g.product(a, h))
-        assert element._is_normal_word(g, rest[::-1]), "merge_nf produced a non-normal G-word"
-        assert element._is_normal_word(g, word), "merge_nf produced a non-normal word"
     word += reversed(rest)
     assert element._is_normal_word(g, word), "merge_nf produced a non-normal word"
     return element._from_letters(word, g.delta)

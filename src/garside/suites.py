@@ -610,12 +610,12 @@ def suite_local_deltas(r: _Run, zs: ZSStructure, opt: Options) -> None:
 
 
 def suite_normal_form_criteria(r: _Run, zs: ZSStructure, opt: Options) -> None:
-    """normal_forms.is_normal_gh_gh against the ambient definition at each ordered pair of
-    simples k1 | k2, factored by gh_pair; a pair ending in 1 is not normal.  The other three
-    shapes are not compared: they re-factor their h.g letters through rr, so give these
-    booleans at columns that rr permutes.  Nor is the join criterion: K's acceptor is built
-    with it by translate_pair_to_product, which automata-translation compares with the
-    direct one at every pair of letters; complement-of-join and poset-product give it too."""
+    """The gh|gh criterion of normal_forms.is_normal_gh_gh, as rows of meet-unit bytes,
+    against the ambient definition at each ordered pair of simples k1 | k2, factored by
+    gh_pair; a pair ending in 1 is not normal.  The function is not called here;
+    tests/test_normal_forms.py ties it to the definition.  Not compared: the other three
+    shapes (these booleans at columns that rr permutes) and the join criterion, which
+    builds the product acceptor that automata-translation compares."""
     g, u, pairs = zs.germ, zs.germ.unit, zs.gh_pair
     gs, lr = [g2 for g2, _ in pairs], [zs.act("lr", g2, h2) for g2, h2 in pairs]
     # one(s)[t] is 1 if meet(s, t) is the unit, 0 if not; each row checked once

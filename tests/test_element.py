@@ -442,6 +442,9 @@ def test_successor_table_matches_the_per_letter_scan(spec, left):
             # letters with equal successors share one object, and only they do
             assert len({id(f) for f in table.values()}) == len({tuple(f) for f in table.values()})
         assert el._successors(g, alphabet) is el._successors(g, tuple(alphabet))  # kept
+    # no top and top delta name one table
+    alphabet = alphabets[0][0]
+    assert el._successors(g, alphabet) is el._successors(g, alphabet, g.delta)
 
 
 def test_successor_table_reads_one_meet_row_per_atom_set():

@@ -449,6 +449,33 @@ def test_a_swapped_step_row_never_gives_a_wrong_decomposition_or_merge(spec, lef
 
 
 @pytest.mark.parametrize("spec, left", TAMPER_DECOMPOSITIONS, ids=TAMPER_IDS)
+def test_random_swaps_in_an_ll_row_never_give_a_wrong_merge(spec, left):
+    # merge_nf checks each carry step and its output once: with two entries of one
+    # ll row swapped, it raises or returns the normal form of the product
+    zs = _carry_zs(spec, left)
+    g, rng = zs.germ, random.Random(17)
+    _, pairs = _carry_samples(zs, 60, 19)
+    wants = [el.normal_form(g, normal_forms._letters(zs.delta_g, p.nf_g)
+                            + normal_forms._letters(zs.delta_h, p.nf_h)) for p in pairs]
+    raised = 0
+    for _ in range(40):
+        step = dict(zs.steps["ll"])
+        c = rng.choice(sorted(step))
+        row = step[c] = dict(step[c])
+        x1, x2 = rng.sample(sorted(row), 2)
+        row[x1], row[x2] = row[x2], row[x1]
+        tampered = dataclasses.replace(zs, steps={**zs.steps, "ll": step})
+        for p, want in zip(pairs, wants):
+            try:
+                got = normal_forms.merge_nf(tampered, p)
+            except (DecompositionFailure, AssertionError):
+                raised += 1
+                continue
+            assert got == want, (c, x1, x2, p)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("spec, left", TAMPER_DECOMPOSITIONS, ids=TAMPER_IDS)
 def test_translation_roundtrip_catches_a_swapped_ll_row(spec, left):
     tampered = _swapped_row(_carry_zs(spec, left), "ll")
     try:
