@@ -126,20 +126,21 @@ def _build_from_rows(g: Germ, letters, live_of, key) -> NFAutomaton:
 
 
 def _build_by_complement(g: Germ, simples, top: int, variant: str) -> NFAutomaton:
-    """The acceptor over the simples but the unit, and in the proper variant but top too,
-    in which y may follow x iff x\\top and y meet in the unit: one row per class of
-    element._successors, its letters live."""
+    """The acceptor over the simples but the unit, and in the proper variant but top, their
+    delta, too, in which y may follow x iff comp x and y meet in the unit: one row per class
+    of element._successors, its letters live.  On a parabolic factor's simples that is the
+    factor's own criterion, x\\top for comp x: its normal words are the germ's."""
     if variant not in ("proper", "full"):
         raise ValueError(f"unknown automaton variant {variant!r}")
     letters = tuple(s for s in simples if s != g.unit and (variant == "full" or s != top))
-    succ, at = element._successors(g, letters, top), {s: i for i, s in enumerate(letters)}
+    succ, at = element._successors(g, letters), {s: i for i, s in enumerate(letters)}
     return _build_from_rows(g, letters, lambda x: map(at.__getitem__, succ[x]), succ.get)
 
 
 def build_factor_automaton(zs: ZSStructure, side: str, variant: str = "full") -> NFAutomaton:
     """
     Acceptor for the normal-form language of the parabolic factor G or H,
-    over its own simples, using the factor complement.
+    over its own simples; the proper variant leaves out the factor's delta.
     """
     if side not in ("G", "H"):
         raise ValueError("side must be 'G' or 'H'")

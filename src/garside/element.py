@@ -20,17 +20,15 @@ One table says which letter may follow which: y may follow x iff only the
 unit lies below both comp x and y.  In a germ that validate accepts every
 other simple has an atom prefix, so that depends only on the atoms below
 comp x, and _successors reads one meet row per such atom set, letters with
-equal successors sharing one object, their class.  normal_words lists the
-normal words over an alphabet up to an atom length from it, depth first on
-an explicit stack (so no recursion limit applies), and iter_elements reads
-those over every simple but the unit as elements.  Both grow exponentially
-with the length.
+equal successors sharing one object, their class.  The acceptors and the
+walked suites read it, over the letters of a germ or of a parabolic factor:
+factor words are normal exactly when they are normal in the whole germ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .germ import Germ, GermError
 
@@ -367,20 +365,18 @@ class _Follow(dict):
     __hash__ = object.__hash__  # one object per class, so a walk's state may hold it
 
 
-def _successors(g: Germ, alphabet: Sequence[int], top: int | None = None) -> dict[int, _Follow]:
-    """Per letter x, the letters y of the alphabet with meet(x\\top, y) the unit, top delta
-    unless given: the meet row of the first complement with the atom set of x\\top, gathered
-    at the alphabet; its first gap raises normal_pair's GermError.  The germ's memo keeps
-    the table, and every caller gets that one object: read it, never change it."""
-    top = g.delta if top is None else top
-    memo, key = g._memo.setdefault("successors", {}), (tuple(alphabet), top)
+def _successors(g: Germ, alphabet: Sequence[int]) -> dict[int, _Follow]:
+    """Per letter x, the letters y of the alphabet with meet(comp x, y) the unit: the meet
+    row of the first complement with the atom set of comp x, gathered at the alphabet; its
+    first gap raises normal_pair's GermError.  The germ's memo keeps the table, and every
+    caller gets that one object: read it, never change it."""
+    memo, key = g._memo.setdefault("successors", {}), tuple(alphabet)
     if key in memo:
         return memo[key]
-    comp = g.complement if top == g.delta else lambda s: g.lcomp(s, top)
     atoms, unit = sum(1 << a for a in g.atoms), g.unit
     by_atoms, by_list, succ = {}, {}, {}
     for s in alphabet:
-        c = comp(s)
+        c = g.complement(s)
         if (below := g.ldiv[c] & atoms) not in by_atoms:
             row = g.lattice_row("meet", c, alphabet)
             ts = tuple([t for t, m in zip(alphabet, row) if m == unit])
@@ -390,46 +386,12 @@ def _successors(g: Germ, alphabet: Sequence[int], top: int | None = None) -> dic
     return succ
 
 
-def normal_words(g: Germ, alphabet: Sequence[int], budget: int) -> Iterator[tuple[int, ...]]:
-    """
-    Normal words over the alphabet with total atom length <= budget, depth
-    first: each word, then its extensions in alphabet order.  The stack
-    holds one iterator over the letters that may come next per position.
-    """
-    atom_len = g.atom_len
-    letters = [s for s in alphabet if atom_len[s] <= budget]
-    succ = _successors(g, letters)
-    word: list[int] = []
-    stack = [iter(letters)]
-    yield ()
-    while stack:
-        for s in stack[-1]:
-            if atom_len[s] <= budget:
-                break
-        else:
-            stack.pop()
-            if word:
-                budget += atom_len[word.pop()]
-            continue
-        word.append(s)
-        budget -= atom_len[s]
-        yield tuple(word)
-        stack.append(iter(succ[s]))
-
-
 def _from_letters(word: Sequence[int], delta: int) -> NormalWord:
     """The normal word of a normal letter sequence: its leading `delta` letters become the count."""
     k = 0
     while k < len(word) and word[k] == delta:
         k += 1
     return NormalWord(k, tuple(word[k:]))
-
-
-def iter_elements(g: Germ, max_len: int) -> Iterator[NormalWord]:
-    """All elements of atom length at most max_len, shortest first."""
-    simples = [s for s in range(len(g)) if s != g.unit]
-    elems = [_from_letters(w, g.delta) for w in normal_words(g, simples, max_len)]
-    yield from sorted(elems, key=lambda v: (atom_length(g, v), v.deltas, v.factors))
 
 
 def left_divisor_set(g: Germ, x: NormalWord) -> set[NormalWord]:

@@ -2,24 +2,24 @@
 quasicenter: least quasi-central multiples of simples, atom classes and
 Delta-purity.
 
-For a simple x, the quasi-central closure delta_of_simple(x) is the join
-of the closure of {x} under the maps y -> a\\y over all atoms a; it stays
-within the simples.  The partition of atoms by the value of this closure
-decides whether the monoid decomposes (Picantin, The center of thin
-Gaussian groups, J. Algebra 245, 2001, computes quasi-centres the same
-way).  Closures come from one memoised walk of the graph y -> a\\y per
-germ, in strongly-connected-component order, lazily from the simples
-asked for: all n of them cost n.|atoms| lcomp reads.
+For a simple x, the quasi-central closure D(x) = delta_of_simple(x) is the
+join of the closure of {x} under the maps y -> a\\y over all atoms a; it
+stays within the simples.  The partition of atoms by the value of this
+closure decides whether the monoid decomposes, and the quasi-central
+simples are exactly the joins of class closures (Picantin, The center of
+thin Gaussian groups, J. Algebra 245, 2001).  So only the atoms' closures
+are searched, one walk each, and every other closure is read off the
+classes: D(x) is the join of the class closures of the classes that x
+cannot do without, one _atom_lengths pass per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator
 
 from . import element
-from .germ import Germ, GermError
+from .germ import Germ, GermError, _atom_lengths
 
 
 @dataclass(frozen=True)
@@ -34,59 +34,38 @@ class AtomClassPartition:
 
 def delta_of_simple(g: Germ, s: int) -> int:
     """
-    The least quasi-central element above s, as a simple.  Memoised in g:
-    a query walks x -> a\\x from s and keeps every closure it completes, so
-    each simple's atom successors are read at most once per germ.
+    The least quasi-central element above s, as a simple: F(s), the join of
+    the class closures of the classes i without whose atoms s cannot be
+    stripped to the unit.  F(s) = D(s), the closure's definition:
+    - s lies in the parabolic generated by the classes it needs (build
+      checks that a union of classes generates the divisors of the join of
+      their closures), so s <= F(s);
+    - that down-set is closed under y -> a\\y: for an atom a of the
+      parabolic by lcm-closure, for any other because a\\y is then the action
+      of a on y, which the Zappa-Szep decomposition keeps in the parabolic.
+      So D(s) <= F(s);
+    - D(s) is quasi-central and above s, so it is the join of the closures
+      of some classes, whose atoms generate s: every class that s needs is
+      among them, and D(s) >= F(s).
+    All n are computed at the first query and memoised in g.  An id outside
+    0..n-1 is refused with KeyError, as the lattice tables refuse it.
     """
-    closures = g._memo.setdefault("qz_delta", {})
-    if s not in closures:
-        _walk_closures(g, s, closures)
+    closures = g._memo.get("qz_delta")
+    if closures is None:
+        closures = [g.unit] * len(g)
+        part = atom_classes(g)
+        for block, d in zip(part.classes, part.class_delta):
+            lens = _atom_lengths(g, [a for a in g.atoms if a not in block])
+            closures = [c if k >= 0 else g.join(c, d) for c, k in zip(closures, lens)]
+        g._memo["qz_delta"] = closures
+    if not 0 <= s < len(closures):
+        raise KeyError(s)
     return closures[s]
-
-
-def _walk_closures(g: Germ, root: int, closures: dict[int, int]) -> None:
-    """
-    Tarjan's walk of the strongly connected components of x -> a\\x from
-    root.  A component is finished after every component it reaches, and
-    the closure of each of its members is D = the join of the members and
-    of the closures of the components they reach, D(x) = x v V_a D(a\\x).
-    """
-    number: dict[int, int] = {}  # visit order of the simples on the walk
-    low: dict[int, int] = {}  # the least number each one reaches
-    succ: dict[int, list[int]] = {}
-    unfinished: list[int] = []  # visited simples of components not yet closed
-    path: list[tuple[int, Iterator[int], int]] = []  # with the place in unfinished
-
-    def visit(x: int) -> None:
-        number[x] = low[x] = len(number)
-        succ[x] = [g.lcomp(a, x) for a in g.atoms]
-        path.append((x, iter(succ[x]), len(unfinished)))
-        unfinished.append(x)
-
-    visit(root)
-    while path:
-        x, todo, i = path[-1]
-        for y in todo:
-            if y not in closures:
-                if y not in number:
-                    visit(y)
-                    break
-                low[x] = min(low[x], number[y])
-        else:
-            path.pop()
-            if path:
-                low[path[-1][0]] = min(low[path[-1][0]], low[x])
-            if low[x] == number[x]:
-                component = unfinished[i:]
-                del unfinished[i:]
-                d = reduce(g.join, {closures[y] for z in component for y in succ[z]
-                                    if y in closures} | set(component), g.unit)
-                closures.update(dict.fromkeys(component, d))
 
 
 def _compute_delta(g: Germ, s: int) -> int:
     """The closure of s alone, a set closed under y -> a\\y, so whatever the atom
-    order: the quasicenter suite's cross-check of the memoised walk."""
+    order: the definition, which atom_classes reads for each atom."""
     seen, frontier = {s}, [s]
     while frontier:
         x = frontier.pop()
@@ -107,14 +86,16 @@ def is_delta_pure(g: Germ) -> bool:
 
 def atom_classes(g: Germ) -> AtomClassPartition:
     """
-    Partition the atoms by equality of their quasi-central closures and
-    check that closures of distinct classes meet trivially.
+    Partition the atoms by equality of their quasi-central closures, one
+    walk per atom, and check that closures of distinct classes meet
+    trivially.  Memoised in g once it passes.
     """
+    if "atom_classes" in g._memo:
+        return g._memo["atom_classes"]
     by_delta: dict[int, list[int]] = {}
     for a in g.atoms:
-        by_delta.setdefault(delta_of_simple(g, a), []).append(a)
-    blocks = sorted(by_delta.values(), key=lambda block: block[0])
-    deltas = tuple(delta_of_simple(g, block[0]) for block in blocks)
+        by_delta.setdefault(_compute_delta(g, a), []).append(a)
+    deltas = tuple(by_delta)
     for i in range(len(deltas)):
         for j in range(i + 1, len(deltas)):
             if g.meet(deltas[i], deltas[j]) != g.unit:
@@ -122,7 +103,9 @@ def atom_classes(g: Germ) -> AtomClassPartition:
                     "quasi-central closures of distinct atom classes "
                     f"({g.names[deltas[i]]}, {g.names[deltas[j]]}) have a "
                     "non-trivial meet")
-    return AtomClassPartition(tuple(tuple(b) for b in blocks), deltas)
+    part = AtomClassPartition(tuple(map(tuple, by_delta.values())), deltas)
+    g._memo["atom_classes"] = part
+    return part
 
 
 def quasi_center_basis(g: Germ) -> tuple[int, ...]:

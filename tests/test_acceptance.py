@@ -12,10 +12,10 @@ from garside import (GermValidationError, Options, build, cli, divisor_germ,
                      element as el, germ_from_spec, normal_forms as nfm,
                      quasicenter as qc, run_suite)
 from garside import automata
-from garside.element import normal_words
 from garside.suites import _Run
 
 from oracles import (AbelianModel, BraidModel, WreathModel, model_check,
+                     normal_words_recursive as normal_words,
                      translation_roundtrip_by_enumeration)
 
 

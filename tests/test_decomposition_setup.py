@@ -1,7 +1,7 @@
 """
 The set-up of a decomposition against its references in oracles.py: the
 simples a set of atom classes generates, read from one atom stripping, and
-the quasi-central closures, walked on request from the simples asked for.
+the quasi-central closures, read off the atom classes.
 """
 
 import itertools
@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from garside import atom_classes, build, delta_of_simple, germ_from_spec, quasicenter
+from garside import atom_classes, build, delta_of_simple, germ_from_spec
 from garside.germ import _atom_lengths
 
 from oracles import abelian_by_braid3_germ, closure_table, generated_simples
@@ -44,9 +44,9 @@ def test_closures_on_request_match_the_eager_table(germ):
 
 
 def test_build_computes_the_closures_of_the_atoms_only(monkeypatch):
-    # build asks for the atoms' closures; the walks that answer start at
-    # atoms, complete the closures of what they reach (27 of 144 simples)
-    # and read the atom successors of each of those once
+    # build asks for the atom classes; each atom's closure walk reads the
+    # atom successors of what it reaches (27 of 144 simples), and no other
+    # simple's closure is computed
     g = germ_from_spec("prod:braid:4,braid:3")
     reached, frontier = set(g.atoms), list(g.atoms)
     while frontier:
@@ -55,20 +55,13 @@ def test_build_computes_the_closures_of_the_atoms_only(monkeypatch):
             if (y := g.lcomp(a, x)) not in reached:
                 reached.add(y)
                 frontier.append(y)
-    roots, reads = [], Counter()
-    walk, lcomp = quasicenter._walk_closures, g.lcomp
-
-    def rooted(g, root, closures):
-        roots.append(root)
-        walk(g, root, closures)
+    reads, lcomp = Counter(), g.lcomp
 
     def counted(a, x):
         reads[x] += 1
         return lcomp(a, x)
 
-    monkeypatch.setattr(quasicenter, "_walk_closures", rooted)
     monkeypatch.setattr(g, "lcomp", counted)
     build(g, [g.simple(nm) for nm in ("1243*1", "1324*1", "2134*1")])
-    assert set(roots) <= set(g.atoms) and len(g.atoms) == 5
-    assert set(g._memo["qz_delta"]) == set(reads) == reached and len(reached) == 27
-    assert set(reads.values()) == {len(g.atoms)}
+    assert "qz_delta" not in g._memo and len(g.atoms) == 5
+    assert set(reads) == reached and len(reached) == 27

@@ -9,8 +9,9 @@ from garside.element import NormalWord
 from garside.germ import Germ, format_germ, make_germ
 
 from oracles import (AbelianModel, BraidModel, FixpointArithmetic, ProductModel,
-                     WreathModel, model_check, rgcd_by_opposite, right_complement_by_opposite,
-                     right_divisor_set_by_opposite, successors_by_letters)
+                     WreathModel, elements_by_levels, model_check, rgcd_by_opposite,
+                     right_complement_by_opposite, right_divisor_set_by_opposite,
+                     successors_by_letters)
 from test_suites import A2_B3, CLOSURE, _closure_zs
 
 
@@ -88,7 +89,7 @@ def test_right_variants(wreath, ab2):
     rc = el.right_complement(wreath, c, d)
     assert el.multiply(wreath, rc, c) == d
     # in a commutative germ both orders agree
-    elems = list(el.iter_elements(ab2, 3))
+    elems = list(elements_by_levels(ab2, 3))
     for x in elems:
         for y in elems:
             assert el.rgcd(ab2, x, y) == el.gcd(ab2, x, y)
@@ -156,7 +157,7 @@ def test_complements_lemma_on_simples(wreath, b3):
 
 def test_atom_length_additive(wreath, b3, ab2):
     for g in (wreath, b3, ab2):
-        elems = list(el.iter_elements(g, 3))
+        elems = list(elements_by_levels(g, 3))
         for x in elems:
             for y in elems:
                 assert el.atom_length(g, el.multiply(g, x, y)) == \
@@ -197,7 +198,7 @@ def test_presentation_rewriting_model(wreath, b3):
 def test_gcd_against_divisor_enumeration(wreath, b3):
     # brute-force gcd: the maximal common element of the two divisor sets
     for g in (wreath, b3):
-        elems = [w for w in el.iter_elements(g, 3)]
+        elems = list(elements_by_levels(g, 3))
         for x in elems[:20]:
             for y in elems[:20]:
                 common = el.left_divisor_set(g, x) & el.left_divisor_set(g, y)
@@ -419,8 +420,8 @@ def test_successors_and_acceptors_read_no_meet_outside_their_letters(b4):
 def _alphabets(spec, left):
     """The alphabets and tops to compare.  For a germ: its letters but the unit,
     and those without its first atom as a prefix, over which atom sets that
-    differ only in that atom give one list.  For a decomposition: the letters
-    of K, and each factor's with the factor's delta."""
+    differ only in that atom give one list.  For a decomposition: the letters of
+    K, and each factor's with the factor's delta."""
     if left is None:
         g = germ_from_spec(spec)
         return g, [([s for s in range(1, len(g))], None),
@@ -437,14 +438,14 @@ def test_successor_table_matches_the_per_letter_scan(spec, left):
     g, alphabets = _alphabets(spec, left)
     for alphabet, top in alphabets:
         scan = successors_by_letters(g, alphabet)
-        for table in (el._successors(g, alphabet), el._successors(g, alphabet, top)):
-            assert {s: list(follow) for s, follow in table.items()} == scan
-            # letters with equal successors share one object, and only they do
-            assert len({id(f) for f in table.values()}) == len({tuple(f) for f in table.values()})
-        assert el._successors(g, alphabet) is el._successors(g, tuple(alphabet))  # kept
-    # no top and top delta name one table
-    alphabet = alphabets[0][0]
-    assert el._successors(g, alphabet) is el._successors(g, alphabet, g.delta)
+        table = el._successors(g, alphabet)
+        assert {s: list(follow) for s, follow in table.items()} == scan
+        # letters with equal successors share one object, and only they do
+        assert len({id(f) for f in table.values()}) == len({tuple(f) for f in table.values()})
+        assert table is el._successors(g, tuple(alphabet))  # kept
+        if top is not None:  # a factor's own criterion, x\\top for comp x, is the germ's
+            assert scan == {s: [t for t in alphabet if g.meet(g.lcomp(s, top), t) == g.unit]
+                            for s in alphabet}
 
 
 def test_successor_table_reads_one_meet_row_per_atom_set():

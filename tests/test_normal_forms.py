@@ -2,9 +2,9 @@ import pytest
 
 from garside import element as el
 from garside import normal_forms as nfm
-from garside.element import normal_words
 from garside.normal_forms import NFPair
 
+from oracles import normal_words_recursive as normal_words
 from test_suites import CLOSURE, _closure_zs
 
 

@@ -10,7 +10,8 @@ from garside.quasicenter import _compute_delta
 from oracles import abelian_by_braid3_germ, closure_table
 
 CLOSURE_SPECS = (["wreath"] + [f"braid:{n}" for n in range(2, 7)]
-                 + [f"abelian:{k}" for k in range(10)] + ["A2_B3", "N3_B3"])
+                 + [f"abelian:{k}" for k in range(10)] + ["A2_B3", "N3_B3"]
+                 + ["prod:braid:4,braid:3", "prod:wreath,braid:3"])
 
 
 def _fresh(spec):
@@ -21,7 +22,7 @@ def _fresh(spec):
 
 @pytest.mark.parametrize("spec", CLOSURE_SPECS)
 def test_memoised_closures_match_the_eager_table_in_any_query_order(spec):
-    # a fresh germ per order, so what one walk memoises cannot hide another's answer
+    # a fresh germ per order, so what one query memoises cannot hide another's answer
     expected = closure_table(_fresh(spec))
     for seed in range(3):
         g = _fresh(spec)
@@ -56,9 +57,9 @@ def test_closures_read_no_join_that_only_the_suite_reads():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_closure_walk_raises_for_a_missing_atom_join_as_one_closure_does(seed):
-    # lcomp(2134, 1324) is unreadable: a closure that reaches 1324 raises
-    # for it, one that does not is answered, whatever was asked before
+def test_every_closure_raises_for_a_missing_atom_join_as_the_atom_closures_do(seed):
+    # lcomp(2134, 1324) is unreadable, and the closure of the atom 1324 reads
+    # it: the atom classes cannot be formed, so every query raises their error
     def tampered():
         g = germ_from_spec("braid:4")
         _unset_join(g, "2134", "1324")
@@ -67,10 +68,19 @@ def test_closure_walk_raises_for_a_missing_atom_join_as_one_closure_does(seed):
     ref, g = tampered(), tampered()
     order = list(range(len(g)))
     random.Random(seed).shuffle(order)
-    outcomes = [_outcome(lambda: delta_of_simple(g, s)) for s in order]
-    assert outcomes == [_outcome(lambda: _compute_delta(ref, s)) for s in order]
-    assert "no join of '2134' and '1324': germ is not a lattice" in outcomes
-    assert any(isinstance(out, int) for out in outcomes)
+    error = "no join of '2134' and '1324': germ is not a lattice"
+    assert _outcome(lambda: _compute_delta(ref, ref.simple("1324"))) == error
+    assert [_outcome(lambda: delta_of_simple(g, s)) for s in order] == [error] * len(g)
+    assert _outcome(lambda: atom_classes(g)) == error
+
+
+@pytest.mark.parametrize("s", [-1, 6, 7])
+def test_delta_of_simple_refuses_an_id_outside_the_simples(b3, s):
+    # a list memo would read -1 back as the closure of the last simple, delta
+    with pytest.raises(KeyError):
+        delta_of_simple(b3, s)
+    with pytest.raises(KeyError):
+        b3.lattice_row("join", s)
 
 
 def test_delta_of_simple_examples(wreath):
@@ -136,7 +146,7 @@ def test_basis_elements_balanced(wreath, b3):
                 assert g.left_divides(s, c) == g.right_divides(s, c)
 
 
-def test_closure_of_each_simple_alone_agrees_with_the_memoised_walk(wreath, b4):
+def test_closure_of_each_simple_alone_agrees_with_the_class_formula(wreath, b4):
     for g in (wreath, b4):
         for s in range(len(g)):
             assert _compute_delta(g, s) == delta_of_simple(g, s)
