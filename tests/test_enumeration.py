@@ -1,12 +1,13 @@
 """
-The enumerators of element.py against their references in oracles.py:
-normal words by recursion, and elements breadth first by multiplication
-by atoms.
+The enumerators of oracles.py, which the tests enumerate through, against
+the library: normal words by recursion against the words the normal-form
+acceptor accepts, and elements breadth first by multiplication by atoms
+against the normal forms of those words.
 """
 
 import pytest
 
-from garside import atom_classes, germ_from_spec
+from garside import atom_classes, build_nf_automaton, germ_from_spec
 from garside import element as el
 from garside.germ import _atom_lengths
 
@@ -33,21 +34,35 @@ def _alphabets(g):
                      for atoms in (first, rest)]
 
 
-def test_iter_elements_matches_the_breadth_first_reference(germ):
-    for n in range(5):
-        assert list(el.iter_elements(germ, n)) == list(elements_by_levels(germ, n))
+def _accepted_words(g, a, alphabet, budget):
+    """The words over the alphabet with total atom length <= budget that the acceptor
+    accepts, grown one letter at a time along its transitions."""
+    found, stack = [], [((), 0, budget)]
+    while stack:
+        word, state, left = stack.pop()
+        found.append(word)
+        for s in alphabet:
+            if g.atom_len[s] <= left and (nxt := a.step(state, s)) != a.dead:
+                stack.append((word + (s,), nxt, left - g.atom_len[s]))
+    return found
 
 
-def test_normal_words_match_the_recursive_reference(germ):
+def test_normal_words_are_the_words_the_acceptor_accepts(germ):
+    a = build_nf_automaton(germ, "full")
     for alphabet in _alphabets(germ):
         for budget in range(6):
-            assert (list(el.normal_words(germ, alphabet, budget))
-                    == list(normal_words_recursive(germ, alphabet, budget)))
+            words = list(normal_words_recursive(germ, alphabet, budget))
+            assert len(set(words)) == len(words)
+            assert set(words) == set(_accepted_words(germ, a, alphabet, budget))
 
 
-def test_normal_words_are_not_bounded_by_the_recursion_limit(wreath):
-    # a|a is normal, so each length up to the budget has exactly one word
-    a = wreath.simple("a")
-    words = list(el.normal_words(wreath, (a,), 5000))
-    assert len(words) == 5001
-    assert words[-1] == (a,) * 5000
+def test_elements_by_levels_are_the_normal_words_multiplied_out(germ):
+    full = _alphabets(germ)[0]
+    for n in range(5):
+        elems = list(elements_by_levels(germ, n))
+        assert len(set(elems)) == len(elems)
+        assert all(el.is_normal(germ, x) and el.atom_length(germ, x) <= n for x in elems)
+        # one normal word per element: the words and the elements are equinumerous
+        words = list(normal_words_recursive(germ, full, n))
+        assert len(words) == len(elems)
+        assert {el.normal_form(germ, w) for w in words} == set(elems)
