@@ -35,11 +35,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, count
 
 from . import element
-from .germ import Germ, _gather
+from .germ import Germ, _cached, _gather
 from .zappa_szep import ZSStructure
 
 
@@ -72,7 +71,7 @@ class NFAutomaton:
             return "dead"
         return self.letter_names[state - 1]
 
-    @cached_property
+    @_cached
     def position(self) -> dict[int, int]:
         """Position of each letter (a SimpleId) in the alphabet."""
         return {s: i for i, s in enumerate(self.letters)}

@@ -14,7 +14,7 @@ Morton, Algorithms for positive braids, 1994).  normal_form folds it over
 a word, multiply sweeps in the factors of its right operand, and gcd and
 the complements finish with it.  Delta powers stay a counter: with
 tau = comp^2, s.Delta = Delta.tau(s), so a Delta moves to the front by
-twisting what it passes, and no Delta enters a sweep.
+twisting what it passes (Germ._tau_orbits), and no Delta enters a sweep.
 
 One table says which letter may follow which: y may follow x iff only the
 unit lies below both comp x and y.  In a germ that validate accepts every
@@ -109,8 +109,7 @@ def _sweep(g: Germ, f: list[int], b: int) -> int:
     position can end as the unit, which is dropped here, and only the first
     can become Delta, which the caller moves into its Delta power.
     """
-    meet, comp, prod, unit = g._meet, g._comp, g.product_rows, g.unit
-    inv = g._row_inv or g._row_inverses()
+    meet, comp, prod, inv, unit = g._meet, g._comp, g.product_rows, g._row_inv, g.unit
     j = len(f)
     f.append(b)
     while j:
@@ -157,34 +156,11 @@ def _fold(g: Germ, deltas: int, word: Iterable[int]) -> NormalWord:
     return NormalWord(deltas, tuple(f))
 
 
-def _tau_orbits(g: Germ) -> list[tuple[list[int], int]]:
-    """
-    For each simple s, its orbit under tau = comp^2 and the position of s
-    in it, so that tau^k(s) is one lookup for any k.  Built once per germ,
-    on first use.
-    """
-    orbits = g._memo.get("tau_orbits")
-    if orbits is None:
-        tau = [g.complement(g.complement(s)) for s in range(len(g))]
-        if len(set(tau)) != len(tau):
-            raise GermError("Delta-conjugation is not a bijection: germ is not valid")
-        orbits = [None] * len(tau)
-        for s in range(len(tau)):
-            if orbits[s] is None:
-                orbit = [s]
-                while tau[orbit[-1]] != s:
-                    orbit.append(tau[orbit[-1]])
-                for i, t in enumerate(orbit):
-                    orbits[t] = (orbit, i)
-        g._memo["tau_orbits"] = orbits
-    return orbits
-
-
 def _twist(g: Germ, k: int, word: Iterable[int]) -> list[int]:
     """tau^k of every letter: word.Delta^k = Delta^k.tau^k(word)."""
     if not k:
         return list(word)
-    orbits = _tau_orbits(g)
+    orbits = g._tau_orbits
     out = []
     for s in word:
         orbit, i = orbits[s]
@@ -237,7 +213,7 @@ def _under(g: Germ, s: int, word: list[int]) -> list[int]:
     of a cell.  Unit letters are dropped; once the carry is the unit the
     rest of w passes unchanged.
     """
-    join, inv, unit = g._join, g._row_inv or g._row_inverses(), g.unit
+    join, inv, unit = g._join, g._row_inv, g.unit
     out = []
     for i, y in enumerate(word):
         if s == unit:

@@ -7,10 +7,11 @@ divisors of the Garside element Delta ("simples"), the partial product on simple
 Delta.  Prefix divisibility, atoms and complements are derived at construction time.
 Meets and joins in the prefix order live in one table per operation whose rows are
 filled from the divisibility bitmasks the first time they are used, so every lattice
-query is an O(1) array lookup.  Germ.lattice_row is the one checked read of a row of
-meets, joins or left complements, whole or at some columns: a missing meet or join
-raises the accessor's GermError.  Suffix queries read the same tables through the left
-completion to delta (see Germ); validate alone builds the opposite germ, once per call.
+query is an O(1) array lookup; the row inverses and the orbits of tau = comp^2 are
+cached properties, built on first read too.  Germ.lattice_row is the one checked read
+of a row of meets, joins or left complements, whole or at some columns: a missing meet
+or join raises the accessor's GermError.  Suffix queries read the same tables through
+the left completion to delta (see Germ); validate alone builds the opposite germ.
 
 Simples are identified by small integers.  Index 0 is always the identity, which must
 be named "1".  Divisibility relations are kept as bitmasks over simple indices (one
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, repeat
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -112,6 +113,19 @@ class _LatticeRows(dict):
         return row
 
 
+class _cached(cached_property):
+    """functools.cached_property, stored by object.__setattr__ (a frozen dataclass
+    takes it too): on CPython 3.11 the stdlib one's read of instance.__dict__ moves
+    every attribute out of its inline slot, and each later read of one is slower."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.attrname, value)
+        return value
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of a mask, ascending."""
     while mask:
@@ -131,13 +145,13 @@ class Germ:
     make_germ(); the raw constructor expects the unit at index 0 and rows that already
     contain the implied unit products.
 
-    Immutable after construction (by convention) apart from the lattice tables and the
-    row inverses of the product, which are built on first use, idempotently; safe to
-    share between threads.  The suffix accessors (right_divides, rmeet, rjoin, rcomp) read
-    the prefix tables at the left completions s* (s*.s = delta): t is a suffix of u iff
-    u* is a prefix of t*.  Their answers hold on germs that validate accepts, which alone
-    builds the opposite germ.  Equality is identity; compare `names`, `delta` and
-    `product_rows` directly for structural equality.
+    Immutable after construction (by convention) apart from the lattice rows and the
+    cached properties _row_inv and _tau_orbits, built on first read: building one twice
+    gives an equal table, so a race between threads is harmless.  The suffix accessors
+    (right_divides, rmeet, rjoin, rcomp) read the prefix tables at the left completions
+    s* (s*.s = delta): t is a suffix of u iff u* is a prefix of t*.  Their answers hold
+    on germs that validate accepts, which alone builds the opposite germ.  Equality is
+    identity; compare `names`, `delta` and `product_rows` for structural equality.
     """
 
     def __init__(self, names: tuple[str, ...], delta: int,
@@ -164,37 +178,43 @@ class Germ:
         self.ldiv, self.lupper = ldiv, lupper
         self.atoms: tuple[int, ...] = tuple(s for s in range(1, n) if ldiv[s] == 1 | 1 << s)
 
-        # Inverted product rows, _row_inv[s][v] = t with s.t = v, are built
-        # on first use by _row_inverses().  Cancellativity makes them well
-        # defined; validation flags germs where they are not.
-        self._row_inv: list[dict[int, int]] | None = None
-
         self._comp, self._rcomp = comp, rcomp = [-1] * n, [-1] * n  # s.comp[s] = delta = rcomp[s].s
         for s, row in enumerate(product_rows):
             for t, v in row.items():
                 if v == delta:
                     comp[s], rcomp[t] = t, s
 
-        # A simple is pinned down by its divisor set, so meets and joins
-        # are mask-intersection lookups.
+        # A simple is pinned down by its divisor set: meets are mask-intersection lookups.
         self._by_ldiv = {ldiv[s]: s for s in range(n)}
-        self._by_lupper = {lupper[s]: s for s in range(n)}
 
         self.atom_len = _atom_lengths(self, self.atoms)
 
-        self._memo: dict = {}  # cross-module caches (quasi-central closures etc.)
+        self._memo: dict = {}  # derived by other algorithms: successor classes, closures, validation
 
         self._meet = _LatticeRows(ldiv, self._by_ldiv)
         self._join = _LatticeRows(lupper)
 
-    def _row_inverses(self) -> list[dict[int, int]]:
-        """
-        _row_inv[s][v] = t with s.t = v, built on first use.  Hot paths read
-        `g._row_inv or g._row_inverses()`, which makes no call once it is built.
-        """
-        if self._row_inv is None:
-            self._row_inv = [{v: t for t, v in row.items()} for row in self.product_rows]
-        return self._row_inv
+    @_cached
+    def _row_inv(self) -> list[dict[int, int]]:
+        """_row_inv[s][v] = t with s.t = v, well defined where validate finds cancellativity."""
+        return [{v: t for t, v in row.items()} for row in self.product_rows]
+
+    @_cached
+    def _tau_orbits(self) -> list[tuple[list[int], int]]:
+        """Per simple s, its orbit under the Delta-conjugation tau = comp^2 and the
+        position of s in it, so that tau^k(s) is one lookup for any k."""
+        tau = [self.complement(self.complement(s)) for s in range(len(self))]
+        if len(set(tau)) != len(tau):
+            raise GermError("Delta-conjugation is not a bijection: germ is not valid")
+        orbits = [None] * len(tau)
+        for s in range(len(tau)):
+            if orbits[s] is None:
+                orbit = [s]
+                while tau[orbit[-1]] != s:
+                    orbit.append(tau[orbit[-1]])
+                for i, t in enumerate(orbit):
+                    orbits[t] = (orbit, i)
+        return orbits
 
     # -- basic queries ---------------------------------------------------
 
@@ -239,16 +259,19 @@ class Germ:
             "germ is not a lattice")
 
     def lattice_row(self, kind: str, s: int, at: Sequence[int] | None = None):
-        """Row s of the meet or join table, read in place, or of s\\t ("lcomp"), a list
-        read from s's join row and row inverse; or a list of its entries at the columns
-        `at`.  The first missing meet or join read raises its accessor's GermError."""
+        """Row s of the meet or join table ("meet", "join"), read in place, or of s\\t
+        ("lcomp"), a list read from s's join row and row inverse; or a list of its entries
+        at the columns `at`.  The first missing meet or join read raises its accessor's
+        GermError; any other kind raises ValueError."""
+        if kind not in ("meet", "join", "lcomp"):
+            raise ValueError(f"unknown lattice row kind {kind!r}: expected meet, join or lcomp")
         bound = "join" if kind == "lcomp" else kind
-        table = getattr(self, "_" + bound)
+        table = self._meet if kind == "meet" else self._join
         row = table[s] if at is None else _gather(table[s], at)
         if -1 in row:
             i = row.index(-1)
             self._not_a_lattice(bound, s, i if at is None else at[i])
-        return row if kind == bound else _gather((self._row_inv or self._row_inverses())[s], row)
+        return row if kind == bound else _gather(self._row_inv[s], row)
 
     # The accessors read one entry each: a row check would scan n.
     def meet(self, s: int, t: int) -> int:
@@ -282,11 +305,11 @@ class Germ:
         v = self._join[s][t]
         if v < 0:
             self.join(s, t)  # raises: germ is not a lattice
-        return (self._row_inv or self._row_inverses())[s][v]
+        return self._row_inv[s][v]
 
     def rcomp(self, s: int, t: int) -> int:
         """The right complement t/s: the simple u with u.s = right-join v, so v*.u = s*."""
-        return (self._row_inv or self._row_inverses())[self._rcomp[self.rjoin(s, t)]][self._rcomp[s]]
+        return self._row_inv[self._rcomp[self.rjoin(s, t)]][self._rcomp[s]]
 
     def complement(self, s: int) -> int:
         """The simple u with s.u = delta."""
@@ -637,12 +660,13 @@ def _check_lattice(g: Germ, op: Germ) -> tuple[bool, str | None]:
                     return False, f"{side} order not antisymmetric: {nm[s]}, {nm[t]}"
                 if h.ldiv[s] & h.ldiv[t] != h.ldiv[s]:
                     return False, f"{side} order not transitive below {nm[t]} at {nm[s]}"
+    uppers = [(h, side, set(h.lupper)) for h, side in sides]  # a join's upper set is among them
     for s in range(n):
         for t in range(s, n):
-            for h, side in sides:
+            for h, side, upper in uppers:
                 if h.ldiv[s] & h.ldiv[t] not in h._by_ldiv:
                     return False, f"{nm[s]} and {nm[t]} have no {side} meet"
-                if h.lupper[s] & h.lupper[t] not in h._by_lupper:
+                if h.lupper[s] & h.lupper[t] not in upper:
                     return False, f"{nm[s]} and {nm[t]} have no {side} join"
     return True, None
 

@@ -173,7 +173,7 @@ def suite_complements_lemma(r: _Run, g: Germ, opt: Options) -> None:
     (y\\a, (a\\y)\\b), both laws' rows (y, c'') and all under-product rows:
     columns that do not split are compared for every pair, the rest for (y, c'').
     """
-    n, rows, inv, lens = len(g), g.product_rows, g._row_inverses(), g.atom_len
+    n, rows, inv, lens = len(g), g.product_rows, g._row_inv, g.atom_len
     split = {}  # split[s] = (x, s'')
     lc = [g.lattice_row("lcomp", s) for s in range(n)]  # lc[s][t] = s\t
     for s in set(range(n)) - {g.unit, *g.atoms}:

@@ -808,7 +808,7 @@ def generated_simples(g, atoms):
     full row inverses of the product.
     """
     atom_set = set(atoms)
-    inv = g._row_inverses()
+    inv = g._row_inv
     member = [False] * len(g)
     member[g.unit] = True
     order = sorted(range(len(g)), key=lambda s: g.ldiv[s].bit_count())
@@ -1449,11 +1449,12 @@ def _lattice_by_pairs(g, op):
                     return False, f"{side} order not antisymmetric: {nm[s]}, {nm[t]}"
                 if h.ldiv[s] & h.ldiv[t] != h.ldiv[s]:
                     return False, f"{side} order not transitive below {nm[t]} at {nm[s]}"
+    uppers = {side: set(h.lupper) for h, side in sides}
     for s in range(n):
         for t in range(s, n):
             for h, side in sides:
                 if h.ldiv[s] & h.ldiv[t] not in h._by_ldiv:
                     return False, f"{nm[s]} and {nm[t]} have no {side} meet"
-                if h.lupper[s] & h.lupper[t] not in h._by_lupper:
+                if h.lupper[s] & h.lupper[t] not in uppers[side]:
                     return False, f"{nm[s]} and {nm[t]} have no {side} join"
     return True, None

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from garside import (GermError, GermSyntaxError, GermValidationError, braid_germ,
-                     format_germ, germ_from_spec, parse_germ, validate_germ)
+from garside import (GermError, GermSyntaxError, GermValidationError, NormalWord, braid_germ,
+                     format_germ, germ_from_spec, normal_form, parse_germ, validate_germ)
 from garside.germ import Germ, _is_lattice, make_germ
 
 from oracles import LatticeOracle, is_lattice_by_meets, validate_germ_by_scans
@@ -484,6 +484,32 @@ def test_lattice_rows_refuse_an_index_outside_the_simples():
     assert list(g._meet[len(g) - 1]) == [g.meet(len(g) - 1, t) for t in range(len(g))]
 
 
+def test_tau_orbits_refuse_a_delta_conjugation_that_is_no_bijection():
+    # a.b = b.b = d: comp takes both a and b to b, so tau = comp^2 does too.
+    # validate refuses the table; built without it, the first twist of a
+    # letter past Delta raises, and again, as a failed build caches nothing.
+    g = make_germ(["1", "a", "b", "d"], "d", [("a", "b", "d"), ("b", "b", "d")])
+    for _ in range(2):
+        with pytest.raises(GermError, match="^Delta-conjugation is not a bijection: "
+                                            "germ is not valid$"):
+            normal_form(g, [g.simple("a"), g.delta])
+    assert "_tau_orbits" not in vars(g)
+    assert normal_form(g, [g.delta, g.simple("a")]) == NormalWord(1, (g.simple("a"),))  # no twist
+
+
+@pytest.mark.parametrize("kind", ["rjoin", "comp", "memo", "row_inv"])
+def test_lattice_row_refuses_a_kind_it_has_no_table_for(kind):
+    # only meet, join and lcomp name a row; any other kind, the name of a
+    # private attribute included, is refused with the three named, whole or
+    # gathered, before any table is read
+    g = braid_germ(3)
+    for at in (None, [g.unit, g.delta]):
+        with pytest.raises(ValueError, match=f"^unknown lattice row kind {kind!r}: "
+                                             "expected meet, join or lcomp$"):
+            g.lattice_row(kind, g.delta, at)
+    assert "_row_inv" not in vars(g) and not g._meet and not g._join
+
+
 def test_lattice_above_256_simples(prod_b4a4):
     g = prod_b4a4
     assert len(g) == 384
@@ -633,6 +659,7 @@ def test_join_rows_match_the_upper_set_lookup():
     assert germs[-2].delta != len(germs[-2]) - 1  # delta is no longer the last simple
     for g in germs:
         for h in (g, g.opposite()):
+            by_lupper = {m: s for s, m in enumerate(h.lupper)}
             for s in range(len(h)):
-                assert list(h._join[s]) == [h._by_lupper.get(h.lupper[s] & m, -1) for m in h.lupper], \
+                assert list(h._join[s]) == [by_lupper.get(h.lupper[s] & m, -1) for m in h.lupper], \
                     (format_germ(g), s)

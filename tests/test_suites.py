@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from garside import (GermError, Options, SuiteReport, build, germ_from_spec, parse_germ,
-                     run_suite, validate_germ, wreath_example_germ)
+from garside import (GermError, Options, SuiteReport, build, format_germ, germ_from_spec,
+                     parse_germ, run_suite, validate_germ, wreath_example_germ)
 from garside import element as el
 from garside import suites, zappa_szep
 from garside.germ import Germ
@@ -176,7 +176,7 @@ def _by_cases(suite, g, opt):
 
 def _swap_row_inv(g, s):
     """Swap the outputs of the first two products in the inverted row of s."""
-    row = g._row_inverses()[s]
+    row = g._row_inv[s]
     v, w = sorted(row)[:2]
     row[v], row[w] = row[w], row[v]
 
@@ -248,7 +248,7 @@ def test_lattice_laws_read_no_rjoin_row_and_no_row_inverse(monkeypatch):
     _forbid_opposite(monkeypatch)
     g = germ_from_spec("braid:4")
     assert run_suite("lattice-laws", g, Options(samples=0)).ok
-    assert g._row_inv is None
+    assert "_row_inv" not in vars(g)  # the cached property was never read
 
 
 @pytest.mark.parametrize("spec, left", [("prod:braid:4,braid:3", "1243*1,1324*1,2134*1"),
@@ -323,7 +323,7 @@ def test_row_suites_agree_with_per_case_oracle_on_tampered_tables(spec, row, tam
 
 def _edit_product(g, rng):
     """Point one product a.b at a random simple, drop it, or define one more."""
-    g._row_inverses()  # the inverted rows keep the old products
+    g._row_inv  # built now, the inverted rows keep the old products
     row = g.product_rows[rng.randrange(len(g))]
     b = rng.randrange(len(g))
     if b in row and rng.random() < 0.3:
@@ -333,7 +333,7 @@ def _edit_product(g, rng):
 
 
 def _swap_random_row_inv(g, rng):
-    row = g._row_inverses()[rng.randrange(len(g))]
+    row = g._row_inv[rng.randrange(len(g))]
     if len(row) > 1:
         v, w = rng.sample(sorted(row), 2)
         row[v], row[w] = row[w], row[v]
@@ -381,7 +381,7 @@ def test_complements_lemma_compares_what_its_inductions_cannot_carry(spec):
 def _set_complements(g, table):
     """Make s\\t read table[s][t]: each join entry of s names a new key of
     the inverted row of s, past the simples, that maps to the complement."""
-    n, inv = len(g), g._row_inverses()
+    n, inv = len(g), g._row_inv
     for s, row in enumerate(table):
         for t, u in enumerate(row):
             g._join[s][t] = n + t
@@ -395,7 +395,7 @@ def test_complements_lemma_compares_a_row_whose_induction_premise_fails():
     # fails and every other case the suite compares holds: a suite that
     # trusted the split without its premise would report ok.
     g = germ_from_spec("abelian:2")
-    g._row_inverses()
+    g._row_inv  # built now, from the products before the edit
     g.product_rows[0][3] = 2
     _set_complements(g, [[0, 1, 2, 3], [0, 0, 2, 2], [0, 1, 2, 3], [0, 0, 2, 2]])
     report = _agrees_with_oracle("complements-lemma", g, Options(samples=0))
@@ -408,12 +408,33 @@ def test_complements_lemma_compares_a_row_whose_induction_premise_fails():
 CLOSURE = [("wreath", "a,b"), ("wreath", "c"), ("abelian:3", "e1"),
            ("prod:braid:3,abelian:1", "132*1,213*1"),
            ("prod:braid:4,braid:3", "1243*1,1324*1,2134*1"),
-           ("prod:wreath,wreath", "a*1,b*1,1*c"), ("N3_B3", "e1*1,e2*1,e3*1")]
+           ("prod:wreath,wreath", "a*1,b*1,1*c"), ("N3_B3", "e1*1,e2*1,e3*1"),
+           ("op:wreath", "a,b"), ("op:N3_B3", "1*132,1*213"), ("op:prod:wreath,braid:3", "a*1,b*1")]
 
 
 def _closure_zs(spec, left):
-    g = abelian_by_braid3_germ() if spec == "N3_B3" else germ_from_spec(spec)
+    """The decomposition of a CLOSURE entry; "op:" names the opposite germ,
+    written out as a germ file and parsed back, so validated as it is read."""
+    base = spec.removeprefix("op:")
+    g = abelian_by_braid3_germ() if base == "N3_B3" else germ_from_spec(base)
+    if base != spec:
+        g = parse_germ(format_germ(g.opposite()))
     return build(g, [g.simple(nm) for nm in left.split(",")])
+
+
+@pytest.mark.parametrize("spec, left", CLOSURE, ids=[f"{s}[{l}]" for s, l in CLOSURE])
+def test_inverse_steps_are_the_complement_cells(spec, left):
+    # The lcm formula g^-1 |> h = g\h with its carry: the inverse step of the
+    # carry c on the letter x reads the cell c.(c\x) = x.(x\c) = c v x, and
+    # outputs c\x with the next carry x\c for rr-inv and lr-inv, and the
+    # suffix mirror, read by rcomp, for rl-inv and ll-inv.
+    zs = _closure_zs(spec, left)
+    g = zs.germ
+    for name, comp in (("rr-inv", g.lcomp), ("lr-inv", g.lcomp),
+                       ("rl-inv", g.rcomp), ("ll-inv", g.rcomp)):
+        for c, row in zs.steps[name].items():
+            for x, step in row.items():
+                assert step == (comp(c, x), comp(x, c)), (name, g.names[c], g.names[x])
 
 
 def _by_pairs(zs, opt, oracle=factor_closure_by_pairs):
